@@ -176,12 +176,10 @@ def cmd_solve(args):
     domain, field = _domain_and_field(args, cfg)
     st = _solve_settings(cfg)
     boundary = pipeline.boundary_from_json(cfg.get("boundary"))
-    linear = cfg.get("linear_solver", "direct")
     try:
         outcome = pipeline.solve_domain(
             domain, field, st["spacing"], boundary=boundary, tol=st["tol"],
-            schedule=st["schedule"], max_iters=st["max_iters"],
-            linear_solver=linear)
+            schedule=st["schedule"], max_iters=st["max_iters"])
     except ContinuationFailureError as exc:
         dump_json({"status": "continuation-stalled", "stall_t": exc.stall_t,
                    "diagnostics": exc.diagnostics,

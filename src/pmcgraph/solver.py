@@ -18,6 +18,13 @@ by the half-sum of opposite arm lengths.  Cut arms next to the boundary
 use their fractional length and the Dirichlet value at the true crossing
 point, which is what keeps the scheme second order on curved domains.
 
+Linear solves factor once per grid: the first Newton step of a homotopy
+factors its Jacobian with SuperLU and solves directly, and every later
+Newton step, at the same or a later t, runs GMRES preconditioned by that
+LU factor (:class:`FactorOnceSolver`).  The factor is renewed only when
+GMRES fails or needs many iterations, because the Jacobian drifts slowly
+along the homotopy and an old factor stays a good preconditioner.
+
 Residual and Jacobian assembly are vectorized numpy expressions evaluated
 in a fixed order, so reruns are bit-identical; independent solves share no
 state.
@@ -32,7 +39,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse import linalg as sparse_linalg
 
-from . import barrier
+from . import barrier, conditions
 from .errors import (
     ContinuationFailureError,
     LineSearchStallError,
@@ -49,6 +56,17 @@ GRID_DIM = 2
 _LINE_SEARCH_FLOOR = 2.0 ** -20
 _DEFAULT_SCHEDULE_STEPS = 11
 _DT_MIN = 1e-3
+
+# GMRES preconditioned by a reused LU factor: the Newton update is solved
+# to near machine precision, so Newton iteration counts match a direct
+# solve; a short restart keeps the Krylov basis (and peak memory) small
+_KRYLOV_RTOL = 1e-12
+_KRYLOV_RESTART = 10
+_KRYLOV_MAXITER = 5
+# a solve that needed more than two restart cycles refactors before the
+# next step; along a smooth homotopy the count creeps from 4 to about 11
+# per solve, while a Newton start far from the factored point needs 20+
+_KRYLOV_REFACTOR_ITERS = 2 * _KRYLOV_RESTART
 
 
 def _edge_data(grid, f):
@@ -216,24 +234,63 @@ def _assemble_jacobian(grid, f, hfield, t_homotopy):
     return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _solve_linear(J, rhs, method):
-    if method == "direct":
+class FactorOnceSolver:
+    """Newton linear solves that reuse one sparse LU factor.
+
+    One instance belongs to one homotopy (or one standalone Newton solve)
+    on one grid.  The first solve factors the Jacobian and solves directly;
+    later solves run GMRES with the stored factor as preconditioner.  A
+    solve refactors when GMRES fails or returns a non-finite update, and
+    the next solve refactors when this one needed more than
+    ``_KRYLOV_REFACTOR_ITERS`` inner iterations.  ``factorizations`` and
+    ``krylov_iters`` count the work done so far.
+    """
+
+    def __init__(self):
+        self._lu = None
+        self._precond = None
+        self._stale = True
+        self.factorizations = 0
+        self.krylov_iters = 0
+
+    def _factor(self, J):
+        # release the old factor (and the operator holding it) before the
+        # new one is allocated, so two factors never coexist
+        self._lu = self._precond = None
+        self._stale = True
         try:
-            lu = sparse_linalg.splu(J.tocsc())
-            return lu.solve(rhs)
+            self._lu = sparse_linalg.splu(
+                J.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularSystemError(f"sparse factorization failed: {exc}")
-    if method == "iterative":
-        diag = J.diagonal()
-        if np.any(diag == 0.0):
-            raise SingularSystemError("zero diagonal entry; cannot precondition")
-        M = sparse_linalg.LinearOperator(J.shape, matvec=lambda v: v / diag)
-        sol, info = sparse_linalg.lgmres(J, rhs, M=M, rtol=1e-12, atol=0.0,
-                                         maxiter=2000)
-        if info != 0:
-            raise SingularSystemError(f"iterative linear solve failed (info={info})")
-        return sol
-    raise ParameterError(f"unknown linear solver {method!r}")
+        self._precond = sparse_linalg.LinearOperator(J.shape,
+                                                     matvec=self._lu.solve)
+        self._stale = False
+        self.factorizations += 1
+
+    def solve(self, J, rhs, krylov=True):
+        """Solve ``J x = rhs``; returns ``(x, krylov_iters, factored)``.
+
+        ``krylov=False`` skips GMRES and factors ``J`` directly.  When
+        GMRES was tried and failed, the result comes from a fresh factor
+        with ``krylov_iters > 0`` and ``factored`` true.
+        """
+        iters = 0
+        if krylov and not self._stale:
+            residuals = []  # one entry per inner iteration
+            x, info = sparse_linalg.gmres(
+                J, rhs, rtol=_KRYLOV_RTOL, atol=0.0,
+                restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
+                M=self._precond, callback=residuals.append,
+                callback_type="pr_norm")
+            iters = len(residuals)
+            self.krylov_iters += iters
+            if info == 0 and np.all(np.isfinite(x)):
+                self._stale = iters > _KRYLOV_REFACTOR_ITERS
+                return x, iters, False
+        self._factor(J)
+        return self._lu.solve(rhs), iters, True
 
 
 def _gradient_diagnostics(grid, f):
@@ -310,16 +367,24 @@ def _finish_solution(grid, f, hfield, t, iters):
 
 
 def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
-                 max_iters=40, linear_solver="direct"):
+                 max_iters=40, linsolve=None):
     """Damped Newton iteration for the discrete problem at fixed t.
 
-    The analytic Jacobian of the discrete operator is assembled each step;
-    backtracking halves the step until the residual 2-norm decreases
-    (floor 2^-20).  Raises on nonconvergence, line-search stall and
-    singular linear systems, carrying the iterate trace.
+    The analytic Jacobian of the discrete operator is assembled each step
+    and handed to ``linsolve``, a :class:`FactorOnceSolver` (a fresh one
+    when omitted).  Its first solve factors the Jacobian; later steps run
+    LU-preconditioned GMRES, and after one GMRES failure the rest of this
+    run factors every step directly.  Backtracking halves the step until
+    the residual 2-norm decreases (floor 2^-20).  Raises on
+    nonconvergence, line-search stall and singular linear systems,
+    carrying the iterate trace: one dict per accepted step with the
+    residual sup norm, step length, GMRES iterations and whether the
+    Jacobian was factored.
     """
     if tol <= 0.0:
         raise ParameterError("tolerance must be positive")
+    if linsolve is None:
+        linsolve = FactorOnceSolver()
     f = np.zeros(grid.shape) if initial is None else np.array(initial, dtype=float)
     f[~grid.interior] = 0.0
 
@@ -329,6 +394,7 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     rinf = float(np.max(np.abs(r_vec))) if r_vec.size else 0.0
     rnorm = float(np.linalg.norm(r_vec))
     iters = 0
+    krylov = True
     while rinf > tol:
         if iters >= max_iters:
             raise NonconvergenceError(
@@ -337,7 +403,10 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
         if not math.isfinite(rnorm):
             raise NonconvergenceError("residual is not finite", trace=trace)
         J = _assemble_jacobian(grid, f, hfield, t_homotopy)
-        delta = _solve_linear(J, -r_vec, linear_solver)
+        delta, k_iters, factored = linsolve.solve(J, -r_vec, krylov=krylov)
+        if factored and k_iters:
+            # GMRES failed: factor directly for the rest of this run
+            krylov = False
         if not np.all(np.isfinite(delta)):
             raise SingularSystemError("linear solve produced non-finite update",
                                       trace=trace)
@@ -358,22 +427,42 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
         f, r_vec, rnorm = f_try, r_try, rnorm_try
         rinf = float(np.max(np.abs(r_vec)))
         iters += 1
-        trace.append({"iter": iters, "residual_inf": rinf, "step": lam})
+        trace.append({"iter": iters, "residual_inf": rinf, "step": lam,
+                      "krylov_iters": k_iters, "factored": factored})
     return _finish_solution(grid, f, hfield, t_homotopy, iters)
 
 
 @dataclass(frozen=True)
 class ContinuationStep:
+    """One accepted homotopy step.
+
+    ``factorizations`` and ``krylov_iters`` count the linear-solver work
+    spent since the previous accepted step, failed bisected attempts
+    included.
+    """
+
     t: float
     newton_iters: int
     final_residual: float
     sup_norm: float
     sup_gradient: float
+    factorizations: int
+    krylov_iters: int
 
     def as_dict(self):
         return {"t": self.t, "newton_iters": self.newton_iters,
                 "final_residual": self.final_residual,
-                "sup_norm": self.sup_norm, "sup_gradient": self.sup_gradient}
+                "sup_norm": self.sup_norm, "sup_gradient": self.sup_gradient,
+                "factorizations": self.factorizations,
+                "krylov_iters": self.krylov_iters}
+
+    @classmethod
+    def from_solution(cls, solution, factorizations, krylov_iters):
+        return cls(t=solution.homotopy_t, newton_iters=solution.newton_iters,
+                   final_residual=solution.residual_inf,
+                   sup_norm=solution.sup_norm,
+                   sup_gradient=solution.sup_gradient_interior,
+                   factorizations=factorizations, krylov_iters=krylov_iters)
 
 
 @dataclass
@@ -385,7 +474,7 @@ class ContinuationTrace:
 
 
 def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40,
-                       dt_min=_DT_MIN, linear_solver="direct"):
+                       dt_min=_DT_MIN):
     """Solve the homotopy family t -> t n H successively, warm-starting.
 
     The default schedule is 11 uniform steps on [0, 1]; a failed step is
@@ -393,6 +482,11 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40,
     :class:`ContinuationFailureError` reports the stall parameter and the
     gradient at the last success.  A stall is a numerical statement, not a
     nonexistence proof.
+
+    All Newton runs share one :class:`FactorOnceSolver`: the Jacobian is
+    factored at the first Newton step of the homotopy and that LU
+    preconditions GMRES at every later step and t, so a smooth homotopy
+    costs a single factorization.
     """
     if schedule is None:
         if hfield.is_constant and hfield.constant == 0.0:
@@ -410,6 +504,8 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40,
         schedule.insert(0, 0.0)  # always anchor at the minimal surface member
 
     trace = ContinuationTrace()
+    linsolve = FactorOnceSolver()
+    counted = (0, 0)  # linear-solver counters at the last accepted step
     f = np.zeros(grid.shape)
     t_prev = None
     solution = None
@@ -419,7 +515,7 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40,
         try:
             solution = newton_solve(grid, hfield, t_homotopy=t_next, initial=f,
                                     tol=tol, max_iters=max_iters,
-                                    linear_solver=linear_solver)
+                                    linsolve=linsolve)
         except (NonconvergenceError, SingularSystemError) as exc:
             base = t_prev if t_prev is not None else 0.0
             dt = t_next - base
@@ -437,11 +533,10 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40,
             continue
         f = solution.values
         t_prev = t_next
-        trace.steps.append(ContinuationStep(
-            t=t_next, newton_iters=solution.newton_iters,
-            final_residual=solution.residual_inf,
-            sup_norm=solution.sup_norm,
-            sup_gradient=solution.sup_gradient_interior))
+        trace.steps.append(ContinuationStep.from_solution(
+            solution, linsolve.factorizations - counted[0],
+            linsolve.krylov_iters - counted[1]))
+        counted = (linsolve.factorizations, linsolve.krylov_iters)
     return solution, trace
 
 
@@ -641,17 +736,8 @@ def verify_gradient_bound_inputs(hfield, M, domain=None, points=None, num_z=21):
         if domain is None:
             raise ParameterError("pass a domain or explicit sample points")
         points = _domain_sample_points(domain)
-    points = np.asarray(points, dtype=float)
     zs = np.linspace(-float(M), float(M), int(num_z))
-    h0 = 0.0
-    min_hz = math.inf
-    for z in zs:
-        zz = np.full(points.shape[:-1], float(z))
-        hv = hfield.eval(points, zz)
-        gx, gz = hfield.grad_eval(points, zz)
-        gnorm = np.sqrt(np.sum(gx**2, axis=-1) + gz**2)
-        h0 = max(h0, float(np.max(np.abs(hv) + gnorm)))
-        min_hz = min(min_hz, float(np.min(gz)))
+    _, h0, min_hz = conditions.sample_field_bounds(hfield, points, zs)
     return GradientBoundInputs(h0=h0, monotone_ok=min_hz >= -1e-12,
                                min_hz=min_hz, slab_height=float(M))
 

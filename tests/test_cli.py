@@ -123,6 +123,8 @@ class TestSolveAndVerifyCommands:
         assert report["status"] == "converged"
         assert report["residual_inf"] <= 1e-8
         assert report["trace"][-1]["t"] == 1.0
+        assert sum(step["factorizations"] for step in report["trace"]) == 1
+        assert report["trace"][-1]["krylov_iters"] > 0
         assert report["gradient_hypotheses"]["monotone_ok"] is True
 
     def test_solve_stall_exits_3(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from pmcgraph import conditions, geometry, pipeline, solver
 from pmcgraph.cli import main as cli_main
 from pmcgraph.conditions import CurvatureField
+from pmcgraph.errors import NonconvergenceError
 
 
 class TestConditionsPipeline:
@@ -126,3 +127,36 @@ class TestNonexistSummary:
         assert summary["flips"] == 1
         lo, hi = summary["eps_star_bracket"]
         assert lo == 0.2 and hi == 0.3
+
+
+class TestCoarseToFineVerify:
+    DOMAIN = geometry.Annulus(1.0, 2.0)
+    FIELD = CurvatureField.from_constant(-0.3)
+
+    def test_matches_fine_continuation(self):
+        outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
+        fine = pipeline.solve_domain(self.DOMAIN, self.FIELD, 1.0 / 32)
+        diff = np.max(np.abs(outcome.solution.values - fine.solution.values))
+        assert diff <= 1e-12
+        (step,) = outcome.trace.steps
+        assert step.t == 1.0 and step.newton_iters <= 6
+        assert step.factorizations <= 2
+        assert outcome.report.passed()
+
+    def test_falls_back_to_fine_continuation(self, monkeypatch):
+        real = solver.newton_solve
+        injected = []
+
+        def fail_first_fine_solve(grid, hfield, **kwargs):
+            if grid.spacing == 1.0 / 32 and not injected:
+                injected.append(kwargs["t_homotopy"])
+                raise NonconvergenceError("injected failure")
+            return real(grid, hfield, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", fail_first_fine_solve)
+        outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
+        assert injected == [1.0]
+        assert [s.t for s in outcome.trace.steps] == pytest.approx(
+            np.linspace(0.0, 1.0, 11), abs=1e-15)
+        assert outcome.solution.residual_inf <= 1e-10
+        assert outcome.report.passed()

@@ -19,6 +19,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 H_ZERO = CurvatureField.from_constant(0.0)
 
 
+class FactorEveryStep(solver.FactorOnceSolver):
+    """Reference linear solver: a fresh LU factor at every Newton step."""
+
+    def solve(self, J, rhs, krylov=True):
+        return super().solve(J, rhs, krylov=False)
+
+
 def cap_values(h, R, X, Y):
     return np.sqrt(1.0 / h**2 - X**2 - Y**2) - math.sqrt(1.0 / h**2 - R**2)
 
@@ -91,12 +98,16 @@ class TestNewton:
         assert sol.newton_iters <= 2
         assert sol.residual_inf <= 1e-12
 
-    def test_iterative_linear_solver_agrees(self):
+    def test_factor_once_matches_factor_every_step(self):
         grid = grid_from_domain(geometry.Disc(1.0), 0.1)
         field = CurvatureField.from_constant(-0.4)
-        direct = solver.newton_solve(grid, field)
-        iterative = solver.newton_solve(grid, field, linear_solver="iterative")
-        assert np.max(np.abs(direct.values - iterative.values)) <= 1e-8
+        once, every = solver.FactorOnceSolver(), FactorEveryStep()
+        reused = solver.newton_solve(grid, field, linsolve=once)
+        reference = solver.newton_solve(grid, field, linsolve=every)
+        assert np.max(np.abs(reused.values - reference.values)) <= 1e-12
+        assert reused.newton_iters == reference.newton_iters
+        assert once.factorizations == 1 and once.krylov_iters > 0
+        assert every.factorizations == reference.newton_iters
 
     def test_invalid_tolerance(self):
         grid = grid_from_domain(geometry.Disc(1.0), 0.2)
@@ -181,8 +192,24 @@ class TestContinuation:
     def test_overcurved_disc_direct_newton_fails(self):
         grid = grid_from_domain(geometry.Disc(1.0), 1.0 / 24)
         field = CurvatureField.from_constant(1.2)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError) as info:
             solver.newton_solve(grid, field, max_iters=25)
+        first = info.value.trace[0]
+        assert first["factored"] is True and first["krylov_iters"] == 0
+        assert all({"krylov_iters", "factored"} <= step.keys()
+                   for step in info.value.trace)
+
+    def test_one_factorization_per_homotopy(self, monkeypatch):
+        grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 16)
+        field = CurvatureField.from_constant(-0.3)
+        _, trace = solver.continuation_solve(grid, field)
+        assert sum(s.factorizations for s in trace.steps) == 1
+        assert all(s.krylov_iters > 0 for s in trace.steps[2:])
+        monkeypatch.setattr(solver, "FactorOnceSolver", FactorEveryStep)
+        _, reference = solver.continuation_solve(grid, field)
+        iters = [s.newton_iters for s in trace.steps]
+        assert iters == [s.newton_iters for s in reference.steps]
+        assert [s.factorizations for s in reference.steps] == iters
 
 
 class TestRadialShoot:
@@ -276,6 +303,29 @@ class TestGradientBoundInputs:
                                                   domain=geometry.Disc(1.0))
         assert not out.monotone_ok
         assert out.min_hz < 0.0
+
+    def test_tabulated_field_matches_slab_loop(self):
+        # the sampling loop this function used before it delegated to
+        # conditions.sample_field_bounds, kept as the bit-exact reference
+        field = pipeline.curvature_from_json({
+            "table": {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.25, 2.5],
+                      "values": [[-0.30, -0.22, -0.30],
+                                 [-0.25, -0.15, -0.25],
+                                 [-0.20, -0.28, -0.20]]},
+            "z_slope": 0.1})
+        domain = geometry.ConvexPolygon(
+            [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)])
+        points = solver._domain_sample_points(domain)
+        h0, min_hz = 0.0, math.inf
+        for z in np.linspace(-0.4, 0.4, 21):
+            zz = np.full(points.shape[:-1], float(z))
+            gx, gz = field.grad_eval(points, zz)
+            gnorm = np.sqrt(np.sum(gx**2, axis=-1) + gz**2)
+            h0 = max(h0, float(np.max(np.abs(field.eval(points, zz)) + gnorm)))
+            min_hz = min(min_hz, float(np.min(gz)))
+        out = solver.verify_gradient_bound_inputs(field, 0.4, domain=domain)
+        assert out.as_dict() == {"h0": h0, "monotone_ok": min_hz >= -1e-12,
+                                 "min_hz": min_hz, "slab_height": 0.4}
 
 
 class TestLipschitzFlag:
