@@ -102,6 +102,11 @@ class ConditionReport:
         dump_json(self.as_dict(), path)
 
 
+# Central-difference step for fields without a gradient (scaled by
+# max(1, |z|) in z).
+_FD_STEP = 1e-6
+
+
 class CurvatureField:
     """Prescribed curvature H(x, z) with its gradient and sampled bounds.
 
@@ -155,14 +160,13 @@ class CurvatureField:
         return np.asarray(self._func(np.asarray(points, dtype=float),
                                      np.asarray(z, dtype=float)), dtype=float)
 
-    def grad_eval(self, points, z, dz=1e-6):
+    def grad_eval(self, points, z, dz=_FD_STEP):
         points = np.asarray(points, dtype=float)
         z = np.asarray(z, dtype=float)
         if self._grad is not None:
             gx, gz = self._grad(points, z)
             return np.asarray(gx, dtype=float), np.asarray(gz, dtype=float)
-        step = dz * np.maximum(1.0, np.abs(z))
-        gz = (self.eval(points, z + step) - self.eval(points, z - step)) / (2.0 * step)
+        gz = self._central_hz(points, z, dz)
         gx = np.empty(np.broadcast_shapes(points.shape[:-1], z.shape) + (points.shape[-1],))
         for k in range(points.shape[-1]):
             dp = np.zeros_like(points)
@@ -170,8 +174,17 @@ class CurvatureField:
             gx[..., k] = (self.eval(points + dp, z) - self.eval(points - dp, z)) / (2.0 * dz)
         return gx, gz
 
+    def _central_hz(self, points, z, dz):
+        step = dz * np.maximum(1.0, np.abs(z))
+        return (self.eval(points, z + step) - self.eval(points, z - step)) / (2.0 * step)
+
     def hz(self, points, z):
-        return self.grad_eval(points, z)[1]
+        """dH/dz, equal to ``grad_eval(points, z)[1]``; without an analytic
+        gradient only the z difference is taken (two field evaluations)."""
+        if self._grad is not None:
+            return self.grad_eval(points, z)[1]
+        return self._central_hz(np.asarray(points, dtype=float),
+                                np.asarray(z, dtype=float), _FD_STEP)
 
 
 def sample_field_bounds(field, points, z_values):

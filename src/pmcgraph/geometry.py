@@ -268,18 +268,20 @@ def _convex_hull(points):
     return np.asarray(lower[:-1] + upper[:-1])
 
 
-def _point_segment_distance(q, p0, p1):
-    d = p1 - p0
-    t = np.clip(np.dot(q - p0, d) / np.dot(d, d), 0.0, 1.0)
-    return float(np.linalg.norm(q - (p0 + t * d)))
-
-
 def _polygon_distance(q, poly):
-    """Distance from a point to the polygon closure (0 when inside)."""
-    if bool(poly.contains(np.asarray(q, dtype=float))):
-        return 0.0
-    return min(_point_segment_distance(np.asarray(q, dtype=float), p, r)
-               for p, r in poly.edges())
+    """Distance from points (..., 2) to the polygon closure (0 inside).
+
+    Every point is projected onto every edge at once, over a
+    (points x edges) array; the result has shape ``q.shape[:-1]``.
+    """
+    q = np.asarray(q, dtype=float)
+    p0 = poly.vertices
+    d = np.roll(p0, -1, axis=0) - p0
+    rel = q[..., None, :] - p0
+    t = np.clip(np.sum(rel * d, axis=-1) / np.sum(d * d, axis=-1), 0.0, 1.0)
+    gap = q[..., None, :] - (p0 + t[..., None] * d)
+    dist = np.sqrt(np.min(np.sum(gap * gap, axis=-1), axis=-1))
+    return np.where(poly.contains(q), 0.0, dist)
 
 
 def exterior_sphere_radius(domain):
@@ -344,7 +346,7 @@ def containment_extent(domain, translation):
         return max(rho - domain.radius, 0.0), rho + domain.radius
     if isinstance(domain, ConvexPolygon):
         q = -t
-        m = _polygon_distance(q, domain)
+        m = float(_polygon_distance(q, domain))
         big = float(np.max(np.linalg.norm(domain.vertices - q, axis=1)))
         return m, big
     if isinstance(domain, GridMask):
@@ -407,13 +409,20 @@ def _search_fit(domain, r):
         cloud = domain.corner_points()
         safety = domain.cell_size * math.sqrt(0.5)
 
-        def dist_fn(q):
-            return max(float(np.min(np.linalg.norm(cloud - q, axis=1))) - safety, 0.0)
+        def distances(qs):
+            # one point at a time: the corner cloud can be large
+            qs = np.asarray(qs, dtype=float)
+            near = [np.min(np.linalg.norm(cloud - q, axis=1))
+                    for q in qs.reshape(-1, 2)]
+            return np.maximum(np.reshape(near, qs.shape[:-1]) - safety, 0.0)
     else:
         cloud = domain.vertices
 
-        def dist_fn(q):
-            return _polygon_distance(q, domain)
+        def distances(qs):
+            return _polygon_distance(qs, domain)
+
+    def dist_fn(q):
+        return float(distances(q))
 
     margin = max(FIT_MARGIN, 1e-12 * r)
     target = r + margin
@@ -422,30 +431,30 @@ def _search_fit(domain, r):
     def worst_radius(q):
         return float(np.max(np.linalg.norm(cloud - q, axis=1)))
 
-    def place_on_ray(u):
-        lo, hi = 0.0, max(1.0, 2.0 * target)
+    def place_on_rays(rays):
+        # doubling, then bisection, of every ray's clearance in lockstep
+        lo = np.zeros(len(rays))
+        hi = np.full(len(rays), max(1.0, 2.0 * target))
         for _ in range(200):
-            if dist_fn(centroid - hi * u) >= target:
+            reached = distances(centroid - hi[:, None] * rays) >= target
+            if reached.all():
                 break
-            hi *= 2.0
+            hi = np.where(reached, hi, 2.0 * hi)
         else:
             raise InfeasibleFitError("could not reach the required clearance")
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if dist_fn(centroid - mid * u) >= target:
-                hi = mid
-            else:
-                lo = mid
-        return centroid - hi * u
+            clear = distances(centroid - mid[:, None] * rays) >= target
+            hi = np.where(clear, mid, hi)
+            lo = np.where(clear, lo, mid)
+        return centroid - hi[:, None] * rays
 
-    best_q, best_val = None, math.inf
-    for k in range(64):
-        ang = 2.0 * math.pi * k / 64.0
-        u = np.array([math.cos(ang), math.sin(ang)])
-        q = place_on_ray(u)
-        val = worst_radius(q)
-        if val < best_val:
-            best_q, best_val = q, val
+    angles = [2.0 * math.pi * k / 64.0 for k in range(64)]
+    rays = np.array([[math.cos(ang), math.sin(ang)] for ang in angles])
+    placed = place_on_rays(rays)
+    worst = np.max(np.linalg.norm(cloud - placed[:, None, :], axis=2), axis=1)
+    best = int(np.argmin(worst))
+    best_q, best_val = placed[best], float(worst[best])
 
     penalty_scale = 1e8 * max(1.0, best_val)
 

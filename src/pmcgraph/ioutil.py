@@ -14,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+# Rows per tolist() call in write_csv's float-array path.
+_CSV_BLOCK = 1024
+
 
 def _pyfloat(x):
     if isinstance(x, (np.floating, np.integer)):
@@ -52,8 +55,18 @@ def format_value(x):
 
 
 def write_csv(path, header, rows):
-    """Write rows of scalars with a fixed header line."""
+    """Write rows of scalars with a fixed header line.
+
+    A 2-D float array takes a fast path: ``tolist`` yields Python floats,
+    whose ``repr`` is exactly what :func:`format_value` writes, so the
+    bytes are the same.  It converts blocks of rows, so the Python floats
+    of a large array never all exist at once.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        for i in range(0, len(rows), _CSV_BLOCK):
+            block = rows[i:i + _CSV_BLOCK].tolist()
+            lines.extend(",".join(map(repr, row)) for row in block)
+    else:
+        lines.extend(",".join(format_value(v) for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")

@@ -14,17 +14,22 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import Delaunay
 
 from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
 from .errors import ParameterError, SolverError, UnsupportedDomainError
-from .grid import grid_from_domain, interpolate_values, interpolate_values_cubic
+from .grid import grid_from_domain, interpolate_values_cubic, shift
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
 #: every radius; large values approach the strip-bound limit
 CONVEX_RADIUS_FACTOR = 100.0
 
 GRID_DIM = solver.GRID_DIM
+
+#: width, in coarse nodes, of the boundary band that the prolongation
+#: triangulates where the cubic stencil leaves the interior
+PROLONGATION_BAND = 4
 
 
 def is_convex_domain(domain):
@@ -151,25 +156,67 @@ def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
     return SolveOutcome(solution=solution, trace=trace, grid=grid)
 
 
+def _band_nodes(grid):
+    """Interior nodes within ``PROLONGATION_BAND`` 4-neighbour steps of
+    the exterior: the interior minus its repeated erosion."""
+    core = grid.interior
+    for _ in range(PROLONGATION_BAND):
+        core = (core & shift(core, 0, 1, False) & shift(core, 0, -1, False)
+                & shift(core, 1, 0, False) & shift(core, -1, 0, False))
+    return grid.interior & ~core
+
+
+def _band_linear(coarse, grid, points):
+    """Piecewise-linear interpolation over the coarse boundary band and the
+    fine grid's boundary crossings with their Dirichlet values; NaN outside
+    the triangulation."""
+    band = _band_nodes(coarse.grid)
+    crossings, gvals = grid.boundary_data()
+    nodes = np.vstack([
+        np.column_stack([coarse.grid.X[band], coarse.grid.Y[band]]), crossings])
+    values = np.concatenate([coarse.solution.values[band], gvals])
+    # the row and the column through any fine interior node end in
+    # crossings on both sides, so the nodes never lie on one line
+    tri = Delaunay(nodes)
+    simplex = tri.find_simplex(points)
+    affine = tri.transform[simplex]
+    bary = np.einsum("nij,nj->ni", affine[:, :2], points - affine[:, 2])
+    weights = np.column_stack([bary, 1.0 - bary.sum(axis=1)])
+    linear = np.sum(weights * values[tri.simplices[simplex]], axis=1)
+    return np.where(simplex >= 0, linear, np.nan)
+
+
+def prolongate(coarse, grid):
+    """A coarse solution's values at a finer grid's interior nodes.
+
+    Cubic convolution wherever its 4x4 stencil is interior; the remaining
+    nodes next to the boundary are filled by :func:`_band_linear`, and
+    anything still undefined by 0.
+    """
+    pts = grid.interior_points()
+    values = interpolate_values_cubic(coarse.grid, coarse.solution.values, pts)
+    gap = np.isnan(values)
+    if gap.any():
+        values[gap] = _band_linear(coarse, grid, pts[gap])
+    return np.nan_to_num(values, nan=0.0)
+
+
 def refine_solve(coarse, domain, field, spacing, *, tol=1e-10, schedule=None,
                  max_iters=40):
     """Solve on a finer grid, starting Newton at t = 1 from a coarse solution.
 
-    The coarse solution is interpolated onto the fine nodes (cubic, then
-    bilinear where the cubic stencil leaves the interior, then zero) and
-    one Newton solve at the full problem finishes the job, with one LU
-    factor reused across its steps.  The trace is a single step at t = 1.
-    If that Newton solve fails, the full fine homotopy runs instead, so
-    refinement succeeds wherever a direct fine continuation does.
+    The coarse solution is carried onto the fine nodes by
+    :func:`prolongate` (cubic convolution in the interior, piecewise-linear
+    over a triangulated band next to the boundary, where the fine grid's
+    own boundary crossings carry the Dirichlet values) and one Newton
+    solve at the full problem finishes the job, with one LU factor reused
+    across its steps.  The trace is a single step at t = 1.  If that
+    Newton solve fails, the full fine homotopy runs instead, so refinement
+    succeeds wherever a direct fine continuation does.
     """
     grid = grid_from_domain(domain, spacing)
-    pts = grid.interior_points()
-    guess = interpolate_values_cubic(coarse.grid, coarse.solution.values, pts)
-    missing = np.isnan(guess)
-    guess[missing] = interpolate_values(coarse.grid, coarse.solution.values,
-                                        pts[missing])
     initial = np.zeros(grid.shape)
-    initial[grid.interior] = np.nan_to_num(guess, nan=0.0)
+    initial[grid.interior] = prolongate(coarse, grid)
     linsolve = solver.FactorOnceSolver()
     try:
         solution = solver.newton_solve(grid, field, t_homotopy=1.0,
@@ -203,19 +250,33 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
 
     The Richardson pair (spacing, spacing/2) provides the discretization
     error estimate; the checks run with ``slack_factor`` times it.  Only
-    zero-boundary solves are in scope here.
+    zero-boundary solves are in scope here.  Bitmap domains raise
+    :class:`ParameterError`: their grid is the bitmap's own cells at every
+    spacing, so there is no finer grid to compare with.
 
-    The coarse grid runs the full homotopy; the fine grid starts at t = 1
-    from the interpolated coarse solution (:func:`refine_solve`).  With
-    nondecreasing H the discrete solution is unique, so this lands on the
-    fine homotopy's solution for a fraction of its Newton steps; if the
-    Newton solve fails, the fine homotopy runs instead.  ``trace`` is the
-    fine solve's trace.
+    The two grids come from nested iteration: the homotopy runs only at
+    ``2 * spacing``, and :func:`refine_solve` (Newton at t = 1 from the
+    prolongated coarser solution) carries it to ``spacing`` and then to
+    ``spacing / 2``.  With nondecreasing H the discrete solution is
+    unique, so each level lands on its own homotopy's solution for a
+    fraction of the Newton steps.  When the ``2 * spacing`` grid has no
+    interior node or its homotopy fails, the homotopy runs at ``spacing``
+    instead, so a stall is that of a direct solve at ``spacing``; each
+    refinement falls back to its own grid's homotopy if its Newton solve
+    fails.  ``trace`` is the finest solve's trace.
     """
-    coarse = solve_domain(domain, field, spacing, tol=tol, schedule=schedule,
-                          max_iters=max_iters)
-    fine = refine_solve(coarse, domain, field, 0.5 * spacing, tol=tol,
-                        schedule=schedule, max_iters=max_iters)
+    if isinstance(domain, geometry.GridMask):
+        raise ParameterError(
+            "verify needs a Richardson grid pair, but a bitmap domain has no "
+            "refinement: its grid is the bitmap's own cells at every spacing")
+    settings = dict(tol=tol, schedule=schedule, max_iters=max_iters)
+    try:
+        start = solve_domain(domain, field, 2.0 * spacing, **settings)
+    except (ParameterError, SolverError):
+        coarse = solve_domain(domain, field, spacing, **settings)
+    else:
+        coarse = refine_solve(start, domain, field, spacing, **settings)
+    fine = refine_solve(coarse, domain, field, 0.5 * spacing, **settings)
 
     pts = coarse.grid.interior_points()
     est = verify.richardson_error_estimate(coarse.solution, fine.solution, pts)

@@ -679,11 +679,7 @@ def radial_shoot(dim, h, epsilon, outer, tol=1e-10, table_points=1001):
 
     c = c_mid
     ts = np.linspace(epsilon, outer, table_points)
-    ps = np.empty_like(ts)
-    ps[0] = 0.0
-    for i in range(1, ts.size):
-        ps[i] = ps[i - 1] + barrier.profile_height_integral(
-            dim, h, c, ts[i - 1], ts[i])
+    ps = barrier.cumulative_heights(dim, h, c, epsilon, ts)
     radicand = barrier._radicand(dim, h, c, ts)
     return RadialShootResult(
         exists=True, dim=dim, h=h, epsilon=epsilon, outer=outer, c=c,

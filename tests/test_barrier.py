@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pmcgraph import barrier
+from pmcgraph import barrier, geometry, ioutil
 from pmcgraph.errors import (
     NoAdmissibleConstantError,
     OutOfDomainError,
@@ -330,6 +330,87 @@ class TestBarrierConstants:
             barrier.barrier_constants(prof)
 
 
+def running_heights(dim, h, c, r, ts):
+    """Running sum of per-interval quadratures: the path the vectorized
+    kernel replaced, kept as its oracle."""
+    out = np.empty(ts.size)
+    acc = barrier.profile_height_integral(dim, h, c, r, ts[0])
+    out[0] = acc
+    for i in range(1, ts.size):
+        acc += barrier.profile_height_integral(dim, h, c, ts[i - 1], ts[i])
+        out[i] = acc
+    return out
+
+
+class TestCumulativeHeights:
+    def assert_matches_oracle(self, dim, h, c, r, ts):
+        got = barrier.cumulative_heights(dim, h, c, r, ts)
+        assert got.shape == ts.shape
+        assert np.max(np.abs(got - running_heights(dim, h, c, r, ts))) <= 1e-10
+
+    def test_annulus_verify_fine_grid(self):
+        # the radii verify's pointwise barrier check feeds it, duplicates
+        # included, through the profile's public entry point
+        from pmcgraph.grid import grid_from_domain
+
+        prof = barrier.profile_for_annulus(2, 0.3, 1.0, 2.0)
+        grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 64)
+        radii = np.sort(np.clip(np.hypot(grid.X[grid.interior],
+                                         grid.Y[grid.interior]),
+                                prof.r, prof.domain_limit()))
+        assert np.unique(radii).size < radii.size
+        got = prof.heights(radii)
+        oracle = running_heights(2, 0.3, prof.c, prof.r, radii)
+        assert np.max(np.abs(got - oracle)) <= 1e-10
+
+    def test_higher_dim_nodoid_to_usable_radius(self):
+        prof = barrier.make_profile(3, 0.25, 1.0, 1.1)
+        ts = np.linspace(prof.r, prof.r_usable, 3000)
+        self.assert_matches_oracle(3, 0.25, 1.1, prof.r, ts)
+
+    def test_catenoid_geometric_grid(self):
+        prof = barrier.make_profile(3, 0.0, 1.0, 0.5)
+        ts = np.geomspace(prof.r, 1e6 * prof.r, 2000)
+        self.assert_matches_oracle(3, 0.0, 0.5, prof.r, ts)
+        got = prof.heights(ts)
+        assert np.max(np.abs(got - running_heights(3, 0.0, 0.5, 1.0, ts))) <= 1e-10
+
+    def test_grid_ending_at_the_outer_guard(self):
+        # the last tenth of (a, b) goes through the singular-window chain
+        prof = barrier.profile_for_annulus(2, 0.3, 1.0, 2.0)
+        guard = barrier.B_GUARD_FRACTION * (prof.b - prof.a)
+        ts = np.linspace(prof.r, prof.b - guard, 2000)
+        self.assert_matches_oracle(2, 0.3, prof.c, prof.r, ts)
+
+    def test_anchor_at_inner_zero(self):
+        # radial shooting at its largest constant anchors exactly at a
+        eps, h = 0.3, 1.0
+        c = h * eps**2 + eps
+        a, b = barrier.profile_zeros(2, h, c)
+        ts = np.linspace(eps, min(1.0, b), 1001)
+        self.assert_matches_oracle(2, h, c, eps, ts)
+
+    def test_short_grid_is_the_running_sum(self):
+        # no more smooth-range radii than knots: the radii are the knots
+        prof = barrier.profile_for_annulus(2, 0.3, 1.0, 2.0)
+        ts = np.linspace(prof.r, 2.0, 40)
+        got = barrier.cumulative_heights(2, 0.3, prof.c, prof.r, ts)
+        assert np.array_equal(got, running_heights(2, 0.3, prof.c, prof.r, ts))
+
+    def test_gauss_legendre_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert np.max(np.abs(barrier._GL_NODES - nodes)) <= 1e-15
+        assert np.max(np.abs(barrier._GL_WEIGHTS - weights)) <= 1e-15
+
+    def test_planar_catenoid_closed_form(self):
+        prof = barrier.make_profile(2, 0.0, 1.0, 0.5)
+        ts = np.geomspace(1.0, 1e3, 500)
+        got = prof.heights(ts)
+        assert got[0] == 0.0
+        per_point = np.array([prof.height(t) for t in ts])
+        assert np.max(np.abs(got - per_point)) <= 1e-14
+
+
 class TestExports:
     def test_table_and_csv(self, tmp_path):
         prof = barrier.profile_for_annulus(2, 0.3, 1.0, 2.0)
@@ -349,6 +430,26 @@ class TestExports:
         data = json.loads(path.read_text())
         assert set(data) == {"dim", "h", "r", "c", "a", "b", "t0",
                              "R_usable", "C1", "C2"}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_array_csv_bytes(self, tmp_path, dtype):
+        # the float-array fast path against the per-value formatter, over
+        # more rows than one conversion block
+        rng = np.random.default_rng(3)
+        spread = rng.normal(size=(2500, 3)) * 10.0 ** rng.integers(-30, 30, (2500, 3))
+        rows = np.vstack([[[0.0, -0.0, 1e-300], [np.nan, np.inf, -np.inf],
+                           [1.0 / 3.0, 2.5e10, -7.0]], spread]).astype(dtype)
+        path = tmp_path / "rows.csv"
+        ioutil.write_csv(path, ["a", "b", "c"], rows)
+        expected = ["a,b,c"] + [",".join(ioutil.format_value(v) for v in row)
+                                for row in rows]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+    def test_mixed_rows_csv_bytes(self, tmp_path):
+        rows = [(0.5, 1, np.float64(-0.0)), (np.int64(3), 1e-300, np.nan)]
+        path = tmp_path / "rows.csv"
+        ioutil.write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_text() == "a,b,c\n0.5,1,-0.0\n3,1e-300,nan\n"
 
     def test_infinity_serialized_readably(self, tmp_path):
         prof = barrier.make_profile(2, 0.0, 1.0, 0.5)

@@ -147,6 +147,20 @@ class TestSolveAndVerifyCommands:
         verdicts = {c["name"]: c["verdict"] for c in report["checks"]}
         assert set(verdicts.values()) == {"pass"}
 
+    def test_verify_rejects_bitmap_domain(self, tmp_path, capsys):
+        n = 21
+        y, x = np.mgrid[0:n, 0:n]
+        disc = (x - 10) ** 2 + (y - 10) ** 2 <= 8 ** 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "grid_mask", "cell_size": 0.1,
+                       "bitmap": disc.astype(int).tolist()},
+            "curvature": {"constant": -0.1}, "spacing": 0.1}))
+        out = tmp_path / "verify"
+        assert run(["verify", "--config", cfg, "--out", out]) == 64
+        assert "no refinement" in capsys.readouterr().err
+        assert not (out / "estimate_report.json").exists()
+
     def test_minimal_surface_on_square(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

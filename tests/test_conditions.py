@@ -214,6 +214,41 @@ class TestCurvatureField:
         assert gx[..., 0] == pytest.approx([2.0, 1.0], rel=1e-6)
         assert gz == pytest.approx([3.0, 3.0], rel=1e-8)
 
+    def test_hz_is_grad_z_with_two_evaluations(self):
+        # the polygon workload's tabulated field: hz must equal the z part
+        # of grad_eval bit for bit, from 2 field evaluations instead of 6
+        from pmcgraph import pipeline
+
+        tab = pipeline.curvature_from_json({
+            "table": {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.25, 2.5],
+                      "values": [[-0.30, -0.22, -0.30],
+                                 [-0.25, -0.15, -0.25],
+                                 [-0.20, -0.28, -0.20]]},
+            "z_slope": 0.1})
+        calls = []
+
+        def counted(points, z):
+            calls.append(1)
+            return tab.eval(points, z)
+
+        field = CurvatureField(counted)
+        xs, ys = np.meshgrid(np.linspace(0.0, 2.0, 33), np.linspace(0.0, 2.5, 41))
+        pts = np.stack([xs, ys], axis=-1)
+        z = np.sin(3.0 * xs) * np.cos(2.0 * ys) * 1.7
+        gz = field.grad_eval(pts, z)[1]
+        assert len(calls) == 6
+        hz = field.hz(pts, z)
+        assert len(calls) == 8
+        assert np.array_equal(hz, gz)
+        assert hz == pytest.approx(np.full(z.shape, 0.1), rel=1e-6)
+
+    def test_hz_uses_analytic_gradient(self):
+        f = CurvatureField(lambda p, z: z**3,
+                           grad=lambda p, z: (np.zeros(p.shape), 3.0 * z**2))
+        pts = np.zeros((3, 2))
+        z = np.array([0.5, -1.0, 2.0])
+        assert np.array_equal(f.hz(pts, z), 3.0 * z**2)
+
     def test_sampled_bounds(self):
         f = CurvatureField(lambda p, z: z)
         pts = np.zeros((4, 2))

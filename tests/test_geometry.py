@@ -126,6 +126,62 @@ class TestAnnulusFit:
         assert geo.fit_margin(domain, fit) >= 1e-9 * 0.99
 
 
+def scalar_polygon_distance(q, poly):
+    """Per-point, per-edge projection: the formula the array distance
+    replaced, kept as its oracle."""
+    if bool(poly.contains(q)):
+        return 0.0
+    best = math.inf
+    for p0, p1 in poly.edges():
+        d = p1 - p0
+        t = np.clip(np.dot(q - p0, d) / np.dot(d, d), 0.0, 1.0)
+        best = min(best, float(np.linalg.norm(q - (p0 + t * d))))
+    return best
+
+
+class TestPolygonDistance:
+    def test_array_matches_scalar_formula(self, unit_square):
+        pent = geo.ConvexPolygon([(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)])
+        rng = np.random.default_rng(7)
+        for poly in (pent, unit_square):
+            pts = rng.uniform(-3.0, 5.0, size=(400, 2))
+            got = geo._polygon_distance(pts, poly)
+            assert got.shape == (400,)
+            assert (got == 0.0).any() and (got > 0.0).any()
+            want = [scalar_polygon_distance(q, poly) for q in pts]
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_shape_follows_points(self, unit_square):
+        pts = np.array([[[2.0, 0.5], [0.5, 0.5]], [[-1.0, -1.0], [0.5, 3.0]]])
+        got = geo._polygon_distance(pts, unit_square)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == 1.0 and got[0, 1] == 0.0
+        assert got[1, 0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert geo._polygon_distance(np.array([2.0, 0.5]), unit_square).shape == ()
+
+
+class TestSearchFitPinned:
+    # d and translation from the per-ray scan this lockstep scan replaced
+    @pytest.mark.parametrize("vertices, r, d, translation", [
+        ([(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)], 269.2582403567252,
+         2.0010368348796526, (269.2582403577252, -0.7499999999992204)),
+        ([(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)], 0.5,
+         2.1100766293078173, (0.5000000010000001, -0.7499999995741975)),
+        ([(0, 0), (1, 0), (1, 1), (0, 1)], 3.0,
+         1.031128876141553, (3.000000001, -0.49999999999999534)),
+        ([(0, 0), (1, 0), (1, 1), (0, 1)], 141.4213562373095,
+         1.0008776766559997, (141.4213562383095, -0.5000000000042648)),
+        ([(0, 0), (4, 0), (4, 1), (0, 1)], 1000.0,
+         1.0019980020041537, (-2.000000000055344, 1000.000000001)),
+        ([(0, 0), (4, 0), (4, 1), (0, 1)], 0.5,
+         2.0000000016000006, (-1.9999999999999996, 0.500000001)),
+    ])
+    def test_fit_unchanged(self, vertices, r, d, translation):
+        fit = geo.annulus_fit(geo.ConvexPolygon(vertices), r)
+        assert abs(fit.d - d) <= 1e-9
+        assert np.max(np.abs(np.subtract(fit.translation, translation))) <= 1e-9
+
+
 class TestInscribedDiscRadius:
     def test_closed_forms(self, unit_square):
         assert geo.inscribed_disc_radius(geo.Disc(2.0)) == 2.0

@@ -6,7 +6,9 @@ import pytest
 from pmcgraph import conditions, geometry, pipeline, solver
 from pmcgraph.cli import main as cli_main
 from pmcgraph.conditions import CurvatureField
-from pmcgraph.errors import NonconvergenceError
+from pmcgraph.errors import (ContinuationFailureError, NonconvergenceError,
+                             ParameterError)
+from pmcgraph.grid import grid_from_domain, interpolate_values_cubic
 
 
 class TestConditionsPipeline:
@@ -160,3 +162,127 @@ class TestCoarseToFineVerify:
             np.linspace(0.0, 1.0, 11), abs=1e-15)
         assert outcome.solution.residual_inf <= 1e-10
         assert outcome.report.passed()
+
+
+class TestProlongation:
+    DOMAIN = geometry.Annulus(1.0, 2.0)
+    FIELD = CurvatureField.from_constant(-0.3)
+
+    @pytest.fixture(scope="class")
+    def levels(self):
+        return (pipeline.solve_domain(self.DOMAIN, self.FIELD, 1.0 / 16),
+                pipeline.solve_domain(self.DOMAIN, self.FIELD, 1.0 / 32))
+
+    def test_band_fill_covers_the_cubic_gap(self, levels):
+        coarse, fine = levels
+        pts = fine.grid.interior_points()
+        cubic = interpolate_values_cubic(coarse.grid, coarse.solution.values,
+                                         pts)
+        gap = np.isnan(cubic)
+        assert gap.any()
+        fill = pipeline._band_linear(coarse, fine.grid, pts[gap])
+        assert not np.isnan(fill).any()
+
+    def test_start_is_close_to_the_fine_solution(self, levels):
+        coarse, fine = levels
+        start = pipeline.prolongate(coarse, fine.grid)
+        exact = fine.solution.values[fine.grid.interior]
+        assert np.max(np.abs(start - exact)) <= 1e-3
+
+    def test_refine_takes_one_factorization(self, levels):
+        coarse, fine = levels
+        refined = pipeline.refine_solve(coarse, self.DOMAIN, self.FIELD,
+                                        1.0 / 32)
+        (step,) = refined.trace.steps
+        assert step.t == 1.0
+        assert step.newton_iters <= 3
+        assert step.factorizations == 1
+        diff = np.max(np.abs(refined.solution.values - fine.solution.values))
+        assert diff <= 1e-12
+
+    def test_band_is_the_eroded_rim(self):
+        grid = grid_from_domain(geometry.ConvexPolygon(
+            [(0, 0), (2, 0), (2, 2), (0, 2)]), 0.1)
+        band = pipeline._band_nodes(grid)
+        depth = pipeline.PROLONGATION_BAND
+        core = grid.interior.copy()
+        core[band] = False
+        # a square's interior is a 19 x 19 block; the band is its outer
+        # ``depth`` rings
+        assert grid.interior.sum() == 19 * 19
+        assert core.sum() == (19 - 2 * depth) ** 2
+
+
+class TestNestedVerify:
+    DOMAIN = geometry.Annulus(1.0, 2.0)
+    FIELD = CurvatureField.from_constant(-0.3)
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        for name in ("solve_domain", "refine_solve"):
+            real = getattr(pipeline, name)
+
+            def wrapped(*args, _real=real, _name=name, **kwargs):
+                out = _real(*args, **kwargs)
+                calls.append((_name, out.grid.spacing, out))
+                return out
+
+            monkeypatch.setattr(pipeline, name, wrapped)
+        return calls
+
+    def test_levels_match_continuations(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
+        levels = list(calls)
+        assert [(name, h) for name, h, _ in levels] == [
+            ("solve_domain", 1.0 / 8), ("refine_solve", 1.0 / 16),
+            ("refine_solve", 1.0 / 32)]
+        for _, h, level in levels[1:]:
+            direct = pipeline.solve_domain(self.DOMAIN, self.FIELD, h)
+            diff = np.max(np.abs(level.solution.values
+                                 - direct.solution.values))
+            assert diff <= 1e-12
+        assert outcome.solution is levels[-1][2].solution
+        assert outcome.trace is levels[-1][2].trace
+
+    def test_no_interior_at_twice_the_spacing(self, monkeypatch):
+        domain = geometry.Disc(0.15)
+        with pytest.raises(ParameterError, match="no lattice nodes"):
+            grid_from_domain(domain, 0.4)
+        calls = self.spy(monkeypatch)
+        # the homotopy runs at 0.2 (one interior node) and refines to 0.1;
+        # a 2 x 2 block of interior nodes at 0.2 would contain a node of
+        # the 0.4 lattice, so the Richardson estimate has no common point
+        # and verify stops where a direct two-grid solve stops
+        with pytest.raises(ParameterError, match="no common interpolation"):
+            pipeline.verify_domain(domain, CurvatureField.from_constant(-0.5),
+                                   0.2)
+        assert [(name, h) for name, h, _ in calls] == [
+            ("solve_domain", 0.2), ("refine_solve", 0.1)]
+
+    def test_coarsest_homotopy_failure_falls_back(self, monkeypatch):
+        real = solver.continuation_solve
+
+        def stall_at_eighth(grid, hfield, **kwargs):
+            if grid.spacing == 1.0 / 8:
+                raise ContinuationFailureError("injected stall", stall_t=0.5)
+            return real(grid, hfield, **kwargs)
+
+        monkeypatch.setattr(solver, "continuation_solve", stall_at_eighth)
+        calls = self.spy(monkeypatch)
+        outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
+        assert [(name, h) for name, h, _ in calls] == [
+            ("solve_domain", 1.0 / 16), ("refine_solve", 1.0 / 32)]
+        assert outcome.report.passed()
+
+
+class TestBitmapVerify:
+    def test_mask_domain_has_no_refinement(self):
+        n = 21
+        y, x = np.mgrid[0:n, 0:n]
+        disc = (x - 10) ** 2 + (y - 10) ** 2 <= 8 ** 2
+        domain = geometry.GridMask(disc, 0.1)
+        with pytest.raises(ParameterError, match="no refinement"):
+            pipeline.verify_domain(domain, CurvatureField.from_constant(-0.1),
+                                   0.1)

@@ -235,13 +235,8 @@ class TestRadialShoot:
             flat = np.argsort(radii, axis=None)
             sorted_r = np.clip(radii.flatten()[flat], radial_case.epsilon,
                                radial_case.outer)
-            prof_heights = np.zeros(sorted_r.size)
-            acc, prev = 0.0, sorted_r[0]
-            for i, t in enumerate(sorted_r):
-                acc += barrier.profile_height_integral(
-                    2, 0.3, radial_case.c, prev, t)
-                prof_heights[i] = acc
-                prev = t
+            prof_heights = barrier.cumulative_heights(
+                2, 0.3, radial_case.c, sorted_r[0], sorted_r)
             f = np.zeros(grid.shape)
             f.flat[flat] = prof_heights
             res = solver.mc_residual(f, grid, field, area_weighted=True)
