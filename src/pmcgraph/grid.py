@@ -10,13 +10,17 @@ exactly.
 
 The arm fractions feed a Shortley-Weller style divergence discretization
 in :mod:`pmcgraph.solver`; computing them by bisection of the domain's
-membership test keeps one code path for every domain kind.
+membership test keeps one code path for every domain kind.  Each grid
+builds, on first use, a :class:`StencilPlan`: the scheme's neighbour
+indices and geometry-only coefficients over interior nodes, which the
+solver's residual and Jacobian kernels read instead of recomputing them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +31,9 @@ DIRECTIONS = ("E", "W", "N", "S")
 # (dj, di) lattice offsets, rows = y, columns = x
 OFFSETS = {"E": (0, 1), "W": (0, -1), "N": (1, 0), "S": (-1, 0)}
 THETA_FLOOR = 1e-6
+#: the 3 x 3 block of lattice offsets coupled by the scheme, sorted, so
+#: that their dof indices increase along every row of the Jacobian
+STENCIL_OFFSETS = tuple((dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1))
 
 
 def shift(arr, dj, di, fill=0):
@@ -81,6 +88,11 @@ class MaskedGrid:
     def interior_points(self):
         return np.column_stack([self.X[self.interior], self.Y[self.interior]])
 
+    @cached_property
+    def plan(self):
+        """The grid's :class:`StencilPlan`, built on first use."""
+        return StencilPlan(self)
+
     def cut_edges(self):
         """Arrays (direction, theta, g, j, i) over all cut arms."""
         out = []
@@ -128,6 +140,105 @@ class MaskedGrid:
         if not good.any():
             return 0.0
         return float(np.max(np.abs(vals[a][good] - vals[b][good]) / dist[good]))
+
+
+class StencilPlan:
+    """Neighbour indices and geometry-only coefficients of the scheme.
+
+    Every array runs over interior nodes in ``grid.index`` order; arrays of
+    shape (4, n) have one row per direction in ``DIRECTIONS`` order, and
+    arrays of shape (2, n) one row per axis pair, (E, W) then (N, S).  The
+    residual and Jacobian kernels of :mod:`pmcgraph.solver` compute on dof
+    vectors through these arrays and evaluate the field only at
+    ``points``.  The plan keeps no reference to its grid, so a grid and
+    its cached plan are freed by reference counting alone.
+
+    Per direction: ``nbr_index`` (the neighbour's dof index, 0 on a cut
+    arm), ``nbr_mask``, ``theta_h`` (the arm length, theta times the
+    spacing) and ``gval`` (the Dirichlet value at the crossing).  For the
+    node derivatives: ``theta_sq``, ``den_x``/``den_y`` and
+    ``dsq_x``/``dsq_y`` (the differences of opposite squared thetas);
+    ``cfac`` is the divergence factor of each axis pair.
+
+    For the Jacobian: ``slope_coef`` holds the one-sided slope's
+    sensitivities to the node itself (``mP``) and to the neighbour
+    (``mN``, zero on a cut arm).  ``deriv_node`` holds, per axis pair, the
+    coefficients of the transverse node derivative at the node (``cx`` or
+    ``cy`` at P) and at its first and second transverse arm (N and S for
+    the (E, W) pair, E and W for the (N, S) pair), zero where that arm is
+    cut; ``deriv_nbr`` holds the same three, per direction, taken at the
+    arm's neighbour Q (zero where Q is not interior).
+
+    The Jacobian's sparsity is the 9-point interior adjacency: ``indptr``
+    and ``indices`` are its CSR structure, and ``gather`` picks each
+    stored entry from a (9, n) per-offset coefficient array (rows in
+    ``STENCIL_OFFSETS`` order) in CSR data order.
+    """
+
+    def __init__(self, grid):
+        inner = grid.interior
+        h = grid.spacing
+        n = grid.n_dof
+        self.n_dof = n
+        self.points = grid.interior_points()
+
+        def per_direction(arrays):
+            return np.stack([arrays[d][inner] for d in DIRECTIONS])
+
+        def at_offset(dj, di):
+            return shift(grid.index, dj, di, fill=-1)[inner]
+
+        self.nbr_mask = per_direction(grid.nbr)
+        self.nbr_index = np.where(
+            self.nbr_mask,
+            np.stack([at_offset(*OFFSETS[d]) for d in DIRECTIONS]),
+            0).astype(np.int32)
+        theta = per_direction(grid.theta)
+        self.theta_h = theta * h
+        self.gval = per_direction(grid.gval)
+
+        tE, tW, tN, tS = theta
+        self.theta_sq = theta**2
+        sqE, sqW, sqN, sqS = self.theta_sq
+        self.den_x = tE * tW * (tE + tW) * h
+        self.den_y = tN * tS * (tN + tS) * h
+        self.dsq_x = sqE - sqW
+        self.dsq_y = sqN - sqS
+        self.cfac = np.stack([2.0 / ((tE + tW) * h), 2.0 / ((tN + tS) * h)])
+
+        self.slope_coef = np.stack([
+            -1.0 / self.theta_h,
+            np.where(self.nbr_mask, 1.0 / self.theta_h, 0.0)])
+        mask_e, mask_w, mask_n, mask_s = self.nbr_mask
+        cx_p = self.dsq_x / self.den_x
+        cy_p = self.dsq_y / self.den_y
+        guard_n = np.where(mask_n, sqS / self.den_y, 0.0)
+        guard_s = np.where(mask_s, -sqN / self.den_y, 0.0)
+        guard_e = np.where(mask_e, sqW / self.den_x, 0.0)
+        guard_w = np.where(mask_w, -sqE / self.den_x, 0.0)
+        # (coefficient, axis pair): the transverse axis of E/W arms is y
+        self.deriv_node = np.array([[cy_p, cx_p], [guard_n, guard_e],
+                                    [guard_s, guard_w]])
+        self.deriv_nbr = np.where(self.nbr_mask, self.at_nbr(
+            self.deriv_node[:, (0, 0, 1, 1)]), 0.0)
+
+        cols = np.stack([at_offset(dj, di) for dj, di in STENCIL_OFFSETS])
+        present = cols.T >= 0
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
+        self.indices = cols.T[present].astype(np.int32)
+        self.gather = (np.arange(len(STENCIL_OFFSETS)) * n
+                       + np.arange(n)[:, None])[present].astype(np.int32)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def at_nbr(self, per_direction):
+        """Values of a (..., 4, n) per-direction array at each arm's
+        neighbour node (meaningful where ``nbr_mask`` holds)."""
+        return np.stack([row.take(idx, axis=-1) for row, idx in
+                         zip(np.moveaxis(per_direction, -2, 0),
+                             self.nbr_index)], axis=-2)
 
 
 def _eval_boundary(gfun, x, y):

@@ -31,6 +31,10 @@ GRID_DIM = solver.GRID_DIM
 #: triangulates where the cubic stencil leaves the interior
 PROLONGATION_BAND = 4
 
+#: ``verify`` runs its checks with this multiple of the Richardson error
+#: estimate as slack
+SLACK_FACTOR = 10.0
+
 
 def is_convex_domain(domain):
     if isinstance(domain, (geometry.Disc, geometry.ConvexPolygon)):
@@ -212,11 +216,23 @@ def refine_solve(coarse, domain, field, spacing, *, tol=1e-10, schedule=None,
     solve at the full problem finishes the job, with one LU factor reused
     across its steps.  The trace is a single step at t = 1.  If that
     Newton solve fails, the full fine homotopy runs instead, so refinement
-    succeeds wherever a direct fine continuation does.
+    succeeds wherever a direct fine continuation does.  ``verify_domain``
+    uses the same Newton-or-homotopy step from a zero start on its coarse
+    grid.
     """
     grid = grid_from_domain(domain, spacing)
     initial = np.zeros(grid.shape)
     initial[grid.interior] = prolongate(coarse, grid)
+    return _newton_from(grid, field, initial, tol=tol, schedule=schedule,
+                        max_iters=max_iters)
+
+
+def _newton_from(grid, field, initial, *, tol, schedule, max_iters):
+    """Newton at t = 1 from ``initial``, or the grid's homotopy if it fails.
+
+    One LU factor is reused across the Newton steps, and the trace is a
+    single step at t = 1.
+    """
     linsolve = solver.FactorOnceSolver()
     try:
         solution = solver.newton_solve(grid, field, t_homotopy=1.0,
@@ -244,43 +260,54 @@ class VerifyOutcome:
     gradient_inputs: object
 
 
+def _has_interior_block(grid):
+    """Whether some 2 x 2 block of lattice nodes is wholly interior, the
+    least a bilinear Richardson comparison at a grid node needs."""
+    inner = grid.interior
+    return bool((inner & shift(inner, 0, 1, False) & shift(inner, 1, 0, False)
+                 & shift(inner, 1, 1, False)).any())
+
+
 def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
-                  schedule=None, max_iters=40, slack_factor=10.0):
+                  schedule=None, max_iters=40):
     """Solve on two grids and check the barrier estimates on the fine one.
 
     The Richardson pair (spacing, spacing/2) provides the discretization
-    error estimate; the checks run with ``slack_factor`` times it.  Only
+    error estimate; the checks run with ``SLACK_FACTOR`` times it.  Only
     zero-boundary solves are in scope here.  Bitmap domains raise
     :class:`ParameterError`: their grid is the bitmap's own cells at every
-    spacing, so there is no finer grid to compare with.
+    spacing, so there is no finer grid to compare with.  So does a domain
+    whose grid at ``spacing`` has no 2 x 2 block of interior nodes, since
+    the estimate has no common point there; that is decided before any
+    solve.
 
-    The two grids come from nested iteration: the homotopy runs only at
-    ``2 * spacing``, and :func:`refine_solve` (Newton at t = 1 from the
-    prolongated coarser solution) carries it to ``spacing`` and then to
-    ``spacing / 2``.  With nondecreasing H the discrete solution is
-    unique, so each level lands on its own homotopy's solution for a
-    fraction of the Newton steps.  When the ``2 * spacing`` grid has no
-    interior node or its homotopy fails, the homotopy runs at ``spacing``
-    instead, so a stall is that of a direct solve at ``spacing``; each
-    refinement falls back to its own grid's homotopy if its Newton solve
-    fails.  ``trace`` is the finest solve's trace.
+    When ``field.monotone`` holds (H nondecreasing in z) the discrete
+    solution is unique by the comparison principle, so the grid at
+    ``spacing`` is solved by Newton at t = 1 from zero, and only if that
+    fails by the homotopy; any other field runs the homotopy there, whose
+    continuation defines the solution branch.  :func:`refine_solve`
+    (Newton at t = 1 from the prolongated solution, with the same
+    fallback) then reaches ``spacing / 2``.  A stall is therefore that of
+    a direct solve at ``spacing``.  ``trace`` is the fine solve's trace.
     """
     if isinstance(domain, geometry.GridMask):
         raise ParameterError(
             "verify needs a Richardson grid pair, but a bitmap domain has no "
             "refinement: its grid is the bitmap's own cells at every spacing")
     settings = dict(tol=tol, schedule=schedule, max_iters=max_iters)
-    try:
-        start = solve_domain(domain, field, 2.0 * spacing, **settings)
-    except (ParameterError, SolverError):
-        coarse = solve_domain(domain, field, spacing, **settings)
+    grid = grid_from_domain(domain, spacing)
+    if not _has_interior_block(grid):
+        raise ParameterError("no common interpolation points for the estimate")
+    if field.monotone:
+        coarse = _newton_from(grid, field, None, **settings)
     else:
-        coarse = refine_solve(start, domain, field, spacing, **settings)
+        solution, trace = solver.continuation_solve(grid, field, **settings)
+        coarse = SolveOutcome(solution=solution, trace=trace, grid=grid)
     fine = refine_solve(coarse, domain, field, 0.5 * spacing, **settings)
 
     pts = coarse.grid.interior_points()
     est = verify.richardson_error_estimate(coarse.solution, fine.solution, pts)
-    slack = slack_factor * est
+    slack = SLACK_FACTOR * est
 
     h_sup0 = sampled_h_sup0(field, domain)
     fit, profile = barrier_for_domain(domain, h_sup0, annulus_r=annulus_r)

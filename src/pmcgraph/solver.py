@@ -25,9 +25,12 @@ LU factor (:class:`FactorOnceSolver`).  The factor is renewed only when
 GMRES fails or needs many iterations, because the Jacobian drifts slowly
 along the homotopy and an old factor stays a good preconditioner.
 
-Residual and Jacobian assembly are vectorized numpy expressions evaluated
-in a fixed order, so reruns are bit-identical; independent solves share no
-state.
+The residual and the analytic Jacobian run on vectors of interior values
+through the grid's :class:`pmcgraph.grid.StencilPlan` (neighbour indices,
+geometry-only coefficients and the CSR structure, built once per grid) and
+evaluate the field only at interior nodes.  Each node's floating-point
+operations run in a fixed order, so reruns are bit-identical; solves share
+no state beyond the geometry of their grid.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse import linalg as sparse_linalg
 
 from . import barrier, conditions
@@ -47,7 +50,8 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .grid import OFFSETS, interpolate_values_cubic, shift
+from .grid import (DIRECTIONS, OFFSETS, STENCIL_OFFSETS,
+                   interpolate_values_cubic, shift)
 from .ioutil import dump_json, write_csv
 
 #: graph dimension of the planar grid problem
@@ -69,37 +73,59 @@ _KRYLOV_MAXITER = 5
 _KRYLOV_REFACTOR_ITERS = 2 * _KRYLOV_RESTART
 
 
-def _edge_data(grid, f):
-    """Per-direction arm values, one-sided slopes and node derivatives."""
-    h = grid.spacing
-    val, dval = {}, {}
-    for d in ("E", "W", "N", "S"):
-        dj, di = OFFSETS[d]
-        val[d] = np.where(grid.nbr[d], shift(f, dj, di), grid.gval[d])
-        dval[d] = (val[d] - f) / (grid.theta[d] * h)
+# sign of the primary slope per direction: E and N arms point along +x/+y
+_SIGN = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
 
-    tE, tW = grid.theta["E"], grid.theta["W"]
-    tN, tS = grid.theta["N"], grid.theta["S"]
-    den_x = tE * tW * (tE + tW) * h
-    den_y = tN * tS * (tN + tS) * h
-    Dx = (tW**2 * val["E"] - tE**2 * val["W"] + (tE**2 - tW**2) * f) / den_x
-    Dy = (tS**2 * val["N"] - tN**2 * val["S"] + (tN**2 - tS**2) * f) / den_y
-    return val, dval, Dx, Dy
+# The Jacobian of one node couples it to the 3 x 3 block around it.  Its
+# coefficients are sums of terms, each the product of a per-arm flux
+# sensitivity and a geometry-only coefficient of the plan (the kinds are
+# listed in ``_assemble_jacobian``).  Each offset of the block sums its
+# terms in the order listed: the order is part of the result, since
+# floating-point addition does not associate.
+_JACOBIAN_TERMS = {
+    (0, 0): (("a_node", "E"), ("b_node", "E"), ("a_node", "W"),
+             ("b_node", "W"), ("a_node", "N"), ("b_node", "N"),
+             ("a_node", "S"), ("b_node", "S")),
+    (0, 1): (("a_nbr", "E"), ("b_nbr", "E"), ("b_node_a", "N"),
+             ("b_node_a", "S")),
+    (0, -1): (("a_nbr", "W"), ("b_nbr", "W"), ("b_node_b", "N"),
+              ("b_node_b", "S")),
+    (1, 0): (("b_node_a", "E"), ("b_node_a", "W"), ("a_nbr", "N"),
+             ("b_nbr", "N")),
+    (-1, 0): (("b_node_b", "E"), ("b_node_b", "W"), ("a_nbr", "S"),
+              ("b_nbr", "S")),
+    (1, 1): (("b_nbr_a", "E"), ("b_nbr_a", "N")),
+    (-1, 1): (("b_nbr_b", "E"), ("b_nbr_a", "S")),
+    (1, -1): (("b_nbr_a", "W"), ("b_nbr_b", "N")),
+    (-1, -1): (("b_nbr_b", "W"), ("b_nbr_b", "S")),
+}
+# the same terms in ``STENCIL_OFFSETS`` order, with direction indices
+_TERMS = tuple(
+    tuple((kind, DIRECTIONS.index(d)) for kind, d in _JACOBIAN_TERMS[offset])
+    for offset in STENCIL_OFFSETS)
+_CENTER = STENCIL_OFFSETS.index((0, 0))
 
 
-def _edge_states(grid, f):
-    """Primary/transverse slopes and metric factors on the four edges."""
-    val, dval, Dx, Dy = _edge_data(grid, f)
-    states = {}
-    for d, transverse in (("E", Dy), ("W", Dy), ("N", Dx), ("S", Dx)):
-        dj, di = OFFSETS[d]
-        primary = dval[d] if d in ("E", "N") else -dval[d]
-        cross = np.where(grid.nbr[d],
-                         0.5 * (transverse + shift(transverse, dj, di)),
-                         transverse)
-        W = np.sqrt(1.0 + primary**2 + cross**2)
-        states[d] = (primary, cross, W)
-    return states, Dx, Dy
+def _edge_slopes(plan, x):
+    """One-sided arm slopes (4, n) and the node derivatives Dx, Dy."""
+    val = np.where(plan.nbr_mask, x.take(plan.nbr_index), plan.gval)
+    dval = (val - x) / plan.theta_h
+    sqE, sqW, sqN, sqS = plan.theta_sq
+    Dx = (sqW * val[0] - sqE * val[1] + plan.dsq_x * x) / plan.den_x
+    Dy = (sqS * val[2] - sqN * val[3] + plan.dsq_y * x) / plan.den_y
+    return dval, Dx, Dy
+
+
+def _edge_states(plan, x):
+    """Primary/transverse slopes and metric factors on the four edges,
+    (4, n) each."""
+    dval, Dx, Dy = _edge_slopes(plan, x)
+    primary = dval * _SIGN
+    transverse = np.stack([Dy, Dy, Dx, Dx])
+    cross = np.where(plan.nbr_mask,
+                     0.5 * (transverse + plan.at_nbr(transverse)), transverse)
+    W = np.sqrt(1.0 + primary**2 + cross**2)
+    return primary, cross, W
 
 
 def mc_residual(values, grid, hfield, t_homotopy=1.0, area_weighted=False):
@@ -116,19 +142,23 @@ def mc_residual(values, grid, hfield, t_homotopy=1.0, area_weighted=False):
     interpolated, including at cut-arm nodes, whereas the pointwise sup
     stays first-order-in-cell-count there (the usual cut-cell behavior;
     the solution error is second order either way).
+
+    ``values`` is a lattice array; only its interior entries are read.
+    The stencil runs on the interior dof vector through ``grid.plan``, and
+    the result is scattered back onto the lattice.
     """
-    f = np.asarray(values, dtype=float)
-    states, _, _ = _edge_states(grid, f)
-    h = grid.spacing
-    cfac_x = 2.0 / ((grid.theta["E"] + grid.theta["W"]) * h)
-    cfac_y = 2.0 / ((grid.theta["N"] + grid.theta["S"]) * h)
-    flux = {d: states[d][0] / states[d][2] for d in states}
-    div = (flux["E"] - flux["W"]) * cfac_x + (flux["N"] - flux["S"]) * cfac_y
-    pts = np.stack([grid.X, grid.Y], axis=-1)
-    rhs = t_homotopy * GRID_DIM * hfield.eval(pts, f)
-    out = np.where(grid.interior, div - rhs, 0.0)
+    plan = grid.plan
+    x = np.asarray(values, dtype=float)[grid.interior]
+    primary, _, W = _edge_states(plan, x)
+    flux = primary / W
+    div = ((flux[0] - flux[1]) * plan.cfac[0]
+           + (flux[2] - flux[3]) * plan.cfac[1])
+    rhs = t_homotopy * GRID_DIM * hfield.eval(plan.points, x)
+    res = div - rhs
     if area_weighted:
-        out = out * h * h
+        res = res * grid.spacing * grid.spacing
+    out = np.zeros(grid.shape)
+    out[grid.interior] = res
     return out
 
 
@@ -149,89 +179,54 @@ def full_stencil_mask(grid):
 
 
 def _assemble_jacobian(grid, f, hfield, t_homotopy):
-    h = grid.spacing
-    states, Dx, Dy = _edge_states(grid, f)
-    cfac = {
-        "E": 2.0 / ((grid.theta["E"] + grid.theta["W"]) * h),
-        "W": 2.0 / ((grid.theta["E"] + grid.theta["W"]) * h),
-        "N": 2.0 / ((grid.theta["N"] + grid.theta["S"]) * h),
-        "S": 2.0 / ((grid.theta["N"] + grid.theta["S"]) * h),
+    """Analytic Jacobian of :func:`mc_residual` on the interior dofs, CSR."""
+    plan = grid.plan
+    n = plan.n_dof
+    x = np.asarray(f, dtype=float)[grid.interior]
+    primary, cross, W = _edge_states(plan, x)
+    W3 = W**3
+    phi_p = (1.0 + cross**2) / W3
+    phi_c = -primary * cross / W3
+    del primary, cross, W, W3
+    cfac = plan.cfac[:, None]  # one factor per axis pair
+    # flux sensitivities to the primary slope (A, with the slope's sign
+    # folded in) and to the transverse derivative (B); B is split between
+    # an arm's two endpoints, half each, and falls wholly on the node when
+    # the arm is cut
+    a = (cfac * phi_p.reshape(2, 2, n)).reshape(4, n)
+    b = _SIGN * (cfac * phi_c.reshape(2, 2, n)).reshape(4, n)
+    half = 0.5 * b
+    b_node = np.where(plan.nbr_mask, half, b)
+    b_nbr = np.where(plan.nbr_mask, half, 0.0)
+    del phi_p, phi_c, b, half
+    # transverse-derivative coefficients per direction; E/W arms have y
+    node = [[pair[p] for p in (0, 0, 1, 1)] for pair in plan.deriv_node]
+    nbr = plan.deriv_nbr
+    # term kind -> (sensitivity, coefficient), each indexed by direction:
+    #   a_node  A times the slope's derivative in f_P
+    #   a_nbr   A times its derivative in the arm's neighbour Q
+    #   b_node, b_node_a, b_node_b  B times the transverse node derivative
+    #           at P: its coefficient at P, at its first and at its second
+    #           transverse arm
+    #   b_nbr, b_nbr_a, b_nbr_b     the same, for the node derivative at Q
+    factors = {
+        "a_node": (a, plan.slope_coef[0]), "a_nbr": (a, plan.slope_coef[1]),
+        "b_node": (b_node, node[0]), "b_node_a": (b_node, node[1]),
+        "b_node_b": (b_node, node[2]), "b_nbr": (b_nbr, nbr[0]),
+        "b_nbr_a": (b_nbr, nbr[1]), "b_nbr_b": (b_nbr, nbr[2]),
     }
-    sign = {"E": 1.0, "W": -1.0, "N": 1.0, "S": -1.0}
-    # one-sided slope sensitivities: dval[d] w.r.t. f_P and the neighbor
-    mP = {d: -1.0 / (grid.theta[d] * h) for d in OFFSETS}
-    mN = {d: 1.0 / (grid.theta[d] * h) for d in OFFSETS}
 
-    tE, tW = grid.theta["E"], grid.theta["W"]
-    tN, tS = grid.theta["N"], grid.theta["S"]
-    den_x = tE * tW * (tE + tW) * h
-    den_y = tN * tS * (tN + tS) * h
-    # node-derivative coefficients (valid where the arm neighbor is interior)
-    cx = {"P": (tE**2 - tW**2) / den_x, "E": tW**2 / den_x, "W": -(tE**2) / den_x}
-    cy = {"P": (tN**2 - tS**2) / den_y, "N": tS**2 / den_y, "S": -(tN**2) / den_y}
-
-    acc = {}
-
-    def add(offset, coef):
-        if offset in acc:
-            acc[offset] = acc[offset] + coef
-        else:
-            acc[offset] = coef.copy() if isinstance(coef, np.ndarray) else coef
-
-    def add_node_derivative(base_offset, weight, axis):
-        """Scatter B * weight * D{axis} taken at node P + base_offset."""
-        bj, bi = base_offset
-        coefs = cx if axis == "x" else cy
-        arms = ("E", "W") if axis == "x" else ("N", "S")
-        if base_offset == (0, 0):
-            add((0, 0), weight * coefs["P"])
-            for arm in arms:
-                oj, oi = OFFSETS[arm]
-                add((oj, oi), weight * np.where(grid.nbr[arm], coefs[arm], 0.0))
-        else:
-            # coefficients live at the shifted node; pull them back to P
-            add((bj, bi), weight * shift(coefs["P"], bj, bi))
-            for arm in arms:
-                oj, oi = OFFSETS[arm]
-                guard = shift(np.where(grid.nbr[arm], coefs[arm], 0.0), bj, bi)
-                add((bj + oj, bi + oi), weight * guard)
-
-    for d in ("E", "W", "N", "S"):
-        dj, di = OFFSETS[d]
-        primary, cross, W = states[d]
-        phi_p = (1.0 + cross**2) / W**3
-        phi_c = -primary * cross / W**3
-        A = sign[d] * cfac[d] * phi_p
-        B = sign[d] * cfac[d] * phi_c
-        flip = 1.0 if d in ("E", "N") else -1.0  # primary = +-dval[d]
-        add((0, 0), A * flip * mP[d])
-        add((dj, di), A * flip * np.where(grid.nbr[d], mN[d], 0.0))
-
-        axis = "y" if d in ("E", "W") else "x"
-        wP = np.where(grid.nbr[d], 0.5, 1.0)
-        wQ = np.where(grid.nbr[d], 0.5, 0.0)
-        add_node_derivative((0, 0), B * wP, axis)
-        add_node_derivative((dj, di), B * wQ, axis)
-
-    pts = np.stack([grid.X, grid.Y], axis=-1)
-    hz = hfield.hz(pts, f)
-    add((0, 0), -t_homotopy * GRID_DIM * hz)
-
-    rows, cols, vals = [], [], []
-    for (dj, di), coef in sorted(acc.items()):
-        target_interior = shift(grid.interior, dj, di, fill=False)
-        mask = grid.interior & target_interior
-        if not mask.any():
-            continue
-        target_index = shift(grid.index, dj, di, fill=-1)
-        rows.append(grid.index[mask])
-        cols.append(target_index[mask])
-        vals.append(coef[mask])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    n = grid.n_dof
-    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    coef = np.empty((len(STENCIL_OFFSETS), n))
+    term = np.empty(n)
+    for row, terms in zip(coef, _TERMS):
+        for k, (kind, d) in enumerate(terms):
+            sensitivity, geometry = factors[kind]
+            np.multiply(sensitivity[d], geometry[d], out=term if k else row)
+            if k:
+                row += term
+    coef[_CENTER] += -t_homotopy * GRID_DIM * hfield.hz(plan.points, x)
+    return csr_matrix((coef.take(plan.gather), plan.indices, plan.indptr),
+                      shape=(n, n))
 
 
 class FactorOnceSolver:
@@ -293,15 +288,12 @@ class FactorOnceSolver:
         return self._lu.solve(rhs), iters, True
 
 
-def _gradient_diagnostics(grid, f):
-    _, dval, Dx, Dy = _edge_data(grid, f)
-    mag = np.sqrt(Dx**2 + Dy**2)
-    sup_int = float(np.max(mag[grid.interior])) if grid.n_dof else 0.0
-    sup_bdry = 0.0
-    for d in ("E", "W", "N", "S"):
-        cut = grid.interior & ~grid.nbr[d]
-        if cut.any():
-            sup_bdry = max(sup_bdry, float(np.max(np.abs(dval[d][cut]))))
+def _gradient_diagnostics(plan, x):
+    """Sup of the node gradient and of the one-sided slope on cut arms."""
+    dval, Dx, Dy = _edge_slopes(plan, x)
+    sup_int = float(np.max(np.sqrt(Dx**2 + Dy**2))) if plan.n_dof else 0.0
+    cut = ~plan.nbr_mask
+    sup_bdry = float(np.max(np.abs(dval[cut]))) if cut.any() else 0.0
     return sup_int, sup_bdry
 
 
@@ -348,7 +340,7 @@ class GridSolution:
 def _finish_solution(grid, f, hfield, t, iters):
     res = mc_residual(f, grid, hfield, t)
     rinf = float(np.max(np.abs(res[grid.interior]))) if grid.n_dof else 0.0
-    sup_int, sup_bdry = _gradient_diagnostics(grid, f)
+    sup_int, sup_bdry = _gradient_diagnostics(grid.plan, f[grid.interior])
     sol = GridSolution(
         grid=grid, values=f, residual_inf=rinf, newton_iters=iters,
         homotopy_t=t, sup_norm=float(np.max(np.abs(f[grid.interior]))),

@@ -213,68 +213,100 @@ class TestProlongation:
         assert core.sum() == (19 - 2 * depth) ** 2
 
 
-class TestNestedVerify:
+class TestTwoGridVerify:
     DOMAIN = geometry.Annulus(1.0, 2.0)
     FIELD = CurvatureField.from_constant(-0.3)
 
     @staticmethod
-    def spy(monkeypatch):
+    def spy(monkeypatch, module, name):
         calls = []
-        for name in ("solve_domain", "refine_solve"):
-            real = getattr(pipeline, name)
+        real = getattr(module, name)
 
-            def wrapped(*args, _real=real, _name=name, **kwargs):
-                out = _real(*args, **kwargs)
-                calls.append((_name, out.grid.spacing, out))
-                return out
+        def wrapped(grid, *args, **kwargs):
+            calls.append(grid.spacing)
+            return real(grid, *args, **kwargs)
 
-            monkeypatch.setattr(pipeline, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
         return calls
 
-    def test_levels_match_continuations(self, monkeypatch):
-        calls = self.spy(monkeypatch)
+    def test_two_levels_match_continuations(self, monkeypatch):
+        levels = []
+        real = pipeline._newton_from
+
+        def record(grid, *args, **kwargs):
+            out = real(grid, *args, **kwargs)
+            levels.append((grid.spacing, out))
+            return out
+
+        monkeypatch.setattr(pipeline, "_newton_from", record)
+        homotopies = self.spy(monkeypatch, solver, "continuation_solve")
         outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
-        levels = list(calls)
-        assert [(name, h) for name, h, _ in levels] == [
-            ("solve_domain", 1.0 / 8), ("refine_solve", 1.0 / 16),
-            ("refine_solve", 1.0 / 32)]
-        for _, h, level in levels[1:]:
+        assert [h for h, _ in levels] == [1.0 / 16, 1.0 / 32]
+        assert homotopies == []
+        for h, level in levels:
             direct = pipeline.solve_domain(self.DOMAIN, self.FIELD, h)
             diff = np.max(np.abs(level.solution.values
                                  - direct.solution.values))
             assert diff <= 1e-12
-        assert outcome.solution is levels[-1][2].solution
-        assert outcome.trace is levels[-1][2].trace
+        assert outcome.solution is levels[-1][1].solution
+        assert outcome.trace is levels[-1][1].trace
 
-    def test_no_interior_at_twice_the_spacing(self, monkeypatch):
+    def test_coarse_newton_failure_falls_back(self, monkeypatch):
+        real = solver.newton_solve
+        injected = []
+
+        def fail_coarse_solve(grid, hfield, **kwargs):
+            if grid.spacing == 1.0 / 16 and not injected:
+                injected.append(kwargs["t_homotopy"])
+                raise NonconvergenceError("injected failure")
+            return real(grid, hfield, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", fail_coarse_solve)
+        homotopies = self.spy(monkeypatch, solver, "continuation_solve")
+        outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
+        assert injected == [1.0]
+        assert homotopies == [1.0 / 16]
+        assert outcome.solution.residual_inf <= 1e-10
+        assert outcome.report.passed()
+
+    def test_nonmonotone_field_runs_the_homotopy(self, monkeypatch):
+        field = pipeline.curvature_from_json({
+            "table": {"x": [-2.0, 2.0], "y": [-2.0, 2.0],
+                      "values": [[-0.3, -0.2], [-0.2, -0.3]]},
+            "z_slope": -0.1})
+        assert not field.monotone
+        homotopies = self.spy(monkeypatch, solver, "continuation_solve")
+        newton_starts = self.spy(monkeypatch, pipeline, "_newton_from")
+        outcome = pipeline.verify_domain(self.DOMAIN, field, 1.0 / 16)
+        assert homotopies == [1.0 / 16]
+        assert newton_starts == [1.0 / 32]
+        direct = pipeline.solve_domain(self.DOMAIN, field, 1.0 / 32)
+        diff = np.max(np.abs(outcome.solution.values - direct.solution.values))
+        assert diff <= 1e-12
+
+    def test_overcurved_disc_stalls_once(self, monkeypatch):
+        disc, field = geometry.Disc(1.0), CurvatureField.from_constant(1.2)
+        with pytest.raises(ContinuationFailureError) as direct:
+            pipeline.solve_domain(disc, field, 0.1, max_iters=20)
+        homotopies = self.spy(monkeypatch, solver, "continuation_solve")
+        with pytest.raises(ContinuationFailureError) as checked:
+            pipeline.verify_domain(disc, field, 0.1, max_iters=20)
+        assert homotopies == [0.1]
+        assert checked.value.stall_t == direct.value.stall_t
+        assert checked.value.diagnostics == direct.value.diagnostics
+
+    def test_no_interior_block_fails_before_solving(self, monkeypatch):
+        # Disc(0.15) at 0.2 has interior nodes but no 2 x 2 block of them,
+        # so the Richardson estimate has no common point
         domain = geometry.Disc(0.15)
-        with pytest.raises(ParameterError, match="no lattice nodes"):
-            grid_from_domain(domain, 0.4)
-        calls = self.spy(monkeypatch)
-        # the homotopy runs at 0.2 (one interior node) and refines to 0.1;
-        # a 2 x 2 block of interior nodes at 0.2 would contain a node of
-        # the 0.4 lattice, so the Richardson estimate has no common point
-        # and verify stops where a direct two-grid solve stops
+        grid = grid_from_domain(domain, 0.2)
+        assert grid.n_dof > 0
+        newton = self.spy(monkeypatch, solver, "newton_solve")
+        homotopies = self.spy(monkeypatch, solver, "continuation_solve")
         with pytest.raises(ParameterError, match="no common interpolation"):
             pipeline.verify_domain(domain, CurvatureField.from_constant(-0.5),
                                    0.2)
-        assert [(name, h) for name, h, _ in calls] == [
-            ("solve_domain", 0.2), ("refine_solve", 0.1)]
-
-    def test_coarsest_homotopy_failure_falls_back(self, monkeypatch):
-        real = solver.continuation_solve
-
-        def stall_at_eighth(grid, hfield, **kwargs):
-            if grid.spacing == 1.0 / 8:
-                raise ContinuationFailureError("injected stall", stall_t=0.5)
-            return real(grid, hfield, **kwargs)
-
-        monkeypatch.setattr(solver, "continuation_solve", stall_at_eighth)
-        calls = self.spy(monkeypatch)
-        outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
-        assert [(name, h) for name, h, _ in calls] == [
-            ("solve_domain", 1.0 / 16), ("refine_solve", 1.0 / 32)]
-        assert outcome.report.passed()
+        assert newton == [] and homotopies == []
 
 
 class TestBitmapVerify:

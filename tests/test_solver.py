@@ -1,9 +1,11 @@
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from pmcgraph import barrier, geometry, pipeline, solver
 from pmcgraph.conditions import CurvatureField
@@ -12,7 +14,7 @@ from pmcgraph.errors import (
     ParameterError,
     SolverError,
 )
-from pmcgraph.grid import grid_from_domain, interpolate_values
+from pmcgraph.grid import OFFSETS, grid_from_domain, interpolate_values, shift
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,21 +66,194 @@ class TestResidual:
     def test_jacobian_matches_finite_differences(self):
         field = CurvatureField(
             lambda p, z: 0.1 * p[..., 0] - 0.2 * p[..., 1] + 0.3 * z)
-        grid = grid_from_domain(geometry.Disc(1.0), 0.21)
-        rng = np.random.default_rng(4)
+        pentagon = geometry.ConvexPolygon(
+            [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)])
+        linear = pipeline.boundary_from_json({"linear": [0.2, -0.1, 0.05]})
+        grids = [
+            grid_from_domain(geometry.Disc(1.0), 0.21),
+            # cut arms in all four directions and nonzero Dirichlet data
+            grid_from_domain(pentagon, 0.3, boundary=linear),
+        ]
+        cut = ~grids[1].plan.nbr_mask
+        assert cut.any(axis=1).all() and np.any(grids[1].plan.gval != 0.0)
+        for grid in grids:
+            rng = np.random.default_rng(4)
+            f = np.zeros(grid.shape)
+            f[grid.interior] = 0.3 * rng.standard_normal(grid.n_dof)
+            J = solver._assemble_jacobian(grid, f, field, 0.8).toarray()
+            eps = 1e-7
+            for k in range(grid.n_dof):
+                e = np.zeros(grid.n_dof)
+                e[k] = eps
+                fp, fm = f.copy(), f.copy()
+                fp[grid.interior] += e
+                fm[grid.interior] -= e
+                col = (solver.mc_residual(fp, grid, field, 0.8)
+                       - solver.mc_residual(fm, grid, field, 0.8))[grid.interior] / (2 * eps)
+                assert np.max(np.abs(J[:, k] - col)) <= 1e-6 * max(1.0, np.abs(col).max())
+
+
+# The lattice kernels that the stencil plan replaced, kept as the bit-exact
+# reference: every stencil term on whole bounding-box arrays, accumulated
+# per offset in a dict, then masked into COO triplets.
+
+def _lattice_edge_data(grid, f):
+    h = grid.spacing
+    val, dval = {}, {}
+    for d in ("E", "W", "N", "S"):
+        dj, di = OFFSETS[d]
+        val[d] = np.where(grid.nbr[d], shift(f, dj, di), grid.gval[d])
+        dval[d] = (val[d] - f) / (grid.theta[d] * h)
+    tE, tW = grid.theta["E"], grid.theta["W"]
+    tN, tS = grid.theta["N"], grid.theta["S"]
+    den_x = tE * tW * (tE + tW) * h
+    den_y = tN * tS * (tN + tS) * h
+    Dx = (tW**2 * val["E"] - tE**2 * val["W"] + (tE**2 - tW**2) * f) / den_x
+    Dy = (tS**2 * val["N"] - tN**2 * val["S"] + (tN**2 - tS**2) * f) / den_y
+    return val, dval, Dx, Dy
+
+
+def _lattice_edge_states(grid, f):
+    val, dval, Dx, Dy = _lattice_edge_data(grid, f)
+    states = {}
+    for d, transverse in (("E", Dy), ("W", Dy), ("N", Dx), ("S", Dx)):
+        dj, di = OFFSETS[d]
+        primary = dval[d] if d in ("E", "N") else -dval[d]
+        cross = np.where(grid.nbr[d],
+                         0.5 * (transverse + shift(transverse, dj, di)),
+                         transverse)
+        W = np.sqrt(1.0 + primary**2 + cross**2)
+        states[d] = (primary, cross, W)
+    return states, Dx, Dy
+
+
+def _lattice_residual(f, grid, hfield, t_homotopy):
+    states, _, _ = _lattice_edge_states(grid, f)
+    h = grid.spacing
+    cfac_x = 2.0 / ((grid.theta["E"] + grid.theta["W"]) * h)
+    cfac_y = 2.0 / ((grid.theta["N"] + grid.theta["S"]) * h)
+    flux = {d: states[d][0] / states[d][2] for d in states}
+    div = (flux["E"] - flux["W"]) * cfac_x + (flux["N"] - flux["S"]) * cfac_y
+    pts = np.stack([grid.X, grid.Y], axis=-1)
+    rhs = t_homotopy * solver.GRID_DIM * hfield.eval(pts, f)
+    return np.where(grid.interior, div - rhs, 0.0)
+
+
+def _lattice_jacobian(grid, f, hfield, t_homotopy):
+    h = grid.spacing
+    states, Dx, Dy = _lattice_edge_states(grid, f)
+    cfac = {
+        "E": 2.0 / ((grid.theta["E"] + grid.theta["W"]) * h),
+        "W": 2.0 / ((grid.theta["E"] + grid.theta["W"]) * h),
+        "N": 2.0 / ((grid.theta["N"] + grid.theta["S"]) * h),
+        "S": 2.0 / ((grid.theta["N"] + grid.theta["S"]) * h),
+    }
+    sign = {"E": 1.0, "W": -1.0, "N": 1.0, "S": -1.0}
+    mP = {d: -1.0 / (grid.theta[d] * h) for d in OFFSETS}
+    mN = {d: 1.0 / (grid.theta[d] * h) for d in OFFSETS}
+    tE, tW = grid.theta["E"], grid.theta["W"]
+    tN, tS = grid.theta["N"], grid.theta["S"]
+    den_x = tE * tW * (tE + tW) * h
+    den_y = tN * tS * (tN + tS) * h
+    cx = {"P": (tE**2 - tW**2) / den_x, "E": tW**2 / den_x, "W": -(tE**2) / den_x}
+    cy = {"P": (tN**2 - tS**2) / den_y, "N": tS**2 / den_y, "S": -(tN**2) / den_y}
+    acc = {}
+
+    def add(offset, coef):
+        if offset in acc:
+            acc[offset] = acc[offset] + coef
+        else:
+            acc[offset] = coef.copy() if isinstance(coef, np.ndarray) else coef
+
+    def add_node_derivative(base_offset, weight, axis):
+        bj, bi = base_offset
+        coefs = cx if axis == "x" else cy
+        arms = ("E", "W") if axis == "x" else ("N", "S")
+        if base_offset == (0, 0):
+            add((0, 0), weight * coefs["P"])
+            for arm in arms:
+                oj, oi = OFFSETS[arm]
+                add((oj, oi), weight * np.where(grid.nbr[arm], coefs[arm], 0.0))
+        else:
+            add((bj, bi), weight * shift(coefs["P"], bj, bi))
+            for arm in arms:
+                oj, oi = OFFSETS[arm]
+                guard = shift(np.where(grid.nbr[arm], coefs[arm], 0.0), bj, bi)
+                add((bj + oj, bi + oi), weight * guard)
+
+    for d in ("E", "W", "N", "S"):
+        dj, di = OFFSETS[d]
+        primary, cross, W = states[d]
+        phi_p = (1.0 + cross**2) / W**3
+        phi_c = -primary * cross / W**3
+        A = sign[d] * cfac[d] * phi_p
+        B = sign[d] * cfac[d] * phi_c
+        flip = 1.0 if d in ("E", "N") else -1.0
+        add((0, 0), A * flip * mP[d])
+        add((dj, di), A * flip * np.where(grid.nbr[d], mN[d], 0.0))
+        axis = "y" if d in ("E", "W") else "x"
+        wP = np.where(grid.nbr[d], 0.5, 1.0)
+        wQ = np.where(grid.nbr[d], 0.5, 0.0)
+        add_node_derivative((0, 0), B * wP, axis)
+        add_node_derivative((dj, di), B * wQ, axis)
+
+    pts = np.stack([grid.X, grid.Y], axis=-1)
+    add((0, 0), -t_homotopy * solver.GRID_DIM * hfield.hz(pts, f))
+    rows, cols, vals = [], [], []
+    for (dj, di), coef in sorted(acc.items()):
+        mask = grid.interior & shift(grid.interior, dj, di, fill=False)
+        rows.append(grid.index[mask])
+        cols.append(shift(grid.index, dj, di, fill=-1)[mask])
+        vals.append(coef[mask])
+    n = grid.n_dof
+    return coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                              np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+
+
+class TestStencilPlan:
+    PENTAGON = geometry.ConvexPolygon(
+        [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)])
+
+    @pytest.mark.parametrize("case", ["pentagon", "annulus"])
+    def test_kernels_match_lattice_reference(self, case):
+        if case == "pentagon":
+            grid = grid_from_domain(self.PENTAGON, 0.07,
+                                    boundary=pipeline.boundary_from_json(
+                                        {"linear": [0.2, -0.1, 0.05]}))
+            field = CurvatureField(
+                lambda p, z: 0.1 * p[..., 0] - 0.2 * p[..., 1] + 0.3 * z)
+        else:
+            grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 16)
+            field = CurvatureField.from_constant(-0.3)
+        rng = np.random.default_rng(5)
         f = np.zeros(grid.shape)
-        f[grid.interior] = 0.3 * rng.standard_normal(grid.n_dof)
-        J = solver._assemble_jacobian(grid, f, field, 0.8).toarray()
-        eps = 1e-7
-        for k in range(grid.n_dof):
-            e = np.zeros(grid.n_dof)
-            e[k] = eps
-            fp, fm = f.copy(), f.copy()
-            fp[grid.interior] += e
-            fm[grid.interior] -= e
-            col = (solver.mc_residual(fp, grid, field, 0.8)
-                   - solver.mc_residual(fm, grid, field, 0.8))[grid.interior] / (2 * eps)
-            assert np.max(np.abs(J[:, k] - col)) <= 1e-6 * max(1.0, np.abs(col).max())
+        f[grid.interior] = 0.4 * rng.standard_normal(grid.n_dof)
+        for t in (0.0, 0.7, 1.0):
+            res = solver.mc_residual(f, grid, field, t)
+            assert np.array_equal(res, _lattice_residual(f, grid, field, t))
+            J = solver._assemble_jacobian(grid, f, field, t)
+            ref = _lattice_jacobian(grid, f, field, t)
+            assert np.array_equal(J.indptr, ref.indptr)
+            assert np.array_equal(J.indices, ref.indices)
+            assert np.array_equal(J.data, ref.data)
+        _, dval, Dx, Dy = _lattice_edge_data(grid, f)
+        cut_slopes = [np.abs(dval[d][grid.interior & ~grid.nbr[d]])
+                      for d in ("E", "W", "N", "S")]
+        expected = (np.max(np.sqrt(Dx**2 + Dy**2)[grid.interior]),
+                    max(s.max() for s in cut_slopes if s.size))
+        assert solver._gradient_diagnostics(
+            grid.plan, f[grid.interior]) == expected
+
+    def test_plan_is_freed_with_its_grid(self):
+        # the plan keeps no reference to its grid, so no cycle outlives
+        # the last reference to the grid
+        grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 0.1)
+        solver.mc_residual(np.zeros(grid.shape), grid, H_ZERO)
+        assert "plan" in vars(grid)
+        ref = weakref.ref(grid)
+        del grid
+        assert ref() is None
 
 
 class TestNewton:
