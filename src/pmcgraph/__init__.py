@@ -23,6 +23,7 @@ from .conditions import (
     check_volume_smallness,
     nonexistence_height_bound,
     unit_ball_volume,
+    verify_gradient_bound_inputs,
 )
 from .geometry import (
     Annulus,
@@ -47,7 +48,6 @@ from .solver import (
     mc_residual,
     newton_solve,
     radial_shoot,
-    verify_gradient_bound_inputs,
 )
 from .verify import (
     EstimateReport,

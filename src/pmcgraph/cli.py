@@ -204,7 +204,8 @@ def cmd_solve(args):
                      sol.sup_norm, 1e-12)
     except (NoAdmissibleConstantError, ParameterError):
         m_slab = max(sol.sup_norm, 1.0)
-    ginputs = solver.verify_gradient_bound_inputs(field, m_slab, domain=domain)
+    ginputs = conditions.verify_gradient_bound_inputs(field, m_slab,
+                                                      domain=domain)
     extra["gradient_hypotheses"] = ginputs.as_dict()
     solver.write_solution_report(sol, outcome.trace, out / "solve_report.json",
                                  extra=extra)

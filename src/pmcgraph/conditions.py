@@ -204,6 +204,55 @@ def sample_field_bounds(field, points, z_values):
     return h_sup0, h0, min_hz
 
 
+@dataclass(frozen=True)
+class GradientBoundInputs:
+    """Sampled hypothesis data for the global gradient estimate.
+
+    ``h0`` bounds |H| + |grad H| on the slab |z| <= M and ``monotone_ok``
+    records whether the sampled dH/dz stayed nonnegative; both are
+    informational and attached to solve reports.
+    """
+
+    h0: float
+    monotone_ok: bool
+    min_hz: float
+    slab_height: float
+
+    def as_dict(self):
+        return {"h0": self.h0, "monotone_ok": self.monotone_ok,
+                "min_hz": self.min_hz, "slab_height": self.slab_height}
+
+
+def domain_sample_points(domain, target=400):
+    """About ``target`` points of a lattice over the bounding box, those
+    inside the domain: where fields are sampled."""
+    xmin, ymin, xmax, ymax = domain.bbox()
+    side = int(math.ceil(math.sqrt(target)))
+    xs = np.linspace(xmin, xmax, side + 2)[1:-1]
+    ys = np.linspace(ymin, ymax, side + 2)[1:-1]
+    X, Y = np.meshgrid(xs, ys)
+    pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
+    inside = domain.contains(pts)
+    if not inside.any():
+        raise ParameterError("no sample points fall inside the domain")
+    return pts[inside]
+
+
+def verify_gradient_bound_inputs(hfield, M, domain=None, points=None,
+                                 num_z=21):
+    """Sample the slab |z| <= M to bound |H| + |grad H| and check dH/dz >= 0."""
+    if M <= 0.0:
+        raise ParameterError("slab height M must be positive")
+    if points is None:
+        if domain is None:
+            raise ParameterError("pass a domain or explicit sample points")
+        points = domain_sample_points(domain)
+    zs = np.linspace(-float(M), float(M), int(num_z))
+    _, h0, min_hz = sample_field_bounds(hfield, points, zs)
+    return GradientBoundInputs(h0=h0, monotone_ok=min_hz >= -1e-12,
+                               min_hz=min_hz, slab_height=float(M))
+
+
 def check_annulus_smallness(dim, r, d, h_sup0):
     """Strict smallness of h against 2 (2r)^(n-1) / ((2r+d)^n - (2r)^n).
 

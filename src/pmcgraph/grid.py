@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import ParameterError
 from .geometry import GridMask
@@ -369,6 +370,47 @@ def interpolate_values_cubic(grid, values, points):
             stencil_ok &= grid.interior[jj, ii]
         val = val + wyb * row
     return np.where(ok & stencil_ok, val, np.nan)
+
+
+def bilinear_prolongation(coarse, fine):
+    """Bilinear interpolation from coarse to fine interior dofs, sparse.
+
+    The fine lattice must nest in the coarse one at half its spacing, as
+    :func:`grid_from_domain` builds them for spacings ``h`` and ``h / 2``.
+    Row ``k`` holds the weights of fine dof ``k`` on the coarse corners of
+    its lattice cell: 1 at a coinciding node, 1/2 on a coarse edge and
+    1/4 at a cell centre.  Corners that are not coarse interior nodes get
+    weight 0.  The matrix is built from index arrays and keeps no
+    reference to either grid.
+    """
+    if fine.spacing * 2.0 != coarse.spacing:
+        raise ParameterError("the fine spacing must be half the coarse one")
+    # the fine origin's offset from the coarse one, in fine cells
+    offset = [(f - c) / fine.spacing
+              for f, c in zip(fine.origin, coarse.origin)]
+    if any(abs(o - round(o)) > 1e-6 for o in offset):
+        raise ParameterError("the fine lattice does not nest in the coarse one")
+    oy, ox = round(offset[1]), round(offset[0])
+    jj, ii = np.nonzero(fine.interior)
+    py, px = jj + oy, ii + ox  # fine node positions from the coarse origin
+    odd_y, odd_x = py % 2, px % 2
+    rows, cols, weights = [], [], []
+    ny, nx = coarse.shape
+    for dj in (0, 1):
+        wy = np.where(odd_y == 1, 0.5, 1.0 - dj)
+        for di in (0, 1):
+            w = wy * np.where(odd_x == 1, 0.5, 1.0 - di)
+            cj, ci = py // 2 + dj, px // 2 + di
+            keep = (w > 0.0) & (cj >= 0) & (cj < ny) & (ci >= 0) & (ci < nx)
+            k = np.flatnonzero(keep)
+            col = coarse.index[cj[k], ci[k]]
+            inner = col >= 0
+            rows.append(k[inner])
+            cols.append(col[inner])
+            weights.append(w[k[inner]])
+    return csr_matrix(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(fine.n_dof, coarse.n_dof))
 
 
 def interpolate_values(grid, values, points):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-# Rows per tolist() call in write_csv's float-array path.
+# Rows per tolist() call in write_csv's float-array path and lattice_rows.
 _CSV_BLOCK = 1024
 
 
@@ -60,7 +60,8 @@ def write_csv(path, header, rows):
     A 2-D float array takes a fast path: ``tolist`` yields Python floats,
     whose ``repr`` is exactly what :func:`format_value` writes, so the
     bytes are the same.  It converts blocks of rows, so the Python floats
-    of a large array never all exist at once.
+    of a large array never all exist at once.  A row that is a string is
+    written as it stands: the caller has already joined its fields.
     """
     lines = [",".join(header)]
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
@@ -68,5 +69,26 @@ def write_csv(path, header, rows):
             block = rows[i:i + _CSV_BLOCK].tolist()
             lines.extend(",".join(map(repr, row)) for row in block)
     else:
-        lines.extend(",".join(format_value(v) for v in row) for row in rows)
+        lines.extend(row if isinstance(row, str)
+                     else ",".join(format_value(v) for v in row)
+                     for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def lattice_rows(xs, ys, jj, ii, values):
+    """Rows ``x,y,value`` of lattice nodes, formatted as :func:`write_csv`
+    formats floats, made lazily a block at a time.
+
+    Node ``k`` lies at column ``ii[k]`` and row ``jj[k]`` of a lattice with
+    column coordinates ``xs`` and row coordinates ``ys``, so each
+    coordinate is formatted once and only the values take a ``repr`` per
+    node.
+    """
+    xs = np.array([repr(x) for x in np.asarray(xs, dtype=float).tolist()],
+                  dtype=object)
+    ys = np.array([repr(y) for y in np.asarray(ys, dtype=float).tolist()],
+                  dtype=object)
+    for k in range(0, len(values), _CSV_BLOCK):
+        block = slice(k, k + _CSV_BLOCK)
+        yield from map(",".join, zip(xs[ii[block]], ys[jj[block]],
+                                     map(repr, values[block].tolist())))

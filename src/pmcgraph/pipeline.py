@@ -19,7 +19,8 @@ from scipy.spatial import Delaunay
 from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
 from .errors import ParameterError, SolverError, UnsupportedDomainError
-from .grid import grid_from_domain, interpolate_values_cubic, shift
+from .grid import (bilinear_prolongation, grid_from_domain,
+                   interpolate_values_cubic, shift)
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
 #: every radius; large values approach the strip-bound limit
@@ -69,7 +70,7 @@ def sampled_h_sup0(field, domain, target=600):
     """
     if field.is_constant:
         return abs(field.constant)
-    pts = solver._domain_sample_points(domain, target=target)
+    pts = conditions.domain_sample_points(domain, target=target)
     sampled = float(np.max(np.abs(field.eval(pts, np.zeros(len(pts))))))
     if field.h_sup0 is not None:
         return max(float(field.h_sup0), sampled)
@@ -107,7 +108,7 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
         monotone_ok = True
     else:
         # a claimed monotone flag must survive the sampled verification
-        pts = solver._domain_sample_points(domain)
+        pts = conditions.domain_sample_points(domain)
         _, _, min_hz = conditions.sample_field_bounds(
             field, pts, np.linspace(z_range[0], z_range[1], 9))
         sampled_ok = min_hz >= -1e-12
@@ -209,31 +210,36 @@ def refine_solve(coarse, domain, field, spacing, *, tol=1e-10, schedule=None,
                  max_iters=40):
     """Solve on a finer grid, starting Newton at t = 1 from a coarse solution.
 
-    The coarse solution is carried onto the fine nodes by
-    :func:`prolongate` (cubic convolution in the interior, piecewise-linear
-    over a triangulated band next to the boundary, where the fine grid's
-    own boundary crossings carry the Dirichlet values) and one Newton
-    solve at the full problem finishes the job, with one LU factor reused
-    across its steps.  The trace is a single step at t = 1.  If that
-    Newton solve fails, the full fine homotopy runs instead, so refinement
-    succeeds wherever a direct fine continuation does.  ``verify_domain``
-    uses the same Newton-or-homotopy step from a zero start on its coarse
-    grid.
+    The fine grid must be the coarse one's at half the spacing.  The
+    coarse solution is carried onto the fine nodes by :func:`prolongate`
+    (cubic convolution in the interior, piecewise-linear over a
+    triangulated band next to the boundary, where the fine grid's own
+    boundary crossings carry the Dirichlet values) and one Newton solve at
+    the full problem finishes the job.  Its linear solves are GMRES
+    preconditioned by a two-grid cycle on the coarse grid
+    (:class:`pmcgraph.solver.TwoGridSolver`): the Galerkin coarse operator
+    is factored once, and the fine Jacobian is factored only if GMRES
+    fails.  The trace is a single step at t = 1, whose ``factorizations``
+    counts the coarse factor.  If that Newton solve fails, the full fine
+    homotopy runs instead, so refinement succeeds wherever a direct fine
+    continuation does.  ``verify_domain`` uses the same Newton-or-homotopy
+    step from a zero start on its coarse grid, with a
+    :class:`pmcgraph.solver.FactorOnceSolver`.
     """
     grid = grid_from_domain(domain, spacing)
     initial = np.zeros(grid.shape)
     initial[grid.interior] = prolongate(coarse, grid)
-    return _newton_from(grid, field, initial, tol=tol, schedule=schedule,
-                        max_iters=max_iters)
+    linsolve = solver.TwoGridSolver(bilinear_prolongation(coarse.grid, grid))
+    return _newton_from(grid, field, initial, linsolve, tol=tol,
+                        schedule=schedule, max_iters=max_iters)
 
 
-def _newton_from(grid, field, initial, *, tol, schedule, max_iters):
-    """Newton at t = 1 from ``initial``, or the grid's homotopy if it fails.
+def _newton_from(grid, field, initial, linsolve, *, tol, schedule, max_iters):
+    """Newton at t = 1 from ``initial`` with the linear solver ``linsolve``,
+    or the grid's homotopy if it fails.
 
-    One LU factor is reused across the Newton steps, and the trace is a
-    single step at t = 1.
+    The trace is a single step at t = 1.
     """
-    linsolve = solver.FactorOnceSolver()
     try:
         solution = solver.newton_solve(grid, field, t_homotopy=1.0,
                                        initial=initial, tol=tol,
@@ -299,7 +305,8 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     if not _has_interior_block(grid):
         raise ParameterError("no common interpolation points for the estimate")
     if field.monotone:
-        coarse = _newton_from(grid, field, None, **settings)
+        coarse = _newton_from(grid, field, None, solver.FactorOnceSolver(),
+                              **settings)
     else:
         solution, trace = solver.continuation_solve(grid, field, **settings)
         coarse = SolveOutcome(solution=solution, trace=trace, grid=grid)
@@ -318,7 +325,8 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
                      fine.solution.sup_norm, 1e-12)
     else:
         m_slab = max(fine.solution.sup_norm, 1.0)
-    ginputs = solver.verify_gradient_bound_inputs(field, m_slab, domain=domain)
+    ginputs = conditions.verify_gradient_bound_inputs(field, m_slab,
+                                                      domain=domain)
 
     return VerifyOutcome(solution=fine.solution, trace=fine.trace, fit=fit,
                          profile=profile, report=report, error_estimate=est,

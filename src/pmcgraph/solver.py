@@ -18,12 +18,17 @@ by the half-sum of opposite arm lengths.  Cut arms next to the boundary
 use their fractional length and the Dirichlet value at the true crossing
 point, which is what keeps the scheme second order on curved domains.
 
-Linear solves factor once per grid: the first Newton step of a homotopy
-factors its Jacobian with SuperLU and solves directly, and every later
-Newton step, at the same or a later t, runs GMRES preconditioned by that
-LU factor (:class:`FactorOnceSolver`).  The factor is renewed only when
-GMRES fails or needs many iterations, because the Jacobian drifts slowly
-along the homotopy and an old factor stays a good preconditioner.
+Linear solves come in two kinds.  On a grid solved by itself (a
+homotopy, or Newton from zero) the first Newton step factors its Jacobian
+with SuperLU and solves directly, and every later Newton step, at the
+same or a later t, runs GMRES preconditioned by that LU factor
+(:class:`FactorOnceSolver`).  The factor is renewed only when GMRES fails
+or needs many iterations, because the Jacobian drifts slowly along the
+homotopy and an old factor stays a good preconditioner.  On a grid refined
+from a solved coarser one, every Newton step runs GMRES preconditioned by
+a two-grid cycle whose coarse operator is factored once
+(:class:`TwoGridSolver`), so the fine Jacobian is factored only if GMRES
+fails.
 
 The residual and the analytic Jacobian run on vectors of interior values
 through the grid's :class:`pmcgraph.grid.StencilPlan` (neighbour indices,
@@ -42,7 +47,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import linalg as sparse_linalg
 
-from . import barrier, conditions
+from . import barrier
 from .errors import (
     ContinuationFailureError,
     LineSearchStallError,
@@ -52,7 +57,7 @@ from .errors import (
 )
 from .grid import (DIRECTIONS, OFFSETS, STENCIL_OFFSETS,
                    interpolate_values_cubic, shift)
-from .ioutil import dump_json, write_csv
+from .ioutil import dump_json, lattice_rows, write_csv
 
 #: graph dimension of the planar grid problem
 GRID_DIM = 2
@@ -71,6 +76,13 @@ _KRYLOV_MAXITER = 5
 # next step; along a smooth homotopy the count creeps from 4 to about 11
 # per solve, while a Newton start far from the factored point needs 20+
 _KRYLOV_REFACTOR_ITERS = 2 * _KRYLOV_RESTART
+# the two-grid cycle's GMRES: scipy keeps restart + 1 basis vectors, so
+# the restart is the smallest that holds a whole solve in one cycle; on
+# Annulus(1, 2), H = -0.3, solves took 14 iterations at 1/64 and 17 at
+# 1/128 (13-16 on a pentagon and on the annulus at 1/32)
+_TWO_GRID_RESTART = 17
+# damping of the two-grid cycle's Jacobi sweeps
+_JACOBI_WEIGHT = 0.8
 
 
 # sign of the primary slope per direction: E and N arms point along +x/+y
@@ -229,6 +241,25 @@ def _assemble_jacobian(grid, f, hfield, t_homotopy):
                       shape=(n, n))
 
 
+def _splu(A):
+    """SuperLU factor of a sparse matrix, with the scheme's ordering."""
+    try:
+        return sparse_linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystemError(f"sparse factorization failed: {exc}")
+
+
+def _gmres(J, rhs, precond, restart):
+    """Preconditioned GMRES; returns ``(x, iters, converged)``."""
+    residuals = []  # one entry per inner iteration
+    x, info = sparse_linalg.gmres(
+        J, rhs, rtol=_KRYLOV_RTOL, atol=0.0, restart=restart,
+        maxiter=_KRYLOV_MAXITER, M=precond, callback=residuals.append,
+        callback_type="pr_norm")
+    return x, len(residuals), info == 0 and bool(np.all(np.isfinite(x)))
+
+
 class FactorOnceSolver:
     """Newton linear solves that reuse one sparse LU factor.
 
@@ -253,12 +284,7 @@ class FactorOnceSolver:
         # new one is allocated, so two factors never coexist
         self._lu = self._precond = None
         self._stale = True
-        try:
-            self._lu = sparse_linalg.splu(
-                J.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SingularSystemError(f"sparse factorization failed: {exc}")
+        self._lu = _splu(J)
         self._precond = sparse_linalg.LinearOperator(J.shape,
                                                      matvec=self._lu.solve)
         self._stale = False
@@ -273,16 +299,61 @@ class FactorOnceSolver:
         """
         iters = 0
         if krylov and not self._stale:
-            residuals = []  # one entry per inner iteration
-            x, info = sparse_linalg.gmres(
-                J, rhs, rtol=_KRYLOV_RTOL, atol=0.0,
-                restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
-                M=self._precond, callback=residuals.append,
-                callback_type="pr_norm")
-            iters = len(residuals)
+            x, iters, converged = _gmres(J, rhs, self._precond,
+                                         _KRYLOV_RESTART)
             self.krylov_iters += iters
-            if info == 0 and np.all(np.isfinite(x)):
+            if converged:
                 self._stale = iters > _KRYLOV_REFACTOR_ITERS
+                return x, iters, False
+        self._factor(J)
+        return self._lu.solve(rhs), iters, True
+
+
+class TwoGridSolver(FactorOnceSolver):
+    """Newton linear solves on a fine grid, preconditioned from a coarse one.
+
+    ``prolongation`` is the sparse bilinear interpolation ``P`` from the
+    coarse grid's interior dofs to the fine grid's
+    (:func:`pmcgraph.grid.bilinear_prolongation`).  The first solve factors
+    the Galerkin coarse operator ``P^T J P`` once; every solve then runs
+    GMRES on the fine ``J``, preconditioned by a two-grid cycle: one
+    damped-Jacobi sweep, the coarse correction through that factor, and
+    one more sweep.  The fine Jacobian is factored only as the fallback,
+    when GMRES fails or ``krylov`` is false, and ``factored`` is true
+    exactly then.  ``factorizations`` counts every sparse LU, the coarse
+    one included.
+    """
+
+    def __init__(self, prolongation):
+        super().__init__()
+        self._prolong = prolongation
+        self._restrict = prolongation.T.tocsr()
+        self._coarse_lu = None
+
+    def _cycle(self, J):
+        weight = _JACOBI_WEIGHT / J.diagonal()
+        prolong, restrict, coarse_lu = (self._prolong, self._restrict,
+                                        self._coarse_lu)
+
+        def apply(r):
+            x = weight * r
+            x += prolong @ coarse_lu.solve(restrict @ (r - J @ x))
+            x += weight * (r - J @ x)
+            return x
+
+        return sparse_linalg.LinearOperator(J.shape, matvec=apply)
+
+    def solve(self, J, rhs, krylov=True):
+        """Solve ``J x = rhs``; returns ``(x, krylov_iters, factored)``."""
+        iters = 0
+        if krylov:
+            if self._coarse_lu is None:
+                self._coarse_lu = _splu(self._restrict @ J @ self._prolong)
+                self.factorizations += 1
+            x, iters, converged = _gmres(J, rhs, self._cycle(J),
+                                         _TWO_GRID_RESTART)
+            self.krylov_iters += iters
+            if converged:
                 return x, iters, False
         self._factor(J)
         return self._lu.solve(rhs), iters, True
@@ -331,10 +402,18 @@ class GridSolution:
         return rep
 
     def write_csv(self, path):
-        mask = self.grid.interior
-        rows = np.column_stack([self.grid.X[mask], self.grid.Y[mask],
-                                self.values[mask]])
-        write_csv(path, ["x", "y", "f"], rows)
+        """Interior nodes as ``x,y,f`` rows in dof order, with the bytes
+        :func:`pmcgraph.ioutil.write_csv` writes for the float rows.
+
+        Lattice coordinates repeat along rows and columns (``X == X[0]``
+        and ``Y == Y[:, :1]`` exactly), so :func:`lattice_rows` formats
+        each x and y once.
+        """
+        grid = self.grid
+        jj, ii = np.nonzero(grid.interior)
+        write_csv(path, ["x", "y", "f"],
+                  lattice_rows(grid.X[0], grid.Y[:, 0], jj, ii,
+                               self.values[jj, ii]))
 
 
 def _finish_solution(grid, f, hfield, t, iters):
@@ -364,9 +443,10 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
 
     The analytic Jacobian of the discrete operator is assembled each step
     and handed to ``linsolve``, a :class:`FactorOnceSolver` (a fresh one
-    when omitted).  Its first solve factors the Jacobian; later steps run
-    LU-preconditioned GMRES, and after one GMRES failure the rest of this
-    run factors every step directly.  Backtracking halves the step until
+    when omitted) or a :class:`TwoGridSolver`.  A :class:`FactorOnceSolver`
+    factors the Jacobian at its first solve and runs LU-preconditioned
+    GMRES at later steps; after one GMRES failure the rest of this run
+    factors every step directly.  Backtracking halves the step until
     the residual 2-norm decreases (floor 2^-20).  Raises on
     nonconvergence, line-search stall and singular linear systems,
     carrying the iterate trace: one dict per accepted step with the
@@ -678,56 +758,6 @@ def radial_shoot(dim, h, epsilon, outer, tol=1e-10, table_points=1001):
         k=c - h * epsilon**dim, table=np.column_stack([ts, ps]),
         sup_p=float(ps.max()), p_outer=p_mid,
         radicand_min=float(radicand.min()), c_interval=interval)
-
-
-# ----------------------------------------------------------------------
-# gradient-estimate hypothesis sampling
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GradientBoundInputs:
-    """Sampled hypothesis data for the global gradient estimate.
-
-    ``h0`` bounds |H| + |grad H| on the slab |z| <= M and ``monotone_ok``
-    records whether the sampled dH/dz stayed nonnegative; both are
-    informational and attached to solve reports.
-    """
-
-    h0: float
-    monotone_ok: bool
-    min_hz: float
-    slab_height: float
-
-    def as_dict(self):
-        return {"h0": self.h0, "monotone_ok": self.monotone_ok,
-                "min_hz": self.min_hz, "slab_height": self.slab_height}
-
-
-def _domain_sample_points(domain, target=400):
-    xmin, ymin, xmax, ymax = domain.bbox()
-    side = int(math.ceil(math.sqrt(target)))
-    xs = np.linspace(xmin, xmax, side + 2)[1:-1]
-    ys = np.linspace(ymin, ymax, side + 2)[1:-1]
-    X, Y = np.meshgrid(xs, ys)
-    pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
-    inside = domain.contains(pts)
-    if not inside.any():
-        raise ParameterError("no sample points fall inside the domain")
-    return pts[inside]
-
-
-def verify_gradient_bound_inputs(hfield, M, domain=None, points=None, num_z=21):
-    """Sample the slab |z| <= M to bound |H| + |grad H| and check dH/dz >= 0."""
-    if M <= 0.0:
-        raise ParameterError("slab height M must be positive")
-    if points is None:
-        if domain is None:
-            raise ParameterError("pass a domain or explicit sample points")
-        points = _domain_sample_points(domain)
-    zs = np.linspace(-float(M), float(M), int(num_z))
-    _, h0, min_hz = conditions.sample_field_bounds(hfield, points, zs)
-    return GradientBoundInputs(h0=h0, monotone_ok=min_hz >= -1e-12,
-                               min_hz=min_hz, slab_height=float(M))
 
 
 def write_solution_report(solution, trace, path, extra=None):

@@ -309,6 +309,32 @@ class TestTwoGridVerify:
         assert newton == [] and homotopies == []
 
 
+class TestVerifySymmetries:
+    """Exact symmetries of the discrete scheme, through the whole verify
+    path: the coarse Newton solve, the prolongation and the two-grid
+    Newton-Krylov solve on the fine grid."""
+
+    DOMAIN = geometry.Annulus(1.0, 2.0)
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        outcome = pipeline.verify_domain(
+            self.DOMAIN, CurvatureField.from_constant(-0.3), 1.0 / 16)
+        return outcome.solution.values
+
+    def test_curvature_sign_flips_the_solution_bitwise(self, values):
+        # the residual is odd and the Jacobian even under (f, H) -> (-f, -H)
+        flipped = pipeline.verify_domain(
+            self.DOMAIN, CurvatureField.from_constant(0.3), 1.0 / 16)
+        assert np.array_equal(flipped.solution.values, -values)
+
+    def test_reflection_and_transposition(self, values):
+        # the lattice is symmetric about both axes and the diagonal, but
+        # the stencil sums in a fixed order, so these hold to roundoff
+        assert np.max(np.abs(values[:, ::-1] - values)) <= 1e-15
+        assert np.max(np.abs(values.T - values)) <= 1e-15
+
+
 class TestBitmapVerify:
     def test_mask_domain_has_no_refinement(self):
         n = 21

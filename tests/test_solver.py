@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import weakref
@@ -7,18 +8,32 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 
-from pmcgraph import barrier, geometry, pipeline, solver
+from pmcgraph import barrier, conditions, geometry, pipeline, solver
 from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import (
     ContinuationFailureError,
     ParameterError,
     SolverError,
 )
-from pmcgraph.grid import OFFSETS, grid_from_domain, interpolate_values, shift
+from pmcgraph.grid import (OFFSETS, bilinear_prolongation, grid_from_domain,
+                           interpolate_values, shift)
+from pmcgraph.ioutil import write_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 H_ZERO = CurvatureField.from_constant(0.0)
+
+PENTAGON = geometry.ConvexPolygon(
+    [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)])
+
+
+def table_field():
+    return pipeline.curvature_from_json({
+        "table": {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.25, 2.5],
+                  "values": [[-0.30, -0.22, -0.30],
+                             [-0.25, -0.15, -0.25],
+                             [-0.20, -0.28, -0.20]]},
+        "z_slope": 0.1})
 
 
 class FactorEveryStep(solver.FactorOnceSolver):
@@ -212,13 +227,10 @@ def _lattice_jacobian(grid, f, hfield, t_homotopy):
 
 
 class TestStencilPlan:
-    PENTAGON = geometry.ConvexPolygon(
-        [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)])
-
     @pytest.mark.parametrize("case", ["pentagon", "annulus"])
     def test_kernels_match_lattice_reference(self, case):
         if case == "pentagon":
-            grid = grid_from_domain(self.PENTAGON, 0.07,
+            grid = grid_from_domain(PENTAGON, 0.07,
                                     boundary=pipeline.boundary_from_json(
                                         {"linear": [0.2, -0.1, 0.05]}))
             field = CurvatureField(
@@ -288,6 +300,141 @@ class TestNewton:
         grid = grid_from_domain(geometry.Disc(1.0), 0.2)
         with pytest.raises(ParameterError):
             solver.newton_solve(grid, H_ZERO, tol=0.0)
+
+
+def spy_splu(monkeypatch):
+    """Record the order of every sparse LU factorization."""
+    sizes = []
+    real = solver.sparse_linalg.splu
+
+    def recorded(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver.sparse_linalg, "splu", recorded)
+    return sizes
+
+
+class TestTwoGridSolver:
+    ANNULUS = geometry.Annulus(1.0, 2.0)
+    FIELD = CurvatureField.from_constant(-0.3)
+
+    def test_prolongation_reproduces_bilinear_functions(self):
+        coarse = grid_from_domain(self.ANNULUS, 1.0 / 8)
+        fine = grid_from_domain(self.ANNULUS, 1.0 / 16)
+        P = bilinear_prolongation(coarse, fine)
+        assert P.shape == (fine.n_dof, coarse.n_dof)
+
+        def bilinear(points):
+            x, y = points[:, 0], points[:, 1]
+            return 0.3 - 0.7 * x + 1.1 * y + 0.5 * x * y
+
+        got = P @ bilinear(coarse.interior_points())
+        # the lower-left corner of each fine node's coarse cell; a node on
+        # a coarse line or at a coarse node lies in that cell's closure
+        x0, y0 = coarse.origin
+        pts = fine.interior_points()
+        i0 = np.floor((pts[:, 0] - x0) / coarse.spacing + 1e-9).astype(int)
+        j0 = np.floor((pts[:, 1] - y0) / coarse.spacing + 1e-9).astype(int)
+        parents = (coarse.interior[j0, i0] & coarse.interior[j0, i0 + 1]
+                   & coarse.interior[j0 + 1, i0]
+                   & coarse.interior[j0 + 1, i0 + 1])
+        assert parents.sum() > 0.8 * fine.n_dof
+        assert np.max(np.abs(got - bilinear(pts))[parents]) <= 1e-13
+
+    def test_prolongation_needs_nested_lattices(self):
+        coarse = grid_from_domain(self.ANNULUS, 1.0 / 8)
+        with pytest.raises(ParameterError, match="half the coarse"):
+            bilinear_prolongation(
+                coarse, grid_from_domain(self.ANNULUS, 1.0 / 12))
+        shifted = geometry.ConvexPolygon(
+            [(0.01, 0), (1, 0), (1, 1), (0.01, 1)])
+        square = geometry.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(ParameterError, match="does not nest"):
+            bilinear_prolongation(grid_from_domain(square, 0.1),
+                                  grid_from_domain(shifted, 0.05))
+
+    @pytest.mark.parametrize("case", ["annulus", "pentagon"])
+    def test_refine_matches_factor_once_newton(self, case):
+        if case == "annulus":
+            domain, field = self.ANNULUS, self.FIELD
+        else:
+            domain, field = PENTAGON, table_field()
+        coarse = pipeline.solve_domain(domain, field, 1.0 / 16)
+        refined = pipeline.refine_solve(coarse, domain, field, 1.0 / 32)
+        grid = grid_from_domain(domain, 1.0 / 32)
+        initial = np.zeros(grid.shape)
+        initial[grid.interior] = pipeline.prolongate(coarse, grid)
+        reference = solver.newton_solve(grid, field, initial=initial,
+                                        linsolve=solver.FactorOnceSolver())
+        diff = np.max(np.abs(refined.solution.values - reference.values))
+        assert diff <= 1e-12
+        assert refined.solution.newton_iters == reference.newton_iters
+        (step,) = refined.trace.steps
+        assert step.factorizations == 1 and step.krylov_iters > 0
+
+    def test_verify_factors_no_fine_matrix(self, monkeypatch):
+        sizes = spy_splu(monkeypatch)
+        outcome = pipeline.verify_domain(self.ANNULUS, self.FIELD, 1.0 / 16)
+        n_coarse = grid_from_domain(self.ANNULUS, 1.0 / 16).n_dof
+        # the coarse grid's own factor, then the Galerkin operator's
+        assert sizes == [n_coarse, n_coarse]
+        assert outcome.solution.grid.n_dof > n_coarse
+
+    def test_gmres_failure_factors_the_fine_jacobian(self, monkeypatch):
+        coarse = pipeline.solve_domain(self.ANNULUS, self.FIELD, 1.0 / 16)
+        fine_n = grid_from_domain(self.ANNULUS, 1.0 / 32).n_dof
+        real = solver.sparse_linalg.gmres
+        failed = []
+
+        def fail_first(A, b, **kwargs):
+            x, info = real(A, b, **kwargs)
+            if not failed:
+                failed.append(A.shape[0])
+                return x, 1
+            return x, info
+
+        monkeypatch.setattr(solver.sparse_linalg, "gmres", fail_first)
+        sizes = spy_splu(monkeypatch)
+        refined = pipeline.refine_solve(coarse, self.ANNULUS, self.FIELD,
+                                        1.0 / 32)
+        assert failed == [fine_n]
+        # the Galerkin factor, then one fine factor per Newton step
+        (step,) = refined.trace.steps
+        assert step.t == 1.0
+        assert sizes == [coarse.grid.n_dof] + [fine_n] * step.newton_iters
+        assert step.factorizations == len(sizes)
+        assert refined.solution.residual_inf <= 1e-10
+
+    def test_grids_are_freed_while_the_solver_lives(self):
+        coarse = grid_from_domain(self.ANNULUS, 1.0 / 8)
+        fine = grid_from_domain(self.ANNULUS, 1.0 / 16)
+        linsolve = solver.TwoGridSolver(bilinear_prolongation(coarse, fine))
+        solver.newton_solve(fine, self.FIELD, linsolve=linsolve)
+        assert linsolve.factorizations == 1
+        refs = [weakref.ref(coarse), weakref.ref(fine)]
+        gc.disable()
+        try:
+            del coarse, fine
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
+class TestSolutionCsv:
+    def test_bytes_match_the_generic_writer(self, tmp_path):
+        grid = grid_from_domain(PENTAGON, 0.07,
+                                boundary=pipeline.boundary_from_json(
+                                    {"linear": [0.2, -0.1, 0.05]}))
+        sol = solver.newton_solve(grid, table_field())
+        assert (~grid.nbr["E"] & grid.interior).any()  # cut arms
+        sol.write_csv(tmp_path / "lattice.csv")
+        mask = grid.interior
+        write_csv(tmp_path / "rows.csv", ["x", "y", "f"],
+                  np.column_stack([grid.X[mask], grid.Y[mask],
+                                   sol.values[mask]]))
+        assert ((tmp_path / "lattice.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
 
 
 class TestAnnulusReferenceSolve:
@@ -452,15 +599,15 @@ class TestGradientBoundInputs:
     def test_linear_in_height(self):
         field = CurvatureField(lambda p, z: np.asarray(z, dtype=float),
                                monotone=True)
-        out = solver.verify_gradient_bound_inputs(field, 1.0,
-                                                  domain=geometry.Disc(1.0))
+        out = conditions.verify_gradient_bound_inputs(
+            field, 1.0, domain=geometry.Disc(1.0))
         assert out.h0 == pytest.approx(2.0, rel=1e-6)
         assert out.monotone_ok
 
     def test_constant(self):
         field = CurvatureField.from_constant(-0.7)
-        out = solver.verify_gradient_bound_inputs(field, 2.0,
-                                                  domain=geometry.Disc(1.0))
+        out = conditions.verify_gradient_bound_inputs(
+            field, 2.0, domain=geometry.Disc(1.0))
         assert out.h0 == pytest.approx(0.7, abs=1e-12)
         assert out.monotone_ok
 
@@ -469,23 +616,16 @@ class TestGradientBoundInputs:
 
         field = CurvatureField(lambda p, z: _blowup_curvature(
             np.asarray(z, dtype=float), 0.1))
-        out = solver.verify_gradient_bound_inputs(field, 1.0,
-                                                  domain=geometry.Disc(1.0))
+        out = conditions.verify_gradient_bound_inputs(
+            field, 1.0, domain=geometry.Disc(1.0))
         assert not out.monotone_ok
         assert out.min_hz < 0.0
 
     def test_tabulated_field_matches_slab_loop(self):
         # the sampling loop this function used before it delegated to
         # conditions.sample_field_bounds, kept as the bit-exact reference
-        field = pipeline.curvature_from_json({
-            "table": {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.25, 2.5],
-                      "values": [[-0.30, -0.22, -0.30],
-                                 [-0.25, -0.15, -0.25],
-                                 [-0.20, -0.28, -0.20]]},
-            "z_slope": 0.1})
-        domain = geometry.ConvexPolygon(
-            [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)])
-        points = solver._domain_sample_points(domain)
+        field, domain = table_field(), PENTAGON
+        points = conditions.domain_sample_points(domain)
         h0, min_hz = 0.0, math.inf
         for z in np.linspace(-0.4, 0.4, 21):
             zz = np.full(points.shape[:-1], float(z))
@@ -493,7 +633,8 @@ class TestGradientBoundInputs:
             gnorm = np.sqrt(np.sum(gx**2, axis=-1) + gz**2)
             h0 = max(h0, float(np.max(np.abs(field.eval(points, zz)) + gnorm)))
             min_hz = min(min_hz, float(np.min(gz)))
-        out = solver.verify_gradient_bound_inputs(field, 0.4, domain=domain)
+        out = conditions.verify_gradient_bound_inputs(field, 0.4,
+                                                      domain=domain)
         assert out.as_dict() == {"h0": h0, "monotone_ok": min_hz >= -1e-12,
                                  "min_hz": min_hz, "slab_height": 0.4}
 
