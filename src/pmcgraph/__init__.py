@@ -43,6 +43,7 @@ from .solver import (
     ContinuationTrace,
     GridSolution,
     RadialShootResult,
+    SolveOutcome,
     angular_asymmetry,
     continuation_solve,
     mc_residual,
@@ -64,7 +65,7 @@ __all__ = [
     "Annulus", "AnnulusFit", "CheckResult", "ConditionReport",
     "ContinuationTrace", "ConvexPolygon", "CurvatureField", "Disc",
     "EstimateReport", "GridMask", "GridSolution", "MaskedGrid",
-    "NodoidProfile", "RadialShootResult", "angular_asymmetry",
+    "NodoidProfile", "RadialShootResult", "SolveOutcome", "angular_asymmetry",
     "annulus_fit", "annulus_height_bound", "apex", "barrier_constants",
     "boundary_mean_curvature", "check_annulus_smallness",
     "check_boundary_gradient", "check_height_estimate",

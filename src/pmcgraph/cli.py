@@ -195,18 +195,10 @@ def cmd_solve(args):
         return EXIT_INDETERMINATE
     sol = outcome.solution
     sol.write_csv(out / "solution.csv")
-    extra = {"status": "converged"}
-    try:
-        h_sup0 = pipeline.sampled_h_sup0(field, domain)
-        fit, profile = pipeline.barrier_for_domain(
-            domain, h_sup0, annulus_r=cfg.get("annulus_r"))
-        m_slab = max(barrier.barrier_constants(profile, outer=fit.r + fit.d)[0],
-                     sol.sup_norm, 1e-12)
-    except (NoAdmissibleConstantError, ParameterError):
-        m_slab = max(sol.sup_norm, 1.0)
-    ginputs = conditions.verify_gradient_bound_inputs(field, m_slab,
-                                                      domain=domain)
-    extra["gradient_hypotheses"] = ginputs.as_dict()
+    ginputs = pipeline.gradient_hypotheses(domain, field, sol,
+                                           annulus_r=cfg.get("annulus_r"))
+    extra = {"status": "converged",
+             "gradient_hypotheses": ginputs.as_dict()}
     solver.write_solution_report(sol, outcome.trace, out / "solve_report.json",
                                  extra=extra)
     print(f"converged: residual_inf={sol.residual_inf!r} "

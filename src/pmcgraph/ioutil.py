@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-# Rows per tolist() call in write_csv's float-array path and lattice_rows.
+# Rows per tolist() call in lattice_rows.
 _CSV_BLOCK = 1024
 
 
@@ -57,21 +57,13 @@ def format_value(x):
 def write_csv(path, header, rows):
     """Write rows of scalars with a fixed header line.
 
-    A 2-D float array takes a fast path: ``tolist`` yields Python floats,
-    whose ``repr`` is exactly what :func:`format_value` writes, so the
-    bytes are the same.  It converts blocks of rows, so the Python floats
-    of a large array never all exist at once.  A row that is a string is
-    written as it stands: the caller has already joined its fields.
+    A row that is a string is written as it stands: the caller has already
+    joined its fields.
     """
     lines = [",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        for i in range(0, len(rows), _CSV_BLOCK):
-            block = rows[i:i + _CSV_BLOCK].tolist()
-            lines.extend(",".join(map(repr, row)) for row in block)
-    else:
-        lines.extend(row if isinstance(row, str)
-                     else ",".join(format_value(v) for v in row)
-                     for row in rows)
+    lines.extend(row if isinstance(row, str)
+                 else ",".join(format_value(v) for v in row)
+                 for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

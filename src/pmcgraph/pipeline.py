@@ -18,7 +18,8 @@ from scipy.spatial import Delaunay
 
 from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
-from .errors import ParameterError, SolverError, UnsupportedDomainError
+from .errors import (NoAdmissibleConstantError, ParameterError, SolverError,
+                     UnsupportedDomainError)
 from .grid import (bilinear_prolongation, grid_from_domain,
                    interpolate_values_cubic, shift)
 
@@ -145,20 +146,37 @@ def barrier_for_domain(domain, h_sup0, *, dim=GRID_DIM, annulus_r=None):
     return fit, profile
 
 
-@dataclass
-class SolveOutcome:
-    solution: object
-    trace: object
-    grid: object
+def gradient_hypotheses(domain, field, solution, *, annulus_r=None,
+                        fitted=None):
+    """Gradient-bound hypotheses for a solved domain
+    (:func:`pmcgraph.conditions.verify_gradient_bound_inputs`), sampled over
+    the slab ``|z| <= M``.
+
+    When the domain admits a barrier, ``M`` is the larger of its height
+    ``C1`` at the annulus fit's outer radius and ``sup|f|``; otherwise it
+    is ``max(sup|f|, 1)``.  ``fitted`` is the ``(fit, profile)`` pair of
+    :func:`barrier_for_domain` when the caller already has it.  ``solve``
+    and ``verify`` both report these.
+    """
+    try:
+        fit, profile = fitted or barrier_for_domain(
+            domain, sampled_h_sup0(field, domain), annulus_r=annulus_r)
+        c1 = barrier.barrier_constants(profile, outer=fit.r + fit.d)[0]
+    except (NoAdmissibleConstantError, ParameterError):
+        m_slab = max(solution.sup_norm, 1.0)
+    else:
+        m_slab = max(c1, solution.sup_norm, 1e-12)
+    return conditions.verify_gradient_bound_inputs(field, m_slab,
+                                                   domain=domain)
 
 
 def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
                  schedule=None, max_iters=40):
-    """Rasterize and run the homotopy solve."""
+    """Rasterize and run the homotopy solve; returns a
+    :class:`pmcgraph.solver.SolveOutcome`."""
     grid = grid_from_domain(domain, spacing, boundary=boundary)
-    solution, trace = solver.continuation_solve(
-        grid, field, schedule=schedule, tol=tol, max_iters=max_iters)
-    return SolveOutcome(solution=solution, trace=trace, grid=grid)
+    return solver.continuation_solve(grid, field, schedule=schedule, tol=tol,
+                                     max_iters=max_iters)
 
 
 def _band_nodes(grid):
@@ -175,10 +193,11 @@ def _band_linear(coarse, grid, points):
     """Piecewise-linear interpolation over the coarse boundary band and the
     fine grid's boundary crossings with their Dirichlet values; NaN outside
     the triangulation."""
-    band = _band_nodes(coarse.grid)
+    coarse_grid = coarse.solution.grid
+    band = _band_nodes(coarse_grid)
     crossings, gvals = grid.boundary_data()
     nodes = np.vstack([
-        np.column_stack([coarse.grid.X[band], coarse.grid.Y[band]]), crossings])
+        np.column_stack([coarse_grid.X[band], coarse_grid.Y[band]]), crossings])
     values = np.concatenate([coarse.solution.values[band], gvals])
     # the row and the column through any fine interior node end in
     # crossings on both sides, so the nodes never lie on one line
@@ -199,24 +218,26 @@ def prolongate(coarse, grid):
     anything still undefined by 0.
     """
     pts = grid.interior_points()
-    values = interpolate_values_cubic(coarse.grid, coarse.solution.values, pts)
+    values = interpolate_values_cubic(coarse.solution.grid,
+                                      coarse.solution.values, pts)
     gap = np.isnan(values)
     if gap.any():
         values[gap] = _band_linear(coarse, grid, pts[gap])
     return np.nan_to_num(values, nan=0.0)
 
 
-def refine_solve(coarse, domain, field, spacing, *, tol=1e-10, schedule=None,
-                 max_iters=40):
-    """Solve on a finer grid, starting Newton at t = 1 from a coarse solution.
+def refine_solve(coarse, field, *, tol=1e-10, schedule=None, max_iters=40):
+    """Solve at half the coarse spacing, starting Newton at t = 1 from a
+    coarse solution.
 
-    The fine grid must be the coarse one's at half the spacing.  The
-    coarse solution is carried onto the fine nodes by :func:`prolongate`
-    (cubic convolution in the interior, piecewise-linear over a
-    triangulated band next to the boundary, where the fine grid's own
-    boundary crossings carry the Dirichlet values) and one Newton solve at
-    the full problem finishes the job.  Its linear solves are GMRES
-    preconditioned by a two-grid cycle on the coarse grid
+    ``coarse`` is a :class:`pmcgraph.solver.SolveOutcome` on a
+    zero-boundary grid; the fine grid is its domain's grid at half its
+    spacing.  The coarse solution is carried onto the fine nodes by
+    :func:`prolongate` (cubic convolution in the interior,
+    piecewise-linear over a triangulated band next to the boundary, where
+    the fine grid's own boundary crossings carry the Dirichlet values) and
+    one Newton solve at the full problem finishes the job.  Its linear
+    solves are GMRES preconditioned by a two-grid cycle on the coarse grid
     (:class:`pmcgraph.solver.TwoGridSolver`): the Galerkin coarse operator
     is factored once, and the fine Jacobian is factored only if GMRES
     fails.  The trace is a single step at t = 1, whose ``factorizations``
@@ -226,32 +247,33 @@ def refine_solve(coarse, domain, field, spacing, *, tol=1e-10, schedule=None,
     step from a zero start on its coarse grid, with a
     :class:`pmcgraph.solver.FactorOnceSolver`.
     """
-    grid = grid_from_domain(domain, spacing)
+    coarse_grid = coarse.solution.grid
+    grid = grid_from_domain(coarse_grid.domain, 0.5 * coarse_grid.spacing)
     initial = np.zeros(grid.shape)
     initial[grid.interior] = prolongate(coarse, grid)
-    linsolve = solver.TwoGridSolver(bilinear_prolongation(coarse.grid, grid))
+    linsolve = solver.TwoGridSolver(bilinear_prolongation(coarse_grid, grid))
     return _newton_from(grid, field, initial, linsolve, tol=tol,
                         schedule=schedule, max_iters=max_iters)
 
 
 def _newton_from(grid, field, initial, linsolve, *, tol, schedule, max_iters):
     """Newton at t = 1 from ``initial`` with the linear solver ``linsolve``,
-    or the grid's homotopy if it fails.
+    or the grid's homotopy if it fails; returns a
+    :class:`pmcgraph.solver.SolveOutcome`.
 
-    The trace is a single step at t = 1.
+    After a successful Newton solve the trace is a single step at t = 1.
     """
     try:
         solution = solver.newton_solve(grid, field, t_homotopy=1.0,
                                        initial=initial, tol=tol,
                                        max_iters=max_iters, linsolve=linsolve)
     except SolverError:
-        solution, trace = solver.continuation_solve(
-            grid, field, schedule=schedule, tol=tol, max_iters=max_iters)
-        return SolveOutcome(solution=solution, trace=trace, grid=grid)
+        return solver.continuation_solve(grid, field, schedule=schedule,
+                                         tol=tol, max_iters=max_iters)
     step = solver.ContinuationStep.from_solution(
         solution, linsolve.factorizations, linsolve.krylov_iters)
-    return SolveOutcome(solution=solution,
-                        trace=solver.ContinuationTrace(steps=[step]), grid=grid)
+    return solver.SolveOutcome(solution,
+                               solver.ContinuationTrace(steps=[step]))
 
 
 @dataclass
@@ -308,25 +330,18 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
         coarse = _newton_from(grid, field, None, solver.FactorOnceSolver(),
                               **settings)
     else:
-        solution, trace = solver.continuation_solve(grid, field, **settings)
-        coarse = SolveOutcome(solution=solution, trace=trace, grid=grid)
-    fine = refine_solve(coarse, domain, field, 0.5 * spacing, **settings)
+        coarse = solver.continuation_solve(grid, field, **settings)
+    fine = refine_solve(coarse, field, **settings)
 
-    pts = coarse.grid.interior_points()
+    pts = grid.interior_points()
     est = verify.richardson_error_estimate(coarse.solution, fine.solution, pts)
     slack = SLACK_FACTOR * est
 
     h_sup0 = sampled_h_sup0(field, domain)
     fit, profile = barrier_for_domain(domain, h_sup0, annulus_r=annulus_r)
     report = verify.estimate_report(fine.solution, profile, fit, slack)
-
-    if profile.h > 0.0:
-        m_slab = max(barrier.barrier_constants(profile, outer=fit.r + fit.d)[0],
-                     fine.solution.sup_norm, 1e-12)
-    else:
-        m_slab = max(fine.solution.sup_norm, 1.0)
-    ginputs = conditions.verify_gradient_bound_inputs(field, m_slab,
-                                                      domain=domain)
+    ginputs = gradient_hypotheses(domain, field, fine.solution,
+                                  fitted=(fit, profile))
 
     return VerifyOutcome(solution=fine.solution, trace=fine.trace, fit=fit,
                          profile=profile, report=report, error_estimate=est,

@@ -18,15 +18,15 @@ by the half-sum of opposite arm lengths.  Cut arms next to the boundary
 use their fractional length and the Dirichlet value at the true crossing
 point, which is what keeps the scheme second order on curved domains.
 
-Linear solves come in two kinds.  On a grid solved by itself (a
-homotopy, or Newton from zero) the first Newton step factors its Jacobian
-with SuperLU and solves directly, and every later Newton step, at the
-same or a later t, runs GMRES preconditioned by that LU factor
-(:class:`FactorOnceSolver`).  The factor is renewed only when GMRES fails
-or needs many iterations, because the Jacobian drifts slowly along the
-homotopy and an old factor stays a good preconditioner.  On a grid refined
-from a solved coarser one, every Newton step runs GMRES preconditioned by
-a two-grid cycle whose coarse operator is factored once
+Linear solves come in two kinds, with one GMRES setting and one refactor
+rule.  On a grid solved by itself (a homotopy, or Newton from zero) the
+first Newton step factors its Jacobian with SuperLU and solves directly,
+and every later Newton step, at the same or a later t, runs GMRES
+preconditioned by that LU factor (:class:`FactorOnceSolver`).  The
+Jacobian drifts slowly along the homotopy and an old factor stays a good
+preconditioner, so the factor is renewed only when GMRES fails.  On a
+grid refined from a solved coarser one, every Newton step runs GMRES
+preconditioned by a two-grid cycle whose coarse operator is factored once
 (:class:`TwoGridSolver`), so the fine Jacobian is factored only if GMRES
 fails.
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -66,21 +67,16 @@ _LINE_SEARCH_FLOOR = 2.0 ** -20
 _DEFAULT_SCHEDULE_STEPS = 11
 _DT_MIN = 1e-3
 
-# GMRES preconditioned by a reused LU factor: the Newton update is solved
-# to near machine precision, so Newton iteration counts match a direct
-# solve; a short restart keeps the Krylov basis (and peak memory) small
+# GMRES, preconditioned by a reused LU factor or by the two-grid cycle:
+# the Newton update is solved to near machine precision, so Newton
+# iteration counts match a direct solve.  scipy keeps restart + 1 basis
+# vectors, so the restart is the smallest that holds a whole two-grid solve
+# in one cycle: on Annulus(1, 2), H = -0.3, those took 14 iterations at
+# 1/64 and 17 at 1/128 (13-16 on a pentagon and on the annulus at 1/32),
+# while LU-preconditioned solves along a homotopy take about 4 to 11
 _KRYLOV_RTOL = 1e-12
-_KRYLOV_RESTART = 10
-_KRYLOV_MAXITER = 5
-# a solve that needed more than two restart cycles refactors before the
-# next step; along a smooth homotopy the count creeps from 4 to about 11
-# per solve, while a Newton start far from the factored point needs 20+
-_KRYLOV_REFACTOR_ITERS = 2 * _KRYLOV_RESTART
-# the two-grid cycle's GMRES: scipy keeps restart + 1 basis vectors, so
-# the restart is the smallest that holds a whole solve in one cycle; on
-# Annulus(1, 2), H = -0.3, solves took 14 iterations at 1/64 and 17 at
-# 1/128 (13-16 on a pentagon and on the annulus at 1/32)
-_TWO_GRID_RESTART = 17
+_KRYLOV_RESTART = 17
+_KRYLOV_MAXITER = 3
 # damping of the two-grid cycle's Jacobi sweeps
 _JACOBI_WEIGHT = 0.8
 
@@ -250,11 +246,11 @@ def _splu(A):
         raise SingularSystemError(f"sparse factorization failed: {exc}")
 
 
-def _gmres(J, rhs, precond, restart):
+def _gmres(J, rhs, precond):
     """Preconditioned GMRES; returns ``(x, iters, converged)``."""
     residuals = []  # one entry per inner iteration
     x, info = sparse_linalg.gmres(
-        J, rhs, rtol=_KRYLOV_RTOL, atol=0.0, restart=restart,
+        J, rhs, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART,
         maxiter=_KRYLOV_MAXITER, M=precond, callback=residuals.append,
         callback_type="pr_norm")
     return x, len(residuals), info == 0 and bool(np.all(np.isfinite(x)))
@@ -265,30 +261,16 @@ class FactorOnceSolver:
 
     One instance belongs to one homotopy (or one standalone Newton solve)
     on one grid.  The first solve factors the Jacobian and solves directly;
-    later solves run GMRES with the stored factor as preconditioner.  A
-    solve refactors when GMRES fails or returns a non-finite update, and
-    the next solve refactors when this one needed more than
-    ``_KRYLOV_REFACTOR_ITERS`` inner iterations.  ``factorizations`` and
-    ``krylov_iters`` count the work done so far.
+    later solves run GMRES with the stored factor as preconditioner.  The
+    factor is renewed only when GMRES fails or returns a non-finite
+    update, and that solve's result comes from the new factor.
+    ``factorizations`` and ``krylov_iters`` count the work done so far.
     """
 
     def __init__(self):
-        self._lu = None
-        self._precond = None
-        self._stale = True
+        self._precond = None  # the factor's solve, as a LinearOperator
         self.factorizations = 0
         self.krylov_iters = 0
-
-    def _factor(self, J):
-        # release the old factor (and the operator holding it) before the
-        # new one is allocated, so two factors never coexist
-        self._lu = self._precond = None
-        self._stale = True
-        self._lu = _splu(J)
-        self._precond = sparse_linalg.LinearOperator(J.shape,
-                                                     matvec=self._lu.solve)
-        self._stale = False
-        self.factorizations += 1
 
     def solve(self, J, rhs, krylov=True):
         """Solve ``J x = rhs``; returns ``(x, krylov_iters, factored)``.
@@ -298,18 +280,21 @@ class FactorOnceSolver:
         with ``krylov_iters > 0`` and ``factored`` true.
         """
         iters = 0
-        if krylov and not self._stale:
-            x, iters, converged = _gmres(J, rhs, self._precond,
-                                         _KRYLOV_RESTART)
+        if krylov and self._precond is not None:
+            x, iters, converged = _gmres(J, rhs, self._precond)
             self.krylov_iters += iters
             if converged:
-                self._stale = iters > _KRYLOV_REFACTOR_ITERS
                 return x, iters, False
-        self._factor(J)
-        return self._lu.solve(rhs), iters, True
+        # release the old factor before the new one is allocated, so two
+        # factors never coexist
+        self._precond = None
+        lu = _splu(J)
+        self._precond = sparse_linalg.LinearOperator(J.shape, matvec=lu.solve)
+        self.factorizations += 1
+        return lu.solve(rhs), iters, True
 
 
-class TwoGridSolver(FactorOnceSolver):
+class TwoGridSolver:
     """Newton linear solves on a fine grid, preconditioned from a coarse one.
 
     ``prolongation`` is the sparse bilinear interpolation ``P`` from the
@@ -318,17 +303,19 @@ class TwoGridSolver(FactorOnceSolver):
     the Galerkin coarse operator ``P^T J P`` once; every solve then runs
     GMRES on the fine ``J``, preconditioned by a two-grid cycle: one
     damped-Jacobi sweep, the coarse correction through that factor, and
-    one more sweep.  The fine Jacobian is factored only as the fallback,
-    when GMRES fails or ``krylov`` is false, and ``factored`` is true
-    exactly then.  ``factorizations`` counts every sparse LU, the coarse
-    one included.
+    one more sweep.  The fine Jacobian is factored, used for that one
+    solve and dropped, only when GMRES fails or ``krylov`` is false, and
+    ``factored`` is true exactly then.  ``factorizations`` counts every
+    sparse LU, the coarse one included; ``krylov_iters`` counts GMRES
+    inner iterations.
     """
 
     def __init__(self, prolongation):
-        super().__init__()
         self._prolong = prolongation
         self._restrict = prolongation.T.tocsr()
         self._coarse_lu = None
+        self.factorizations = 0
+        self.krylov_iters = 0
 
     def _cycle(self, J):
         weight = _JACOBI_WEIGHT / J.diagonal()
@@ -350,13 +337,13 @@ class TwoGridSolver(FactorOnceSolver):
             if self._coarse_lu is None:
                 self._coarse_lu = _splu(self._restrict @ J @ self._prolong)
                 self.factorizations += 1
-            x, iters, converged = _gmres(J, rhs, self._cycle(J),
-                                         _TWO_GRID_RESTART)
+            x, iters, converged = _gmres(J, rhs, self._cycle(J))
             self.krylov_iters += iters
             if converged:
                 return x, iters, False
-        self._factor(J)
-        return self._lu.solve(rhs), iters, True
+        lu = _splu(J)
+        self.factorizations += 1
+        return lu.solve(rhs), iters, True
 
 
 def _gradient_diagnostics(plan, x):
@@ -445,8 +432,8 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     and handed to ``linsolve``, a :class:`FactorOnceSolver` (a fresh one
     when omitted) or a :class:`TwoGridSolver`.  A :class:`FactorOnceSolver`
     factors the Jacobian at its first solve and runs LU-preconditioned
-    GMRES at later steps; after one GMRES failure the rest of this run
-    factors every step directly.  Backtracking halves the step until
+    GMRES at later steps.  With either solver, after one GMRES failure
+    the rest of this run factors every step directly.  Backtracking halves the step until
     the residual 2-norm decreases (floor 2^-20).  Raises on
     nonconvergence, line-search stall and singular linear systems,
     carrying the iterate trace: one dict per accepted step with the
@@ -477,7 +464,9 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
         J = _assemble_jacobian(grid, f, hfield, t_homotopy)
         delta, k_iters, factored = linsolve.solve(J, -r_vec, krylov=krylov)
         if factored and k_iters:
-            # GMRES failed: factor directly for the rest of this run
+            # GMRES failed: this iterate is far from where the factor was
+            # made, so factor directly for the rest of this run rather
+            # than pay for a failed GMRES before every factorization
             krylov = False
         if not np.all(np.isfinite(delta)):
             raise SingularSystemError("linear solve produced non-finite update",
@@ -545,14 +534,21 @@ class ContinuationTrace:
         return {"steps": [s.as_dict() for s in self.steps]}
 
 
-def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40,
-                       dt_min=_DT_MIN):
+class SolveOutcome(NamedTuple):
+    """A converged grid solution and the trace of the solve that reached
+    it; unpacks as ``solution, trace``."""
+
+    solution: GridSolution
+    trace: ContinuationTrace
+
+
+def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
     """Solve the homotopy family t -> t n H successively, warm-starting.
 
-    The default schedule is 11 uniform steps on [0, 1]; a failed step is
-    bisected until the increment falls below ``dt_min``, at which point a
-    :class:`ContinuationFailureError` reports the stall parameter and the
-    gradient at the last success.  A stall is a numerical statement, not a
+    Returns a :class:`SolveOutcome`.  The default schedule is 11 uniform
+    steps on [0, 1]; a failed step is bisected until the increment falls
+    below 1e-3, at which point a :class:`ContinuationFailureError` reports
+    the stall parameter and the gradient at the last success.  A stall is a numerical statement, not a
     nonexistence proof.
 
     All Newton runs share one :class:`FactorOnceSolver`: the Jacobian is
@@ -591,7 +587,7 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40,
         except (NonconvergenceError, SingularSystemError) as exc:
             base = t_prev if t_prev is not None else 0.0
             dt = t_next - base
-            if 0.5 * dt < dt_min:
+            if 0.5 * dt < _DT_MIN:
                 stall_grad = trace.steps[-1].sup_gradient if trace.steps else 0.0
                 raise ContinuationFailureError(
                     f"continuation stalled at t = {base} "
@@ -609,7 +605,7 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40,
             solution, linsolve.factorizations - counted[0],
             linsolve.krylov_iters - counted[1]))
         counted = (linsolve.factorizations, linsolve.krylov_iters)
-    return solution, trace
+    return SolveOutcome(solution, trace)
 
 
 def angular_asymmetry(solution, radial_extent=None, num_radii=24, num_theta=64):

@@ -16,9 +16,10 @@ def annulus_case():
     coarse = pipeline.solve_domain(domain, field, 1.0 / 32)
     # Newton at t = 1 from the interpolated coarse solution: the same fine
     # solution as the full 1/64 homotopy, to about 6e-16
-    fine = pipeline.refine_solve(coarse, domain, field, 1.0 / 64)
+    fine = pipeline.refine_solve(coarse, field)
     est = verify.richardson_error_estimate(
-        coarse.solution, fine.solution, coarse.grid.interior_points())
+        coarse.solution, fine.solution,
+        coarse.solution.grid.interior_points())
     fit, profile = pipeline.barrier_for_domain(domain, 0.3)
     return {
         "domain": domain,

@@ -433,8 +433,8 @@ class TestExports:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_float_array_csv_bytes(self, tmp_path, dtype):
-        # the float-array fast path against the per-value formatter, over
-        # more rows than one conversion block
+        # a float array, including float32 and non-finite values, against
+        # the per-value formatter
         rng = np.random.default_rng(3)
         spread = rng.normal(size=(2500, 3)) * 10.0 ** rng.integers(-30, 30, (2500, 3))
         rows = np.vstack([[[0.0, -0.0, 1e-300], [np.nan, np.inf, -np.inf],

@@ -147,6 +147,24 @@ class TestSolveAndVerifyCommands:
         verdicts = {c["name"]: c["verdict"] for c in report["checks"]}
         assert set(verdicts.values()) == {"pass"}
 
+    @pytest.mark.parametrize("h", [0.0, -0.3])
+    def test_solve_and_verify_report_the_same_hypotheses(self, tmp_path, h):
+        # one slab rule for both commands: the barrier's height C1 when
+        # the annulus admits a barrier, the catenoid's for H = 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "annulus", "r_in": 1.0, "r_out": 2.0},
+            "curvature": {"constant": h}, "spacing": 0.125}))
+        reports = []
+        for command, name in (("solve", "solve_report.json"),
+                              ("verify", "estimate_report.json")):
+            out = tmp_path / command
+            assert run([command, "--config", cfg, "--out", out]) == 0
+            reports.append(json.loads((out / name).read_text()))
+        solved, verified = (r["gradient_hypotheses"] for r in reports)
+        assert solved == verified
+        assert solved["slab_height"] < 1.0
+
     def test_verify_rejects_bitmap_domain(self, tmp_path, capsys):
         n = 21
         y, x = np.mgrid[0:n, 0:n]

@@ -175,24 +175,23 @@ class TestProlongation:
 
     def test_band_fill_covers_the_cubic_gap(self, levels):
         coarse, fine = levels
-        pts = fine.grid.interior_points()
-        cubic = interpolate_values_cubic(coarse.grid, coarse.solution.values,
-                                         pts)
+        pts = fine.solution.grid.interior_points()
+        cubic = interpolate_values_cubic(coarse.solution.grid,
+                                         coarse.solution.values, pts)
         gap = np.isnan(cubic)
         assert gap.any()
-        fill = pipeline._band_linear(coarse, fine.grid, pts[gap])
+        fill = pipeline._band_linear(coarse, fine.solution.grid, pts[gap])
         assert not np.isnan(fill).any()
 
     def test_start_is_close_to_the_fine_solution(self, levels):
         coarse, fine = levels
-        start = pipeline.prolongate(coarse, fine.grid)
-        exact = fine.solution.values[fine.grid.interior]
+        start = pipeline.prolongate(coarse, fine.solution.grid)
+        exact = fine.solution.values[fine.solution.grid.interior]
         assert np.max(np.abs(start - exact)) <= 1e-3
 
     def test_refine_takes_one_factorization(self, levels):
         coarse, fine = levels
-        refined = pipeline.refine_solve(coarse, self.DOMAIN, self.FIELD,
-                                        1.0 / 32)
+        refined = pipeline.refine_solve(coarse, self.FIELD)
         (step,) = refined.trace.steps
         assert step.t == 1.0
         assert step.newton_iters <= 3

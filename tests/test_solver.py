@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse import coo_matrix
 
 from pmcgraph import barrier, conditions, geometry, pipeline, solver
@@ -302,6 +303,55 @@ class TestNewton:
             solver.newton_solve(grid, H_ZERO, tol=0.0)
 
 
+class TestFactorOnceSolver:
+    """The single refactor rule: a new factor only after a GMRES failure.
+
+    The factored matrix is the identity and the later one is diagonal with
+    eigenvalues spread over [1, 5], so GMRES preconditioned by the old
+    factor needs about 30 inner iterations, and one with an exact factor.
+    """
+
+    N = 200
+
+    def matrices(self):
+        identity = sparse.identity(self.N, format="csr")
+        spread = sparse.diags(np.linspace(1.0, 5.0, self.N)).tocsr()
+        return identity, spread, np.ones(self.N)
+
+    def test_converged_gmres_never_refactors(self):
+        identity, spread, rhs = self.matrices()
+        linsolve = solver.FactorOnceSolver()
+        assert linsolve.solve(identity, rhs)[1:] == (0, True)
+        for _ in range(3):
+            x, iters, factored = linsolve.solve(spread, rhs)
+            assert iters > 20 and not factored
+            assert np.max(np.abs(spread @ x - rhs)) <= 1e-10
+        assert linsolve.factorizations == 1
+
+    def test_gmres_failure_factors_once(self, monkeypatch):
+        identity, spread, rhs = self.matrices()
+        linsolve = solver.FactorOnceSolver()
+        linsolve.solve(identity, rhs)
+        real = solver.sparse_linalg.gmres
+        calls = []
+
+        def fail_first(A, b, **kwargs):
+            x, info = real(A, b, **kwargs)
+            calls.append(info)
+            return (x, 1) if len(calls) == 1 else (x, info)
+
+        monkeypatch.setattr(solver.sparse_linalg, "gmres", fail_first)
+        x, iters, factored = linsolve.solve(spread, rhs)
+        assert iters > 0 and factored
+        assert linsolve.factorizations == 2
+        assert np.max(np.abs(spread @ x - rhs)) <= 1e-12
+        # the next solve runs GMRES on the new, exact factor
+        x, iters, factored = linsolve.solve(spread, 2.0 * rhs)
+        assert (iters, factored) == (1, False)
+        assert linsolve.factorizations == 2 and len(calls) == 2
+        assert np.max(np.abs(spread @ x - 2.0 * rhs)) <= 1e-12
+
+
 def spy_splu(monkeypatch):
     """Record the order of every sparse LU factorization."""
     sizes = []
@@ -361,7 +411,7 @@ class TestTwoGridSolver:
         else:
             domain, field = PENTAGON, table_field()
         coarse = pipeline.solve_domain(domain, field, 1.0 / 16)
-        refined = pipeline.refine_solve(coarse, domain, field, 1.0 / 32)
+        refined = pipeline.refine_solve(coarse, field)
         grid = grid_from_domain(domain, 1.0 / 32)
         initial = np.zeros(grid.shape)
         initial[grid.interior] = pipeline.prolongate(coarse, grid)
@@ -396,13 +446,13 @@ class TestTwoGridSolver:
 
         monkeypatch.setattr(solver.sparse_linalg, "gmres", fail_first)
         sizes = spy_splu(monkeypatch)
-        refined = pipeline.refine_solve(coarse, self.ANNULUS, self.FIELD,
-                                        1.0 / 32)
+        refined = pipeline.refine_solve(coarse, self.FIELD)
         assert failed == [fine_n]
         # the Galerkin factor, then one fine factor per Newton step
         (step,) = refined.trace.steps
         assert step.t == 1.0
-        assert sizes == [coarse.grid.n_dof] + [fine_n] * step.newton_iters
+        assert sizes == ([coarse.solution.grid.n_dof]
+                         + [fine_n] * step.newton_iters)
         assert step.factorizations == len(sizes)
         assert refined.solution.residual_inf <= 1e-10
 
@@ -463,7 +513,8 @@ class TestAnnulusReferenceSolve:
         # uniqueness under nondecreasing H: direct solve and continuation
         # land on the same discrete solution
         coarse = annulus_case["coarse"]
-        direct = solver.newton_solve(coarse.grid, annulus_case["field"])
+        direct = solver.newton_solve(coarse.solution.grid,
+                                     annulus_case["field"])
         diff = np.max(np.abs(direct.values - coarse.solution.values))
         assert diff <= 10.0 * 1e-10
 

@@ -53,7 +53,7 @@ class TestSphericalCapOracle:
 
 class TestHeightEstimate:
     def test_flat_solution_passes(self, annulus_case):
-        grid = annulus_case["coarse"].grid
+        grid = annulus_case["coarse"].solution.grid
         flat = solver.newton_solve(grid, CurvatureField.from_constant(0.0))
         sup_check, point_check = verify.check_height_estimate(
             flat, annulus_case["profile"], annulus_case["fit"], 1e-9)
@@ -86,7 +86,7 @@ class TestHeightEstimate:
 
 class TestBoundaryGradient:
     def test_flat_solution_passes(self, annulus_case):
-        grid = annulus_case["coarse"].grid
+        grid = annulus_case["coarse"].solution.grid
         flat = solver.newton_solve(grid, CurvatureField.from_constant(0.0))
         check = verify.check_boundary_gradient(flat, annulus_case["profile"],
                                                1e-9, outer=2.0)
