@@ -24,6 +24,7 @@ from .errors import (
     NoAdmissibleConstantError,
     ParameterError,
     SolverError,
+    config_key,
 )
 from .ioutil import dump_json, write_csv
 
@@ -161,13 +162,21 @@ def cmd_check(args):
     return report.exit_code()
 
 
+def _schedule(value):
+    return None if value is None else [float(t) for t in value]
+
+
 def _solve_settings(cfg):
-    return {
-        "spacing": float(cfg.get("spacing", 0.05)),
-        "tol": float(cfg.get("tol", 1e-10)),
-        "schedule": cfg.get("schedule"),
-        "max_iters": int(cfg.get("max_iters", 40)),
-    }
+    """Grid spacing, tolerance, homotopy schedule and Newton cap, with
+    their defaults; a malformed value exits 64 naming its key."""
+    settings = {}
+    for key, convert, default in (("spacing", float, 0.05),
+                                  ("tol", float, 1e-10),
+                                  ("schedule", _schedule, None),
+                                  ("max_iters", int, 40)):
+        with config_key(key):
+            settings[key] = convert(cfg[key]) if key in cfg else default
+    return settings
 
 
 def cmd_solve(args):
@@ -211,6 +220,8 @@ def cmd_verify(args):
     cfg = _load_config(args)
     domain, field = _domain_and_field(args, cfg)
     st = _solve_settings(cfg)
+    if pipeline.boundary_from_json(cfg.get("boundary")) not in (None, 0.0):
+        raise ParameterError("verify checks zero-boundary solves only; use solve")
     try:
         outcome = pipeline.verify_domain(
             domain, field, st["spacing"], annulus_r=cfg.get("annulus_r"),

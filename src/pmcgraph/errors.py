@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class ParameterError(ValueError):
     """An input parameter lies outside its admissible range."""
@@ -64,3 +66,17 @@ class ContinuationFailureError(SolverError):
     def __init__(self, message, trace=None, stall_t=0.0, diagnostics=None):
         super().__init__(message, trace=trace, diagnostics=diagnostics)
         self.stall_t = stall_t
+
+
+@contextmanager
+def config_key(key):
+    """Turn a malformed value under the config key ``key`` (a missing entry,
+    a wrong type) into a :class:`ParameterError` that names the key."""
+    try:
+        yield
+    except ParameterError:
+        raise
+    except KeyError as exc:
+        raise ParameterError(f"config {key!r}: missing entry {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"config {key!r}: {exc}") from exc

@@ -27,6 +27,7 @@ from .errors import (
     InfeasibleFitError,
     ParameterError,
     UnsupportedDomainError,
+    config_key,
 )
 from .conditions import unit_ball_volume
 
@@ -643,20 +644,22 @@ def mask_from_pgm(path, cell_size, origin=(0.0, 0.0)):
 
 
 def domain_from_json(spec, base_dir="."):
-    """Build a domain from its JSON description."""
+    """Build a domain from its JSON description; a malformed entry raises
+    ParameterError."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParameterError("domain spec must be an object with a 'kind' key")
     kind = spec["kind"]
-    if kind == "annulus":
-        return Annulus(float(spec["r_in"]), float(spec["r_out"]))
-    if kind == "disc":
-        return Disc(float(spec["radius"]), tuple(spec.get("center", (0.0, 0.0))))
-    if kind == "convex_polygon":
-        return ConvexPolygon(spec["vertices"])
-    if kind == "grid_mask":
-        origin = tuple(spec.get("origin", (0.0, 0.0)))
-        cell = float(spec["cell_size"])
-        if "path" in spec:
-            return mask_from_pgm(Path(base_dir) / spec["path"], cell, origin)
-        return GridMask(np.asarray(spec["bitmap"], dtype=bool), cell, origin)
+    with config_key("domain"):
+        if kind == "annulus":
+            return Annulus(float(spec["r_in"]), float(spec["r_out"]))
+        if kind == "disc":
+            return Disc(float(spec["radius"]), tuple(spec.get("center", (0.0, 0.0))))
+        if kind == "convex_polygon":
+            return ConvexPolygon(spec["vertices"])
+        if kind == "grid_mask":
+            origin = tuple(spec.get("origin", (0.0, 0.0)))
+            cell = float(spec["cell_size"])
+            if "path" in spec:
+                return mask_from_pgm(Path(base_dir) / spec["path"], cell, origin)
+            return GridMask(np.asarray(spec["bitmap"], dtype=bool), cell, origin)
     raise ParameterError(f"unknown domain kind {kind!r}")

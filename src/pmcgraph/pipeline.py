@@ -19,7 +19,7 @@ from scipy.spatial import Delaunay
 from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
 from .errors import (NoAdmissibleConstantError, ParameterError, SolverError,
-                     UnsupportedDomainError)
+                     UnsupportedDomainError, config_key)
 from .grid import (bilinear_prolongation, grid_from_domain,
                    interpolate_values_cubic, shift)
 
@@ -236,22 +236,21 @@ def refine_solve(coarse, field, *, tol=1e-10, schedule=None, max_iters=40):
     :func:`prolongate` (cubic convolution in the interior,
     piecewise-linear over a triangulated band next to the boundary, where
     the fine grid's own boundary crossings carry the Dirichlet values) and
-    one Newton solve at the full problem finishes the job.  Its linear
-    solves are GMRES preconditioned by a two-grid cycle on the coarse grid
-    (:class:`pmcgraph.solver.TwoGridSolver`): the Galerkin coarse operator
-    is factored once, and the fine Jacobian is factored only if GMRES
-    fails.  The trace is a single step at t = 1, whose ``factorizations``
-    counts the coarse factor.  If that Newton solve fails, the full fine
-    homotopy runs instead, so refinement succeeds wherever a direct fine
-    continuation does.  ``verify_domain`` uses the same Newton-or-homotopy
-    step from a zero start on its coarse grid, with a
-    :class:`pmcgraph.solver.FactorOnceSolver`.
+    one Newton solve at the full problem finishes the job, with a
+    :class:`pmcgraph.solver.FactorOnceSolver` given the coarse-to-fine
+    prolongation: its GMRES is preconditioned by a two-grid cycle, so the
+    fine Jacobian is factored only if GMRES fails.  The trace is a single
+    step at t = 1, whose ``factorizations`` counts the coarse factor.  If
+    that Newton solve fails, the full fine homotopy runs instead, so
+    refinement succeeds wherever a direct fine continuation does.
+    ``verify_domain`` uses the same Newton-or-homotopy step from a zero
+    start on its coarse grid, with a solver without prolongation.
     """
     coarse_grid = coarse.solution.grid
     grid = grid_from_domain(coarse_grid.domain, 0.5 * coarse_grid.spacing)
     initial = np.zeros(grid.shape)
     initial[grid.interior] = prolongate(coarse, grid)
-    linsolve = solver.TwoGridSolver(bilinear_prolongation(coarse_grid, grid))
+    linsolve = solver.FactorOnceSolver(bilinear_prolongation(coarse_grid, grid))
     return _newton_from(grid, field, initial, linsolve, tol=tol,
                         schedule=schedule, max_iters=max_iters)
 
@@ -376,53 +375,56 @@ def curvature_from_json(spec):
     Supported forms: {"constant": v} and
     {"table": {"x": [...], "y": [...], "values": [[...]]}, "z_slope": s}
     with bilinear interpolation in x, y (clamped at the table edges) plus
-    an optional linear term in z.
+    an optional linear term in z.  A malformed entry raises ParameterError.
     """
     if not isinstance(spec, dict):
         raise ParameterError("curvature spec must be an object")
-    if "constant" in spec:
-        return CurvatureField.from_constant(float(spec["constant"]))
-    if "table" in spec:
-        tab = spec["table"]
-        xs = np.asarray(tab["x"], dtype=float)
-        ys = np.asarray(tab["y"], dtype=float)
-        vals = np.asarray(tab["values"], dtype=float)
-        if vals.shape != (len(ys), len(xs)):
-            raise ParameterError("table values must have shape (len(y), len(x))")
-        if len(xs) < 2 or len(ys) < 2:
-            raise ParameterError("table needs at least a 2x2 grid")
-        z_slope = float(spec.get("z_slope", 0.0))
+    with config_key("curvature"):
+        if "constant" in spec:
+            return CurvatureField.from_constant(float(spec["constant"]))
+        if "table" in spec:
+            tab = spec["table"]
+            xs = np.asarray(tab["x"], dtype=float)
+            ys = np.asarray(tab["y"], dtype=float)
+            vals = np.asarray(tab["values"], dtype=float)
+            if vals.shape != (len(ys), len(xs)):
+                raise ParameterError("table values must have shape (len(y), len(x))")
+            if len(xs) < 2 or len(ys) < 2:
+                raise ParameterError("table needs at least a 2x2 grid")
+            z_slope = float(spec.get("z_slope", 0.0))
 
-        def interp(points):
-            p = np.asarray(points, dtype=float)
-            fx = np.clip(np.searchsorted(xs, p[..., 0]) - 1, 0, len(xs) - 2)
-            fy = np.clip(np.searchsorted(ys, p[..., 1]) - 1, 0, len(ys) - 2)
-            tx = np.clip((p[..., 0] - xs[fx]) / (xs[fx + 1] - xs[fx]), 0.0, 1.0)
-            ty = np.clip((p[..., 1] - ys[fy]) / (ys[fy + 1] - ys[fy]), 0.0, 1.0)
-            return ((1 - tx) * (1 - ty) * vals[fy, fx]
-                    + tx * (1 - ty) * vals[fy, fx + 1]
-                    + (1 - tx) * ty * vals[fy + 1, fx]
-                    + tx * ty * vals[fy + 1, fx + 1])
+            def interp(points):
+                p = np.asarray(points, dtype=float)
+                fx = np.clip(np.searchsorted(xs, p[..., 0]) - 1, 0, len(xs) - 2)
+                fy = np.clip(np.searchsorted(ys, p[..., 1]) - 1, 0, len(ys) - 2)
+                tx = np.clip((p[..., 0] - xs[fx]) / (xs[fx + 1] - xs[fx]), 0.0, 1.0)
+                ty = np.clip((p[..., 1] - ys[fy]) / (ys[fy + 1] - ys[fy]), 0.0, 1.0)
+                return ((1 - tx) * (1 - ty) * vals[fy, fx]
+                        + tx * (1 - ty) * vals[fy, fx + 1]
+                        + (1 - tx) * ty * vals[fy + 1, fx]
+                        + tx * ty * vals[fy + 1, fx + 1])
 
-        def func(points, z):
-            return interp(points) + z_slope * np.asarray(z, dtype=float)
+            def func(points, z):
+                return interp(points) + z_slope * np.asarray(z, dtype=float)
 
-        return CurvatureField(func, monotone=z_slope >= 0.0,
-                              description="tabulated H(x, y) + z_slope * z")
+            return CurvatureField(func, monotone=z_slope >= 0.0,
+                                  description="tabulated H(x, y) + z_slope * z")
     raise ParameterError("curvature spec needs 'constant' or 'table'")
 
 
 def boundary_from_json(spec):
-    """Dirichlet data from JSON: zero, a constant, or a linear function."""
+    """Dirichlet data from JSON: zero, a constant, or a linear function.
+    A malformed entry raises ParameterError."""
     if spec is None:
         return None
     if isinstance(spec, (int, float)):
         return float(spec)
     if isinstance(spec, dict):
-        if "constant" in spec:
-            return float(spec["constant"])
-        if "linear" in spec:
-            ax, ay, b = (float(v) for v in spec["linear"])
-            return lambda x, y: ax * np.asarray(x) + ay * np.asarray(y) + b
+        with config_key("boundary"):
+            if "constant" in spec:
+                return float(spec["constant"])
+            if "linear" in spec:
+                ax, ay, b = (float(v) for v in spec["linear"])
+                return lambda x, y: ax * np.asarray(x) + ay * np.asarray(y) + b
     raise ParameterError("boundary spec must be a number, {'constant': v} "
                          "or {'linear': [ax, ay, b]}")

@@ -18,17 +18,13 @@ by the half-sum of opposite arm lengths.  Cut arms next to the boundary
 use their fractional length and the Dirichlet value at the true crossing
 point, which is what keeps the scheme second order on curved domains.
 
-Linear solves come in two kinds, with one GMRES setting and one refactor
-rule.  On a grid solved by itself (a homotopy, or Newton from zero) the
-first Newton step factors its Jacobian with SuperLU and solves directly,
-and every later Newton step, at the same or a later t, runs GMRES
-preconditioned by that LU factor (:class:`FactorOnceSolver`).  The
-Jacobian drifts slowly along the homotopy and an old factor stays a good
-preconditioner, so the factor is renewed only when GMRES fails.  On a
-grid refined from a solved coarser one, every Newton step runs GMRES
-preconditioned by a two-grid cycle whose coarse operator is factored once
-(:class:`TwoGridSolver`), so the fine Jacobian is factored only if GMRES
-fails.
+Linear solves have one solver, :class:`FactorOnceSolver`: GMRES with a
+stored preconditioner, and a direct SuperLU solve whose factor becomes
+that preconditioner when there is none yet or GMRES fails.  A grid solved
+by itself (a homotopy, or Newton from zero) thus factors its Jacobian at
+the first Newton step, and that factor preconditions every later step at
+the same or a later t.  A grid refined from a solved coarser one starts
+with a two-grid cycle whose Galerkin coarse operator is factored once.
 
 The residual and the analytic Jacobian run on vectors of interior values
 through the grid's :class:`pmcgraph.grid.StencilPlan` (neighbour indices,
@@ -41,7 +37,7 @@ no state beyond the geometry of their grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -256,71 +252,15 @@ def _gmres(J, rhs, precond):
     return x, len(residuals), info == 0 and bool(np.all(np.isfinite(x)))
 
 
-class FactorOnceSolver:
-    """Newton linear solves that reuse one sparse LU factor.
+def _two_grid(J, prolong):
+    """Factor the Galerkin coarse operator ``P^T J P`` once; returns the
+    map from a fine Jacobian to its two-grid cycle: one damped-Jacobi
+    sweep, the coarse correction through that factor, one more sweep."""
+    restrict = prolong.T.tocsr()
+    coarse_lu = _splu(restrict @ J @ prolong)
 
-    One instance belongs to one homotopy (or one standalone Newton solve)
-    on one grid.  The first solve factors the Jacobian and solves directly;
-    later solves run GMRES with the stored factor as preconditioner.  The
-    factor is renewed only when GMRES fails or returns a non-finite
-    update, and that solve's result comes from the new factor.
-    ``factorizations`` and ``krylov_iters`` count the work done so far.
-    """
-
-    def __init__(self):
-        self._precond = None  # the factor's solve, as a LinearOperator
-        self.factorizations = 0
-        self.krylov_iters = 0
-
-    def solve(self, J, rhs, krylov=True):
-        """Solve ``J x = rhs``; returns ``(x, krylov_iters, factored)``.
-
-        ``krylov=False`` skips GMRES and factors ``J`` directly.  When
-        GMRES was tried and failed, the result comes from a fresh factor
-        with ``krylov_iters > 0`` and ``factored`` true.
-        """
-        iters = 0
-        if krylov and self._precond is not None:
-            x, iters, converged = _gmres(J, rhs, self._precond)
-            self.krylov_iters += iters
-            if converged:
-                return x, iters, False
-        # release the old factor before the new one is allocated, so two
-        # factors never coexist
-        self._precond = None
-        lu = _splu(J)
-        self._precond = sparse_linalg.LinearOperator(J.shape, matvec=lu.solve)
-        self.factorizations += 1
-        return lu.solve(rhs), iters, True
-
-
-class TwoGridSolver:
-    """Newton linear solves on a fine grid, preconditioned from a coarse one.
-
-    ``prolongation`` is the sparse bilinear interpolation ``P`` from the
-    coarse grid's interior dofs to the fine grid's
-    (:func:`pmcgraph.grid.bilinear_prolongation`).  The first solve factors
-    the Galerkin coarse operator ``P^T J P`` once; every solve then runs
-    GMRES on the fine ``J``, preconditioned by a two-grid cycle: one
-    damped-Jacobi sweep, the coarse correction through that factor, and
-    one more sweep.  The fine Jacobian is factored, used for that one
-    solve and dropped, only when GMRES fails or ``krylov`` is false, and
-    ``factored`` is true exactly then.  ``factorizations`` counts every
-    sparse LU, the coarse one included; ``krylov_iters`` counts GMRES
-    inner iterations.
-    """
-
-    def __init__(self, prolongation):
-        self._prolong = prolongation
-        self._restrict = prolongation.T.tocsr()
-        self._coarse_lu = None
-        self.factorizations = 0
-        self.krylov_iters = 0
-
-    def _cycle(self, J):
+    def cycle(J):
         weight = _JACOBI_WEIGHT / J.diagonal()
-        prolong, restrict, coarse_lu = (self._prolong, self._restrict,
-                                        self._coarse_lu)
 
         def apply(r):
             x = weight * r
@@ -330,18 +270,50 @@ class TwoGridSolver:
 
         return sparse_linalg.LinearOperator(J.shape, matvec=apply)
 
+    return cycle
+
+
+class FactorOnceSolver:
+    """Newton linear solves on one grid: GMRES with a stored preconditioner.
+
+    One instance serves one homotopy (or one Newton solve).  It keeps a
+    map from a Jacobian to its preconditioner.  With ``prolongation`` ``P``
+    from a solved coarser grid (:func:`pmcgraph.grid.bilinear_prolongation`),
+    the first solve factors ``P^T J P`` and the map gives the two-grid
+    cycle.  ``J`` is factored, and that solve is direct, when there is no
+    preconditioner yet, GMRES fails, or ``krylov`` is false; the new LU
+    then becomes the preconditioner.  ``factorizations`` counts every
+    sparse LU and ``krylov_iters`` every GMRES inner iteration.
+    """
+
+    def __init__(self, prolongation=None):
+        # the preconditioner closures hold factors and P, never ``self``,
+        # so a solver is freed by reference counting alone
+        self._prolong = prolongation
+        self._precond = None  # Jacobian -> preconditioner LinearOperator
+        self.factorizations = 0
+        self.krylov_iters = 0
+
     def solve(self, J, rhs, krylov=True):
-        """Solve ``J x = rhs``; returns ``(x, krylov_iters, factored)``."""
+        """Solve ``J x = rhs``; returns ``(x, krylov_iters, factored)``,
+        with ``factored`` true when ``J`` was factored for this solve."""
         iters = 0
         if krylov:
-            if self._coarse_lu is None:
-                self._coarse_lu = _splu(self._restrict @ J @ self._prolong)
+            if self._precond is None and self._prolong is not None:
+                self._precond = _two_grid(J, self._prolong)
+                self._prolong = None
                 self.factorizations += 1
-            x, iters, converged = _gmres(J, rhs, self._cycle(J))
-            self.krylov_iters += iters
-            if converged:
-                return x, iters, False
+            if self._precond is not None:
+                x, iters, converged = _gmres(J, rhs, self._precond(J))
+                self.krylov_iters += iters
+                if converged:
+                    return x, iters, False
+        # release the old preconditioner before the new factor is
+        # allocated, so two factors never coexist
+        self._precond = None
         lu = _splu(J)
+        op = sparse_linalg.LinearOperator(J.shape, matvec=lu.solve)
+        self._precond = lambda J: op
         self.factorizations += 1
         return lu.solve(rhs), iters, True
 
@@ -429,12 +401,10 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     """Damped Newton iteration for the discrete problem at fixed t.
 
     The analytic Jacobian of the discrete operator is assembled each step
-    and handed to ``linsolve``, a :class:`FactorOnceSolver` (a fresh one
-    when omitted) or a :class:`TwoGridSolver`.  A :class:`FactorOnceSolver`
-    factors the Jacobian at its first solve and runs LU-preconditioned
-    GMRES at later steps.  With either solver, after one GMRES failure
-    the rest of this run factors every step directly.  Backtracking halves the step until
-    the residual 2-norm decreases (floor 2^-20).  Raises on
+    and handed to ``linsolve``, a :class:`FactorOnceSolver` (a fresh one,
+    without prolongation, when omitted).  After one GMRES failure the rest
+    of this run factors every step directly.  Backtracking halves the step
+    until the residual 2-norm decreases (floor 2^-20).  Raises on
     nonconvergence, line-search stall and singular linear systems,
     carrying the iterate trace: one dict per accepted step with the
     residual sup norm, step length, GMRES iterations and whether the
@@ -511,11 +481,7 @@ class ContinuationStep:
     krylov_iters: int
 
     def as_dict(self):
-        return {"t": self.t, "newton_iters": self.newton_iters,
-                "final_residual": self.final_residual,
-                "sup_norm": self.sup_norm, "sup_gradient": self.sup_gradient,
-                "factorizations": self.factorizations,
-                "krylov_iters": self.krylov_iters}
+        return asdict(self)
 
     @classmethod
     def from_solution(cls, solution, factorizations, krylov_iters):
@@ -548,8 +514,8 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
     Returns a :class:`SolveOutcome`.  The default schedule is 11 uniform
     steps on [0, 1]; a failed step is bisected until the increment falls
     below 1e-3, at which point a :class:`ContinuationFailureError` reports
-    the stall parameter and the gradient at the last success.  A stall is a numerical statement, not a
-    nonexistence proof.
+    the stall parameter and the gradient at the last success.  A stall is
+    a numerical statement, not a nonexistence proof.
 
     All Newton runs share one :class:`FactorOnceSolver`: the Jacobian is
     factored at the first Newton step of the homotopy and that LU

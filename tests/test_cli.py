@@ -8,6 +8,10 @@ import pytest
 from pmcgraph.cli import main
 
 
+ANNULUS_EIGHTH = {"domain": {"kind": "annulus", "r_in": 1.0, "r_out": 2.0},
+                  "curvature": {"constant": -0.3}, "spacing": 1.0 / 8}
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -178,6 +182,46 @@ class TestSolveAndVerifyCommands:
         assert run(["verify", "--config", cfg, "--out", out]) == 64
         assert "no refinement" in capsys.readouterr().err
         assert not (out / "estimate_report.json").exists()
+
+    @pytest.mark.parametrize("boundary", [
+        0.5, {"constant": 0.5}, {"linear": [0.1, 0.0, 0.0]}])
+    def test_verify_rejects_nonzero_boundary(self, tmp_path, capsys,
+                                             boundary):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**ANNULUS_EIGHTH, "boundary": boundary}))
+        out = tmp_path / "verify"
+        assert run(["verify", "--config", cfg, "--out", out]) == 64
+        assert "zero-boundary" in capsys.readouterr().err
+        assert not (out / "estimate_report.json").exists()
+
+    def test_verify_accepts_zero_boundary(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**ANNULUS_EIGHTH,
+                                   "boundary": {"constant": 0}}))
+        out = tmp_path / "verify"
+        assert run(["verify", "--config", cfg, "--out", out]) == 0
+        assert (out / "estimate_report.json").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"schedule": 0.5}, "config 'schedule'"),
+        ({"spacing": "fine"}, "config 'spacing'"),
+        ({"max_iters": None}, "config 'max_iters'"),
+        ({"schedule": [0, "half", 1]}, "config 'schedule'"),
+        ({"domain": {"kind": "annulus", "r_in": 1.0}},
+         "config 'domain': missing entry 'r_out'"),
+        ({"curvature": {"constant": "big"}}, "config 'curvature'"),
+        ({"boundary": {"linear": [1, 2]}}, "config 'boundary'"),
+    ], ids=["schedule-number", "spacing-string", "max-iters-null",
+            "schedule-string-entry", "annulus-without-r-out",
+            "curvature-string", "boundary-short-linear"])
+    def test_malformed_values_exit_64(self, tmp_path, capsys, override,
+                                      message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**ANNULUS_EIGHTH, **override}))
+        out = tmp_path / "solve"
+        assert run(["solve", "--config", cfg, "--out", out]) == 64
+        assert message in capsys.readouterr().err
+        assert not (out / "solve_report.json").exists()
 
     def test_minimal_surface_on_square(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import coo_matrix
 
@@ -456,19 +457,70 @@ class TestTwoGridSolver:
         assert step.factorizations == len(sizes)
         assert refined.solution.residual_inf <= 1e-10
 
-    def test_grids_are_freed_while_the_solver_lives(self):
+    def test_grids_are_freed_while_the_solver_lives(self, monkeypatch):
         coarse = grid_from_domain(self.ANNULUS, 1.0 / 8)
         fine = grid_from_domain(self.ANNULUS, 1.0 / 16)
-        linsolve = solver.TwoGridSolver(bilinear_prolongation(coarse, fine))
+        prolongation = bilinear_prolongation(coarse, fine)
+        linsolve = solver.FactorOnceSolver(prolongation)
         solver.newton_solve(fine, self.FIELD, linsolve=linsolve)
         assert linsolve.factorizations == 1
+        # a second solver whose GMRES fails: the fine factor takes over
+        real = solver.sparse_linalg.gmres
+        monkeypatch.setattr(solver.sparse_linalg, "gmres",
+                            lambda A, b, **kwargs: (real(A, b, **kwargs)[0], 1))
+        failed = solver.FactorOnceSolver(prolongation)
+        iters = solver.newton_solve(fine, self.FIELD,
+                                    linsolve=failed).newton_iters
+        assert failed.factorizations == 1 + iters
         refs = [weakref.ref(coarse), weakref.ref(fine)]
+        solvers = [weakref.ref(linsolve), weakref.ref(failed)]
         gc.disable()
         try:
             del coarse, fine
             assert [ref() for ref in refs] == [None, None]
+            # no reference cycle keeps a solver alive either
+            del linsolve, failed
+            assert [ref() for ref in solvers] == [None, None]
         finally:
             gc.enable()
+
+
+# few examples, with a fixed seed and no example database: each example
+# runs a homotopy
+MONOTONE_EXAMPLES = settings(derandomize=True, database=None, deadline=None,
+                             max_examples=10)
+
+
+class TestNewtonFromZero:
+    """For H nondecreasing in z the discrete solution is unique, so Newton
+    at t = 1 from zero reaches the homotopy's solution; ``verify``'s
+    coarse level rests on this.  Both solve to 1e-12, since at the default
+    1e-10 the two differ by up to about 7e-13."""
+
+    @staticmethod
+    def assert_newton_matches_homotopy(grid, field):
+        newton = solver.newton_solve(grid, field, tol=1e-12)
+        homotopy = solver.continuation_solve(grid, field, tol=1e-12).solution
+        assert np.max(np.abs(newton.values - homotopy.values)) <= 1e-12
+
+    @MONOTONE_EXAMPLES
+    @given(h=st.floats(-0.7, 0.7))
+    def test_constant_field_on_annulus(self, h):
+        grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 8)
+        self.assert_newton_matches_homotopy(
+            grid, CurvatureField.from_constant(h))
+
+    @MONOTONE_EXAMPLES
+    @given(values=st.lists(st.floats(-0.5, 0.5), min_size=9, max_size=9),
+           z_slope=st.floats(0.0, 0.5))
+    def test_table_field_on_pentagon(self, values, z_slope):
+        field = pipeline.curvature_from_json({
+            "table": {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.25, 2.5],
+                      "values": [values[0:3], values[3:6], values[6:9]]},
+            "z_slope": z_slope})
+        assert field.monotone
+        self.assert_newton_matches_homotopy(
+            grid_from_domain(PENTAGON, 1.0 / 8), field)
 
 
 class TestSolutionCsv:
