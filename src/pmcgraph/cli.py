@@ -151,10 +151,10 @@ def cmd_check(args):
     out = _out_dir(args)
     cfg = _load_config(args)
     domain, field = _domain_and_field(args, cfg)
+    st = _settings(cfg, _CHECK_SETTINGS)
     report = pipeline.conditions_for(
         domain, field, dim=cfg.get("dim", args.dim),
-        annulus_r=cfg.get("annulus_r"),
-        boundary_sample_count=cfg.get("samples", 256))
+        annulus_r=st["annulus_r"], boundary_sample_count=st["samples"])
     report.write_json(out / "condition_report.json")
     for c in report.checks:
         print(f"{c.name}: {c.verdict} (bound={c.bound!r}, actual={c.actual!r})")
@@ -166,14 +166,41 @@ def _schedule(value):
     return None if value is None else [float(t) for t in value]
 
 
-def _solve_settings(cfg):
-    """Grid spacing, tolerance, homotopy schedule and Newton cap, with
-    their defaults; a malformed value exits 64 naming its key."""
+def _integer(value):
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _positive(convert):
+    """``convert``, then a check that the value is finite and positive."""
+    def positive(value):
+        value = convert(value)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"must be positive and finite, got {value!r}")
+        return value
+    return positive
+
+
+def _annulus_r(value):
+    return None if value is None else _positive(float)(value)
+
+
+# (config key, converter, default when the key is absent)
+_SOLVE_SETTINGS = (("spacing", float, 0.05),
+                   ("tol", float, 1e-10),
+                   ("schedule", _schedule, None),
+                   ("max_iters", int, 40),
+                   ("annulus_r", _annulus_r, None))
+_CHECK_SETTINGS = (("annulus_r", _annulus_r, None),
+                   ("samples", _positive(_integer), 256))
+
+
+def _settings(cfg, rows):
+    """The settings of ``rows`` read from ``cfg``, each with its default;
+    a malformed value exits 64 naming its key."""
     settings = {}
-    for key, convert, default in (("spacing", float, 0.05),
-                                  ("tol", float, 1e-10),
-                                  ("schedule", _schedule, None),
-                                  ("max_iters", int, 40)):
+    for key, convert, default in rows:
         with config_key(key):
             settings[key] = convert(cfg[key]) if key in cfg else default
     return settings
@@ -183,7 +210,7 @@ def cmd_solve(args):
     out = _out_dir(args)
     cfg = _load_config(args)
     domain, field = _domain_and_field(args, cfg)
-    st = _solve_settings(cfg)
+    st = _settings(cfg, _SOLVE_SETTINGS)
     boundary = pipeline.boundary_from_json(cfg.get("boundary"))
     try:
         outcome = pipeline.solve_domain(
@@ -205,7 +232,7 @@ def cmd_solve(args):
     sol = outcome.solution
     sol.write_csv(out / "solution.csv")
     ginputs = pipeline.gradient_hypotheses(domain, field, sol,
-                                           annulus_r=cfg.get("annulus_r"))
+                                           annulus_r=st["annulus_r"])
     extra = {"status": "converged",
              "gradient_hypotheses": ginputs.as_dict()}
     solver.write_solution_report(sol, outcome.trace, out / "solve_report.json",
@@ -219,12 +246,12 @@ def cmd_verify(args):
     out = _out_dir(args)
     cfg = _load_config(args)
     domain, field = _domain_and_field(args, cfg)
-    st = _solve_settings(cfg)
+    st = _settings(cfg, _SOLVE_SETTINGS)
     if pipeline.boundary_from_json(cfg.get("boundary")) not in (None, 0.0):
         raise ParameterError("verify checks zero-boundary solves only; use solve")
     try:
         outcome = pipeline.verify_domain(
-            domain, field, st["spacing"], annulus_r=cfg.get("annulus_r"),
+            domain, field, st["spacing"], annulus_r=st["annulus_r"],
             tol=st["tol"], schedule=st["schedule"], max_iters=st["max_iters"])
     except ContinuationFailureError as exc:
         dump_json({"status": "continuation-stalled", "stall_t": exc.stall_t,

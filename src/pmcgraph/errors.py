@@ -71,12 +71,13 @@ class ContinuationFailureError(SolverError):
 @contextmanager
 def config_key(key):
     """Turn a malformed value under the config key ``key`` (a missing entry,
-    a wrong type) into a :class:`ParameterError` that names the key."""
+    a wrong type, an infinite integer) into a :class:`ParameterError` that
+    names the key."""
     try:
         yield
     except ParameterError:
         raise
     except KeyError as exc:
         raise ParameterError(f"config {key!r}: missing entry {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"config {key!r}: {exc}") from exc

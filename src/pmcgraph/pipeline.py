@@ -306,7 +306,9 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     spacing, so there is no finer grid to compare with.  So does a domain
     whose grid at ``spacing`` has no 2 x 2 block of interior nodes, since
     the estimate has no common point there; that is decided before any
-    solve.
+    solve.  So is the barrier (:func:`barrier_for_domain`): a curvature
+    with no admissible barrier raises :class:`NoAdmissibleConstantError`
+    at no solve cost.
 
     When ``field.monotone`` holds (H nondecreasing in z) the discrete
     solution is unique by the comparison principle, so the grid at
@@ -325,6 +327,8 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     grid = grid_from_domain(domain, spacing)
     if not _has_interior_block(grid):
         raise ParameterError("no common interpolation points for the estimate")
+    fit, profile = barrier_for_domain(domain, sampled_h_sup0(field, domain),
+                                      annulus_r=annulus_r)
     if field.monotone:
         coarse = _newton_from(grid, field, None, solver.FactorOnceSolver(),
                               **settings)
@@ -336,8 +340,6 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     est = verify.richardson_error_estimate(coarse.solution, fine.solution, pts)
     slack = SLACK_FACTOR * est
 
-    h_sup0 = sampled_h_sup0(field, domain)
-    fit, profile = barrier_for_domain(domain, h_sup0, annulus_r=annulus_r)
     report = verify.estimate_report(fine.solution, profile, fit, slack)
     ginputs = gradient_hypotheses(domain, field, fine.solution,
                                   fitted=(fit, profile))
@@ -393,12 +395,19 @@ def curvature_from_json(spec):
                 raise ParameterError("table needs at least a 2x2 grid")
             z_slope = float(spec.get("z_slope", 0.0))
 
+            def cell(coords, knots):
+                """Cell index, clamped local coordinate, and the cell width
+                where the clamp is inactive (inf where it is)."""
+                k = np.clip(np.searchsorted(knots, coords) - 1, 0, len(knots) - 2)
+                width = knots[k + 1] - knots[k]
+                local = (coords - knots[k]) / width
+                inside = (local >= 0.0) & (local <= 1.0)
+                return k, np.clip(local, 0.0, 1.0), np.where(inside, width, np.inf)
+
             def interp(points):
                 p = np.asarray(points, dtype=float)
-                fx = np.clip(np.searchsorted(xs, p[..., 0]) - 1, 0, len(xs) - 2)
-                fy = np.clip(np.searchsorted(ys, p[..., 1]) - 1, 0, len(ys) - 2)
-                tx = np.clip((p[..., 0] - xs[fx]) / (xs[fx + 1] - xs[fx]), 0.0, 1.0)
-                ty = np.clip((p[..., 1] - ys[fy]) / (ys[fy + 1] - ys[fy]), 0.0, 1.0)
+                fx, tx, _ = cell(p[..., 0], xs)
+                fy, ty, _ = cell(p[..., 1], ys)
                 return ((1 - tx) * (1 - ty) * vals[fy, fx]
                         + tx * (1 - ty) * vals[fy, fx + 1]
                         + (1 - tx) * ty * vals[fy + 1, fx]
@@ -407,7 +416,20 @@ def curvature_from_json(spec):
             def func(points, z):
                 return interp(points) + z_slope * np.asarray(z, dtype=float)
 
-            return CurvatureField(func, monotone=z_slope >= 0.0,
+            def grad(points, z):
+                # the bilinear cell's gradient; zero across a clamped edge
+                fx, tx, wx = cell(points[..., 0], xs)
+                fy, ty, wy = cell(points[..., 1], ys)
+                v00, v01 = vals[fy, fx], vals[fy, fx + 1]
+                v10, v11 = vals[fy + 1, fx], vals[fy + 1, fx + 1]
+                gx = ((1 - ty) * (v01 - v00) + ty * (v11 - v10)) / wx
+                gy = ((1 - tx) * (v10 - v00) + tx * (v11 - v01)) / wy
+                shape = np.broadcast_shapes(points.shape[:-1], z.shape)
+                spatial = np.empty(shape + (2,))
+                spatial[..., 0], spatial[..., 1] = gx, gy
+                return spatial, np.full(shape, z_slope)
+
+            return CurvatureField(func, grad=grad, monotone=z_slope >= 0.0,
                                   description="tabulated H(x, y) + z_slope * z")
     raise ParameterError("curvature spec needs 'constant' or 'table'")
 

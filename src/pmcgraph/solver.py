@@ -18,13 +18,17 @@ by the half-sum of opposite arm lengths.  Cut arms next to the boundary
 use their fractional length and the Dirichlet value at the true crossing
 point, which is what keeps the scheme second order on curved domains.
 
-Linear solves have one solver, :class:`FactorOnceSolver`: GMRES with a
-stored preconditioner, and a direct SuperLU solve whose factor becomes
-that preconditioner when there is none yet or GMRES fails.  A grid solved
-by itself (a homotopy, or Newton from zero) thus factors its Jacobian at
-the first Newton step, and that factor preconditions every later step at
-the same or a later t.  A grid refined from a solved coarser one starts
-with a two-grid cycle whose Galerkin coarse operator is factored once.
+Linear solves have one solver, :class:`FactorOnceSolver`: right-
+preconditioned GMRES with a stored preconditioner, and a direct SuperLU
+solve whose factor becomes that preconditioner when there is none yet or
+GMRES fails.  A grid solved by itself (a homotopy, or Newton from zero)
+thus factors its Jacobian at the first Newton step, and that factor
+preconditions every later step at the same or a later t.  A grid refined
+from a solved coarser one starts with a two-grid cycle whose Galerkin
+coarse operator is factored once.  Newton is inexact: each GMRES solve
+stops at a relative residual set by the size of the Newton residual
+(:func:`_forcing`), so early steps are solved loosely and the last ones
+tightly.
 
 The residual and the analytic Jacobian run on vectors of interior values
 through the grid's :class:`pmcgraph.grid.StencilPlan` (neighbour indices,
@@ -41,6 +45,7 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.sparse import csr_matrix
 from scipy.sparse import linalg as sparse_linalg
 
@@ -63,14 +68,22 @@ _LINE_SEARCH_FLOOR = 2.0 ** -20
 _DEFAULT_SCHEDULE_STEPS = 11
 _DT_MIN = 1e-3
 
-# GMRES, preconditioned by a reused LU factor or by the two-grid cycle:
-# the Newton update is solved to near machine precision, so Newton
-# iteration counts match a direct solve.  scipy keeps restart + 1 basis
-# vectors, so the restart is the smallest that holds a whole two-grid solve
-# in one cycle: on Annulus(1, 2), H = -0.3, those took 14 iterations at
-# 1/64 and 17 at 1/128 (13-16 on a pentagon and on the annulus at 1/32),
-# while LU-preconditioned solves along a homotopy take about 4 to 11
+# Right-preconditioned GMRES, by a reused LU factor or by the two-grid
+# cycle.  A Newton step with residual sup norm r solves its update to the
+# relative residual min(_FORCING_CAP, max(_KRYLOV_RTOL, r^2)) (Dembo,
+# Eisenstat & Steihaug 1982): an update is solved only as far as the
+# quadratic convergence of Newton can use, so Newton iteration counts
+# still match a direct solve, and the near-converged last steps keep the
+# 1e-12 floor that holds the solution's symmetries to roundoff.  Forcing
+# terms linear in r (0.1 r, or Eisenstat & Walker's safeguards) save a few
+# more iterations but break the transposition symmetry of ``verify``
+# beyond 1e-15.  The basis holds restart + 1 vectors, and the restart is
+# the smallest that holds a whole two-grid solve in one cycle: on
+# Annulus(1, 2), H = -0.3, those took 14 iterations at 1/64 and 17 at
+# 1/128 to 1e-12 (13-16 on a pentagon and on the annulus at 1/32), while
+# LU-preconditioned solves along a homotopy take about 4 to 11
 _KRYLOV_RTOL = 1e-12
+_FORCING_CAP = 1e-2
 _KRYLOV_RESTART = 17
 _KRYLOV_MAXITER = 3
 # damping of the two-grid cycle's Jacobi sweeps
@@ -242,14 +255,65 @@ def _splu(A):
         raise SingularSystemError(f"sparse factorization failed: {exc}")
 
 
-def _gmres(J, rhs, precond):
-    """Preconditioned GMRES; returns ``(x, iters, converged)``."""
-    residuals = []  # one entry per inner iteration
-    x, info = sparse_linalg.gmres(
-        J, rhs, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART,
-        maxiter=_KRYLOV_MAXITER, M=precond, callback=residuals.append,
-        callback_type="pr_norm")
-    return x, len(residuals), info == 0 and bool(np.all(np.isfinite(x)))
+def _forcing(rinf):
+    """Relative GMRES tolerance of a Newton step whose residual has sup
+    norm ``rinf``: ``rinf**2``, kept within [_KRYLOV_RTOL, _FORCING_CAP]."""
+    return min(_FORCING_CAP, max(_KRYLOV_RTOL, rinf * rinf))
+
+
+def _gmres(J, rhs, precond, rtol=_KRYLOV_RTOL):
+    """Right-preconditioned restarted GMRES for ``J x = rhs`` from x = 0;
+    returns ``(x, iters, converged)``.
+
+    It solves ``J M u = rhs`` with ``x = M u`` (``M`` is ``precond``), so
+    the residual it minimises is the true one, ``rhs - J x``.  Each inner
+    iteration applies ``M`` once and ``J`` once; each cycle ends with one
+    more apply of ``M`` to update ``x`` and one product with ``J`` for the
+    true residual.  The basis is orthogonalised by modified Gram-Schmidt
+    and the Hessenberg least-squares problem is reduced by Givens
+    rotations.  Converged means ``||rhs - J x||_2 <= rtol ||rhs||_2`` at
+    the end of a cycle, with ``x`` finite.
+    """
+    m = _KRYLOV_RESTART
+    x = np.zeros_like(rhs)
+    r, beta = rhs, float(np.linalg.norm(rhs))
+    target = rtol * beta
+    V = np.empty((m + 1, rhs.size))  # the Krylov basis, one row per vector
+    H = np.empty((m + 1, m))  # upper triangular after the rotations
+    cs, sn = np.empty(m), np.empty(m)
+    iters = 0
+    cycle = 0
+    while beta > target and cycle < _KRYLOV_MAXITER:
+        cycle += 1
+        np.divide(r, beta, out=V[0])
+        g = np.zeros(m + 1)  # rotated residual; |g[k]| is ||rhs - J x_k||
+        g[0] = beta
+        k = 0
+        while k < m:
+            w = J @ precond.matvec(V[k])
+            iters += 1
+            for i in range(k + 1):
+                H[i, k] = V[i] @ w
+                w -= H[i, k] * V[i]
+            h = float(np.linalg.norm(w))
+            for i in range(k):
+                H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                        cs[i] * H[i + 1, k] - sn[i] * H[i, k])
+            rho = math.hypot(H[k, k], h)
+            cs[k], sn[k] = H[k, k] / rho, h / rho
+            H[k, k] = rho
+            g[k + 1] = -sn[k] * g[k]
+            g[k] *= cs[k]
+            k += 1
+            # stops on NaN as well; h == 0 means x is exact in this basis
+            if not abs(g[k]) > target or h == 0.0:
+                break
+            np.divide(w, h, out=V[k])
+        y = solve_triangular(H[:k, :k], g[:k], check_finite=False)
+        x += precond.matvec(V[:k].T @ y)
+        r = rhs - J @ x
+        beta = float(np.linalg.norm(r))
+    return x, iters, beta <= target and bool(np.all(np.isfinite(x)))
 
 
 def _two_grid(J, prolong):
@@ -268,7 +332,8 @@ def _two_grid(J, prolong):
             x += weight * (r - J @ x)
             return x
 
-        return sparse_linalg.LinearOperator(J.shape, matvec=apply)
+        return sparse_linalg.LinearOperator(J.shape, matvec=apply,
+                                            dtype=J.dtype)
 
     return cycle
 
@@ -294,9 +359,10 @@ class FactorOnceSolver:
         self.factorizations = 0
         self.krylov_iters = 0
 
-    def solve(self, J, rhs, krylov=True):
-        """Solve ``J x = rhs``; returns ``(x, krylov_iters, factored)``,
-        with ``factored`` true when ``J`` was factored for this solve."""
+    def solve(self, J, rhs, krylov=True, rtol=_KRYLOV_RTOL):
+        """Solve ``J x = rhs``, by GMRES to the relative residual ``rtol``
+        or directly; returns ``(x, krylov_iters, factored)``, with
+        ``factored`` true when ``J`` was factored for this solve."""
         iters = 0
         if krylov:
             if self._precond is None and self._prolong is not None:
@@ -304,7 +370,7 @@ class FactorOnceSolver:
                 self._prolong = None
                 self.factorizations += 1
             if self._precond is not None:
-                x, iters, converged = _gmres(J, rhs, self._precond(J))
+                x, iters, converged = _gmres(J, rhs, self._precond(J), rtol)
                 self.krylov_iters += iters
                 if converged:
                     return x, iters, False
@@ -312,7 +378,8 @@ class FactorOnceSolver:
         # allocated, so two factors never coexist
         self._precond = None
         lu = _splu(J)
-        op = sparse_linalg.LinearOperator(J.shape, matvec=lu.solve)
+        op = sparse_linalg.LinearOperator(J.shape, matvec=lu.solve,
+                                          dtype=J.dtype)
         self._precond = lambda J: op
         self.factorizations += 1
         return lu.solve(rhs), iters, True
@@ -402,13 +469,16 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
 
     The analytic Jacobian of the discrete operator is assembled each step
     and handed to ``linsolve``, a :class:`FactorOnceSolver` (a fresh one,
-    without prolongation, when omitted).  After one GMRES failure the rest
-    of this run factors every step directly.  Backtracking halves the step
-    until the residual 2-norm decreases (floor 2^-20).  Raises on
-    nonconvergence, line-search stall and singular linear systems,
-    carrying the iterate trace: one dict per accepted step with the
-    residual sup norm, step length, GMRES iterations and whether the
-    Jacobian was factored.
+    without prolongation, when omitted).  The step is inexact: GMRES stops
+    at the relative residual :func:`_forcing` gives for the current
+    residual sup norm, ``min(1e-2, max(1e-12, rinf**2))``, which keeps
+    Newton's quadratic convergence and so its iteration count.  After one
+    GMRES failure the rest of this run factors every step directly.
+    Backtracking halves the step until the residual 2-norm decreases
+    (floor 2^-20).  Raises on nonconvergence, line-search stall and
+    singular linear systems, carrying the iterate trace: one dict per
+    accepted step with the residual sup norm, step length, GMRES
+    iterations and whether the Jacobian was factored.
     """
     if tol <= 0.0:
         raise ParameterError("tolerance must be positive")
@@ -432,7 +502,8 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
         if not math.isfinite(rnorm):
             raise NonconvergenceError("residual is not finite", trace=trace)
         J = _assemble_jacobian(grid, f, hfield, t_homotopy)
-        delta, k_iters, factored = linsolve.solve(J, -r_vec, krylov=krylov)
+        delta, k_iters, factored = linsolve.solve(J, -r_vec, krylov=krylov,
+                                                  rtol=_forcing(rinf))
         if factored and k_iters:
             # GMRES failed: this iterate is far from where the factor was
             # made, so factor directly for the rest of this run rather

@@ -202,26 +202,38 @@ class TestSolveAndVerifyCommands:
         assert run(["verify", "--config", cfg, "--out", out]) == 0
         assert (out / "estimate_report.json").exists()
 
-    @pytest.mark.parametrize("override, message", [
-        ({"schedule": 0.5}, "config 'schedule'"),
-        ({"spacing": "fine"}, "config 'spacing'"),
-        ({"max_iters": None}, "config 'max_iters'"),
-        ({"schedule": [0, "half", 1]}, "config 'schedule'"),
+    @pytest.mark.parametrize("override, message, command", [
+        ({"schedule": 0.5}, "config 'schedule'", "solve"),
+        ({"spacing": "fine"}, "config 'spacing'", "solve"),
+        ({"max_iters": None}, "config 'max_iters'", "solve"),
+        ({"schedule": [0, "half", 1]}, "config 'schedule'", "solve"),
         ({"domain": {"kind": "annulus", "r_in": 1.0}},
-         "config 'domain': missing entry 'r_out'"),
-        ({"curvature": {"constant": "big"}}, "config 'curvature'"),
-        ({"boundary": {"linear": [1, 2]}}, "config 'boundary'"),
+         "config 'domain': missing entry 'r_out'", "solve"),
+        ({"curvature": {"constant": "big"}}, "config 'curvature'", "solve"),
+        ({"boundary": {"linear": [1, 2]}}, "config 'boundary'", "solve"),
+        ({"annulus_r": "big"}, "config 'annulus_r'", "solve"),
+        ({"annulus_r": -1.0}, "config 'annulus_r': must be positive",
+         "verify"),
+        ({"samples": "many"}, "config 'samples'", "check"),
+        ({"samples": 2.5}, "config 'samples': must be an integer", "check"),
+        ({"annulus_r": math.inf}, "config 'annulus_r': must be positive",
+         "verify"),
+        ({"samples": 1e400}, "config 'samples'", "check"),
+        ({"max_iters": 1e400}, "config 'max_iters'", "solve"),
     ], ids=["schedule-number", "spacing-string", "max-iters-null",
             "schedule-string-entry", "annulus-without-r-out",
-            "curvature-string", "boundary-short-linear"])
+            "curvature-string", "boundary-short-linear", "annulus-r-string",
+            "annulus-r-negative", "samples-string", "samples-fraction",
+            "annulus-r-infinite", "samples-overflow", "max-iters-overflow"])
     def test_malformed_values_exit_64(self, tmp_path, capsys, override,
-                                      message):
+                                      message, command):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**ANNULUS_EIGHTH, **override}))
-        out = tmp_path / "solve"
-        assert run(["solve", "--config", cfg, "--out", out]) == 64
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", out]) == 64
         assert message in capsys.readouterr().err
-        assert not (out / "solve_report.json").exists()
+        # refused before any solve: no report and no solution.csv
+        assert list(out.iterdir()) == []
 
     def test_minimal_surface_on_square(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -249,6 +249,35 @@ class TestCurvatureField:
         z = np.array([0.5, -1.0, 2.0])
         assert np.array_equal(f.hz(pts, z), 3.0 * z**2)
 
+    def test_table_field_gradient_is_exact(self):
+        from pmcgraph import pipeline
+
+        tab = pipeline.curvature_from_json({
+            "table": {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.25, 2.5],
+                      "values": [[-0.30, -0.22, -0.30],
+                                 [-0.25, -0.15, -0.25],
+                                 [-0.20, -0.28, -0.20]]},
+            "z_slope": 0.1})
+        rng = np.random.default_rng(2)
+        pts = rng.uniform([-0.5, -0.5], [2.5, 3.0], size=(2000, 2))
+        # away from the table lines, where H is not differentiable; the
+        # points past the table test the clamp
+        off_x = np.min(np.abs(pts[:, :1] - [0.0, 1.0, 2.0]), axis=1) > 1e-3
+        off_y = np.min(np.abs(pts[:, 1:] - [0.0, 1.25, 2.5]), axis=1) > 1e-3
+        pts = pts[off_x & off_y]
+        z = rng.uniform(-2.0, 2.0, len(pts))
+        assert np.array_equal(tab.hz(pts, z), np.full(len(pts), 0.1))
+        gx, gz = tab.grad_eval(pts, z)
+        assert np.array_equal(gz, np.full(len(pts), 0.1))
+        step = 1e-6
+        for k in range(2):
+            dp = np.zeros(2)
+            dp[k] = step
+            central = (tab.eval(pts + dp, z) - tab.eval(pts - dp, z)) / (2 * step)
+            assert np.max(np.abs(gx[:, k] - central)) <= 1e-6
+        outside = (pts[:, 0] < 0.0) | (pts[:, 0] > 2.0)
+        assert outside.any() and np.all(gx[outside, 0] == 0.0)
+
     def test_sampled_bounds(self):
         f = CurvatureField(lambda p, z: z)
         pts = np.zeros((4, 2))

@@ -6,7 +6,8 @@ import pytest
 from pmcgraph import conditions, geometry, pipeline, solver
 from pmcgraph.cli import main as cli_main
 from pmcgraph.conditions import CurvatureField
-from pmcgraph.errors import (ContinuationFailureError, NonconvergenceError,
+from pmcgraph.errors import (ContinuationFailureError,
+                             NoAdmissibleConstantError, NonconvergenceError,
                              ParameterError)
 from pmcgraph.grid import grid_from_domain, interpolate_values_cubic
 
@@ -287,12 +288,13 @@ class TestTwoGridVerify:
         disc, field = geometry.Disc(1.0), CurvatureField.from_constant(1.2)
         with pytest.raises(ContinuationFailureError) as direct:
             pipeline.solve_domain(disc, field, 0.1, max_iters=20)
+        assert 0.0 < direct.value.stall_t < 1.0
+        # verify has no barrier for this curvature, and finds that first
+        newton = self.spy(monkeypatch, solver, "newton_solve")
         homotopies = self.spy(monkeypatch, solver, "continuation_solve")
-        with pytest.raises(ContinuationFailureError) as checked:
+        with pytest.raises(NoAdmissibleConstantError):
             pipeline.verify_domain(disc, field, 0.1, max_iters=20)
-        assert homotopies == [0.1]
-        assert checked.value.stall_t == direct.value.stall_t
-        assert checked.value.diagnostics == direct.value.diagnostics
+        assert newton == [] and homotopies == []
 
     def test_no_interior_block_fails_before_solving(self, monkeypatch):
         # Disc(0.15) at 0.2 has interior nodes but no 2 x 2 block of them,
@@ -306,6 +308,21 @@ class TestTwoGridVerify:
             pipeline.verify_domain(domain, CurvatureField.from_constant(-0.5),
                                    0.2)
         assert newton == [] and homotopies == []
+
+    def test_no_admissible_barrier_fails_before_solving(self, monkeypatch,
+                                                        tmp_path):
+        # |H| = 0.85 is above the barrier bound of Annulus(1, 2)
+        with pytest.raises(NoAdmissibleConstantError) as info:
+            pipeline.barrier_for_domain(self.DOMAIN, 0.85)
+        newton = self.spy(monkeypatch, solver, "newton_solve")
+        homotopies = self.spy(monkeypatch, solver, "continuation_solve")
+        out = tmp_path / "verify"
+        assert cli_main(["verify", "--annulus", "1", "2", "--h", "-0.85",
+                         "--out", str(out)]) == 2
+        assert newton == [] and homotopies == []
+        report = json.loads((out / "estimate_report.json").read_text())
+        assert report == {"status": "no-admissible-barrier",
+                          "message": str(info.value)}
 
 
 class TestVerifySymmetries:

@@ -41,7 +41,7 @@ def table_field():
 class FactorEveryStep(solver.FactorOnceSolver):
     """Reference linear solver: a fresh LU factor at every Newton step."""
 
-    def solve(self, J, rhs, krylov=True):
+    def solve(self, J, rhs, krylov=True, rtol=None):
         return super().solve(J, rhs, krylov=False)
 
 
@@ -333,15 +333,16 @@ class TestFactorOnceSolver:
         identity, spread, rhs = self.matrices()
         linsolve = solver.FactorOnceSolver()
         linsolve.solve(identity, rhs)
-        real = solver.sparse_linalg.gmres
+        real = solver._gmres
         calls = []
 
-        def fail_first(A, b, **kwargs):
-            x, info = real(A, b, **kwargs)
-            calls.append(info)
-            return (x, 1) if len(calls) == 1 else (x, info)
+        def fail_first(*args):
+            x, iters, converged = real(*args)
+            calls.append(converged)
+            return (x, iters, False) if len(calls) == 1 else (x, iters,
+                                                               converged)
 
-        monkeypatch.setattr(solver.sparse_linalg, "gmres", fail_first)
+        monkeypatch.setattr(solver, "_gmres", fail_first)
         x, iters, factored = linsolve.solve(spread, rhs)
         assert iters > 0 and factored
         assert linsolve.factorizations == 2
@@ -351,6 +352,71 @@ class TestFactorOnceSolver:
         assert (iters, factored) == (1, False)
         assert linsolve.factorizations == 2 and len(calls) == 2
         assert np.max(np.abs(spread @ x - 2.0 * rhs)) <= 1e-12
+
+
+class TestInexactNewton:
+    """Right-preconditioned GMRES to the forcing term of each Newton step."""
+
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-12])
+    def test_gmres_applies_the_preconditioner_once_per_iteration(self, rtol):
+        # a nonsymmetric tridiagonal system, unpreconditioned in effect:
+        # 5, 18 and 38 inner iterations, so one, two and three cycles
+        n = 200
+        J = sparse.diags([np.linspace(1.0, 5.0, n), np.full(n - 1, 0.4),
+                          np.full(n - 1, -0.3)], [0, 1, -1]).tocsr()
+        rhs = np.ones(n)
+        applies = []
+
+        def identity(v):
+            applies.append(1)
+            return v.copy()
+
+        precond = sparse.linalg.LinearOperator(J.shape, matvec=identity,
+                                               dtype=float)
+        x, iters, converged = solver._gmres(J, rhs, precond, rtol)
+        cycles = math.ceil(iters / solver._KRYLOV_RESTART)
+        assert converged and cycles >= 1
+        assert len(applies) == iters + cycles
+        assert np.linalg.norm(rhs - J @ x) <= rtol * np.linalg.norm(rhs)
+
+    def test_forcing_floor_cap_and_between(self):
+        assert solver._forcing(0.0) == solver._KRYLOV_RTOL == 1e-12
+        assert solver._forcing(1e-7) == 1e-12
+        assert solver._forcing(2.0 ** -10) == 2.0 ** -20
+        assert solver._forcing(0.1) == solver._FORCING_CAP == 1e-2
+        assert solver._forcing(50.0) == 1e-2
+
+    def test_newton_hands_the_forcing_term_to_gmres(self):
+        calls = []  # (rtol, sup norm of the Newton residual) per step
+
+        class Recording(solver.FactorOnceSolver):
+            def solve(self, J, rhs, krylov=True, rtol=solver._KRYLOV_RTOL):
+                calls.append((rtol, float(np.max(np.abs(rhs)))))
+                return super().solve(J, rhs, krylov, rtol)
+
+        grid = grid_from_domain(geometry.Disc(1.0), 0.1)
+        sol = solver.newton_solve(grid, CurvatureField.from_constant(-0.4),
+                                  linsolve=Recording())
+        assert len(calls) == sol.newton_iters
+        assert all(rtol == solver._forcing(rinf) for rtol, rinf in calls)
+        # the residual from zero is 2 |H| = 0.8, so the first step is
+        # capped; later ones tighten as Newton converges
+        rtols = [rtol for rtol, _ in calls]
+        assert rtols[0] == 1e-2 and rtols[-1] < 1e-10
+        assert rtols == sorted(rtols, reverse=True)
+
+    def test_table_field_homotopy_keeps_direct_newton_counts(self,
+                                                             monkeypatch):
+        grid = grid_from_domain(PENTAGON, 1.0 / 16)
+        field = table_field()
+        inexact, trace = solver.continuation_solve(grid, field)
+        monkeypatch.setattr(solver, "FactorOnceSolver", FactorEveryStep)
+        direct, reference = solver.continuation_solve(grid, field)
+        iters = [s.newton_iters for s in trace.steps]
+        assert iters == [s.newton_iters for s in reference.steps]
+        assert [s.factorizations for s in reference.steps] == iters
+        assert sum(s.factorizations for s in trace.steps) == 1
+        assert np.max(np.abs(inexact.values - direct.values)) <= 1e-12
 
 
 def spy_splu(monkeypatch):
@@ -435,17 +501,17 @@ class TestTwoGridSolver:
     def test_gmres_failure_factors_the_fine_jacobian(self, monkeypatch):
         coarse = pipeline.solve_domain(self.ANNULUS, self.FIELD, 1.0 / 16)
         fine_n = grid_from_domain(self.ANNULUS, 1.0 / 32).n_dof
-        real = solver.sparse_linalg.gmres
+        real = solver._gmres
         failed = []
 
-        def fail_first(A, b, **kwargs):
-            x, info = real(A, b, **kwargs)
+        def fail_first(J, *args):
+            x, iters, converged = real(J, *args)
             if not failed:
-                failed.append(A.shape[0])
-                return x, 1
-            return x, info
+                failed.append(J.shape[0])
+                return x, iters, False
+            return x, iters, converged
 
-        monkeypatch.setattr(solver.sparse_linalg, "gmres", fail_first)
+        monkeypatch.setattr(solver, "_gmres", fail_first)
         sizes = spy_splu(monkeypatch)
         refined = pipeline.refine_solve(coarse, self.FIELD)
         assert failed == [fine_n]
@@ -465,9 +531,9 @@ class TestTwoGridSolver:
         solver.newton_solve(fine, self.FIELD, linsolve=linsolve)
         assert linsolve.factorizations == 1
         # a second solver whose GMRES fails: the fine factor takes over
-        real = solver.sparse_linalg.gmres
-        monkeypatch.setattr(solver.sparse_linalg, "gmres",
-                            lambda A, b, **kwargs: (real(A, b, **kwargs)[0], 1))
+        real = solver._gmres
+        monkeypatch.setattr(solver, "_gmres",
+                            lambda *args: real(*args)[:2] + (False,))
         failed = solver.FactorOnceSolver(prolongation)
         iters = solver.newton_solve(fine, self.FIELD,
                                     linsolve=failed).newton_iters
