@@ -22,6 +22,7 @@ whole point of the annulus results is that it may fail there).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -120,10 +121,15 @@ class CurvatureField:
     monotone  asserted dH/dz >= 0 (verified by sampling where needed)
     constant  set when the field is a constant, enabling the comparisons
               that are only meaningful for constant curvature
+    z_slope   set when the field has the form H(x, z) = H(x) + s z: ``hz``
+              is then s, with no evaluation (a constant is the case s = 0)
+    spatial   the z-independent part ``spatial(points)`` of such a field,
+              with ``func(points, z) == spatial(points) + z_slope * z``;
+              :meth:`on_nodes` evaluates it once at a solve's nodes
     """
 
     def __init__(self, func, grad=None, h_sup0=None, h0=None, monotone=None,
-                 constant=None, description=""):
+                 constant=None, description="", z_slope=None, spatial=None):
         self._func = func
         self._grad = grad
         self.h_sup0 = h_sup0
@@ -131,6 +137,8 @@ class CurvatureField:
         self.monotone = monotone
         self.constant = constant
         self.description = description
+        self.z_slope = z_slope
+        self._spatial = spatial
 
     @classmethod
     def from_constant(cls, value):
@@ -150,7 +158,7 @@ class CurvatureField:
 
         return cls(func, grad=grad, h_sup0=abs(value), h0=abs(value),
                    monotone=True, constant=value,
-                   description=f"constant H = {value}")
+                   description=f"constant H = {value}", z_slope=0.0)
 
     @property
     def is_constant(self):
@@ -179,12 +187,41 @@ class CurvatureField:
         return (self.eval(points, z + step) - self.eval(points, z - step)) / (2.0 * step)
 
     def hz(self, points, z):
-        """dH/dz, equal to ``grad_eval(points, z)[1]``; without an analytic
-        gradient only the z difference is taken (two field evaluations)."""
+        """dH/dz, equal to ``grad_eval(points, z)[1]``: ``z_slope`` when it
+        is set; otherwise without an analytic gradient only the z
+        difference is taken (two field evaluations)."""
+        if self.z_slope is not None:
+            return np.full(np.broadcast_shapes(np.shape(points)[:-1],
+                                               np.shape(z)), self.z_slope)
         if self._grad is not None:
             return self.grad_eval(points, z)[1]
         return self._central_hz(np.asarray(points, dtype=float),
                                 np.asarray(z, dtype=float), _FD_STEP)
+
+    def on_nodes(self, nodes):
+        """This field, with its z-independent part evaluated once at
+        ``nodes``, an array of points.
+
+        ``eval`` at that same array object then adds ``z_slope * z`` to
+        the stored values, bitwise what the full evaluation gives, and at
+        any other points evaluates in full.  A field without a ``spatial``
+        part is returned as it is.  The stored values live as long as the
+        returned field, so a solve keeps it for one Newton run or one
+        homotopy and drops it with that run.
+        """
+        if self._spatial is None:
+            return self
+        base = self._spatial(nodes)
+        slope, func = self.z_slope, self._func
+
+        def at_nodes(points, z):
+            if points is nodes:
+                return base + slope * z
+            return func(points, z)
+
+        fixed = copy.copy(self)
+        fixed._func, fixed._spatial = at_nodes, None
+        return fixed
 
 
 def sample_field_bounds(field, points, z_values):

@@ -9,7 +9,9 @@ convex domains and sampled boundary mean curvature.
 Annulus and disc metrics are closed-form.  Polygon fits use a coarse
 directional scan plus Nelder-Mead refinement and are re-verified by an
 independent containment check; bitmap metrics are discrete estimates and
-are flagged approximate (they never certify existence).
+are flagged approximate (they never certify existence).  Only the bitmap
+code paths use ``scipy.ndimage``, and they import it themselves, so work
+on analytic domains never loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage, optimize
+from scipy import optimize
 
 from .errors import (
     DisconnectedMaskError,
@@ -172,6 +174,8 @@ class GridMask:
             raise ParameterError("mask must be a nonempty 2-D bitmap")
         if cell_size <= 0.0:
             raise ParameterError("cell size must be positive")
+        from scipy import ndimage
+
         _, count = ndimage.label(mask)
         if count != 1:
             raise DisconnectedMaskError(f"mask interior has {count} components")
@@ -239,6 +243,8 @@ class GridMask:
             p, q = hull[i], hull[(i + 1) % n]
             cross = (q[0] - p[0]) * (pts[..., 1] - p[1]) - (q[1] - p[1]) * (pts[..., 0] - p[0])
             inside &= cross >= -1e-9 * self.cell_size
+        from scipy import ndimage
+
         # shrink by one cell: centers well inside the hull must be set
         core = inside & ~ndimage.binary_dilation(~inside, iterations=1)
         return bool(np.all(self.mask[core]))
@@ -306,6 +312,8 @@ def exterior_sphere_radius(domain):
 
 
 def _mask_exterior_radius(domain):
+    from scipy import ndimage
+
     mask = domain.mask
     pad = max(mask.shape)
     big = np.pad(mask, pad, constant_values=False)
@@ -496,6 +504,8 @@ def inscribed_disc_radius(domain):
     if isinstance(domain, ConvexPolygon):
         return _chebyshev_radius(domain)
     if isinstance(domain, GridMask):
+        from scipy import ndimage
+
         dist = ndimage.distance_transform_edt(domain.mask)
         return float(dist.max()) * domain.cell_size
     raise UnsupportedDomainError(f"unknown domain kind {type(domain).__name__}")

@@ -430,7 +430,8 @@ def curvature_from_json(spec):
                 return spatial, np.full(shape, z_slope)
 
             return CurvatureField(func, grad=grad, monotone=z_slope >= 0.0,
-                                  description="tabulated H(x, y) + z_slope * z")
+                                  description="tabulated H(x, y) + z_slope * z",
+                                  z_slope=z_slope, spatial=interp)
     raise ParameterError("curvature spec needs 'constant' or 'table'")
 
 

@@ -33,9 +33,15 @@ tightly.
 The residual and the analytic Jacobian run on vectors of interior values
 through the grid's :class:`pmcgraph.grid.StencilPlan` (neighbour indices,
 geometry-only coefficients and the CSR structure, built once per grid) and
-evaluate the field only at interior nodes.  Each node's floating-point
-operations run in a fixed order, so reruns are bit-identical; solves share
-no state beyond the geometry of their grid.
+evaluate the field only at interior nodes.  Newton computes each iterate's
+edge states (:func:`_edge_states`) once and hands them to that iterate's
+residual and then to its Jacobian assembly or its final report, which
+take them over so that they are freed as soon as they are used.  A field
+of the form H(x) + s z has its H(x) evaluated once per homotopy or Newton
+run (:meth:`pmcgraph.conditions.CurvatureField.on_nodes`), and its dH/dz
+is s.  Each node's floating-point operations run in a fixed order, so
+reruns are bit-identical; solves share no state beyond the geometry of
+their grid.
 """
 
 from __future__ import annotations
@@ -145,7 +151,8 @@ def _edge_states(plan, x):
     return primary, cross, W
 
 
-def mc_residual(values, grid, hfield, t_homotopy=1.0, area_weighted=False):
+def mc_residual(values, grid, hfield, t_homotopy=1.0, area_weighted=False,
+                states=None):
     """Residual of the discrete operator minus t n H(x, f), per node.
 
     Zero outside the interior mask.  Vanishes identically for constant
@@ -162,11 +169,12 @@ def mc_residual(values, grid, hfield, t_homotopy=1.0, area_weighted=False):
 
     ``values`` is a lattice array; only its interior entries are read.
     The stencil runs on the interior dof vector through ``grid.plan``, and
-    the result is scattered back onto the lattice.
+    the result is scattered back onto the lattice.  ``states`` are the
+    :func:`_edge_states` of these values when the caller has them.
     """
     plan = grid.plan
     x = np.asarray(values, dtype=float)[grid.interior]
-    primary, _, W = _edge_states(plan, x)
+    primary, _, W = _edge_states(plan, x) if states is None else states
     flux = primary / W
     div = ((flux[0] - flux[1]) * plan.cfac[0]
            + (flux[2] - flux[3]) * plan.cfac[1])
@@ -195,12 +203,17 @@ def full_stencil_mask(grid):
     return full
 
 
-def _assemble_jacobian(grid, f, hfield, t_homotopy):
-    """Analytic Jacobian of :func:`mc_residual` on the interior dofs, CSR."""
+def _assemble_jacobian(grid, f, hfield, t_homotopy, states=None):
+    """Analytic Jacobian of :func:`mc_residual` on the interior dofs, CSR.
+
+    ``states``, when given, is a one-item list holding the
+    :func:`_edge_states` of ``f``; they are taken out of it, so that they
+    are freed here once used rather than held by the caller.
+    """
     plan = grid.plan
     n = plan.n_dof
     x = np.asarray(f, dtype=float)[grid.interior]
-    primary, cross, W = _edge_states(plan, x)
+    primary, cross, W = states.pop() if states else _edge_states(plan, x)
     W3 = W**3
     phi_p = (1.0 + cross**2) / W3
     phi_c = -primary * cross / W3
@@ -442,8 +455,10 @@ class GridSolution:
                                self.values[jj, ii]))
 
 
-def _finish_solution(grid, f, hfield, t, iters):
-    res = mc_residual(f, grid, hfield, t)
+def _finish_solution(grid, f, hfield, t, iters, states):
+    # the final residual takes the one-item list's edge states, which are
+    # freed before the gradient diagnostics run
+    res = mc_residual(f, grid, hfield, t, states=states.pop())
     rinf = float(np.max(np.abs(res[grid.interior]))) if grid.n_dof else 0.0
     sup_int, sup_bdry = _gradient_diagnostics(grid.plan, f[grid.interior])
     sol = GridSolution(
@@ -475,20 +490,27 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     Newton's quadratic convergence and so its iteration count.  After one
     GMRES failure the rest of this run factors every step directly.
     Backtracking halves the step until the residual 2-norm decreases
-    (floor 2^-20).  Raises on nonconvergence, line-search stall and
-    singular linear systems, carrying the iterate trace: one dict per
-    accepted step with the residual sup norm, step length, GMRES
-    iterations and whether the Jacobian was factored.
+    (floor 2^-20).  Each iterate's edge states are computed once, for its
+    residual, and reused by its assembly or the final report.  Raises on
+    nonconvergence, line-search stall and singular linear systems,
+    carrying the iterate trace: one dict per accepted step with the
+    residual sup norm, step length, GMRES iterations and whether the
+    Jacobian was factored.
     """
     if tol <= 0.0:
         raise ParameterError("tolerance must be positive")
     if linsolve is None:
         linsolve = FactorOnceSolver()
+    plan = grid.plan
+    hfield = hfield.on_nodes(plan.points)
     f = np.zeros(grid.shape) if initial is None else np.array(initial, dtype=float)
     f[~grid.interior] = 0.0
 
     trace = []
-    res = mc_residual(f, grid, hfield, t_homotopy)
+    # the current iterate's edge states, in a one-item list that its
+    # assembly or the final report empties
+    states = [_edge_states(plan, f[grid.interior])]
+    res = mc_residual(f, grid, hfield, t_homotopy, states=states[0])
     r_vec = res[grid.interior]
     rinf = float(np.max(np.abs(r_vec))) if r_vec.size else 0.0
     rnorm = float(np.linalg.norm(r_vec))
@@ -501,7 +523,7 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
                 f"(residual_inf={rinf:.3e}, t={t_homotopy})", trace=trace)
         if not math.isfinite(rnorm):
             raise NonconvergenceError("residual is not finite", trace=trace)
-        J = _assemble_jacobian(grid, f, hfield, t_homotopy)
+        J = _assemble_jacobian(grid, f, hfield, t_homotopy, states)
         delta, k_iters, factored = linsolve.solve(J, -r_vec, krylov=krylov,
                                                   rtol=_forcing(rinf))
         if factored and k_iters:
@@ -516,11 +538,14 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
         while True:
             f_try = f.copy()
             f_try[grid.interior] += lam * delta
-            res_try = mc_residual(f_try, grid, hfield, t_homotopy)
+            states.append(_edge_states(plan, f_try[grid.interior]))
+            res_try = mc_residual(f_try, grid, hfield, t_homotopy,
+                                  states=states[0])
             r_try = res_try[grid.interior]
             rnorm_try = float(np.linalg.norm(r_try))
             if math.isfinite(rnorm_try) and rnorm_try < rnorm:
                 break
+            states.pop()
             lam *= 0.5
             if lam < _LINE_SEARCH_FLOOR:
                 raise LineSearchStallError(
@@ -531,7 +556,7 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
         iters += 1
         trace.append({"iter": iters, "residual_inf": rinf, "step": lam,
                       "krylov_iters": k_iters, "factored": factored})
-    return _finish_solution(grid, f, hfield, t_homotopy, iters)
+    return _finish_solution(grid, f, hfield, t_homotopy, iters, states)
 
 
 @dataclass(frozen=True)
@@ -591,7 +616,8 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
     All Newton runs share one :class:`FactorOnceSolver`: the Jacobian is
     factored at the first Newton step of the homotopy and that LU
     preconditions GMRES at every later step and t, so a smooth homotopy
-    costs a single factorization.
+    costs a single factorization.  They also share the field's
+    z-independent part at the grid's nodes, evaluated once here.
     """
     if schedule is None:
         if hfield.is_constant and hfield.constant == 0.0:
@@ -608,6 +634,7 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
     if schedule[0] > 0.0 and not (hfield.is_constant and hfield.constant == 0.0):
         schedule.insert(0, 0.0)  # always anchor at the minimal surface member
 
+    hfield = hfield.on_nodes(grid.plan.points)
     trace = ContinuationTrace()
     linsolve = FactorOnceSolver()
     counted = (0, 0)  # linear-solver counters at the last accepted step

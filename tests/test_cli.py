@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -330,3 +333,27 @@ class TestDeterminism:
 
     def test_usage_error_code(self):
         assert run(["barrier", "--h", "oops", "--r", 1, "--R", 2]) == 64
+
+
+class TestImports:
+    def test_analytic_solve_never_loads_ndimage(self, tmp_path):
+        # only bitmap domains use scipy.ndimage; a fresh process that
+        # imports the CLI and solves on a disc must not load it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": {"kind": "disc", "radius": 1.0},
+                                   "curvature": {"constant": 0.5},
+                                   "spacing": 0.125}))
+        script = ("import sys\n"
+                  "from pmcgraph.cli import main\n"
+                  "code = main(['solve', '--config', sys.argv[1],"
+                  " '--out', sys.argv[2]])\n"
+                  "print(code, 'scipy.ndimage' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", script, str(cfg),
+                               str(tmp_path / "out")], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=120)
+        assert done.stdout.splitlines()[-1].split() == ["0", "False"]

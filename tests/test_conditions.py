@@ -278,6 +278,61 @@ class TestCurvatureField:
         outside = (pts[:, 0] < 0.0) | (pts[:, 0] > 2.0)
         assert outside.any() and np.all(gx[outside, 0] == 0.0)
 
+    @pytest.mark.parametrize("spec", [
+        {"constant": -0.3},
+        {"table": {"x": [0.0, 1.0, 2.0], "y": [0.0, 1.25, 2.5],
+                   "values": [[-0.30, -0.22, -0.30], [-0.25, -0.15, -0.25],
+                              [-0.20, -0.28, -0.20]]},
+         "z_slope": 0.1}], ids=["constant", "table"])
+    def test_z_affine_hz_is_grad_z_bitwise(self, spec, monkeypatch):
+        # H(x) + s z: hz is s, bitwise the z part of the gradient, and no
+        # gradient is evaluated for it
+        from pmcgraph import pipeline
+
+        field = pipeline.curvature_from_json(spec)
+        rng = np.random.default_rng(5)
+        pts = rng.uniform([-0.5, -0.5], [2.5, 3.0], size=(300, 2))
+        cases = [(pts, rng.uniform(-2.0, 2.0, 300)),
+                 (pts.reshape(15, 20, 2), 0.7)]
+        expected = [field.grad_eval(p, z)[1] for p, z in cases]
+
+        def no_gradient(*args, **kwargs):
+            raise AssertionError("hz evaluated the gradient")
+
+        monkeypatch.setattr(CurvatureField, "grad_eval", no_gradient)
+        for (p, z), gz in zip(cases, expected):
+            hz = field.hz(p, z)
+            assert hz.dtype == gz.dtype and np.array_equal(hz, gz)
+
+    def test_on_nodes_evaluates_the_spatial_part_once(self):
+        calls = []
+
+        def spatial(points):
+            calls.append(points)
+            return np.sin(points[..., 0]) * np.cos(3.0 * points[..., 1])
+
+        field = CurvatureField(lambda p, z: spatial(p) + 0.25 * z,
+                               z_slope=0.25, spatial=spatial)
+        rng = np.random.default_rng(6)
+        nodes = rng.uniform(-1.0, 1.0, size=(200, 2))
+        zs = [rng.uniform(-2.0, 2.0, 200) for _ in range(3)]
+        reference = [field.eval(nodes, z) for z in zs]
+        calls.clear()
+        fixed = field.on_nodes(nodes)
+        assert len(calls) == 1 and calls[0] is nodes
+        for z, ref in zip(zs, reference):
+            assert np.array_equal(fixed.eval(nodes, z), ref)
+        assert len(calls) == 1
+        # other points, even equal ones, are evaluated in full
+        assert np.array_equal(fixed.eval(nodes.copy(), zs[0]), reference[0])
+        assert len(calls) == 2
+        assert fixed.z_slope == 0.25 and fixed.on_nodes(nodes) is fixed
+
+    def test_constant_field_is_z_affine_without_a_spatial_part(self):
+        f = CurvatureField.from_constant(0.4)
+        assert f.z_slope == 0.0
+        assert f.on_nodes(np.zeros((3, 2))) is f
+
     def test_sampled_bounds(self):
         f = CurvatureField(lambda p, z: z)
         pts = np.zeros((4, 2))

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -302,6 +303,90 @@ class TestNewton:
         grid = grid_from_domain(geometry.Disc(1.0), 0.2)
         with pytest.raises(ParameterError):
             solver.newton_solve(grid, H_ZERO, tol=0.0)
+
+
+class TestOncePerIterate:
+    """Newton computes each iterate's edge states once, for its residual,
+    and hands them on to its assembly or to the final report; a field
+    H(x) + s z gives dH/dz as s, with no gradient evaluation."""
+
+    KERNELS = {"_edge_states": "E", "mc_residual": "R",
+               "_assemble_jacobian": "J"}
+
+    @pytest.mark.parametrize("field", [CurvatureField.from_constant(-0.3),
+                                       table_field()],
+                             ids=["constant", "table"])
+    def test_edge_states_once_per_iterate(self, field, monkeypatch):
+        grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 16)
+        calls, nested = [], []  # kernel letters, from Newton / from a kernel
+        depth = 0
+
+        def spy(name):
+            real = getattr(solver, name)
+
+            def wrapped(*args, **kwargs):
+                nonlocal depth
+                (nested if depth else calls).append(self.KERNELS[name])
+                depth += 1
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    depth -= 1
+
+            monkeypatch.setattr(solver, name, wrapped)
+
+        for name in self.KERNELS:
+            spy(name)
+
+        def no_gradient(*args, **kwargs):
+            raise AssertionError("Newton evaluated the field's gradient")
+
+        monkeypatch.setattr(CurvatureField, "grad_eval", no_gradient)
+        # a start far enough from the solution that the line search backtracks
+        r = np.hypot(grid.X, grid.Y)
+        sol = solver.newton_solve(grid, field,
+                                  initial=2.0 * (r - 1.0) * (2.0 - r))
+        monkeypatch.undo()
+        # states at the start and at each line-search trial, each followed
+        # by that trial's residual; one assembly per step; the final
+        # report's residual reuses the accepted iterate's states
+        sequence = "".join(calls)
+        assert re.fullmatch(r"ER(J(ER)+)*R", sequence), sequence
+        assert "JERER" in sequence and nested == []
+        assert sequence.count("J") == sol.newton_iters > 0
+        fresh = solver.mc_residual(sol.values, grid, field)
+        assert float(np.max(np.abs(fresh))) == sol.residual_inf
+
+
+class TestSolveSymmetries:
+    """Metamorphic relations of the discrete scheme, through the homotopy
+    on a disc with H = 0.5 at spacing 1/16.  The lattice is anchored at
+    the bounding box, so neither holds bitwise: pinned at roundoff."""
+
+    @staticmethod
+    def solve(domain, h, spacing):
+        grid = grid_from_domain(domain, spacing)
+        field = CurvatureField.from_constant(h)
+        return solver.continuation_solve(grid, field).solution
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return self.solve(geometry.Disc(1.0), 0.5, 1.0 / 16)
+
+    @pytest.mark.parametrize("center", [(3.0, 0.0), (5.0, -7.0)])
+    def test_translation_by_whole_cells(self, reference, center):
+        moved = self.solve(geometry.Disc(1.0, center), 0.5, 1.0 / 16)
+        assert np.array_equal(moved.grid.interior, reference.grid.interior)
+        diff = moved.interior_values() - reference.interior_values()
+        assert np.max(np.abs(diff)) <= 1e-15
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    def test_scaling(self, reference, lam):
+        # domain times lam, H / lam and spacing times lam: f -> lam f
+        scaled = self.solve(geometry.Disc(lam), 0.5 / lam, lam / 16)
+        assert np.array_equal(scaled.grid.interior, reference.grid.interior)
+        diff = scaled.interior_values() - lam * reference.interior_values()
+        assert np.max(np.abs(diff)) <= 1e-15
 
 
 class TestFactorOnceSolver:
