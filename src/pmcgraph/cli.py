@@ -187,8 +187,8 @@ def _annulus_r(value):
 
 
 # (config key, converter, default when the key is absent)
-_SOLVE_SETTINGS = (("spacing", float, 0.05),
-                   ("tol", float, 1e-10),
+_SOLVE_SETTINGS = (("spacing", _positive(float), 0.05),
+                   ("tol", _positive(float), 1e-10),
                    ("schedule", _schedule, None),
                    ("max_iters", int, 40),
                    ("annulus_r", _annulus_r, None))

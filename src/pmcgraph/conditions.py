@@ -117,7 +117,6 @@ class CurvatureField:
     not supplied, central finite differences are used.
 
     h_sup0    sup over the domain of |H(x, 0)| (may be filled by sampling)
-    h0        bound on |H| + |grad H| over a working slab |z| <= M
     monotone  asserted dH/dz >= 0 (verified by sampling where needed)
     constant  set when the field is a constant, enabling the comparisons
               that are only meaningful for constant curvature
@@ -128,15 +127,13 @@ class CurvatureField:
               :meth:`on_nodes` evaluates it once at a solve's nodes
     """
 
-    def __init__(self, func, grad=None, h_sup0=None, h0=None, monotone=None,
-                 constant=None, description="", z_slope=None, spatial=None):
+    def __init__(self, func, grad=None, h_sup0=None, monotone=None,
+                 constant=None, z_slope=None, spatial=None):
         self._func = func
         self._grad = grad
         self.h_sup0 = h_sup0
-        self.h0 = h0
         self.monotone = monotone
         self.constant = constant
-        self.description = description
         self.z_slope = z_slope
         self._spatial = spatial
 
@@ -156,9 +153,8 @@ class CurvatureField:
             shape = np.broadcast_shapes(points.shape[:-1], z.shape)
             return np.zeros(shape + (points.shape[-1],)), np.zeros(shape)
 
-        return cls(func, grad=grad, h_sup0=abs(value), h0=abs(value),
-                   monotone=True, constant=value,
-                   description=f"constant H = {value}", z_slope=0.0)
+        return cls(func, grad=grad, h_sup0=abs(value), monotone=True,
+                   constant=value, z_slope=0.0)
 
     @property
     def is_constant(self):

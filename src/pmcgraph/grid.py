@@ -256,7 +256,7 @@ def grid_from_domain(domain, spacing, boundary=None, pad_cells=2):
     bisection steps on the membership test, so any domain kind with a
     ``contains`` method works.
     """
-    if spacing <= 0.0:
+    if not spacing > 0.0:
         raise ParameterError("grid spacing must be positive")
     gfun = _boundary_callable(boundary)
 

@@ -3,8 +3,10 @@
 These functions wire the geometry metrics into the condition checks,
 build barrier profiles matched to a domain's annulus fit, run the grid
 solver with a two-grid error estimate and feed everything into the
-verification checks.  The command line front end is a thin wrapper around
-this module.
+verification checks.  Every grid that ``solve`` or ``verify`` solves goes
+through :func:`solve_grid`, which holds the one rule for choosing between
+Newton at t = 1 and the homotopy.  The command line front end is a thin
+wrapper around this module.
 """
 
 from __future__ import annotations
@@ -172,11 +174,10 @@ def gradient_hypotheses(domain, field, solution, *, annulus_r=None,
 
 def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
                  schedule=None, max_iters=40):
-    """Rasterize and run the homotopy solve; returns a
+    """Rasterize and solve by :func:`solve_grid`; returns a
     :class:`pmcgraph.solver.SolveOutcome`."""
-    grid = grid_from_domain(domain, spacing, boundary=boundary)
-    return solver.continuation_solve(grid, field, schedule=schedule, tol=tol,
-                                     max_iters=max_iters)
+    return solve_grid(grid_from_domain(domain, spacing, boundary=boundary),
+                      field, tol=tol, schedule=schedule, max_iters=max_iters)
 
 
 def _band_nodes(grid):
@@ -226,53 +227,56 @@ def prolongate(coarse, grid):
     return np.nan_to_num(values, nan=0.0)
 
 
-def refine_solve(coarse, field, *, tol=1e-10, schedule=None, max_iters=40):
-    """Solve at half the coarse spacing, starting Newton at t = 1 from a
-    coarse solution.
+def solve_grid(grid, field, *, coarse=None, tol=1e-10, schedule=None,
+               max_iters=40):
+    """Solve one grid by the one rule of ``solve`` and ``verify``; returns
+    a :class:`pmcgraph.solver.SolveOutcome`.
 
-    ``coarse`` is a :class:`pmcgraph.solver.SolveOutcome` on a
-    zero-boundary grid; the fine grid is its domain's grid at half its
-    spacing.  The coarse solution is carried onto the fine nodes by
-    :func:`prolongate` (cubic convolution in the interior,
-    piecewise-linear over a triangulated band next to the boundary, where
-    the fine grid's own boundary crossings carry the Dirichlet values) and
-    one Newton solve at the full problem finishes the job, with a
-    :class:`pmcgraph.solver.FactorOnceSolver` given the coarse-to-fine
-    prolongation: its GMRES is preconditioned by a two-grid cycle, so the
-    fine Jacobian is factored only if GMRES fails.  The trace is a single
-    step at t = 1, whose ``factorizations`` counts the coarse factor.  If
-    that Newton solve fails, the full fine homotopy runs instead, so
-    refinement succeeds wherever a direct fine continuation does.
-    ``verify_domain`` uses the same Newton-or-homotopy step from a zero
-    start on its coarse grid, with a solver without prolongation.
+    * With ``coarse``, a solved outcome on a coarser grid of the same
+      domain: Newton at t = 1 from its :func:`prolongate` values, with
+      GMRES preconditioned by the two-grid cycle of
+      :func:`pmcgraph.grid.bilinear_prolongation`.
+    * Else, when ``field.monotone`` holds (H nondecreasing in z, so the
+      discrete solution is unique by the comparison principle): Newton at
+      t = 1 from :func:`pmcgraph.solver.newton_solve`'s default start.
+    * Else, or when that Newton run fails: the homotopy, whose
+      continuation defines the solution branch.  ``schedule`` steers only
+      the homotopy, and is checked before any solve.
+
+    A successful Newton run's trace is one step at t = 1.
     """
+    schedule = solver.homotopy_schedule(schedule, field)
+    settings = dict(tol=tol, max_iters=max_iters)
+    if coarse is not None or field.monotone:
+        initial, prolongation = None, None
+        if coarse is not None:
+            initial = np.zeros(grid.shape)
+            initial[grid.interior] = prolongate(coarse, grid)
+            prolongation = bilinear_prolongation(coarse.solution.grid, grid)
+        linsolve = solver.FactorOnceSolver(prolongation)
+        try:
+            solution = solver.newton_solve(grid, field, t_homotopy=1.0,
+                                           initial=initial, linsolve=linsolve,
+                                           **settings)
+        except SolverError:
+            pass
+        else:
+            step = solver.ContinuationStep.from_solution(
+                solution, linsolve.factorizations, linsolve.krylov_iters)
+            return solver.SolveOutcome(solution,
+                                       solver.ContinuationTrace(steps=[step]))
+    return solver.continuation_solve(grid, field, schedule=schedule,
+                                     **settings)
+
+
+def refine_solve(coarse, field, *, tol=1e-10, schedule=None, max_iters=40):
+    """:func:`solve_grid` at half the spacing of ``coarse``, a
+    :class:`pmcgraph.solver.SolveOutcome` on a zero-boundary grid, from
+    that coarse solution."""
     coarse_grid = coarse.solution.grid
     grid = grid_from_domain(coarse_grid.domain, 0.5 * coarse_grid.spacing)
-    initial = np.zeros(grid.shape)
-    initial[grid.interior] = prolongate(coarse, grid)
-    linsolve = solver.FactorOnceSolver(bilinear_prolongation(coarse_grid, grid))
-    return _newton_from(grid, field, initial, linsolve, tol=tol,
-                        schedule=schedule, max_iters=max_iters)
-
-
-def _newton_from(grid, field, initial, linsolve, *, tol, schedule, max_iters):
-    """Newton at t = 1 from ``initial`` with the linear solver ``linsolve``,
-    or the grid's homotopy if it fails; returns a
-    :class:`pmcgraph.solver.SolveOutcome`.
-
-    After a successful Newton solve the trace is a single step at t = 1.
-    """
-    try:
-        solution = solver.newton_solve(grid, field, t_homotopy=1.0,
-                                       initial=initial, tol=tol,
-                                       max_iters=max_iters, linsolve=linsolve)
-    except SolverError:
-        return solver.continuation_solve(grid, field, schedule=schedule,
-                                         tol=tol, max_iters=max_iters)
-    step = solver.ContinuationStep.from_solution(
-        solution, linsolve.factorizations, linsolve.krylov_iters)
-    return solver.SolveOutcome(solution,
-                               solver.ContinuationTrace(steps=[step]))
+    return solve_grid(grid, field, coarse=coarse, tol=tol, schedule=schedule,
+                      max_iters=max_iters)
 
 
 @dataclass
@@ -310,14 +314,10 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     with no admissible barrier raises :class:`NoAdmissibleConstantError`
     at no solve cost.
 
-    When ``field.monotone`` holds (H nondecreasing in z) the discrete
-    solution is unique by the comparison principle, so the grid at
-    ``spacing`` is solved by Newton at t = 1 from zero, and only if that
-    fails by the homotopy; any other field runs the homotopy there, whose
-    continuation defines the solution branch.  :func:`refine_solve`
-    (Newton at t = 1 from the prolongated solution, with the same
-    fallback) then reaches ``spacing / 2``.  A stall is therefore that of
-    a direct solve at ``spacing``.  ``trace`` is the fine solve's trace.
+    Both grids are solved by :func:`solve_grid`: the grid at ``spacing``
+    by itself, and the grid at ``spacing / 2`` from its solution
+    (:func:`refine_solve`).  A stall is therefore that of ``solve`` at
+    ``spacing``.  ``trace`` is the fine solve's trace.
     """
     if isinstance(domain, geometry.GridMask):
         raise ParameterError(
@@ -329,11 +329,7 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
         raise ParameterError("no common interpolation points for the estimate")
     fit, profile = barrier_for_domain(domain, sampled_h_sup0(field, domain),
                                       annulus_r=annulus_r)
-    if field.monotone:
-        coarse = _newton_from(grid, field, None, solver.FactorOnceSolver(),
-                              **settings)
-    else:
-        coarse = solver.continuation_solve(grid, field, **settings)
+    coarse = solve_grid(grid, field, **settings)
     fine = refine_solve(coarse, field, **settings)
 
     pts = grid.interior_points()
@@ -430,7 +426,6 @@ def curvature_from_json(spec):
                 return spatial, np.full(shape, z_slope)
 
             return CurvatureField(func, grad=grad, monotone=z_slope >= 0.0,
-                                  description="tabulated H(x, y) + z_slope * z",
                                   z_slope=z_slope, spatial=interp)
     raise ParameterError("curvature spec needs 'constant' or 'table'")
 

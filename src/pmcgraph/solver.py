@@ -4,8 +4,9 @@ Two routes:
 
 * a damped-Newton solver for the divergence-form finite-difference
   discretization of ``div(grad f / sqrt(1 + |grad f|^2)) = t n H(x, f)``
-  on masked planar lattices, wrapped in a homotopy in ``t`` from the
-  minimal surface problem (t = 0) to the full problem (t = 1);
+  on masked planar lattices, run at t = 1 or wrapped in a homotopy in
+  ``t`` from the minimal surface problem (t = 0) to the full problem
+  (t = 1); :func:`pmcgraph.pipeline.solve_grid` chooses between them;
 * a radial shooting solver for rotationally symmetric annuli in any
   dimension, which adjusts the profile integration constant until the
   outer zero boundary value is met and declares nonexistence when no
@@ -21,9 +22,12 @@ point, which is what keeps the scheme second order on curved domains.
 Linear solves have one solver, :class:`FactorOnceSolver`: right-
 preconditioned GMRES with a stored preconditioner, and a direct SuperLU
 solve whose factor becomes that preconditioner when there is none yet or
-GMRES fails.  A grid solved by itself (a homotopy, or Newton from zero)
-thus factors its Jacobian at the first Newton step, and that factor
-preconditions every later step at the same or a later t.  A grid refined
+GMRES fails.  A grid solved by itself (a homotopy, or Newton from its
+default start) thus factors its Jacobian at the first Newton step, and
+that factor preconditions every later step at the same or a later t.
+The default start is zero for zero Dirichlet data; for nonzero data it
+is the discrete harmonic extension (:func:`_harmonic_start`), whose
+factor is the first preconditioner instead.  A grid refined
 from a solved coarser one starts with a two-grid cycle whose Galerkin
 coarse operator is factored once.  Newton is inexact: each GMRES solve
 stops at a relative residual set by the size of the Newton residual
@@ -63,8 +67,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .grid import (DIRECTIONS, OFFSETS, STENCIL_OFFSETS,
-                   interpolate_values_cubic, shift)
+from .grid import DIRECTIONS, STENCIL_OFFSETS, interpolate_values_cubic
 from .ioutil import dump_json, lattice_rows, write_csv
 
 #: graph dimension of the planar grid problem
@@ -151,21 +154,13 @@ def _edge_states(plan, x):
     return primary, cross, W
 
 
-def mc_residual(values, grid, hfield, t_homotopy=1.0, area_weighted=False,
-                states=None):
+def mc_residual(values, grid, hfield, t_homotopy=1.0, states=None):
     """Residual of the discrete operator minus t n H(x, f), per node.
 
     Zero outside the interior mask.  Vanishes identically for constant
     values with H = 0 and, up to rounding, for affine data on polygonal
-    domains (planes are minimal graphs).
-
-    The default is the strong (pointwise) normalization used for Newton
-    stopping tests.  With ``area_weighted=True`` the finite-volume form
-    (cell area times the pointwise residual) is returned; its sup norm
-    decays at second order under refinement when exact solutions are
-    interpolated, including at cut-arm nodes, whereas the pointwise sup
-    stays first-order-in-cell-count there (the usual cut-cell behavior;
-    the solution error is second order either way).
+    domains (planes are minimal graphs).  This is the strong (pointwise)
+    normalization used for Newton stopping tests.
 
     ``values`` is a lattice array; only its interior entries are read.
     The stencil runs on the interior dof vector through ``grid.plan``, and
@@ -179,28 +174,9 @@ def mc_residual(values, grid, hfield, t_homotopy=1.0, area_weighted=False,
     div = ((flux[0] - flux[1]) * plan.cfac[0]
            + (flux[2] - flux[3]) * plan.cfac[1])
     rhs = t_homotopy * GRID_DIM * hfield.eval(plan.points, x)
-    res = div - rhs
-    if area_weighted:
-        res = res * grid.spacing * grid.spacing
     out = np.zeros(grid.shape)
-    out[grid.interior] = res
+    out[grid.interior] = div - rhs
     return out
-
-
-def full_stencil_mask(grid):
-    """Interior nodes whose full 9-point stencil has only whole arms.
-
-    On these nodes the discretization carries its clean second-order
-    truncation; nodes next to cut arms trade pointwise truncation order
-    for geometric fidelity.
-    """
-    full = grid.interior.copy()
-    for d in ("E", "W", "N", "S"):
-        full &= grid.nbr[d]
-        dj, di = OFFSETS[d]
-        for arm in ("E", "W", "N", "S"):
-            full &= shift(grid.nbr[arm], dj, di, fill=False)
-    return full
 
 
 def _assemble_jacobian(grid, f, hfield, t_homotopy, states=None):
@@ -478,16 +454,36 @@ def _finish_solution(grid, f, hfield, t, iters, states):
     return sol
 
 
+def _harmonic_start(grid, hfield, linsolve):
+    """Interior values solving the scheme's W = 1 linearization, the
+    discrete harmonic extension of the Dirichlet data.
+
+    That scheme is affine in the values: its residual at zero plus
+    :func:`_assemble_jacobian` on flat edge states (W = 1) at t = 0 times
+    the values.  One ``linsolve`` solve gives them, and its factor then
+    preconditions the Newton steps.
+    """
+    zero = np.zeros(grid.shape)
+    slope = _edge_slopes(grid.plan, zero[grid.interior])[0] * _SIGN
+    res = mc_residual(zero, grid, hfield, 0.0, states=(slope, None, 1.0))
+    flat = (np.zeros_like(slope), np.zeros_like(slope), np.ones_like(slope))
+    lap = _assemble_jacobian(grid, zero, hfield, 0.0, [flat])
+    return linsolve.solve(lap, -res[grid.interior])[0]
+
+
 def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
                  max_iters=40, linsolve=None):
     """Damped Newton iteration for the discrete problem at fixed t.
 
-    The analytic Jacobian of the discrete operator is assembled each step
-    and handed to ``linsolve``, a :class:`FactorOnceSolver` (a fresh one,
-    without prolongation, when omitted).  The step is inexact: GMRES stops
-    at the relative residual :func:`_forcing` gives for the current
-    residual sup norm, ``min(1e-2, max(1e-12, rinf**2))``, which keeps
-    Newton's quadratic convergence and so its iteration count.  After one
+    Without ``initial`` it starts from zero on zero Dirichlet data and from
+    :func:`_harmonic_start` on nonzero data, where a zero start puts the
+    whole boundary jump on the cut arms.  The analytic Jacobian of the
+    discrete operator is assembled each step and handed to ``linsolve``,
+    a :class:`FactorOnceSolver` (a fresh one, without prolongation, when
+    omitted).  The step is inexact: GMRES stops at the relative residual
+    :func:`_forcing` gives for the current residual sup norm,
+    ``min(1e-2, max(1e-12, rinf**2))``, which keeps Newton's quadratic
+    convergence and so its iteration count.  After one
     GMRES failure the rest of this run factors every step directly.
     Backtracking halves the step until the residual 2-norm decreases
     (floor 2^-20).  Each iterate's edge states are computed once, for its
@@ -497,7 +493,7 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     residual sup norm, step length, GMRES iterations and whether the
     Jacobian was factored.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterError("tolerance must be positive")
     if linsolve is None:
         linsolve = FactorOnceSolver()
@@ -505,6 +501,8 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     hfield = hfield.on_nodes(plan.points)
     f = np.zeros(grid.shape) if initial is None else np.array(initial, dtype=float)
     f[~grid.interior] = 0.0
+    if initial is None and grid.boundary_nonzero:
+        f[grid.interior] = _harmonic_start(grid, hfield, linsolve)
 
     trace = []
     # the current iterate's edge states, in a one-item list that its
@@ -516,7 +514,7 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     rnorm = float(np.linalg.norm(r_vec))
     iters = 0
     krylov = True
-    while rinf > tol:
+    while not rinf <= tol:  # a NaN residual is not converged
         if iters >= max_iters:
             raise NonconvergenceError(
                 f"no convergence after {max_iters} Newton iterations "
@@ -604,14 +602,39 @@ class SolveOutcome(NamedTuple):
     trace: ContinuationTrace
 
 
+def homotopy_schedule(schedule, hfield):
+    """The homotopy's values of t for ``schedule`` (None: the default),
+    anchored at the minimal surface member t = 0.  Raises
+    :class:`ParameterError` unless they increase strictly within [0, 1]
+    and end at t = 1."""
+    minimal = hfield.is_constant and hfield.constant == 0.0
+    if schedule is None:
+        # with H = 0 every t gives the minimal surface problem
+        schedule = ([1.0] if minimal
+                    else np.linspace(0.0, 1.0, _DEFAULT_SCHEDULE_STEPS))
+    schedule = [float(t) for t in schedule]
+    # each test is written so that NaN fails it
+    if not schedule or not abs(schedule[-1] - 1.0) <= 1e-14:
+        raise ParameterError("schedule must end at t = 1")
+    if not all(b > a for a, b in zip(schedule, schedule[1:])):
+        raise ParameterError("schedule must be strictly increasing")
+    if not all(0.0 <= t <= 1.0 for t in schedule):
+        raise ParameterError("schedule values must lie in [0, 1]")
+    if schedule[0] > 0.0 and not minimal:
+        schedule.insert(0, 0.0)
+    return schedule
+
+
 def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
     """Solve the homotopy family t -> t n H successively, warm-starting.
 
-    Returns a :class:`SolveOutcome`.  The default schedule is 11 uniform
-    steps on [0, 1]; a failed step is bisected until the increment falls
-    below 1e-3, at which point a :class:`ContinuationFailureError` reports
-    the stall parameter and the gradient at the last success.  A stall is
-    a numerical statement, not a nonexistence proof.
+    Returns a :class:`SolveOutcome`.  The default schedule
+    (:func:`homotopy_schedule`) is 11 uniform steps on [0, 1], and the
+    first member starts where :func:`newton_solve` starts by default.  A
+    failed step is bisected until the increment falls below 1e-3, at
+    which point a :class:`ContinuationFailureError` reports the stall
+    parameter and the gradient at the last success.  A stall is a
+    numerical statement, not a nonexistence proof.
 
     All Newton runs share one :class:`FactorOnceSolver`: the Jacobian is
     factored at the first Newton step of the homotopy and that LU
@@ -619,26 +642,12 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
     costs a single factorization.  They also share the field's
     z-independent part at the grid's nodes, evaluated once here.
     """
-    if schedule is None:
-        if hfield.is_constant and hfield.constant == 0.0:
-            schedule = [1.0]  # every t gives the minimal surface problem
-        else:
-            schedule = np.linspace(0.0, 1.0, _DEFAULT_SCHEDULE_STEPS)
-    schedule = [float(t) for t in schedule]
-    if not schedule or abs(schedule[-1] - 1.0) > 1e-14:
-        raise ParameterError("schedule must end at t = 1")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ParameterError("schedule must be strictly increasing")
-    if any(t < 0.0 or t > 1.0 for t in schedule):
-        raise ParameterError("schedule values must lie in [0, 1]")
-    if schedule[0] > 0.0 and not (hfield.is_constant and hfield.constant == 0.0):
-        schedule.insert(0, 0.0)  # always anchor at the minimal surface member
-
+    schedule = homotopy_schedule(schedule, hfield)
     hfield = hfield.on_nodes(grid.plan.points)
     trace = ContinuationTrace()
     linsolve = FactorOnceSolver()
     counted = (0, 0)  # linear-solver counters at the last accepted step
-    f = np.zeros(grid.shape)
+    f = None  # until a member converges, Newton's default start
     t_prev = None
     solution = None
     pending = list(schedule)

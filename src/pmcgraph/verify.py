@@ -21,12 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import barrier_constants
+from .conditions import FAIL, NOT_APPLICABLE, PASS
 from .errors import ParameterError
 from .ioutil import dump_json, write_csv
-
-PASS = "pass"
-FAIL = "fail"
-NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass(frozen=True)

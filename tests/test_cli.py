@@ -223,11 +223,26 @@ class TestSolveAndVerifyCommands:
          "verify"),
         ({"samples": 1e400}, "config 'samples'", "check"),
         ({"max_iters": 1e400}, "config 'max_iters'", "solve"),
+        ({"tol": math.nan}, "config 'tol': must be positive", "solve"),
+        ({"tol": math.nan}, "config 'tol': must be positive", "verify"),
+        ({"spacing": math.nan}, "config 'spacing': must be positive",
+         "solve"),
+        ({"spacing": math.nan}, "config 'spacing': must be positive",
+         "verify"),
+        # the homotopy does not run for this monotone field, but its
+        # schedule is checked before any solve
+        ({"schedule": [0.0, 0.5, 0.25, 1.0]}, "strictly increasing",
+         "solve"),
+        ({"schedule": [0.0, math.nan, 1.0]}, "strictly increasing",
+         "verify"),
     ], ids=["schedule-number", "spacing-string", "max-iters-null",
             "schedule-string-entry", "annulus-without-r-out",
             "curvature-string", "boundary-short-linear", "annulus-r-string",
             "annulus-r-negative", "samples-string", "samples-fraction",
-            "annulus-r-infinite", "samples-overflow", "max-iters-overflow"])
+            "annulus-r-infinite", "samples-overflow", "max-iters-overflow",
+            "tol-nan-solve", "tol-nan-verify", "spacing-nan-solve",
+            "spacing-nan-verify", "schedule-decreasing",
+            "schedule-nan-entry"])
     def test_malformed_values_exit_64(self, tmp_path, capsys, override,
                                       message, command):
         cfg = tmp_path / "cfg.json"
@@ -263,6 +278,20 @@ class TestSolveAndVerifyCommands:
         assert run(["solve", "--config", cfg, "--out", out]) == 0
         report = json.loads((out / "solve_report.json").read_text())
         assert "no existence guarantee" in report["no_existence_guarantee"]
+
+    def test_nonzero_boundary_on_curved_domain_converges(self, tmp_path):
+        # from a zero start this stalls at the minimal-surface member
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "annulus", "r_in": 1.0, "r_out": 2.0},
+            "curvature": {"constant": -0.5},
+            "boundary": {"linear": [0.3, -0.2, 0.1]},
+            "spacing": 1.0 / 16}))
+        out = tmp_path / "annulus"
+        assert run(["solve", "--config", cfg, "--out", out]) == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["status"] == "converged"
+        assert report["residual_inf"] <= 1e-10
 
     def test_table_curvature_spec(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ from pmcgraph.cli import main as cli_main
 from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import (ContinuationFailureError,
                              NoAdmissibleConstantError, NonconvergenceError,
-                             ParameterError)
+                             ParameterError, SolverError)
 from pmcgraph.grid import grid_from_domain, interpolate_values_cubic
 
 
@@ -138,7 +138,8 @@ class TestCoarseToFineVerify:
 
     def test_matches_fine_continuation(self):
         outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
-        fine = pipeline.solve_domain(self.DOMAIN, self.FIELD, 1.0 / 32)
+        fine = solver.continuation_solve(
+            grid_from_domain(self.DOMAIN, 1.0 / 32), self.FIELD)
         diff = np.max(np.abs(outcome.solution.values - fine.solution.values))
         assert diff <= 1e-12
         (step,) = outcome.trace.steps
@@ -231,20 +232,21 @@ class TestTwoGridVerify:
 
     def test_two_levels_match_continuations(self, monkeypatch):
         levels = []
-        real = pipeline._newton_from
+        real = pipeline.solve_grid
 
         def record(grid, *args, **kwargs):
             out = real(grid, *args, **kwargs)
             levels.append((grid.spacing, out))
             return out
 
-        monkeypatch.setattr(pipeline, "_newton_from", record)
+        monkeypatch.setattr(pipeline, "solve_grid", record)
         homotopies = self.spy(monkeypatch, solver, "continuation_solve")
         outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
         assert [h for h, _ in levels] == [1.0 / 16, 1.0 / 32]
         assert homotopies == []
         for h, level in levels:
-            direct = pipeline.solve_domain(self.DOMAIN, self.FIELD, h)
+            direct = solver.continuation_solve(
+                grid_from_domain(self.DOMAIN, h), self.FIELD)
             diff = np.max(np.abs(level.solution.values
                                  - direct.solution.values))
             assert diff <= 1e-12
@@ -276,11 +278,13 @@ class TestTwoGridVerify:
             "z_slope": -0.1})
         assert not field.monotone
         homotopies = self.spy(monkeypatch, solver, "continuation_solve")
-        newton_starts = self.spy(monkeypatch, pipeline, "_newton_from")
+        grid_solves = self.spy(monkeypatch, pipeline, "solve_grid")
         outcome = pipeline.verify_domain(self.DOMAIN, field, 1.0 / 16)
+        # the homotopy at the spacing, Newton from its solution at half it
+        assert grid_solves == [1.0 / 16, 1.0 / 32]
         assert homotopies == [1.0 / 16]
-        assert newton_starts == [1.0 / 32]
-        direct = pipeline.solve_domain(self.DOMAIN, field, 1.0 / 32)
+        direct = solver.continuation_solve(
+            grid_from_domain(self.DOMAIN, 1.0 / 32), field)
         diff = np.max(np.abs(outcome.solution.values - direct.solution.values))
         assert diff <= 1e-12
 
@@ -323,6 +327,79 @@ class TestTwoGridVerify:
         report = json.loads((out / "estimate_report.json").read_text())
         assert report == {"status": "no-admissible-barrier",
                           "message": str(info.value)}
+
+
+class TestOneSolveRule:
+    """``solve`` and ``verify`` reach every grid through ``solve_grid``:
+    Newton at t = 1 for a monotone field, the homotopy otherwise or when
+    that Newton run fails."""
+
+    NONMONOTONE = {"table": {"x": [-2.0, 2.0], "y": [-2.0, 2.0],
+                             "values": [[-0.3, -0.2], [-0.2, -0.3]]},
+                   "z_slope": -0.1}
+
+    @staticmethod
+    def record_solves(monkeypatch):
+        """Events in call order: ("newton", t, converged) per Newton run and
+        ("homotopy",) when a homotopy starts."""
+        events = []
+        newton, homotopy = solver.newton_solve, solver.continuation_solve
+
+        def spy_newton(grid, hfield, **kwargs):
+            try:
+                out = newton(grid, hfield, **kwargs)
+            except SolverError:
+                events.append(("newton", kwargs["t_homotopy"], False))
+                raise
+            events.append(("newton", kwargs["t_homotopy"], True))
+            return out
+
+        def spy_homotopy(*args, **kwargs):
+            events.append(("homotopy",))
+            return homotopy(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", spy_newton)
+        monkeypatch.setattr(solver, "continuation_solve", spy_homotopy)
+        return events
+
+    def solve(self, tmp_path, curvature):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "annulus", "r_in": 1.0, "r_out": 2.0},
+            "curvature": curvature, "spacing": 0.125}))
+        out = tmp_path / "solve"
+        assert cli_main(["solve", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        return json.loads((out / "solve_report.json").read_text())["trace"]
+
+    def test_monotone_field_is_one_newton_run(self, monkeypatch, tmp_path):
+        events = self.record_solves(monkeypatch)
+        trace = self.solve(tmp_path, {"constant": -0.3})
+        assert events == [("newton", 1.0, True)]
+        (step,) = trace
+        assert step["t"] == 1.0 and step["factorizations"] == 1
+
+    def test_nonmonotone_field_runs_the_homotopy(self, monkeypatch,
+                                                 tmp_path):
+        events = self.record_solves(monkeypatch)
+        trace = self.solve(tmp_path, self.NONMONOTONE)
+        assert events[0] == ("homotopy",)
+        assert [e[1] for e in events[1:]] == [s["t"] for s in trace]
+        assert [s["t"] for s in trace] == pytest.approx(
+            np.linspace(0.0, 1.0, 11), abs=1e-15)
+
+    def test_failed_newton_falls_back_to_the_same_stall(self, monkeypatch):
+        disc, field = geometry.Disc(1.0), CurvatureField.from_constant(1.2)
+        with pytest.raises(ContinuationFailureError) as direct:
+            solver.continuation_solve(grid_from_domain(disc, 0.1), field,
+                                      max_iters=20)
+        events = self.record_solves(monkeypatch)
+        with pytest.raises(ContinuationFailureError) as solved:
+            pipeline.solve_domain(disc, field, 0.1, max_iters=20)
+        assert events[:2] == [("newton", 1.0, False), ("homotopy",)]
+        assert events[2:].count(("homotopy",)) == 0
+        assert solved.value.stall_t == direct.value.stall_t
+        assert solved.value.diagnostics == direct.value.diagnostics
 
 
 class TestVerifySymmetries:

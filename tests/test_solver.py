@@ -50,6 +50,18 @@ def cap_values(h, R, X, Y):
     return np.sqrt(1.0 / h**2 - X**2 - Y**2) - math.sqrt(1.0 / h**2 - R**2)
 
 
+def full_stencil_mask(grid):
+    """Interior nodes whose full 9-point stencil has only whole arms: where
+    the scheme has its clean second-order truncation."""
+    full = grid.interior.copy()
+    for d in ("E", "W", "N", "S"):
+        full &= grid.nbr[d]
+        dj, di = OFFSETS[d]
+        for arm in ("E", "W", "N", "S"):
+            full &= shift(grid.nbr[arm], dj, di, fill=False)
+    return full
+
+
 class TestResidual:
     def test_zero_for_flat_minimal(self):
         grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 0.1)
@@ -64,8 +76,10 @@ class TestResidual:
         assert np.max(np.abs(res[grid.interior])) <= 1e-12
 
     def test_cap_truncation_orders(self):
-        # interpolating the exact cap: the finite-volume residual decays at
-        # order ~2 everywhere; the pointwise residual does so on the bulk
+        # interpolating the exact cap: the finite-volume residual (cell
+        # area times the pointwise one) decays at order ~2 everywhere; the
+        # pointwise residual does so on the bulk, but stays first order in
+        # the cell count next to cut arms (the usual cut-cell behaviour)
         h, R = 0.5, 1.0
         field = CurvatureField.from_constant(-h)
         disc = geometry.Disc(R)
@@ -73,10 +87,10 @@ class TestResidual:
         for n in (33, 65, 129):
             grid = grid_from_domain(disc, 2.0 / (n - 1))
             f = cap_values(h, R, grid.X, grid.Y)
-            res_w = solver.mc_residual(f, grid, field, area_weighted=True)
-            weighted.append(np.max(np.abs(res_w[grid.interior])))
             res_p = solver.mc_residual(f, grid, field)
-            bulk.append(np.max(np.abs(res_p[solver.full_stencil_mask(grid)])))
+            res_w = res_p * grid.spacing * grid.spacing
+            weighted.append(np.max(np.abs(res_w[grid.interior])))
+            bulk.append(np.max(np.abs(res_p[full_stencil_mask(grid)])))
         for errs in (weighted, bulk):
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
             assert all(1.5 <= o <= 2.5 for o in orders), (errs, orders)
@@ -303,6 +317,75 @@ class TestNewton:
         grid = grid_from_domain(geometry.Disc(1.0), 0.2)
         with pytest.raises(ParameterError):
             solver.newton_solve(grid, H_ZERO, tol=0.0)
+
+    def test_nan_tolerance_is_refused(self):
+        # NaN fails every comparison: "residual > tol" would end Newton at
+        # once and report the zero start as converged
+        grid = grid_from_domain(geometry.Disc(1.0), 0.2)
+        field = CurvatureField.from_constant(-0.3)
+        with pytest.raises(ParameterError, match="tolerance"):
+            solver.newton_solve(grid, field, tol=math.nan)
+        with pytest.raises(ParameterError, match="tolerance"):
+            solver.continuation_solve(grid, field, tol=math.nan)
+        with pytest.raises(ParameterError, match="tolerance"):
+            pipeline.solve_domain(geometry.Disc(1.0), field, 0.2, tol=math.nan)
+
+    def test_nan_spacing_is_refused(self):
+        with pytest.raises(ParameterError, match="spacing"):
+            grid_from_domain(geometry.Disc(1.0), math.nan)
+        with pytest.raises(ParameterError, match="spacing"):
+            pipeline.solve_domain(geometry.Disc(1.0), H_ZERO, math.nan)
+
+    def test_nan_residual_is_not_converged(self):
+        grid = grid_from_domain(geometry.Disc(1.0), 0.2)
+        field = CurvatureField(lambda p, z: np.full(np.shape(z), math.nan))
+        with pytest.raises(SolverError, match="not finite"):
+            solver.newton_solve(grid, field)
+
+
+class TestHarmonicStart:
+    """Newton from its default start on nonzero Dirichlet data begins at
+    the discrete harmonic extension, the solution of the W = 1 scheme."""
+
+    def test_constant_data_is_reached_exactly(self):
+        out = pipeline.solve_domain(geometry.Disc(1.0), H_ZERO, 1.0 / 32,
+                                    boundary=0.1)
+        assert np.max(np.abs(out.solution.interior_values() - 0.1)) <= 1e-12
+
+    def test_plane_needs_no_newton_step(self):
+        # the W = 1 scheme is exact on affine data, like the full one
+        square = geometry.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        plane = lambda x, y: 0.4 * x - 1.1 * y + 0.3
+        grid = grid_from_domain(square, 0.05, boundary=plane)
+        linsolve = solver.FactorOnceSolver()
+        sol = solver.newton_solve(grid, H_ZERO, linsolve=linsolve)
+        assert sol.newton_iters == 0 and linsolve.factorizations == 1
+        exact = plane(grid.X, grid.Y)[grid.interior]
+        assert np.max(np.abs(sol.interior_values() - exact)) <= 1e-12
+
+    def test_homotopy_leaves_the_minimal_surface_member(self):
+        # a zero start puts the whole boundary jump on the cut arms, and
+        # the homotopy stalls at t* = 0
+        grid = grid_from_domain(
+            geometry.Annulus(1.0, 2.0), 1.0 / 16,
+            boundary=pipeline.boundary_from_json({"linear": [0.3, -0.2, 0.1]}))
+        field = CurvatureField.from_constant(-0.5)
+        sol, trace = solver.continuation_solve(grid, field)
+        assert [s.t for s in trace.steps] == pytest.approx(
+            np.linspace(0.0, 1.0, 11), abs=1e-15)
+        assert sol.residual_inf <= 1e-10
+        direct = solver.newton_solve(grid, field)
+        assert np.max(np.abs(direct.values - sol.values)) <= 1e-12
+
+    def test_zero_data_keeps_the_zero_start(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("harmonic start on zero boundary data")
+
+        monkeypatch.setattr(solver, "_harmonic_start", refuse)
+        grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 8)
+        field = CurvatureField.from_constant(-0.3)
+        solver.newton_solve(grid, field)
+        solver.continuation_solve(grid, field)
 
 
 class TestOncePerIterate:
@@ -752,6 +835,11 @@ class TestContinuation:
             solver.continuation_solve(grid, H_ZERO, schedule=[0.0, 0.5])
         with pytest.raises(ParameterError):
             solver.continuation_solve(grid, H_ZERO, schedule=[0.5, 0.5, 1.0])
+        # NaN fails every comparison, so each check must be written to
+        # refuse it
+        for schedule in ([math.nan, 1.0], [0.0, math.nan, 1.0], [0.5, math.nan]):
+            with pytest.raises(ParameterError):
+                solver.continuation_solve(grid, H_ZERO, schedule=schedule)
 
     def test_overcurved_disc_stalls(self):
         # constant curvature above the inscribed-disc limit: no solution;
@@ -815,7 +903,7 @@ class TestRadialShoot:
                 2, 0.3, radial_case.c, sorted_r[0], sorted_r)
             f = np.zeros(grid.shape)
             f.flat[flat] = prof_heights
-            res = solver.mc_residual(f, grid, field, area_weighted=True)
+            res = solver.mc_residual(f, grid, field) * spacing * spacing
             errs.append(np.max(np.abs(res[grid.interior])))
         order = math.log2(errs[0] / errs[1])
         assert 1.5 <= order <= 2.5
