@@ -327,7 +327,7 @@ def profile_height_integral(dim, h, c, t_lo, t_hi):
     mid_hi = min(t_hi, cut_b)
     while s0 < mid_hi:
         # long catenoid tails (b = inf) are integrated in geometric chunks
-        s1 = mid_hi if math.isfinite(b) else min(mid_hi, 4.0 * max(s0, 1.0))
+        s1 = mid_hi if math.isfinite(b) else min(mid_hi, 4.0 * s0)
         val, err = _quad(lambda s: _slope_raw(float(s), dim, h, c), s0, s1)
         total += val
         err_total += err

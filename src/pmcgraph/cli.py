@@ -151,9 +151,9 @@ def cmd_check(args):
     out = _out_dir(args)
     cfg = _load_config(args)
     domain, field = _domain_and_field(args, cfg)
-    st = _settings(cfg, _CHECK_SETTINGS)
+    st = _settings({"dim": args.dim, **cfg}, _CHECK_SETTINGS)
     report = pipeline.conditions_for(
-        domain, field, dim=cfg.get("dim", args.dim),
+        domain, field, dim=st["dim"],
         annulus_r=st["annulus_r"], boundary_sample_count=st["samples"])
     report.write_json(out / "condition_report.json")
     for c in report.checks:
@@ -186,13 +186,18 @@ def _annulus_r(value):
     return None if value is None else _positive(float)(value)
 
 
+def _dim(value):
+    return barrier._check_dim(_integer(value))
+
+
 # (config key, converter, default when the key is absent)
 _SOLVE_SETTINGS = (("spacing", _positive(float), 0.05),
                    ("tol", _positive(float), 1e-10),
                    ("schedule", _schedule, None),
-                   ("max_iters", int, 40),
+                   ("max_iters", _positive(_integer), 40),
                    ("annulus_r", _annulus_r, None))
-_CHECK_SETTINGS = (("annulus_r", _annulus_r, None),
+_CHECK_SETTINGS = (("dim", _dim, 2),
+                   ("annulus_r", _annulus_r, None),
                    ("samples", _positive(_integer), 256))
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
+from . import barrier
 from .errors import ParameterError
 from .ioutil import dump_json
 
@@ -116,7 +116,6 @@ class CurvatureField:
     returns (spatial gradient (..., spatial_dim), dH/dz (...)); when it is
     not supplied, central finite differences are used.
 
-    h_sup0    sup over the domain of |H(x, 0)| (may be filled by sampling)
     monotone  asserted dH/dz >= 0 (verified by sampling where needed)
     constant  set when the field is a constant, enabling the comparisons
               that are only meaningful for constant curvature
@@ -127,11 +126,10 @@ class CurvatureField:
               :meth:`on_nodes` evaluates it once at a solve's nodes
     """
 
-    def __init__(self, func, grad=None, h_sup0=None, monotone=None,
-                 constant=None, z_slope=None, spatial=None):
+    def __init__(self, func, grad=None, monotone=None, constant=None,
+                 z_slope=None, spatial=None):
         self._func = func
         self._grad = grad
-        self.h_sup0 = h_sup0
         self.monotone = monotone
         self.constant = constant
         self.z_slope = z_slope
@@ -153,8 +151,8 @@ class CurvatureField:
             shape = np.broadcast_shapes(points.shape[:-1], z.shape)
             return np.zeros(shape + (points.shape[-1],)), np.zeros(shape)
 
-        return cls(func, grad=grad, h_sup0=abs(value), monotone=True,
-                   constant=value, z_slope=0.0)
+        return cls(func, grad=grad, monotone=True, constant=value,
+                   z_slope=0.0)
 
     @property
     def is_constant(self):
@@ -395,38 +393,19 @@ def nonexistence_height_bound(dim, epsilon, outer=1.0):
     over the annulus {eps < |x| < outer}.
 
     B(eps) = eps * arcosh(outer/eps) in the plane and
-    eps * integral_1^(outer/eps) dtau / sqrt(tau^(2n-2) - 1) in general;
-    the integrand's inverse-square-root singularity at tau = 1 is removed
-    by the substitution tau = 1 + u^2.  B(eps) -> 0 as eps -> 0, which is
-    what rules out solutions on thin annuli.  The bound only uses the
-    radicand feasibility at the inner rim, so it holds for every
-    curvature magnitude.
+    eps * integral_1^(outer/eps) dtau / sqrt(tau^(2n-2) - 1) in general:
+    the height at ``outer`` of the catenoid with neck ``eps``
+    (:func:`pmcgraph.barrier.profile_height_integral`).  B(eps) -> 0 as
+    eps -> 0, which is what rules out solutions on thin annuli.  The bound
+    only uses the radicand feasibility at the inner rim, so it holds for
+    every curvature magnitude.
     """
     if not (0.0 < epsilon < outer):
         raise ParameterError(f"epsilon must lie in (0, {outer}), got {epsilon!r}")
     if dim == 2:
         return epsilon * math.acosh(outer / epsilon)
-    upper = outer / epsilon
-    power = 2 * dim - 2
-
-    def psi(u):
-        # tau = 1 + u^2; tau^(2n-2) - 1 evaluated stably for small u
-        denom = math.expm1(power * math.log1p(u * u))
-        if denom <= 0.0:
-            return 0.0
-        return 2.0 * u / math.sqrt(denom)
-
-    cut = min(upper, 2.0)
-    total, _ = integrate.quad(psi, 0.0, math.sqrt(cut - 1.0),
-                              epsabs=1e-12, epsrel=1e-12, limit=200)
-    s0 = cut
-    while s0 < upper:
-        s1 = min(upper, 4.0 * s0)
-        val, _ = integrate.quad(lambda t: 1.0 / math.sqrt(t**power - 1.0),
-                                s0, s1, epsabs=1e-12, epsrel=1e-12, limit=200)
-        total += val
-        s0 = s1
-    return epsilon * total
+    return barrier.profile_height_integral(dim, 0.0, epsilon ** (dim - 1),
+                                           epsilon, outer)
 
 
 def evaluate_conditions(dim, h_sup0, *, annulus_r=None, annulus_d=None,

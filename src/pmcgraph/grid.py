@@ -18,7 +18,6 @@ solver's residual and Jacobian kernels read instead of recomputing them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,6 +31,9 @@ DIRECTIONS = ("E", "W", "N", "S")
 # (dj, di) lattice offsets, rows = y, columns = x
 OFFSETS = {"E": (0, 1), "W": (0, -1), "N": (1, 0), "S": (-1, 0)}
 THETA_FLOOR = 1e-6
+#: largest lattice (nodes, exterior ones included) a domain is rasterized
+#: onto: 16 times the largest in use, Annulus(1, 2) at 1/128 (267,289)
+MAX_LATTICE_NODES = 2**22
 #: the 3 x 3 block of lattice offsets coupled by the scheme, sorted, so
 #: that their dof indices increase along every row of the Jacobian
 STENCIL_OFFSETS = tuple((dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1))
@@ -266,8 +268,14 @@ def grid_from_domain(domain, spacing, boundary=None, pad_cells=2):
     xmin, ymin, xmax, ymax = domain.bbox()
     x0 = xmin - pad_cells * spacing
     y0 = ymin - pad_cells * spacing
-    nx = int(math.ceil((xmax - x0) / spacing)) + 1 + pad_cells
-    ny = int(math.ceil((ymax - y0) / spacing)) + 1 + pad_cells
+    # counted in floats, so that no spacing overflows the count
+    nx = np.ceil((xmax - x0) / spacing) + 1 + pad_cells
+    ny = np.ceil((ymax - y0) / spacing) + 1 + pad_cells
+    if not nx * ny <= MAX_LATTICE_NODES:
+        raise ParameterError(
+            f"spacing {spacing!r} needs a lattice of {nx * ny:.0f} nodes "
+            f"({nx:.0f} x {ny:.0f}), above the cap of {MAX_LATTICE_NODES}")
+    nx, ny = int(nx), int(ny)
     xs = x0 + spacing * np.arange(nx)
     ys = y0 + spacing * np.arange(ny)
     X, Y = np.meshgrid(xs, ys)

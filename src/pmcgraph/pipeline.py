@@ -65,19 +65,12 @@ def effective_sphere_radius(domain, annulus_r=None):
 
 
 def sampled_h_sup0(field, domain, target=600):
-    """sup |H(x, 0)| over the domain.
-
-    A supplied bound is trusted for constant fields; for general fields it
-    is cross-checked against sampling and the larger value wins, so an
-    understated bound cannot weaken the checks.
-    """
+    """sup |H(x, 0)| over the domain: exact for constant fields, sampled
+    for the others."""
     if field.is_constant:
         return abs(field.constant)
     pts = conditions.domain_sample_points(domain, target=target)
-    sampled = float(np.max(np.abs(field.eval(pts, np.zeros(len(pts))))))
-    if field.h_sup0 is not None:
-        return max(float(field.h_sup0), sampled)
-    return sampled
+    return float(np.max(np.abs(field.eval(pts, np.zeros(len(pts))))))
 
 
 def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,

@@ -22,9 +22,11 @@ point, which is what keeps the scheme second order on curved domains.
 Linear solves have one solver, :class:`FactorOnceSolver`: right-
 preconditioned GMRES with a stored preconditioner, and a direct SuperLU
 solve whose factor becomes that preconditioner when there is none yet or
-GMRES fails.  A grid solved by itself (a homotopy, or Newton from its
-default start) thus factors its Jacobian at the first Newton step, and
-that factor preconditions every later step at the same or a later t.
+GMRES fails.  Every Newton step follows this rule: a factor made after a
+GMRES failure is kept, lagged, until GMRES fails again.  A grid solved by
+itself (a homotopy, or Newton from its default start) thus factors its
+Jacobian at the first Newton step, and that factor preconditions every
+later step at the same or a later t.
 The default start is zero for zero Dirichlet data; for nonzero data it
 is the discrete harmonic extension (:func:`_harmonic_start`), whose
 factor is the first preconditioner instead.  A grid refined
@@ -254,13 +256,13 @@ def _gmres(J, rhs, precond, rtol=_KRYLOV_RTOL):
     """Right-preconditioned restarted GMRES for ``J x = rhs`` from x = 0;
     returns ``(x, iters, converged)``.
 
-    It solves ``J M u = rhs`` with ``x = M u`` (``M`` is ``precond``), so
-    the residual it minimises is the true one, ``rhs - J x``.  Each inner
-    iteration applies ``M`` once and ``J`` once; each cycle ends with one
-    more apply of ``M`` to update ``x`` and one product with ``J`` for the
-    true residual.  The basis is orthogonalised by modified Gram-Schmidt
-    and the Hessenberg least-squares problem is reduced by Givens
-    rotations.  Converged means ``||rhs - J x||_2 <= rtol ||rhs||_2`` at
+    It solves ``J M u = rhs`` with ``x = M u`` (``precond`` maps ``v`` to
+    ``M v``), so the residual it minimises is the true one, ``rhs - J x``.
+    Each inner iteration applies ``M`` once and ``J`` once; each cycle
+    ends with one more apply of ``M`` to update ``x`` and one product with
+    ``J`` for the true residual.  The basis is orthogonalised by modified
+    Gram-Schmidt and the Hessenberg least-squares problem is reduced by
+    Givens rotations.  Converged means ``||rhs - J x||_2 <= rtol ||rhs||_2`` at
     the end of a cycle, with ``x`` finite.
     """
     m = _KRYLOV_RESTART
@@ -279,7 +281,7 @@ def _gmres(J, rhs, precond, rtol=_KRYLOV_RTOL):
         g[0] = beta
         k = 0
         while k < m:
-            w = J @ precond.matvec(V[k])
+            w = J @ precond(V[k])
             iters += 1
             for i in range(k + 1):
                 H[i, k] = V[i] @ w
@@ -299,7 +301,7 @@ def _gmres(J, rhs, precond, rtol=_KRYLOV_RTOL):
                 break
             np.divide(w, h, out=V[k])
         y = solve_triangular(H[:k, :k], g[:k], check_finite=False)
-        x += precond.matvec(V[:k].T @ y)
+        x += precond(V[:k].T @ y)
         r = rhs - J @ x
         beta = float(np.linalg.norm(r))
     return x, iters, beta <= target and bool(np.all(np.isfinite(x)))
@@ -321,8 +323,7 @@ def _two_grid(J, prolong):
             x += weight * (r - J @ x)
             return x
 
-        return sparse_linalg.LinearOperator(J.shape, matvec=apply,
-                                            dtype=J.dtype)
+        return apply
 
     return cycle
 
@@ -330,46 +331,46 @@ def _two_grid(J, prolong):
 class FactorOnceSolver:
     """Newton linear solves on one grid: GMRES with a stored preconditioner.
 
-    One instance serves one homotopy (or one Newton solve).  It keeps a
-    map from a Jacobian to its preconditioner.  With ``prolongation`` ``P``
-    from a solved coarser grid (:func:`pmcgraph.grid.bilinear_prolongation`),
-    the first solve factors ``P^T J P`` and the map gives the two-grid
-    cycle.  ``J`` is factored, and that solve is direct, when there is no
-    preconditioner yet, GMRES fails, or ``krylov`` is false; the new LU
-    then becomes the preconditioner.  ``factorizations`` counts every
-    sparse LU and ``krylov_iters`` every GMRES inner iteration.
+    One instance serves one homotopy (or one Newton solve), and every
+    solve follows one rule: GMRES with the stored preconditioner, and a
+    SuperLU factor of ``J``, with that solve direct, only when there is
+    no preconditioner yet or GMRES fails.  The new factor then becomes
+    the preconditioner, a lagged one for the later solves (Knoll & Keyes
+    2004).  The solver keeps a map from a Jacobian to its preconditioner,
+    a function ``v -> M v``.  With ``prolongation`` ``P`` from a solved
+    coarser grid (:func:`pmcgraph.grid.bilinear_prolongation`), the first
+    solve factors ``P^T J P`` and the map gives the two-grid cycle.
+    ``factorizations`` counts every sparse LU and ``krylov_iters`` every
+    GMRES inner iteration.
     """
 
     def __init__(self, prolongation=None):
         # the preconditioner closures hold factors and P, never ``self``,
         # so a solver is freed by reference counting alone
         self._prolong = prolongation
-        self._precond = None  # Jacobian -> preconditioner LinearOperator
+        self._precond = None  # Jacobian -> preconditioner function
         self.factorizations = 0
         self.krylov_iters = 0
 
-    def solve(self, J, rhs, krylov=True, rtol=_KRYLOV_RTOL):
+    def solve(self, J, rhs, rtol=_KRYLOV_RTOL):
         """Solve ``J x = rhs``, by GMRES to the relative residual ``rtol``
         or directly; returns ``(x, krylov_iters, factored)``, with
         ``factored`` true when ``J`` was factored for this solve."""
+        if self._precond is None and self._prolong is not None:
+            self._precond = _two_grid(J, self._prolong)
+            self._prolong = None
+            self.factorizations += 1
         iters = 0
-        if krylov:
-            if self._precond is None and self._prolong is not None:
-                self._precond = _two_grid(J, self._prolong)
-                self._prolong = None
-                self.factorizations += 1
-            if self._precond is not None:
-                x, iters, converged = _gmres(J, rhs, self._precond(J), rtol)
-                self.krylov_iters += iters
-                if converged:
-                    return x, iters, False
+        if self._precond is not None:
+            x, iters, converged = _gmres(J, rhs, self._precond(J), rtol)
+            self.krylov_iters += iters
+            if converged:
+                return x, iters, False
         # release the old preconditioner before the new factor is
         # allocated, so two factors never coexist
         self._precond = None
         lu = _splu(J)
-        op = sparse_linalg.LinearOperator(J.shape, matvec=lu.solve,
-                                          dtype=J.dtype)
-        self._precond = lambda J: op
+        self._precond = lambda J: lu.solve
         self.factorizations += 1
         return lu.solve(rhs), iters, True
 
@@ -483,8 +484,8 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     omitted).  The step is inexact: GMRES stops at the relative residual
     :func:`_forcing` gives for the current residual sup norm,
     ``min(1e-2, max(1e-12, rinf**2))``, which keeps Newton's quadratic
-    convergence and so its iteration count.  After one
-    GMRES failure the rest of this run factors every step directly.
+    convergence and so its iteration count.  A GMRES failure factors
+    that step's Jacobian, which then preconditions the later steps.
     Backtracking halves the step until the residual 2-norm decreases
     (floor 2^-20).  Each iterate's edge states are computed once, for its
     residual, and reused by its assembly or the final report.  Raises on
@@ -513,7 +514,6 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     rinf = float(np.max(np.abs(r_vec))) if r_vec.size else 0.0
     rnorm = float(np.linalg.norm(r_vec))
     iters = 0
-    krylov = True
     while not rinf <= tol:  # a NaN residual is not converged
         if iters >= max_iters:
             raise NonconvergenceError(
@@ -522,13 +522,8 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
         if not math.isfinite(rnorm):
             raise NonconvergenceError("residual is not finite", trace=trace)
         J = _assemble_jacobian(grid, f, hfield, t_homotopy, states)
-        delta, k_iters, factored = linsolve.solve(J, -r_vec, krylov=krylov,
+        delta, k_iters, factored = linsolve.solve(J, -r_vec,
                                                   rtol=_forcing(rinf))
-        if factored and k_iters:
-            # GMRES failed: this iterate is far from where the factor was
-            # made, so factor directly for the rest of this run rather
-            # than pay for a failed GMRES before every factorization
-            krylov = False
         if not np.all(np.isfinite(delta)):
             raise SingularSystemError("linear solve produced non-finite update",
                                       trace=trace)

@@ -160,6 +160,24 @@ class TestHeight:
         ref = float(mpmath.quad(integrand, [r, prof.t0, t_hi]))
         assert prof.height(t_hi) == pytest.approx(ref, abs=1e-9)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("neck", [1e-2, 1e-4, 1e-6])
+    def test_small_neck_catenoid_against_mpmath(self, dim, neck):
+        # the catenoid with neck a has height a * int_1^(1/a) of
+        # (tau^(2n-2) - 1)^(-1/2) at radius 1; its mass sits within a few
+        # necks of a, so a tail chunk that starts at 1.1 a and ends at
+        # radius 1 misses it
+        c = neck ** (dim - 1)
+        a, _ = barrier.profile_zeros(dim, 0.0, c)
+        knots = [1.0]
+        while knots[-1] * 4.0 < 1.0 / a:
+            knots.append(knots[-1] * 4.0)
+        ref = a * float(mpmath.quad(
+            lambda tau: 1.0 / mpmath.sqrt(tau ** (2 * dim - 2) - 1.0),
+            knots + [1.0 / mpmath.mpf(a)]))
+        got = barrier.profile_height_integral(dim, 0.0, c, a, 1.0)
+        assert got == pytest.approx(ref, rel=1e-10)
+
     def test_bounded_for_higher_dim_catenoid(self):
         # for dim >= 3 the catenoid's generating curve is uniformly bounded
         from scipy import integrate as si

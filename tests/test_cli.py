@@ -223,6 +223,23 @@ class TestSolveAndVerifyCommands:
          "verify"),
         ({"samples": 1e400}, "config 'samples'", "check"),
         ({"max_iters": 1e400}, "config 'max_iters'", "solve"),
+        ({"max_iters": 1.7}, "config 'max_iters': must be an integer",
+         "solve"),
+        ({"max_iters": True}, "config 'max_iters': must be an integer",
+         "solve"),
+        ({"max_iters": "40"}, "config 'max_iters': must be an integer",
+         "solve"),
+        ({"max_iters": 0}, "config 'max_iters': must be positive", "solve"),
+        ({"max_iters": -3}, "config 'max_iters': must be positive",
+         "verify"),
+        ({"dim": 1}, "graph dimension must be an integer >= 2, got 1",
+         "check"),
+        ({"dim": 2.5}, "config 'dim': must be an integer", "check"),
+        # refused before the lattice's arrays are allocated
+        ({"domain": {"kind": "disc", "radius": 1.0}, "spacing": 1e-7},
+         "a lattice of 400000200000025 nodes", "solve"),
+        ({"domain": {"kind": "disc", "radius": 1.0}, "spacing": 1e-7},
+         "a lattice of 400000200000025 nodes", "verify"),
         ({"tol": math.nan}, "config 'tol': must be positive", "solve"),
         ({"tol": math.nan}, "config 'tol': must be positive", "verify"),
         ({"spacing": math.nan}, "config 'spacing': must be positive",
@@ -240,6 +257,9 @@ class TestSolveAndVerifyCommands:
             "curvature-string", "boundary-short-linear", "annulus-r-string",
             "annulus-r-negative", "samples-string", "samples-fraction",
             "annulus-r-infinite", "samples-overflow", "max-iters-overflow",
+            "max-iters-fraction", "max-iters-bool", "max-iters-string",
+            "max-iters-zero", "max-iters-negative", "dim-one", "dim-fraction",
+            "lattice-cap-solve", "lattice-cap-verify",
             "tol-nan-solve", "tol-nan-verify", "spacing-nan-solve",
             "spacing-nan-verify", "schedule-decreasing",
             "schedule-nan-entry"])

@@ -205,7 +205,7 @@ class TestCurvatureField:
         assert np.all(f.eval(pts, np.zeros(5)) == -0.3)
         gx, gz = f.grad_eval(pts, np.zeros(5))
         assert np.all(gx == 0.0) and np.all(gz == 0.0)
-        assert f.is_constant and f.h_sup0 == 0.3
+        assert f.is_constant
 
     def test_finite_difference_gradient(self):
         f = CurvatureField(lambda p, z: p[..., 0] ** 2 + 3.0 * z)
