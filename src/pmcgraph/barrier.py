@@ -41,11 +41,9 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     NoAdmissibleConstantError,
@@ -70,19 +68,29 @@ _HEIGHT_ABS_TOL = 1e-9
 # row block that bounds its (radii x nodes) temporaries.
 _KERNEL_PANELS = 64
 _KERNEL_BLOCK = 4096
-# The 10-point Gauss-Legendre rule on [-1, 1] that fills radii between
-# knots: the values of numpy.polynomial.legendre.leggauss(10), written out
-# because computing them at import starts LAPACK and costs resident memory.
-_GL_NODES = np.array([
-    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
-    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
-    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
-    0.9739065285171717])
-_GL_WEIGHTS = np.array([
-    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
-    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
-    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
-    0.06667134430868814])
+# QUADPACK's 21-point Gauss-Kronrod rule QK21 on [-1, 1] (Piessens et al.,
+# QUADPACK, Springer 1983), its constants rounded to doubles: the Kronrod
+# abscissae from the outermost in and their weights, and the weights of
+# the embedded 10-point Gauss-Legendre rule, whose abscissae are every
+# second Kronrod one from the second on.
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+        0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+        0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+        0.14887433898163122)
+_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+        0.14773910490133849)
+_WGK_CENTRE = 0.1494455540029169
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+       0.26926671930999635, 0.29552422471475287)
+_GK_NODES = np.array([-x for x in _XGK] + [0.0] + list(reversed(_XGK)))
+_GK_WEIGHTS = np.array(list(_WGK) + [_WGK_CENTRE] + list(reversed(_WGK)))
+_GL_NODES = _GK_NODES[1::2]
+_GL_WEIGHTS = np.array(list(_WG) + list(reversed(_WG)))
+# adaptive quadrature: most panels, as QUADPACK's ``limit``
+_QUAD_LIMIT = 300
+_EPS = np.finfo(float).eps
 
 
 def _check_dim(dim):
@@ -239,54 +247,92 @@ def slope(t, dim, h, c):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
+def _qk21(fn, lo, hi):
+    """QUADPACK's QK21 on the panels [lo[k], hi[k]] (arrays), from one call
+    of the vectorized ``fn``: per panel, the tuple (lo, hi, integral,
+    error estimate, integral of |fn|)."""
+    half = 0.5 * (hi - lo)
+    f = fn((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES)
+    resk = f @ _GK_WEIGHTS
+    sums = np.array([resk, f[:, 1::2] @ _GL_WEIGHTS, np.abs(f) @ _GK_WEIGHTS,
+                     np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS]) * half
+    panels = []
+    for p_lo, p_hi, (val, gauss, resabs, resasc) in zip(
+            lo.tolist(), hi.tolist(), sums.T.tolist()):
+        err = abs(val - gauss)
+        if resasc > 0.0:
+            # QUADPACK's scaling of the Kronrod-Gauss difference
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        # and its roundoff floor
+        panels.append((p_lo, p_hi, val, max(50.0 * _EPS * resabs, err),
+                       resabs))
+    return panels
+
+
 def _quad(fn, lo, hi):
+    """Integral of the vectorized ``fn`` over [lo, hi] and an estimate of
+    its absolute error, aiming at max(_QUAD_EPS, _QUAD_EPS * |integral|).
+
+    Globally adaptive QK21: while the summed error estimates miss the
+    target, the panel with the largest one is bisected, up to
+    ``_QUAD_LIMIT`` panels or until the error estimate is at the roundoff
+    floor of the integral of |fn|.
+    """
     if hi <= lo:
         return 0.0, 0.0
     width = hi - lo
-    if width <= 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
-        # roundoff-width segment: QUADPACK would only thrash on it
-        mid_val = fn(0.5 * (lo + hi))
+    if width <= 4.0 * _EPS * max(1.0, abs(lo), abs(hi)):
+        # roundoff-width segment: bisection would only thrash on it
+        mid_val = float(fn(0.5 * (lo + hi)))
         return mid_val * width, abs(mid_val) * width
-    with warnings.catch_warnings():
-        # accuracy is judged from the returned error estimate instead
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(fn, lo, hi, epsabs=_QUAD_EPS,
-                                  epsrel=_QUAD_EPS, limit=300)
-    return val, err
+    panels = _qk21(fn, np.array([lo]), np.array([hi]))
+    while True:
+        total, err_total, abs_total = (sum(column) for column in
+                                       list(zip(*panels))[2:])
+        if (err_total <= _QUAD_EPS * max(1.0, abs(total))
+                or err_total <= 100.0 * _EPS * abs_total
+                or len(panels) >= _QUAD_LIMIT):
+            break
+        worst = max(panels, key=lambda panel: panel[3])
+        p_lo, p_hi = worst[:2]
+        mid = 0.5 * (p_lo + p_hi)
+        if not p_lo < mid < p_hi:
+            break
+        panels.remove(worst)
+        panels += _qk21(fn, np.array([p_lo, mid]), np.array([mid, p_hi]))
+    return total, err_total
+
+
+def _power_quotient(m, s, t):
+    """(s^m - t^m) / (s - t) = s^(m-1) + t s^(m-2) + ... + t^(m-1), by
+    Horner's rule: all terms are positive, so there is no cancellation as
+    s approaches t, where it tends to m t^(m-1)."""
+    acc = 1.0
+    for k in range(1, m):
+        acc = acc * s + t**k
+    return acc
 
 
 def _segment_near_a(dim, h, c, a, lo, hi):
-    # substitute s = a + u^2: ds = 2u du removes the (s - a)^(-1/2) blowup
-    g1p_a = _g1p(dim, h, c, a)
-
+    # substitute s = a + u^2: ds = 2u du removes the (s - a)^(-1/2) blowup,
+    # and g1(s) / u^2 is g1's difference quotient at the zero a
     def psi(u):
         s = a + u * u
-        if u > 0.0:
-            q1 = _g1(dim, h, c, s) / (u * u)
-        else:
-            q1 = g1p_a
-        m2 = -_g2(dim, h, c, s)
-        if q1 <= 0.0 or m2 <= 0.0:
-            return 0.0  # inside the floating-point noise floor of a
-        return 2.0 * (c - h * s**dim) / math.sqrt(q1 * m2)
+        num = c - h * s**dim
+        q1 = h * _power_quotient(dim, s, a) + _power_quotient(dim - 1, s, a)
+        return 2.0 * num / np.sqrt(q1 * (s ** (dim - 1) + num))
 
     return _quad(psi, math.sqrt(max(lo - a, 0.0)), math.sqrt(hi - a))
 
 
 def _segment_near_b(dim, h, c, b, lo, hi):
-    # substitute s = b - u^2 against the (b - s)^(-1/2) blowup
-    g2p_b = _g2p(dim, h, c, b)
-
+    # substitute s = b - u^2 against the (b - s)^(-1/2) blowup; -g2(s) / u^2
+    # is g2's difference quotient at the zero b
     def psi(u):
         s = b - u * u
-        if u > 0.0:
-            q2 = -_g2(dim, h, c, s) / (u * u)
-        else:
-            q2 = g2p_b
-        g1v = _g1(dim, h, c, s)
-        if q2 <= 0.0 or g1v <= 0.0:
-            return 0.0
-        return 2.0 * (c - h * s**dim) / math.sqrt(g1v * q2)
+        num = c - h * s**dim
+        q2 = h * _power_quotient(dim, s, b) - _power_quotient(dim - 1, s, b)
+        return 2.0 * num / np.sqrt((s ** (dim - 1) - num) * q2)
 
     return _quad(psi, math.sqrt(max(b - hi, 0.0)), math.sqrt(b - lo))
 
@@ -328,7 +374,7 @@ def profile_height_integral(dim, h, c, t_lo, t_hi):
     while s0 < mid_hi:
         # long catenoid tails (b = inf) are integrated in geometric chunks
         s1 = mid_hi if math.isfinite(b) else min(mid_hi, 4.0 * s0)
-        val, err = _quad(lambda s: _slope_raw(float(s), dim, h, c), s0, s1)
+        val, err = _quad(lambda s: _slope_raw(s, dim, h, c), s0, s1)
         total += val
         err_total += err
         s0 = s1
@@ -337,7 +383,7 @@ def profile_height_integral(dim, h, c, t_lo, t_hi):
         total += val
         err_total += err
 
-    if err_total > _HEIGHT_ABS_TOL:
+    if not err_total <= _HEIGHT_ABS_TOL:
         raise QuadratureError(
             f"profile quadrature error estimate {err_total:.3e} exceeds {_HEIGHT_ABS_TOL}"
         )

@@ -10,8 +10,9 @@ Annulus and disc metrics are closed-form.  Polygon fits use a coarse
 directional scan plus Nelder-Mead refinement and are re-verified by an
 independent containment check; bitmap metrics are discrete estimates and
 are flagged approximate (they never certify existence).  Only the bitmap
-code paths use ``scipy.ndimage``, and they import it themselves, so work
-on analytic domains never loads it.
+code paths use ``scipy.ndimage``, and only polygon and bitmap metrics use
+``scipy.optimize``; each imports it where it is used, so work on annuli
+and discs loads neither.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     DisconnectedMaskError,
@@ -413,6 +413,8 @@ def annulus_fit(domain, r):
 
 
 def _search_fit(domain, r):
+    from scipy import optimize
+
     approximate = isinstance(domain, GridMask)
     if approximate:
         cloud = domain.corner_points()
@@ -512,6 +514,8 @@ def inscribed_disc_radius(domain):
 
 
 def _chebyshev_radius(poly):
+    from scipy import optimize
+
     # maximize rho subject to n_i . q + rho <= n_i . v_i for each edge,
     # with inward-pointing constraints written via outward unit normals
     rows, rhs = [], []

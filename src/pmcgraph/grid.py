@@ -380,16 +380,27 @@ def interpolate_values_cubic(grid, values, points):
     return np.where(ok & stencil_ok, val, np.nan)
 
 
-def bilinear_prolongation(coarse, fine):
-    """Bilinear interpolation from coarse to fine interior dofs, sparse.
+#: one axis of a nested prolongation: the weights of the coarse nodes at
+#: offsets -1, 0, 1 and 2 from a fine node's lower coarse neighbour, for
+#: a fine node on a coarse line (``EVEN``) and for one midway between two
+#: (linear, and the Keys cubic of :func:`interpolate_values_cubic` at 1/2)
+EVEN_WEIGHTS = (0.0, 1.0, 0.0, 0.0)
+LINEAR_MIDPOINT = (0.0, 0.5, 0.5, 0.0)
+CUBIC_MIDPOINT = (-0.0625, 0.5625, 0.5625, -0.0625)
+
+
+def nested_prolongation(coarse, fine, midpoint=LINEAR_MIDPOINT):
+    """Tensor-product interpolation from coarse to fine interior dofs.
 
     The fine lattice must nest in the coarse one at half its spacing, as
     :func:`grid_from_domain` builds them for spacings ``h`` and ``h / 2``.
-    Row ``k`` holds the weights of fine dof ``k`` on the coarse corners of
-    its lattice cell: 1 at a coinciding node, 1/2 on a coarse edge and
-    1/4 at a cell centre.  Corners that are not coarse interior nodes get
-    weight 0.  The matrix is built from index arrays and keeps no
-    reference to either grid.
+    Along each axis a fine node takes the coarse node it lies on, or the
+    ``midpoint`` weights of the four coarse nodes around it.  Returns the
+    sparse (fine.n_dof, coarse.n_dof) matrix and a boolean mask of the
+    fine dofs whose weighted nodes are all coarse interior nodes; the
+    weights of the other nodes are dropped, as for zero boundary values.
+    Both are built from index arrays and keep no reference to either
+    grid.
     """
     if fine.spacing * 2.0 != coarse.spacing:
         raise ParameterError("the fine spacing must be half the coarse one")
@@ -401,24 +412,46 @@ def bilinear_prolongation(coarse, fine):
     oy, ox = round(offset[1]), round(offset[0])
     jj, ii = np.nonzero(fine.interior)
     py, px = jj + oy, ii + ox  # fine node positions from the coarse origin
-    odd_y, odd_x = py % 2, px % 2
-    rows, cols, weights = [], [], []
+    stencil = np.array([EVEN_WEIGHTS, midpoint])
+    wy, wx = stencil[py % 2].T, stencil[px % 2].T
+    # (cy, cx) is the coarse node at stencil offset (-1, -1); a missing
+    # or exterior coarse node has index -1
     ny, nx = coarse.shape
-    for dj in (0, 1):
-        wy = np.where(odd_y == 1, 0.5, 1.0 - dj)
-        for di in (0, 1):
-            w = wy * np.where(odd_x == 1, 0.5, 1.0 - di)
-            cj, ci = py // 2 + dj, px // 2 + di
-            keep = (w > 0.0) & (cj >= 0) & (cj < ny) & (ci >= 0) & (ci < nx)
-            k = np.flatnonzero(keep)
-            col = coarse.index[cj[k], ci[k]]
-            inner = col >= 0
-            rows.append(k[inner])
-            cols.append(col[inner])
-            weights.append(w[k[inner]])
-    return csr_matrix(
+    cy, cx = py // 2 - 1, px // 2 - 1
+    index = coarse.index.ravel()
+    complete = np.ones(fine.n_dof, dtype=bool)
+    rows, cols, weights = [], [], []
+    # offsets that carry a weight for some node (two for linear midpoints)
+    offsets = np.flatnonzero(stencil.any(axis=0)).tolist()
+    for dj in offsets:
+        on_row = (cy + dj >= 0) & (cy + dj < ny)
+        for di in offsets:
+            w = wy[dj] * wx[di]
+            on = on_row & (cx + di >= 0) & (cx + di < nx)
+            col = np.where(on, index.take((cy + dj) * nx + cx + di,
+                                          mode="clip"), -1)
+            used = w != 0.0
+            complete &= ~used | (col >= 0)
+            k = np.flatnonzero(used & (col >= 0))
+            rows.append(k)
+            cols.append(col[k])
+            weights.append(w[k])
+    matrix = csr_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=(fine.n_dof, coarse.n_dof))
+    return matrix, complete
+
+
+def bilinear_prolongation(coarse, fine):
+    """Bilinear interpolation from coarse to fine interior dofs, sparse:
+    the matrix of :func:`nested_prolongation` with linear midpoints.
+
+    Row ``k`` holds the weights of fine dof ``k`` on the coarse corners of
+    its lattice cell: 1 at a coinciding node, 1/2 on a coarse edge and
+    1/4 at a cell centre.  Corners that are not coarse interior nodes get
+    weight 0.
+    """
+    return nested_prolongation(coarse, fine)[0]
 
 
 def interpolate_values(grid, values, points):

@@ -16,24 +16,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
 from .errors import (NoAdmissibleConstantError, ParameterError, SolverError,
                      UnsupportedDomainError, config_key)
-from .grid import (bilinear_prolongation, grid_from_domain,
-                   interpolate_values_cubic, shift)
+from .grid import (CUBIC_MIDPOINT, bilinear_prolongation, grid_from_domain,
+                   nested_prolongation, shift)
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
 #: every radius; large values approach the strip-bound limit
 CONVEX_RADIUS_FACTOR = 100.0
 
 GRID_DIM = solver.GRID_DIM
-
-#: width, in coarse nodes, of the boundary band that the prolongation
-#: triangulates where the cubic stencil leaves the interior
-PROLONGATION_BAND = 4
 
 #: ``verify`` runs its checks with this multiple of the Richardson error
 #: estimate as slack
@@ -173,50 +168,80 @@ def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
                       field, tol=tol, schedule=schedule, max_iters=max_iters)
 
 
-def _band_nodes(grid):
-    """Interior nodes within ``PROLONGATION_BAND`` 4-neighbour steps of
-    the exterior: the interior minus its repeated erosion."""
-    core = grid.interior
-    for _ in range(PROLONGATION_BAND):
-        core = (core & shift(core, 0, 1, False) & shift(core, 0, -1, False)
-                & shift(core, 1, 0, False) & shift(core, -1, 0, False))
-    return grid.interior & ~core
+def _line_fill(values, gap, cut_lo, cut_hi, theta_lo, theta_hi, g_lo, g_hi):
+    """Linear interpolation along each lattice row (axis 1) at the ``gap``
+    nodes, from the nearest node with a value or boundary crossing on
+    either side.
+
+    ``values`` is NaN at every node without one, ``cut_lo``/``cut_hi``
+    mark the nodes whose arm towards lower/higher columns is cut, with arm
+    fractions ``theta_*`` and Dirichlet values ``g_*``.  Returns the
+    interpolated values and the factor (x - x_lo)(x_hi - x), in cell
+    units, of the linear interpolation error, both NaN off the gap.
+    """
+    known = ~np.isnan(values)
+    col = np.arange(values.shape[1])
+    # a row's run of interior nodes starts and ends at cut arms, so the
+    # nearest anchor on either side of a gap node lies in its own run
+    lo = np.maximum.accumulate(np.where(known | cut_lo, col, -1), axis=1)
+    hi = np.minimum.accumulate(
+        np.where(known | cut_hi, col, col.size)[:, ::-1], axis=1)[:, ::-1]
+    jj, ii = np.nonzero(gap)
+    k_lo, k_hi = lo[jj, ii], hi[jj, ii]
+    on_lo, on_hi = known[jj, k_lo], known[jj, k_hi]
+    # distances as whole cells plus an arm fraction, so that mirrored
+    # lattices give bitwise mirrored fills
+    d_lo = (ii - k_lo) + np.where(on_lo, 0.0, theta_lo[jj, k_lo])
+    d_hi = (k_hi - ii) + np.where(on_hi, 0.0, theta_hi[jj, k_hi])
+    v_lo = np.where(on_lo, values[jj, k_lo], g_lo[jj, k_lo])
+    v_hi = np.where(on_hi, values[jj, k_hi], g_hi[jj, k_hi])
+    fill = np.full(values.shape, np.nan)
+    spread = np.full(values.shape, np.nan)
+    fill[jj, ii] = (v_lo * d_hi + v_hi * d_lo) / (d_lo + d_hi)
+    spread[jj, ii] = d_lo * d_hi
+    return fill, spread
 
 
-def _band_linear(coarse, grid, points):
-    """Piecewise-linear interpolation over the coarse boundary band and the
-    fine grid's boundary crossings with their Dirichlet values; NaN outside
-    the triangulation."""
-    coarse_grid = coarse.solution.grid
-    band = _band_nodes(coarse_grid)
-    crossings, gvals = grid.boundary_data()
-    nodes = np.vstack([
-        np.column_stack([coarse_grid.X[band], coarse_grid.Y[band]]), crossings])
-    values = np.concatenate([coarse.solution.values[band], gvals])
-    # the row and the column through any fine interior node end in
-    # crossings on both sides, so the nodes never lie on one line
-    tri = Delaunay(nodes)
-    simplex = tri.find_simplex(points)
-    affine = tri.transform[simplex]
-    bary = np.einsum("nij,nj->ni", affine[:, :2], points - affine[:, 2])
-    weights = np.column_stack([bary, 1.0 - bary.sum(axis=1)])
-    linear = np.sum(weights * values[tri.simplices[simplex]], axis=1)
-    return np.where(simplex >= 0, linear, np.nan)
+def _band_fill(grid, values):
+    """Interior-node ``values`` with their NaN entries filled from the
+    defined ones and the grid's boundary crossings.
+
+    Each NaN node gets the linear interpolant along its lattice row and
+    the one along its column (:func:`_line_fill`), averaged with weights
+    inversely proportional to their error factors, so that the line with
+    the closer anchors dominates.
+    """
+    lattice = np.full(grid.shape, np.nan)
+    lattice[grid.interior] = values
+    gap = grid.interior & np.isnan(lattice)
+    cut = {d: grid.interior & ~grid.nbr[d] for d in ("E", "W", "N", "S")}
+    row, row_spread = _line_fill(lattice, gap, cut["W"], cut["E"],
+                                 grid.theta["W"], grid.theta["E"],
+                                 grid.gval["W"], grid.gval["E"])
+    col, col_spread = (a.T for a in _line_fill(
+        lattice.T, gap.T, cut["S"].T, cut["N"].T, grid.theta["S"].T,
+        grid.theta["N"].T, grid.gval["S"].T, grid.gval["N"].T))
+    lattice[gap] = ((row * col_spread + col * row_spread)
+                    / (row_spread + col_spread))[gap]
+    return lattice[grid.interior]
 
 
 def prolongate(coarse, grid):
     """A coarse solution's values at a finer grid's interior nodes.
 
-    Cubic convolution wherever its 4x4 stencil is interior; the remaining
-    nodes next to the boundary are filled by :func:`_band_linear`, and
-    anything still undefined by 0.
+    Cubic interpolation (:func:`pmcgraph.grid.nested_prolongation` with
+    Keys cubic midpoints) wherever its coarse nodes are interior, else
+    linear wherever those are; the remaining nodes next to the boundary
+    are filled by :func:`_band_fill`, and anything still undefined by 0.
     """
-    pts = grid.interior_points()
-    values = interpolate_values_cubic(coarse.solution.grid,
-                                      coarse.solution.values, pts)
-    gap = np.isnan(values)
-    if gap.any():
-        values[gap] = _band_linear(coarse, grid, pts[gap])
+    coarse_grid = coarse.solution.grid
+    dofs = coarse.solution.values[coarse_grid.interior]
+    cubic, cubic_ok = nested_prolongation(coarse_grid, grid, CUBIC_MIDPOINT)
+    linear, linear_ok = nested_prolongation(coarse_grid, grid)
+    values = np.where(cubic_ok, cubic @ dofs,
+                      np.where(linear_ok, linear @ dofs, np.nan))
+    if np.isnan(values).any():
+        values = _band_fill(grid, values)
     return np.nan_to_num(values, nan=0.0)
 
 

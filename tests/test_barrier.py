@@ -4,12 +4,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmcgraph import barrier, geometry, ioutil
 from pmcgraph.errors import (
     NoAdmissibleConstantError,
     OutOfDomainError,
     ParameterError,
+    QuadratureError,
 )
 
 mpmath.mp.dps = 50
@@ -358,6 +360,155 @@ def running_heights(dim, h, c, r, ts):
         acc += barrier.profile_height_integral(dim, h, c, ts[i - 1], ts[i])
         out[i] = acc
     return out
+
+
+def mp_height(dim, h, c, t_lo, t_hi):
+    """Height integral of the slope in 50-digit arithmetic (tanh-sinh)."""
+    h, c = mpmath.mpf(h), mpmath.mpf(c)
+
+    def integrand(s):
+        num = c - h * s**dim
+        # abs: tanh-sinh nodes next to an end at a zero of the radicand
+        # can see it round to a tiny negative value
+        return num / mpmath.sqrt(abs(s ** (2 * dim - 2) - num**2))
+
+    return float(mpmath.quad(integrand, [mpmath.mpf(t_lo), mpmath.mpf(t_hi)]))
+
+
+def acceptance_integrals():
+    """(dim, h, c, t_lo, t_hi) at the parameters of acceptance criteria
+    c01-c03 and c07, each range reaching both singular windows or the
+    catenoid tail where the profile allows."""
+    cases = []
+    # c01: the figure profile (a = 1, b = 4, t0 = 2) and the planar
+    # interval-length sweep over c
+    a, b = barrier.profile_zeros(2, 1.0 / 3.0, 4.0 / 3.0)
+    cases += [(2, 1.0 / 3.0, 4.0 / 3.0, a * (1 + 1e-9), 2.0),
+              (2, 1.0 / 3.0, 4.0 / 3.0, a * (1 + 1e-9), b * (1 - 1e-9))]
+    for c in (0.05, 1.0, 50.0):
+        a, b = barrier.profile_zeros(2, 1.0 / 3.0, c)
+        cases.append((2, 1.0 / 3.0, c, a * (1 + 1e-6), b * (1 - 1e-6)))
+    # c02: the catenary r = 1, c = 1/2 out to 5 r
+    cases.append((2, 0.0, 0.5, 1.0, 5.0))
+    # c03: annulus barriers below the bound, to the apex and to R_usable
+    for dim, r, R in ((2, 1.0, 2.0), (3, 0.5, 2.5), (4, 2.0, 2.6)):
+        h = 0.9 * barrier.annulus_height_bound(dim, r, R)
+        prof = barrier.profile_for_annulus(dim, h, r, R)
+        cases += [(dim, h, prof.c, r, prof.t0),
+                  (dim, h, prof.c, r, prof.r_usable)]
+    # c07: radial shooting at h = 1 across the thin-annulus sweep
+    for eps in (0.5, 0.1, 0.01):
+        cases.append((2, 1.0, eps * eps + 0.5 * eps, eps, 1.0))
+    return cases
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("dim,h,c,t_lo,t_hi", acceptance_integrals())
+    def test_against_mpmath_at_acceptance_parameters(self, dim, h, c, t_lo,
+                                                     t_hi):
+        got = barrier.profile_height_integral(dim, h, c, t_lo, t_hi)
+        assert got == pytest.approx(mp_height(dim, h, c, t_lo, t_hi),
+                                    abs=1e-11)
+
+    @pytest.mark.parametrize("dim,h,c", [(2, 1.0, 0.5), (3, 0.3, 0.2),
+                                         (4, 1.0, 0.9)])
+    def test_ranges_ending_at_a_zero(self, dim, h, c):
+        # an end at the rounded zero a or b stands for the exact zero: the
+        # endpoint integrands have no cancellation there
+        a, b = barrier.profile_zeros(dim, h, c)
+        mp_h, mp_c = mpmath.mpf(h), mpmath.mpf(c)
+        exact_a = mpmath.findroot(
+            lambda t: mp_h * t**dim + t ** (dim - 1) - mp_c, mpmath.mpf(a))
+        exact_b = mpmath.findroot(
+            lambda t: mp_h * t**dim - t ** (dim - 1) - mp_c, mpmath.mpf(b))
+        near_a, near_b = a + 0.05 * (b - a), b - 0.05 * (b - a)
+        assert barrier.profile_height_integral(dim, h, c, a, near_a) == (
+            pytest.approx(mp_height(dim, h, c, exact_a, near_a), abs=1e-13))
+        assert barrier.profile_height_integral(dim, h, c, near_b, b) == (
+            pytest.approx(mp_height(dim, h, c, near_b, exact_b), abs=1e-13))
+
+    @pytest.mark.parametrize("kind", ["near_a", "near_b", "catenoid_tail"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_against_quadpack(self, monkeypatch, kind, dim):
+        # every integrand the height integral hands to the Gauss-Kronrod
+        # rule, integrated again by QUADPACK: the two agree within their
+        # combined error estimates
+        from scipy import integrate
+
+        real = barrier._quad
+        calls = []
+
+        def both(fn, lo, hi):
+            val, err = real(fn, lo, hi)
+            ref, ref_err = integrate.quad(
+                lambda x: float(fn(np.float64(x))), lo, hi,
+                epsabs=barrier._QUAD_EPS, epsrel=barrier._QUAD_EPS,
+                limit=barrier._QUAD_LIMIT)
+            calls.append((val, err, ref, ref_err))
+            return val, err
+
+        monkeypatch.setattr(barrier, "_quad", both)
+        for h in ((0.0,) if kind == "catenoid_tail" else (0.3, 1.0)):
+            for c in (0.2, 0.5, 0.9):
+                a, b = barrier.profile_zeros(dim, h, c)
+                if kind == "near_a":
+                    barrier.profile_height_integral(dim, h, c, a,
+                                                    a + 0.05 * (b - a))
+                elif kind == "near_b":
+                    barrier.profile_height_integral(dim, h, c,
+                                                    b - 0.05 * (b - a), b)
+                else:
+                    barrier.profile_height_integral(dim, h, c, 1.2 * a,
+                                                    300.0 * a)
+        assert calls
+        for val, err, ref, ref_err in calls:
+            assert abs(val - ref) <= err + ref_err
+
+    def test_missed_tolerance_raises(self, monkeypatch):
+        # one panel cannot resolve a small catenoid neck: the error
+        # estimate then exceeds the 1e-9 guarantee
+        monkeypatch.setattr(barrier, "_QUAD_LIMIT", 1)
+        c = 1e-4
+        a, _ = barrier.profile_zeros(3, 0.0, c)
+        with pytest.raises(QuadratureError, match="exceeds"):
+            barrier.profile_height_integral(3, 0.0, c, a, 1.0)
+
+    def test_kronrod_rule(self):
+        # QK21 integrates polynomials up to degree 31 exactly on [-1, 1]
+        # (its embedded Gauss rule: TestCumulativeHeights)
+        for k in range(32):
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            got = np.dot(barrier._GK_WEIGHTS, barrier._GK_NODES**k)
+            assert got == pytest.approx(exact, abs=1e-14)
+
+
+# few examples with a fixed seed: each one runs a handful of quadratures
+BARRIER_EXAMPLES = settings(derandomize=True, database=None, deadline=None,
+                            max_examples=25)
+
+
+class TestBarrierProperties:
+    @BARRIER_EXAMPLES
+    @given(h=st.floats(1e-2, 10.0), c=st.floats(1e-2, 100.0))
+    def test_planar_interval_length(self, h, c):
+        a, b = barrier.profile_zeros(2, h, c)
+        assert b - a == pytest.approx(1.0 / h, rel=1e-12, abs=1e-12 * b)
+
+    # h = 0 or bounded away from it: b grows like 1/h, and heights of that
+    # size cannot be held to the 1e-9 absolute guarantee in doubles
+    @BARRIER_EXAMPLES
+    @given(dim=st.integers(2, 4),
+           h=st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+           c=st.floats(0.05, 2.0),
+           cuts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_height_is_additive(self, dim, h, c, cuts):
+        a, b = barrier.profile_zeros(dim, h, c)
+        top = b if h > 0.0 else 20.0 * a
+        lo, mid, hi = (min(a + f * (top - a), b) for f in sorted(cuts))
+        whole = barrier.profile_height_integral(dim, h, c, lo, hi)
+        split = (barrier.profile_height_integral(dim, h, c, lo, mid)
+                 + barrier.profile_height_integral(dim, h, c, mid, hi))
+        assert abs(whole - split) <= 2e-9
 
 
 class TestCumulativeHeights:

@@ -385,6 +385,19 @@ class TestDeterminism:
 
 
 class TestImports:
+    @staticmethod
+    def fresh_process(script, *args):
+        """Last line of standard output of ``script`` run in a fresh
+        interpreter that imports pmcgraph from this checkout."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              env=env, capture_output=True, text=True,
+                              check=True, timeout=120)
+        return done.stdout.splitlines()[-1]
+
     def test_analytic_solve_never_loads_ndimage(self, tmp_path):
         # only bitmap domains use scipy.ndimage; a fresh process that
         # imports the CLI and solves on a disc must not load it
@@ -397,12 +410,32 @@ class TestImports:
                   "code = main(['solve', '--config', sys.argv[1],"
                   " '--out', sys.argv[2]])\n"
                   "print(code, 'scipy.ndimage' in sys.modules)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", script, str(cfg),
-                               str(tmp_path / "out")], env=env,
-                              capture_output=True, text=True, check=True,
-                              timeout=120)
-        assert done.stdout.splitlines()[-1].split() == ["0", "False"]
+        last = self.fresh_process(script, cfg, tmp_path / "out")
+        assert last.split() == ["0", "False"]
+
+    def test_analytic_commands_load_only_sparse_and_linalg(self, tmp_path):
+        # annuli and discs need numpy, scipy.sparse(.linalg) and
+        # scipy.linalg only: no quadrature, optimizer, qhull or special
+        # functions, neither at import nor in verify or solve
+        annulus, disc = tmp_path / "annulus.json", tmp_path / "disc.json"
+        annulus.write_text(json.dumps(ANNULUS_EIGHTH))
+        disc.write_text(json.dumps({"domain": {"kind": "disc", "radius": 1.0},
+                                    "curvature": {"constant": 0.5},
+                                    "spacing": 0.125}))
+        script = (
+            "import json, sys\n"
+            "from pmcgraph.cli import main\n"
+            "banned = ('scipy.integrate', 'scipy.optimize', 'scipy.spatial',"
+            " 'scipy.special')\n"
+            "def loaded():\n"
+            "    return [m for m in banned if m in sys.modules]\n"
+            "stages = [['import', 0, loaded()]]\n"
+            "for cmd, cfg, out in (('verify', sys.argv[1], sys.argv[3]),"
+            " ('solve', sys.argv[2], sys.argv[4])):\n"
+            "    code = main([cmd, '--config', cfg, '--out', out])\n"
+            "    stages.append([cmd, code, loaded()])\n"
+            "print(json.dumps(stages))\n")
+        last = self.fresh_process(script, annulus, disc, tmp_path / "verify",
+                                  tmp_path / "solve")
+        assert json.loads(last) == [["import", 0, []], ["verify", 0, []],
+                                    ["solve", 0, []]]

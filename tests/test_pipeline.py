@@ -9,7 +9,8 @@ from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import (ContinuationFailureError,
                              NoAdmissibleConstantError, NonconvergenceError,
                              ParameterError, SolverError)
-from pmcgraph.grid import grid_from_domain, interpolate_values_cubic
+from pmcgraph.grid import (CUBIC_MIDPOINT, grid_from_domain,
+                           interpolate_values_cubic, nested_prolongation)
 
 
 class TestConditionsPipeline:
@@ -177,13 +178,53 @@ class TestProlongation:
 
     def test_band_fill_covers_the_cubic_gap(self, levels):
         coarse, fine = levels
-        pts = fine.solution.grid.interior_points()
+        grid = fine.solution.grid
         cubic = interpolate_values_cubic(coarse.solution.grid,
-                                         coarse.solution.values, pts)
+                                         coarse.solution.values,
+                                         grid.interior_points())
         gap = np.isnan(cubic)
         assert gap.any()
-        fill = pipeline._band_linear(coarse, fine.solution.grid, pts[gap])
+        fill = pipeline._band_fill(grid, cubic)
         assert not np.isnan(fill).any()
+        assert np.array_equal(fill[~gap], cubic[~gap])
+
+    def test_start_is_mirror_symmetric(self, levels):
+        # the annulus lattices are symmetric about both axes and the
+        # diagonal, and so is the start built on their index arrays
+        coarse, fine = levels
+        grid = fine.solution.grid
+        start = np.zeros(grid.shape)
+        start[grid.interior] = pipeline.prolongate(coarse, grid)
+        assert np.max(np.abs(start[:, ::-1] - start)) <= 1e-15
+        assert np.max(np.abs(start.T - start)) <= 1e-15
+
+    def test_cubic_midpoints_reproduce_cubics(self):
+        coarse = grid_from_domain(self.DOMAIN, 1.0 / 8)
+        fine = grid_from_domain(self.DOMAIN, 1.0 / 16)
+        P, complete = nested_prolongation(coarse, fine, CUBIC_MIDPOINT)
+
+        def cubic(points):
+            x, y = points[:, 0], points[:, 1]
+            return 0.3 - 0.7 * x**3 + 1.1 * y**2 * x + 0.5 * x * y**3
+
+        error = P @ cubic(coarse.interior_points()) - cubic(
+            fine.interior_points())
+        assert complete.sum() > 0.5 * fine.n_dof
+        assert np.max(np.abs(error[complete])) <= 1e-13
+
+    def test_band_fill_is_exact_for_linear_data(self):
+        # interpolation along rows and columns between nodes and boundary
+        # crossings reproduces an affine function, Dirichlet data included
+        def plane(x, y):
+            return 0.3 * x - 0.7 * y + 0.2
+
+        grid = grid_from_domain(self.DOMAIN, 1.0 / 16, boundary=plane)
+        pts = grid.interior_points()
+        exact = plane(pts[:, 0], pts[:, 1])
+        values = exact.copy()
+        values[np.hypot(*pts.T) > 1.5] = np.nan
+        fill = pipeline._band_fill(grid, values)
+        assert np.max(np.abs(fill - exact)) <= 1e-12
 
     def test_start_is_close_to_the_fine_solution(self, levels):
         coarse, fine = levels
@@ -200,19 +241,6 @@ class TestProlongation:
         assert step.factorizations == 1
         diff = np.max(np.abs(refined.solution.values - fine.solution.values))
         assert diff <= 1e-12
-
-    def test_band_is_the_eroded_rim(self):
-        grid = grid_from_domain(geometry.ConvexPolygon(
-            [(0, 0), (2, 0), (2, 2), (0, 2)]), 0.1)
-        band = pipeline._band_nodes(grid)
-        depth = pipeline.PROLONGATION_BAND
-        core = grid.interior.copy()
-        core[band] = False
-        # a square's interior is a 19 x 19 block; the band is its outer
-        # ``depth`` rings
-        assert grid.interior.sum() == 19 * 19
-        assert core.sum() == (19 - 2 * depth) ** 2
-
 
 class TestTwoGridVerify:
     DOMAIN = geometry.Annulus(1.0, 2.0)
