@@ -25,6 +25,7 @@ from .errors import (
     ParameterError,
     SolverError,
     config_key,
+    json_number,
 )
 from .ioutil import dump_json, write_csv
 
@@ -162,14 +163,20 @@ def cmd_check(args):
     return report.exit_code()
 
 
-def _schedule(value):
-    return None if value is None else [float(t) for t in value]
-
-
 def _integer(value):
     if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
+
+
+def _finite(convert):
+    """``convert``, then a check that the value is finite."""
+    def finite(value):
+        value = convert(value)
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value!r}")
+        return value
+    return finite
 
 
 def _positive(convert):
@@ -183,7 +190,7 @@ def _positive(convert):
 
 
 def _annulus_r(value):
-    return None if value is None else _positive(float)(value)
+    return None if value is None else _positive(json_number)(value)
 
 
 def _dim(value):
@@ -191,9 +198,8 @@ def _dim(value):
 
 
 # (config key, converter, default when the key is absent)
-_SOLVE_SETTINGS = (("spacing", _positive(float), 0.05),
-                   ("tol", _positive(float), 1e-10),
-                   ("schedule", _schedule, None),
+_SOLVE_SETTINGS = (("spacing", _positive(json_number), 0.05),
+                   ("tol", _positive(json_number), 1e-10),
                    ("max_iters", _positive(_integer), 40),
                    ("annulus_r", _annulus_r, None))
 _CHECK_SETTINGS = (("dim", _dim, 2),
@@ -211,16 +217,26 @@ def _settings(cfg, rows):
     return settings
 
 
+def _solve_settings(cfg):
+    """The settings of ``solve`` and ``verify``.  The homotopy's steps are
+    fixed, so a config that still sets the former ``schedule`` exits 64
+    rather than solve with steps it did not ask for."""
+    if "schedule" in cfg:
+        raise ParameterError("config 'schedule': the homotopy's steps are "
+                             "fixed and no longer set; remove the key")
+    return _settings(cfg, _SOLVE_SETTINGS)
+
+
 def cmd_solve(args):
     out = _out_dir(args)
     cfg = _load_config(args)
     domain, field = _domain_and_field(args, cfg)
-    st = _settings(cfg, _SOLVE_SETTINGS)
+    st = _solve_settings(cfg)
     boundary = pipeline.boundary_from_json(cfg.get("boundary"))
     try:
         outcome = pipeline.solve_domain(
             domain, field, st["spacing"], boundary=boundary, tol=st["tol"],
-            schedule=st["schedule"], max_iters=st["max_iters"])
+            max_iters=st["max_iters"])
     except ContinuationFailureError as exc:
         dump_json({"status": "continuation-stalled", "stall_t": exc.stall_t,
                    "diagnostics": exc.diagnostics,
@@ -251,13 +267,13 @@ def cmd_verify(args):
     out = _out_dir(args)
     cfg = _load_config(args)
     domain, field = _domain_and_field(args, cfg)
-    st = _settings(cfg, _SOLVE_SETTINGS)
+    st = _solve_settings(cfg)
     if pipeline.boundary_from_json(cfg.get("boundary")) not in (None, 0.0):
         raise ParameterError("verify checks zero-boundary solves only; use solve")
     try:
         outcome = pipeline.verify_domain(
             domain, field, st["spacing"], annulus_r=st["annulus_r"],
-            tol=st["tol"], schedule=st["schedule"], max_iters=st["max_iters"])
+            tol=st["tol"], max_iters=st["max_iters"])
     except ContinuationFailureError as exc:
         dump_json({"status": "continuation-stalled", "stall_t": exc.stall_t,
                    "diagnostics": exc.diagnostics},
@@ -339,49 +355,50 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("barrier", help="construct a barrier profile")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--R", type=float, required=True)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--dim", type=_positive(int), default=2)
+    p.add_argument("--h", type=_finite(float), required=True)
+    p.add_argument("--r", type=_positive(float), required=True)
+    p.add_argument("--R", type=_positive(float), required=True)
+    p.add_argument("--points", type=_positive(int), default=201)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_barrier)
 
     p = sub.add_parser("check", help="evaluate solvability conditions")
     p.add_argument("--config")
-    p.add_argument("--annulus", type=float, nargs=2, metavar=("R_IN", "R_OUT"))
-    p.add_argument("--disc", type=float, metavar="RADIUS")
-    p.add_argument("--h", type=float)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--annulus", type=_positive(float), nargs=2,
+                   metavar=("R_IN", "R_OUT"))
+    p.add_argument("--disc", type=_positive(float), metavar="RADIUS")
+    p.add_argument("--h", type=_finite(float))
+    p.add_argument("--dim", type=_positive(int), default=2)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_check)
 
     for name, fn in (("solve", cmd_solve), ("verify", cmd_verify)):
         p = sub.add_parser(name, help=f"{name} the Dirichlet problem on a grid")
         p.add_argument("--config")
-        p.add_argument("--annulus", type=float, nargs=2,
+        p.add_argument("--annulus", type=_positive(float), nargs=2,
                        metavar=("R_IN", "R_OUT"))
-        p.add_argument("--disc", type=float, metavar="RADIUS")
-        p.add_argument("--h", type=float)
+        p.add_argument("--disc", type=_positive(float), metavar="RADIUS")
+        p.add_argument("--h", type=_finite(float))
         p.add_argument("--out", default=".")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("nonexist", help="radial existence sweep over the "
                                         "inner radius")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--outer", type=float, default=1.0)
+    p.add_argument("--dim", type=_positive(int), default=2)
+    p.add_argument("--h", type=_finite(float), required=True)
+    p.add_argument("--outer", type=_positive(float), default=1.0)
     p.add_argument("--eps", help="comma-separated inner radii")
-    p.add_argument("--eps-min", type=float, default=0.005)
-    p.add_argument("--eps-max", type=float, default=0.5)
-    p.add_argument("--num", type=int, default=8)
+    p.add_argument("--eps-min", type=_positive(float), default=0.005)
+    p.add_argument("--eps-max", type=_positive(float), default=0.5)
+    p.add_argument("--num", type=_positive(int), default=8)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_nonexist)
 
     p = sub.add_parser("blowup", help="gradient blowup counterexample table")
     p.add_argument("--eps", default="1,0.1,0.01")
-    p.add_argument("--samples", type=int, default=4001)
+    p.add_argument("--samples", type=_positive(int), default=4001)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_blowup)
 

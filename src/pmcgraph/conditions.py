@@ -103,6 +103,9 @@ class ConditionReport:
         dump_json(self.as_dict(), path)
 
 
+#: the heights z over which ``check`` samples H(x, z)
+CHECK_SLAB = (-1.0, 1.0)
+
 # Central-difference step for fields without a gradient (scaled by
 # max(1, |z|) in z).
 _FD_STEP = 1e-6
@@ -138,6 +141,8 @@ class CurvatureField:
     @classmethod
     def from_constant(cls, value):
         value = float(value)
+        if not math.isfinite(value):
+            raise ParameterError(f"curvature must be finite, got {value!r}")
 
         def func(points, z):
             points = np.asarray(points, dtype=float)
@@ -162,22 +167,23 @@ class CurvatureField:
         return np.asarray(self._func(np.asarray(points, dtype=float),
                                      np.asarray(z, dtype=float)), dtype=float)
 
-    def grad_eval(self, points, z, dz=_FD_STEP):
+    def grad_eval(self, points, z):
         points = np.asarray(points, dtype=float)
         z = np.asarray(z, dtype=float)
         if self._grad is not None:
             gx, gz = self._grad(points, z)
             return np.asarray(gx, dtype=float), np.asarray(gz, dtype=float)
-        gz = self._central_hz(points, z, dz)
+        gz = self._central_hz(points, z)
         gx = np.empty(np.broadcast_shapes(points.shape[:-1], z.shape) + (points.shape[-1],))
         for k in range(points.shape[-1]):
             dp = np.zeros_like(points)
-            dp[..., k] = dz
-            gx[..., k] = (self.eval(points + dp, z) - self.eval(points - dp, z)) / (2.0 * dz)
+            dp[..., k] = _FD_STEP
+            gx[..., k] = ((self.eval(points + dp, z) - self.eval(points - dp, z))
+                          / (2.0 * _FD_STEP))
         return gx, gz
 
-    def _central_hz(self, points, z, dz):
-        step = dz * np.maximum(1.0, np.abs(z))
+    def _central_hz(self, points, z):
+        step = _FD_STEP * np.maximum(1.0, np.abs(z))
         return (self.eval(points, z + step) - self.eval(points, z - step)) / (2.0 * step)
 
     def hz(self, points, z):
@@ -190,7 +196,7 @@ class CurvatureField:
         if self._grad is not None:
             return self.grad_eval(points, z)[1]
         return self._central_hz(np.asarray(points, dtype=float),
-                                np.asarray(z, dtype=float), _FD_STEP)
+                                np.asarray(z, dtype=float))
 
     def on_nodes(self, nodes):
         """This field, with its z-independent part evaluated once at
@@ -269,16 +275,16 @@ def domain_sample_points(domain, target=400):
     return pts[inside]
 
 
-def verify_gradient_bound_inputs(hfield, M, domain=None, points=None,
-                                 num_z=21):
-    """Sample the slab |z| <= M to bound |H| + |grad H| and check dH/dz >= 0."""
+def verify_gradient_bound_inputs(hfield, M, domain=None, points=None):
+    """Sample the slab |z| <= M at 21 heights to bound |H| + |grad H| and
+    check dH/dz >= 0."""
     if M <= 0.0:
         raise ParameterError("slab height M must be positive")
     if points is None:
         if domain is None:
             raise ParameterError("pass a domain or explicit sample points")
         points = domain_sample_points(domain)
-    zs = np.linspace(-float(M), float(M), int(num_z))
+    zs = np.linspace(-float(M), float(M), 21)
     _, h0, min_hz = sample_field_bounds(hfield, points, zs)
     return GradientBoundInputs(h0=h0, monotone_ok=min_hz >= -1e-12,
                                min_hz=min_hz, slab_height=float(M))
@@ -361,8 +367,9 @@ def check_inscribed_disc(dim, rho, h):
     )
 
 
-def check_mean_convexity(dim, boundary_samples, field, z_range, num_z=33):
-    """Pointwise |H(x,z)| <= (n-1)/n * Hhat(x) on sampled boundary points.
+def check_mean_convexity(dim, boundary_samples, field, z_range):
+    """Pointwise |H(x,z)| <= (n-1)/n * Hhat(x) on sampled boundary points,
+    at 33 heights z spanning ``z_range``.
 
     This is the classical necessary condition for solvability under all
     boundary data; with zero boundary values it is informational only.
@@ -371,7 +378,7 @@ def check_mean_convexity(dim, boundary_samples, field, z_range, num_z=33):
     if not boundary_samples:
         raise ParameterError("boundary sample set is empty")
     z_lo, z_hi = z_range
-    zs = np.linspace(float(z_lo), float(z_hi), int(num_z))
+    zs = np.linspace(float(z_lo), float(z_hi), 33)
     pts = np.asarray([np.asarray(p, dtype=float) for p, _ in boundary_samples])
     hhat = np.asarray([hh for _, hh in boundary_samples], dtype=float)
     factor = (dim - 1.0) / dim
@@ -411,13 +418,13 @@ def nonexistence_height_bound(dim, epsilon, outer=1.0):
 def evaluate_conditions(dim, h_sup0, *, annulus_r=None, annulus_d=None,
                         volume=None, strip_width=None, convex=False,
                         inscribed_rho=None, constant_h=None,
-                        boundary_samples=None, field=None, z_range=(-1.0, 1.0),
-                        monotone_ok=None, metrics_exact=True):
+                        boundary_samples=None, field=None, monotone_ok=None,
+                        metrics_exact=True):
     """Aggregate all applicable checks into a :class:`ConditionReport`.
 
     The caller (normally the pipeline in :mod:`pmcgraph.pipeline`) supplies
     the geometric quantities; anything passed as ``None`` is skipped with a
-    not-applicable row.
+    not-applicable row.  Mean convexity samples H over ``CHECK_SLAB``.
     """
     report = ConditionReport()
 
@@ -442,7 +449,8 @@ def evaluate_conditions(dim, h_sup0, *, annulus_r=None, annulus_d=None,
                 "inscribed-disc comparison applies to constant curvature only"))
 
     if boundary_samples and field is not None:
-        report.checks.append(check_mean_convexity(dim, boundary_samples, field, z_range))
+        report.checks.append(check_mean_convexity(dim, boundary_samples, field,
+                                                  CHECK_SLAB))
     else:
         report.checks.append(CheckResult(
             "mean_convexity", 0.0, math.nan, NOT_APPLICABLE,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 
@@ -81,3 +82,22 @@ def config_key(key):
         raise ParameterError(f"config {key!r}: missing entry {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"config {key!r}: {exc}") from exc
+
+
+def json_number(value):
+    """A config value that must be a JSON number, as a float; a string, a
+    bool, null or a container raises :class:`TypeError`, which
+    :func:`config_key` turns into a :class:`ParameterError` naming the
+    key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def finite_number(value):
+    """:func:`json_number`, which must also be finite: NaN or an infinity
+    raises :class:`ValueError`."""
+    value = json_number(value)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value

@@ -30,6 +30,7 @@ from .errors import (
     ParameterError,
     UnsupportedDomainError,
     config_key,
+    finite_number,
 )
 from .conditions import unit_ball_volume
 
@@ -45,7 +46,7 @@ class Annulus:
     r_out: float
 
     def __post_init__(self):
-        if not (0.0 < self.r_in < self.r_out):
+        if not (0.0 < self.r_in < self.r_out < math.inf):
             raise ParameterError(f"need 0 < r_in < r_out, got {self.r_in}, {self.r_out}")
 
     def contains(self, points):
@@ -74,9 +75,14 @@ class Disc:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ParameterError(f"disc radius must be positive, got {self.radius}")
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
+        if not 0.0 < self.radius < math.inf:
+            raise ParameterError(
+                f"disc radius must be positive and finite, got {self.radius}")
+        center = tuple(float(v) for v in self.center)
+        if len(center) != 2 or not all(map(math.isfinite, center)):
+            raise ParameterError(f"disc center must be two finite "
+                                 f"coordinates, got {self.center!r}")
+        object.__setattr__(self, "center", center)
 
     def contains(self, points):
         d = np.asarray(points, dtype=float) - np.asarray(self.center)
@@ -105,6 +111,8 @@ class ConvexPolygon:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ParameterError("polygon needs at least three planar vertices")
+        if not np.all(np.isfinite(v)):
+            raise ParameterError("polygon vertices must be finite")
         area2 = 0.0
         n = v.shape[0]
         for i in range(n):
@@ -172,8 +180,10 @@ class GridMask:
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2 or not mask.any():
             raise ParameterError("mask must be a nonempty 2-D bitmap")
-        if cell_size <= 0.0:
-            raise ParameterError("cell size must be positive")
+        if not 0.0 < cell_size < math.inf:
+            raise ParameterError("cell size must be positive and finite")
+        if len(origin) != 2 or not all(map(math.isfinite, origin)):
+            raise ParameterError("mask origin must be two finite coordinates")
         from scipy import ndimage
 
         _, count = ndimage.label(mask)
@@ -659,21 +669,37 @@ def mask_from_pgm(path, cell_size, origin=(0.0, 0.0)):
 
 def domain_from_json(spec, base_dir="."):
     """Build a domain from its JSON description; a malformed entry raises
-    ParameterError."""
+    ParameterError.
+
+    Every length and coordinate must be a finite JSON number, and every
+    bitmap entry 0 or 1 (false or true).
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParameterError("domain spec must be an object with a 'kind' key")
     kind = spec["kind"]
+
+    def point(value):
+        return tuple(finite_number(v) for v in value)
+
+    def bit(value):
+        if isinstance(value, (int, float)) and value in (0, 1):
+            return bool(value)
+        raise ValueError(f"bitmap entries must be 0 or 1, got {value!r}")
+
     with config_key("domain"):
         if kind == "annulus":
-            return Annulus(float(spec["r_in"]), float(spec["r_out"]))
+            return Annulus(finite_number(spec["r_in"]),
+                           finite_number(spec["r_out"]))
         if kind == "disc":
-            return Disc(float(spec["radius"]), tuple(spec.get("center", (0.0, 0.0))))
+            return Disc(finite_number(spec["radius"]),
+                        point(spec.get("center", (0.0, 0.0))))
         if kind == "convex_polygon":
-            return ConvexPolygon(spec["vertices"])
+            return ConvexPolygon([point(v) for v in spec["vertices"]])
         if kind == "grid_mask":
-            origin = tuple(spec.get("origin", (0.0, 0.0)))
-            cell = float(spec["cell_size"])
+            origin = point(spec.get("origin", (0.0, 0.0)))
+            cell = finite_number(spec["cell_size"])
             if "path" in spec:
                 return mask_from_pgm(Path(base_dir) / spec["path"], cell, origin)
-            return GridMask(np.asarray(spec["bitmap"], dtype=bool), cell, origin)
+            bitmap = [[bit(v) for v in row] for row in spec["bitmap"]]
+            return GridMask(np.array(bitmap, dtype=bool), cell, origin)
     raise ParameterError(f"unknown domain kind {kind!r}")

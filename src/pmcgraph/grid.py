@@ -34,6 +34,8 @@ THETA_FLOOR = 1e-6
 #: largest lattice (nodes, exterior ones included) a domain is rasterized
 #: onto: 16 times the largest in use, Annulus(1, 2) at 1/128 (267,289)
 MAX_LATTICE_NODES = 2**22
+#: lattice cells between a domain's bounding box and its lattice's edge
+PAD_CELLS = 2
 #: the 3 x 3 block of lattice offsets coupled by the scheme, sorted, so
 #: that their dof indices increase along every row of the Jacobian
 STENCIL_OFFSETS = tuple((dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1))
@@ -120,11 +122,12 @@ class MaskedGrid:
             return np.zeros((0, 2)), np.zeros(0)
         return np.vstack(points), np.concatenate(values)
 
-    def boundary_lipschitz_estimate(self, max_pairs=4000, seed=0):
-        """Sampled Lipschitz constant of the boundary data.
+    def boundary_lipschitz_estimate(self):
+        """Sampled Lipschitz constant of the boundary data, over at most
+        4000 pairs of crossing points.
 
         Returns None for identically zero data.  Deterministic: pair
-        selection uses a fixed-seed generator.
+        selection uses a generator seeded with 0.
         """
         if not self.boundary_nonzero:
             return None
@@ -132,8 +135,8 @@ class MaskedGrid:
         m = len(vals)
         if m < 2:
             return 0.0
-        rng = np.random.Generator(np.random.PCG64(seed))
-        n_pairs = min(max_pairs, m * (m - 1) // 2)
+        rng = np.random.Generator(np.random.PCG64(0))
+        n_pairs = min(4000, m * (m - 1) // 2)
         a = rng.integers(0, m, size=n_pairs)
         b = rng.integers(0, m, size=n_pairs)
         keep = a != b
@@ -250,7 +253,7 @@ def _eval_boundary(gfun, x, y):
     return np.asarray(gfun(x, y), dtype=float)
 
 
-def grid_from_domain(domain, spacing, boundary=None, pad_cells=2):
+def grid_from_domain(domain, spacing, boundary=None):
     """Rasterize a domain onto a uniform lattice.
 
     ``boundary`` is the Dirichlet data: None/0 for zero data, a scalar, or
@@ -266,11 +269,11 @@ def grid_from_domain(domain, spacing, boundary=None, pad_cells=2):
         return _grid_from_mask(domain, gfun)
 
     xmin, ymin, xmax, ymax = domain.bbox()
-    x0 = xmin - pad_cells * spacing
-    y0 = ymin - pad_cells * spacing
+    x0 = xmin - PAD_CELLS * spacing
+    y0 = ymin - PAD_CELLS * spacing
     # counted in floats, so that no spacing overflows the count
-    nx = np.ceil((xmax - x0) / spacing) + 1 + pad_cells
-    ny = np.ceil((ymax - y0) / spacing) + 1 + pad_cells
+    nx = np.ceil((xmax - x0) / spacing) + 1 + PAD_CELLS
+    ny = np.ceil((ymax - y0) / spacing) + 1 + PAD_CELLS
     if not nx * ny <= MAX_LATTICE_NODES:
         raise ParameterError(
             f"spacing {spacing!r} needs a lattice of {nx * ny:.0f} nodes "
@@ -440,18 +443,6 @@ def nested_prolongation(coarse, fine, midpoint=LINEAR_MIDPOINT):
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=(fine.n_dof, coarse.n_dof))
     return matrix, complete
-
-
-def bilinear_prolongation(coarse, fine):
-    """Bilinear interpolation from coarse to fine interior dofs, sparse:
-    the matrix of :func:`nested_prolongation` with linear midpoints.
-
-    Row ``k`` holds the weights of fine dof ``k`` on the coarse corners of
-    its lattice cell: 1 at a coinciding node, 1/2 on a coarse edge and
-    1/4 at a cell centre.  Corners that are not coarse interior nodes get
-    weight 0.
-    """
-    return nested_prolongation(coarse, fine)[0]
 
 
 def interpolate_values(grid, values, points):

@@ -20,9 +20,8 @@ import numpy as np
 from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
 from .errors import (NoAdmissibleConstantError, ParameterError, SolverError,
-                     UnsupportedDomainError, config_key)
-from .grid import (CUBIC_MIDPOINT, bilinear_prolongation, grid_from_domain,
-                   nested_prolongation, shift)
+                     UnsupportedDomainError, config_key, finite_number)
+from .grid import CUBIC_MIDPOINT, grid_from_domain, nested_prolongation, shift
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
 #: every radius; large values approach the strip-bound limit
@@ -59,18 +58,19 @@ def effective_sphere_radius(domain, annulus_r=None):
     return CONVEX_RADIUS_FACTOR * domain.diameter()
 
 
-def sampled_h_sup0(field, domain, target=600):
+def sampled_h_sup0(field, domain):
     """sup |H(x, 0)| over the domain: exact for constant fields, sampled
-    for the others."""
+    at about 600 points for the others."""
     if field.is_constant:
         return abs(field.constant)
-    pts = conditions.domain_sample_points(domain, target=target)
+    pts = conditions.domain_sample_points(domain, target=600)
     return float(np.max(np.abs(field.eval(pts, np.zeros(len(pts))))))
 
 
 def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
-                   boundary_sample_count=256, z_range=(-1.0, 1.0)):
-    """Evaluate every applicable solvability/nonexistence check."""
+                   boundary_sample_count=256):
+    """Evaluate every applicable solvability/nonexistence check, with H
+    sampled over the heights ``conditions.CHECK_SLAB``."""
     h_sup0 = sampled_h_sup0(field, domain)
     convex = is_convex_domain(domain)
     metrics_exact = not isinstance(domain, geometry.GridMask)
@@ -101,7 +101,7 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
         # a claimed monotone flag must survive the sampled verification
         pts = conditions.domain_sample_points(domain)
         _, _, min_hz = conditions.sample_field_bounds(
-            field, pts, np.linspace(z_range[0], z_range[1], 9))
+            field, pts, np.linspace(*conditions.CHECK_SLAB, 9))
         sampled_ok = min_hz >= -1e-12
         if field.monotone is None:
             monotone_ok = sampled_ok
@@ -116,23 +116,24 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
         annulus_r=fit.r, annulus_d=fit.d, volume=volume,
         strip_width=width, convex=convex, inscribed_rho=rho,
         constant_h=field.constant, boundary_samples=boundary_samples,
-        field=field, z_range=z_range, monotone_ok=monotone_ok,
-        metrics_exact=metrics_exact)
+        field=field, monotone_ok=monotone_ok, metrics_exact=metrics_exact)
     report.notes.extend(notes)
     if fit.approximate:
         report.notes.append("annulus fit computed from a bitmap point cloud")
     return report
 
 
-def barrier_for_domain(domain, h_sup0, *, dim=GRID_DIM, annulus_r=None):
-    """Annulus fit plus the matching barrier profile for a domain.
+def barrier_for_domain(domain, h_sup0, *, annulus_r=None):
+    """Annulus fit plus the matching barrier profile of the planar graph
+    problem for a domain.
 
     Raises :class:`pmcgraph.errors.NoAdmissibleConstantError` when the
     curvature magnitude is not strictly below the fit's bound.
     """
     r_eff = effective_sphere_radius(domain, annulus_r)
     fit = geometry.annulus_fit(domain, r_eff)
-    profile = barrier.profile_for_annulus(dim, h_sup0, fit.r, fit.r + fit.d)
+    profile = barrier.profile_for_annulus(GRID_DIM, h_sup0, fit.r,
+                                          fit.r + fit.d)
     return fit, profile
 
 
@@ -161,11 +162,11 @@ def gradient_hypotheses(domain, field, solution, *, annulus_r=None,
 
 
 def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
-                 schedule=None, max_iters=40):
+                 max_iters=40):
     """Rasterize and solve by :func:`solve_grid`; returns a
     :class:`pmcgraph.solver.SolveOutcome`."""
     return solve_grid(grid_from_domain(domain, spacing, boundary=boundary),
-                      field, tol=tol, schedule=schedule, max_iters=max_iters)
+                      field, tol=tol, max_iters=max_iters)
 
 
 def _line_fill(values, gap, cut_lo, cut_hi, theta_lo, theta_hi, g_lo, g_hi):
@@ -227,7 +228,8 @@ def _band_fill(grid, values):
 
 
 def prolongate(coarse, grid):
-    """A coarse solution's values at a finer grid's interior nodes.
+    """A coarse solution's values at a finer grid's interior nodes, and
+    the linear prolongation matrix, which the two-grid cycle reuses.
 
     Cubic interpolation (:func:`pmcgraph.grid.nested_prolongation` with
     Keys cubic midpoints) wherever its coarse nodes are interior, else
@@ -242,35 +244,37 @@ def prolongate(coarse, grid):
                       np.where(linear_ok, linear @ dofs, np.nan))
     if np.isnan(values).any():
         values = _band_fill(grid, values)
-    return np.nan_to_num(values, nan=0.0)
+    return np.nan_to_num(values, nan=0.0), linear
 
 
-def solve_grid(grid, field, *, coarse=None, tol=1e-10, schedule=None,
-               max_iters=40):
+def solve_grid(grid, field, *, coarse=None, tol=1e-10, max_iters=40):
     """Solve one grid by the one rule of ``solve`` and ``verify``; returns
     a :class:`pmcgraph.solver.SolveOutcome`.
 
     * With ``coarse``, a solved outcome on a coarser grid of the same
       domain: Newton at t = 1 from its :func:`prolongate` values, with
-      GMRES preconditioned by the two-grid cycle of
-      :func:`pmcgraph.grid.bilinear_prolongation`.
+      GMRES preconditioned by the two-grid cycle of the linear
+      prolongation that :func:`prolongate` built.
     * Else, when ``field.monotone`` holds (H nondecreasing in z, so the
       discrete solution is unique by the comparison principle): Newton at
       t = 1 from :func:`pmcgraph.solver.newton_solve`'s default start.
-    * Else, or when that Newton run fails: the homotopy, whose
-      continuation defines the solution branch.  ``schedule`` steers only
-      the homotopy, and is checked before any solve.
+    * Else, or when that Newton run fails: the homotopy
+      (:func:`pmcgraph.solver.continuation_solve`), whose continuation
+      defines the solution branch.
 
     A successful Newton run's trace is one step at t = 1.
     """
-    schedule = solver.homotopy_schedule(schedule, field)
     settings = dict(tol=tol, max_iters=max_iters)
     if coarse is not None or field.monotone:
         initial, prolongation = None, None
         if coarse is not None:
             initial = np.zeros(grid.shape)
-            initial[grid.interior] = prolongate(coarse, grid)
-            prolongation = bilinear_prolongation(coarse.solution.grid, grid)
+            initial[grid.interior], prolongation = prolongate(coarse, grid)
+            # P outlives the fine solve.  Copied now that prolongate's
+            # temporaries are freed, it sits below them in the heap; kept
+            # where prolongate made it, it raised annulus-verify's peak RSS
+            # by 5-9 MiB in half of the benchmark runs
+            prolongation = prolongation.copy()
         linsolve = solver.FactorOnceSolver(prolongation)
         try:
             solution = solver.newton_solve(grid, field, t_homotopy=1.0,
@@ -283,17 +287,16 @@ def solve_grid(grid, field, *, coarse=None, tol=1e-10, schedule=None,
                 solution, linsolve.factorizations, linsolve.krylov_iters)
             return solver.SolveOutcome(solution,
                                        solver.ContinuationTrace(steps=[step]))
-    return solver.continuation_solve(grid, field, schedule=schedule,
-                                     **settings)
+    return solver.continuation_solve(grid, field, **settings)
 
 
-def refine_solve(coarse, field, *, tol=1e-10, schedule=None, max_iters=40):
+def refine_solve(coarse, field, *, tol=1e-10, max_iters=40):
     """:func:`solve_grid` at half the spacing of ``coarse``, a
     :class:`pmcgraph.solver.SolveOutcome` on a zero-boundary grid, from
     that coarse solution."""
     coarse_grid = coarse.solution.grid
     grid = grid_from_domain(coarse_grid.domain, 0.5 * coarse_grid.spacing)
-    return solve_grid(grid, field, coarse=coarse, tol=tol, schedule=schedule,
+    return solve_grid(grid, field, coarse=coarse, tol=tol,
                       max_iters=max_iters)
 
 
@@ -318,7 +321,7 @@ def _has_interior_block(grid):
 
 
 def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
-                  schedule=None, max_iters=40):
+                  max_iters=40):
     """Solve on two grids and check the barrier estimates on the fine one.
 
     The Richardson pair (spacing, spacing/2) provides the discretization
@@ -341,7 +344,7 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
         raise ParameterError(
             "verify needs a Richardson grid pair, but a bitmap domain has no "
             "refinement: its grid is the bitmap's own cells at every spacing")
-    settings = dict(tol=tol, schedule=schedule, max_iters=max_iters)
+    settings = dict(tol=tol, max_iters=max_iters)
     grid = grid_from_domain(domain, spacing)
     if not _has_interior_block(grid):
         raise ParameterError("no common interpolation points for the estimate")
@@ -363,7 +366,7 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
                          slack=slack, gradient_inputs=ginputs)
 
 
-def nonexistence_sweep(dim, h, outer, epsilons, tol=1e-10):
+def nonexistence_sweep(dim, h, outer, epsilons):
     """Radial shoot over a list of inner radii, with the height bound column.
 
     Returns rows (epsilon, exists, sup_p, bound); ``sup_p`` is NaN for
@@ -373,7 +376,7 @@ def nonexistence_sweep(dim, h, outer, epsilons, tol=1e-10):
     rows = []
     for eps in epsilons:
         eps = float(eps)
-        res = solver.radial_shoot(dim, h, eps, outer, tol=tol)
+        res = solver.radial_shoot(dim, h, eps, outer)
         bound = conditions.nonexistence_height_bound(dim, eps, outer=outer)
         rows.append({
             "epsilon": eps,
@@ -391,23 +394,32 @@ def curvature_from_json(spec):
     Supported forms: {"constant": v} and
     {"table": {"x": [...], "y": [...], "values": [[...]]}, "z_slope": s}
     with bilinear interpolation in x, y (clamped at the table edges) plus
-    an optional linear term in z.  A malformed entry raises ParameterError.
+    an optional linear term in z.  Every value must be a finite JSON
+    number, and the knots x and y must increase strictly; a malformed
+    entry raises ParameterError.
     """
     if not isinstance(spec, dict):
         raise ParameterError("curvature spec must be an object")
+
+    def numbers(values):
+        return np.array([finite_number(v) for v in values])
+
     with config_key("curvature"):
         if "constant" in spec:
-            return CurvatureField.from_constant(float(spec["constant"]))
+            return CurvatureField.from_constant(finite_number(spec["constant"]))
         if "table" in spec:
             tab = spec["table"]
-            xs = np.asarray(tab["x"], dtype=float)
-            ys = np.asarray(tab["y"], dtype=float)
-            vals = np.asarray(tab["values"], dtype=float)
+            xs = numbers(tab["x"])
+            ys = numbers(tab["y"])
+            vals = np.array([numbers(row) for row in tab["values"]])
             if vals.shape != (len(ys), len(xs)):
                 raise ParameterError("table values must have shape (len(y), len(x))")
             if len(xs) < 2 or len(ys) < 2:
                 raise ParameterError("table needs at least a 2x2 grid")
-            z_slope = float(spec.get("z_slope", 0.0))
+            if not (np.all(np.diff(xs) > 0.0) and np.all(np.diff(ys) > 0.0)):
+                raise ParameterError("table knots x and y must increase "
+                                     "strictly")
+            z_slope = finite_number(spec.get("z_slope", 0.0))
 
             def cell(coords, knots):
                 """Cell index, clamped local coordinate, and the cell width
@@ -449,18 +461,19 @@ def curvature_from_json(spec):
 
 
 def boundary_from_json(spec):
-    """Dirichlet data from JSON: zero, a constant, or a linear function.
-    A malformed entry raises ParameterError."""
+    """Dirichlet data from JSON: zero, a constant, or a linear function,
+    each value a finite JSON number.  A malformed entry raises
+    ParameterError."""
     if spec is None:
         return None
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    if isinstance(spec, dict):
-        with config_key("boundary"):
+    with config_key("boundary"):
+        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+            return finite_number(spec)
+        if isinstance(spec, dict):
             if "constant" in spec:
-                return float(spec["constant"])
+                return finite_number(spec["constant"])
             if "linear" in spec:
-                ax, ay, b = (float(v) for v in spec["linear"])
+                ax, ay, b = (finite_number(v) for v in spec["linear"])
                 return lambda x, y: ax * np.asarray(x) + ay * np.asarray(y) + b
     raise ParameterError("boundary spec must be a number, {'constant': v} "
                          "or {'linear': [ax, ay, b]}")

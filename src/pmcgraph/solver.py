@@ -76,7 +76,7 @@ from .ioutil import dump_json, lattice_rows, write_csv
 GRID_DIM = 2
 
 _LINE_SEARCH_FLOOR = 2.0 ** -20
-_DEFAULT_SCHEDULE_STEPS = 11
+_HOMOTOPY_MEMBERS = 11
 _DT_MIN = 1e-3
 
 # Right-preconditioned GMRES, by a reused LU factor or by the two-grid
@@ -338,8 +338,9 @@ class FactorOnceSolver:
     the preconditioner, a lagged one for the later solves (Knoll & Keyes
     2004).  The solver keeps a map from a Jacobian to its preconditioner,
     a function ``v -> M v``.  With ``prolongation`` ``P`` from a solved
-    coarser grid (:func:`pmcgraph.grid.bilinear_prolongation`), the first
-    solve factors ``P^T J P`` and the map gives the two-grid cycle.
+    coarser grid (the linear :func:`pmcgraph.grid.nested_prolongation`),
+    the first solve factors ``P^T J P`` and the map gives the two-grid
+    cycle.
     ``factorizations`` counts every sparse LU and ``krylov_iters`` every
     GMRES inner iteration.
     """
@@ -597,39 +598,17 @@ class SolveOutcome(NamedTuple):
     trace: ContinuationTrace
 
 
-def homotopy_schedule(schedule, hfield):
-    """The homotopy's values of t for ``schedule`` (None: the default),
-    anchored at the minimal surface member t = 0.  Raises
-    :class:`ParameterError` unless they increase strictly within [0, 1]
-    and end at t = 1."""
-    minimal = hfield.is_constant and hfield.constant == 0.0
-    if schedule is None:
-        # with H = 0 every t gives the minimal surface problem
-        schedule = ([1.0] if minimal
-                    else np.linspace(0.0, 1.0, _DEFAULT_SCHEDULE_STEPS))
-    schedule = [float(t) for t in schedule]
-    # each test is written so that NaN fails it
-    if not schedule or not abs(schedule[-1] - 1.0) <= 1e-14:
-        raise ParameterError("schedule must end at t = 1")
-    if not all(b > a for a, b in zip(schedule, schedule[1:])):
-        raise ParameterError("schedule must be strictly increasing")
-    if not all(0.0 <= t <= 1.0 for t in schedule):
-        raise ParameterError("schedule values must lie in [0, 1]")
-    if schedule[0] > 0.0 and not minimal:
-        schedule.insert(0, 0.0)
-    return schedule
-
-
-def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
+def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
     """Solve the homotopy family t -> t n H successively, warm-starting.
 
-    Returns a :class:`SolveOutcome`.  The default schedule
-    (:func:`homotopy_schedule`) is 11 uniform steps on [0, 1], and the
-    first member starts where :func:`newton_solve` starts by default.  A
-    failed step is bisected until the increment falls below 1e-3, at
-    which point a :class:`ContinuationFailureError` reports the stall
-    parameter and the gradient at the last success.  A stall is a
-    numerical statement, not a nonexistence proof.
+    Returns a :class:`SolveOutcome`.  The members are the 11 uniform
+    values of t on [0, 1], or t = 1 alone for H = 0, whose every member is
+    the minimal surface problem; the first member starts where
+    :func:`newton_solve` starts by default.  A failed step is bisected
+    until the increment falls below 1e-3, at which point a
+    :class:`ContinuationFailureError` reports the stall parameter and the
+    gradient at the last success.  A stall is a numerical statement, not
+    a nonexistence proof.
 
     All Newton runs share one :class:`FactorOnceSolver`: the Jacobian is
     factored at the first Newton step of the homotopy and that LU
@@ -637,7 +616,10 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
     costs a single factorization.  They also share the field's
     z-independent part at the grid's nodes, evaluated once here.
     """
-    schedule = homotopy_schedule(schedule, hfield)
+    if hfield.is_constant and hfield.constant == 0.0:
+        pending = [1.0]
+    else:
+        pending = np.linspace(0.0, 1.0, _HOMOTOPY_MEMBERS).tolist()
     hfield = hfield.on_nodes(grid.plan.points)
     trace = ContinuationTrace()
     linsolve = FactorOnceSolver()
@@ -645,7 +627,6 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
     f = None  # until a member converges, Newton's default start
     t_prev = None
     solution = None
-    pending = list(schedule)
     while pending:
         t_next = pending.pop(0)
         try:
@@ -676,8 +657,9 @@ def continuation_solve(grid, hfield, *, schedule=None, tol=1e-10, max_iters=40):
     return SolveOutcome(solution, trace)
 
 
-def angular_asymmetry(solution, radial_extent=None, num_radii=24, num_theta=64):
-    """Max over radii of the angular spread of the interpolated solution.
+def angular_asymmetry(solution):
+    """Max over 24 radii of the angular spread of the interpolated
+    solution at 64 equally spaced angles.
 
     For rotationally symmetric problems this measures how much the lattice
     breaks the symmetry; it should track the discretization error.  Cubic
@@ -685,12 +667,10 @@ def angular_asymmetry(solution, radial_extent=None, num_radii=24, num_theta=64):
     measured.
     """
     grid = solution.grid
-    if radial_extent is None:
-        radial_extent = grid.domain.radial_extent()
-    r_lo, r_hi = radial_extent
+    r_lo, r_hi = grid.domain.radial_extent()
     pad = 4.0 * grid.spacing
-    radii = np.linspace(r_lo + pad, r_hi - pad, num_radii)
-    thetas = 2.0 * math.pi * np.arange(num_theta) / num_theta
+    radii = np.linspace(r_lo + pad, r_hi - pad, 24)
+    thetas = 2.0 * math.pi * np.arange(64) / 64
     worst = 0.0
     for rho in radii:
         pts = np.column_stack([rho * np.cos(thetas), rho * np.sin(thetas)])
@@ -746,7 +726,7 @@ class RadialShootResult:
         write_csv(path, ["t", "p"], self.table)
 
 
-def radial_shoot(dim, h, epsilon, outer, tol=1e-10, table_points=1001):
+def radial_shoot(dim, h, epsilon, outer, tol=1e-10):
     """Zero-boundary rotationally symmetric solve on {eps < |x| < outer}.
 
     The profile integral anchored at ``epsilon`` vanishes there by
@@ -755,7 +735,8 @@ def radial_shoot(dim, h, epsilon, outer, tol=1e-10, table_points=1001):
     monotone in the constant, so the bracket endpoints decide feasibility:
     if even the largest radicand-feasible constant leaves the outer value
     negative (the thin-annulus regime) no solution exists and the nearest
-    miss is reported.
+    miss is reported.  An existing solution's profile is tabulated at
+    1001 uniform radii.
     """
     if not (0.0 < epsilon < outer):
         raise ParameterError("need 0 < epsilon < outer")
@@ -814,7 +795,7 @@ def radial_shoot(dim, h, epsilon, outer, tol=1e-10, table_points=1001):
                     "boundary")
 
     c = c_mid
-    ts = np.linspace(epsilon, outer, table_points)
+    ts = np.linspace(epsilon, outer, 1001)
     ps = barrier.cumulative_heights(dim, h, c, epsilon, ts)
     radicand = barrier._radicand(dim, h, c, ts)
     return RadialShootResult(

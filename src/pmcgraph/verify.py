@@ -128,8 +128,9 @@ def estimate_report(solution, profile, fit, slack):
         checks=[sup_check, point_check, grad_check])
 
 
-def richardson_error_estimate(coarse_solution, fine_solution, points, order=2.0):
-    """Two-grid error estimate: sup difference / (2^order - 1) at sample points."""
+def richardson_error_estimate(coarse_solution, fine_solution, points):
+    """Two-grid error estimate of the second-order scheme: the sup
+    difference at sample points over 2^2 - 1."""
     from .grid import interpolate_values
 
     pc = interpolate_values(coarse_solution.grid, coarse_solution.values, points)
@@ -137,7 +138,7 @@ def richardson_error_estimate(coarse_solution, fine_solution, points, order=2.0)
     ok = np.isfinite(pc) & np.isfinite(pf)
     if not ok.any():
         raise ParameterError("no common interpolation points for the estimate")
-    return float(np.max(np.abs(pc[ok] - pf[ok]))) / (2.0**order - 1.0)
+    return float(np.max(np.abs(pc[ok] - pf[ok]))) / 3.0
 
 
 def spherical_cap_oracle(dim, h, disc_radius):

@@ -110,6 +110,25 @@ class TestCheckCommand:
         assert run(["check", "--h", 0.3, "--out", tmp_path]) == 64
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize("args", [
+        ["check", "--disc", 1, "--h", "nan"],
+        ["check", "--annulus", 1, "inf", "--h", 0.3],
+        ["nonexist", "--h", 1, "--num", -1],
+        ["nonexist", "--h", 1, "--num", 0],
+        ["blowup", "--samples", 0],
+        ["barrier", "--h", 0.1, "--r", 1, "--R", "nan"],
+        ["barrier", "--h", "inf", "--r", 1, "--R", 2],
+    ], ids=["check-h-nan", "check-annulus-inf", "nonexist-num-negative",
+            "nonexist-num-zero", "blowup-samples-zero", "barrier-R-nan",
+            "barrier-h-inf"])
+    def test_malformed_flags_exit_64(self, tmp_path, args):
+        # refused by argparse, before the output directory is made
+        out = tmp_path / "out"
+        assert run(args + ["--out", out]) == 64
+        assert not out.exists()
+
+
 class TestSolveAndVerifyCommands:
     @pytest.fixture
     def annulus_config(self, tmp_path):
@@ -206,10 +225,8 @@ class TestSolveAndVerifyCommands:
         assert (out / "estimate_report.json").exists()
 
     @pytest.mark.parametrize("override, message, command", [
-        ({"schedule": 0.5}, "config 'schedule'", "solve"),
         ({"spacing": "fine"}, "config 'spacing'", "solve"),
         ({"max_iters": None}, "config 'max_iters'", "solve"),
-        ({"schedule": [0, "half", 1]}, "config 'schedule'", "solve"),
         ({"domain": {"kind": "annulus", "r_in": 1.0}},
          "config 'domain': missing entry 'r_out'", "solve"),
         ({"curvature": {"constant": "big"}}, "config 'curvature'", "solve"),
@@ -246,14 +263,49 @@ class TestSolveAndVerifyCommands:
          "solve"),
         ({"spacing": math.nan}, "config 'spacing': must be positive",
          "verify"),
-        # the homotopy does not run for this monotone field, but its
-        # schedule is checked before any solve
-        ({"schedule": [0.0, 0.5, 0.25, 1.0]}, "strictly increasing",
-         "solve"),
-        ({"schedule": [0.0, math.nan, 1.0]}, "strictly increasing",
-         "verify"),
-    ], ids=["schedule-number", "spacing-string", "max-iters-null",
-            "schedule-string-entry", "annulus-without-r-out",
+        # the homotopy's steps are fixed: a schedule is refused, not ignored
+        ({"schedule": [0.0, 0.5, 1.0]}, "config 'schedule'", "solve"),
+        ({"schedule": [0.0, 0.5, 1.0]}, "config 'schedule'", "verify"),
+        # non-finite and wrong-typed values are refused where they are read
+        ({"curvature": {"constant": math.inf}},
+         "config 'curvature': must be finite", "check"),
+        ({"curvature": {"constant": math.nan}},
+         "config 'curvature': must be finite", "solve"),
+        ({"curvature": {"table": {"x": [0, 1], "y": [0, 1],
+                                  "values": [[0.1, math.nan], [0.1, 0.1]]}}},
+         "config 'curvature': must be finite", "solve"),
+        ({"curvature": {"table": {"x": [0, 1], "y": [0, 1],
+                                  "values": [[0.1, 0.1], [0.1, 0.1]]},
+                        "z_slope": math.nan}},
+         "config 'curvature': must be finite", "solve"),
+        ({"boundary": {"constant": math.nan}},
+         "config 'boundary': must be finite", "solve"),
+        ({"boundary": {"linear": [math.nan, 0, 0]}},
+         "config 'boundary': must be finite", "solve"),
+        ({"curvature": {"table": {"x": [0, 1], "y": [0, 1],
+                                  "values": [[0.1, 0.1], [math.nan, 0.1]]}}},
+         "config 'curvature': must be finite", "check"),
+        ({"curvature": {"table": {"x": [0, math.nan], "y": [0, 1],
+                                  "values": [[0.1, 0.1], [0.1, 0.1]]}}},
+         "config 'curvature': must be finite", "check"),
+        ({"curvature": {"table": {"x": [1, 0], "y": [0, 1],
+                                  "values": [[0.1, 0.1], [0.1, 0.1]]}}},
+         "must increase strictly", "check"),
+        ({"domain": {"kind": "disc", "radius": 1.0,
+                     "center": [math.nan, 0.0]}},
+         "config 'domain': must be finite", "check"),
+        ({"domain": {"kind": "disc", "radius": 1.0,
+                     "center": [0.0, 0.0, 5.0]}},
+         "disc center must be two finite coordinates", "check"),
+        ({"domain": {"kind": "disc", "radius": 1.0, "center": [0.0]}},
+         "disc center must be two finite coordinates", "check"),
+        ({"domain": {"kind": "grid_mask", "cell_size": 0.5,
+                     "bitmap": [[1, 1, 1], [1, "x", 1], [1, 1, 1]]}},
+         "bitmap entries must be 0 or 1", "check"),
+        ({"domain": {"kind": "annulus", "r_in": 1.0, "r_out": "2"}},
+         "config 'domain': must be a number", "check"),
+        ({"spacing": True}, "config 'spacing': must be a number", "solve"),
+    ], ids=["spacing-string", "max-iters-null", "annulus-without-r-out",
             "curvature-string", "boundary-short-linear", "annulus-r-string",
             "annulus-r-negative", "samples-string", "samples-fraction",
             "annulus-r-infinite", "samples-overflow", "max-iters-overflow",
@@ -261,8 +313,14 @@ class TestSolveAndVerifyCommands:
             "max-iters-zero", "max-iters-negative", "dim-one", "dim-fraction",
             "lattice-cap-solve", "lattice-cap-verify",
             "tol-nan-solve", "tol-nan-verify", "spacing-nan-solve",
-            "spacing-nan-verify", "schedule-decreasing",
-            "schedule-nan-entry"])
+            "spacing-nan-verify", "schedule-key-solve", "schedule-key-verify",
+            "curvature-infinite-check", "curvature-nan-solve",
+            "table-value-nan-solve", "z-slope-nan-solve",
+            "boundary-constant-nan", "boundary-linear-nan",
+            "table-value-nan-check", "table-knot-nan-check",
+            "table-knots-decreasing", "disc-center-nan", "disc-center-3d",
+            "disc-center-1d", "bitmap-string-entry", "annulus-r-out-string",
+            "spacing-bool"])
     def test_malformed_values_exit_64(self, tmp_path, capsys, override,
                                       message, command):
         cfg = tmp_path / "cfg.json"

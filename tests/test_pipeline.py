@@ -194,7 +194,7 @@ class TestProlongation:
         coarse, fine = levels
         grid = fine.solution.grid
         start = np.zeros(grid.shape)
-        start[grid.interior] = pipeline.prolongate(coarse, grid)
+        start[grid.interior] = pipeline.prolongate(coarse, grid)[0]
         assert np.max(np.abs(start[:, ::-1] - start)) <= 1e-15
         assert np.max(np.abs(start.T - start)) <= 1e-15
 
@@ -228,7 +228,7 @@ class TestProlongation:
 
     def test_start_is_close_to_the_fine_solution(self, levels):
         coarse, fine = levels
-        start = pipeline.prolongate(coarse, fine.solution.grid)
+        start = pipeline.prolongate(coarse, fine.solution.grid)[0]
         exact = fine.solution.values[fine.solution.grid.interior]
         assert np.max(np.abs(start - exact)) <= 1e-3
 
