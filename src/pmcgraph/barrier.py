@@ -598,12 +598,19 @@ def annulus_height_bound(dim, r, R):
     """Supremum of curvature magnitudes admitting a barrier over [r, R].
 
     Equals 2 (2r)^(n-1) / ((R + r)^n - (2r)^n); a profile reaching R exists
-    exactly for h strictly below this value.
+    exactly for h strictly below this value.  Divided through by (2r)^n it
+    is 1 / (r ((1 + t)^n - 1)) with t = (R - r) / (2r), and (1 + t)^n - 1 is
+    summed as its binomial series: positive terms, so no cancellation, and
+    products only, so a huge R gives a bound of 0 rather than an overflow.
     """
     dim = _check_dim(dim)
     if r <= 0.0 or R <= r:
         raise ParameterError("need 0 < r < R")
-    return 2.0 * (2.0 * r) ** (dim - 1) / ((R + r) ** dim - (2.0 * r) ** dim)
+    t = (R - r) / (2.0 * r)
+    growth = 0.0  # (1 + t)^n - 1 by Horner's rule
+    for k in range(dim, 0, -1):
+        growth = (growth + math.comb(dim, k)) * t
+    return 1.0 / (r * growth)
 
 
 def select_c(dim, h, r, R):
@@ -612,7 +619,9 @@ def select_c(dim, h, r, R):
     Any constant with usable radius >= R would do; the midpoint between
     the bisection solution of ``usable_radius(c) = R`` and the supremum of
     the admissible interval is returned, keeping a positive margin against
-    both the positivity constraint and the degenerate upper limit.
+    both the positivity constraint and the degenerate upper limit.  An
+    annulus only a few ulps wide can leave no float constant whose computed
+    usable radius reaches R; that raises ``NoAdmissibleConstantError`` too.
     """
     dim = _check_dim(dim)
     if r <= 0.0 or R <= r:
@@ -643,6 +652,10 @@ def select_c(dim, h, r, R):
         else:
             c_hi = mid
     c = 0.5 * (0.5 * (c_lo + c_hi) + hi)
+    if gap(c) < 0.0:
+        raise NoAdmissibleConstantError(
+            f"no constant in floating point gives a usable radius of at "
+            f"least R={R} for h={h}, r={r}")
     return c
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import barrier, conditions, geometry, pipeline, solver, verify
 from .errors import (
     ContinuationFailureError,
+    InfeasibleFitError,
     NoAdmissibleConstantError,
     ParameterError,
     SolverError,
@@ -86,21 +87,27 @@ def _out_dir(args):
     return out
 
 
-def _load_config(args, base=None):
-    """Flag-derived settings, overridden by the --config file when given."""
-    cfg = dict(base or {})
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        try:
-            file_cfg = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParameterError(f"cannot read config {path}: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise ParameterError("config file must hold a JSON object")
-        cfg.update(file_cfg)
-        cfg.setdefault("_base_dir", str(path.parent))
-    cfg.setdefault("_base_dir", ".")
-    return cfg
+def _load_config(args):
+    """The --config file's entries (none without one), plus ``_base_dir``
+    for the paths they name.  A key outside ``CONFIG_KEYS`` exits 64,
+    so a misspelt setting cannot silently fall back to its default."""
+    if not getattr(args, "config", None):
+        return {"_base_dir": "."}
+    path = Path(args.config)
+    try:
+        cfg = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise ParameterError("config file must hold a JSON object")
+    if "schedule" in cfg:
+        raise ParameterError("config 'schedule': the homotopy's steps are "
+                             "fixed and no longer set; remove the key")
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ParameterError(f"config {key!r}: unknown key; the keys "
+                                 f"are {', '.join(CONFIG_KEYS)}")
+    return {**cfg, "_base_dir": str(path.parent)}
 
 
 def _domain_and_field(args, cfg):
@@ -205,6 +212,11 @@ _SOLVE_SETTINGS = (("spacing", _positive(json_number), 0.05),
 _CHECK_SETTINGS = (("dim", _dim, 2),
                    ("annulus_r", _annulus_r, None),
                    ("samples", _positive(_integer), 256))
+# The top-level keys of a config file.  One file serves check, solve and
+# verify, so each command accepts the keys of all three.
+CONFIG_KEYS = tuple(dict.fromkeys(
+    ["domain", "curvature", "boundary"]
+    + [key for key, _, _ in _SOLVE_SETTINGS + _CHECK_SETTINGS]))
 
 
 def _settings(cfg, rows):
@@ -217,21 +229,11 @@ def _settings(cfg, rows):
     return settings
 
 
-def _solve_settings(cfg):
-    """The settings of ``solve`` and ``verify``.  The homotopy's steps are
-    fixed, so a config that still sets the former ``schedule`` exits 64
-    rather than solve with steps it did not ask for."""
-    if "schedule" in cfg:
-        raise ParameterError("config 'schedule': the homotopy's steps are "
-                             "fixed and no longer set; remove the key")
-    return _settings(cfg, _SOLVE_SETTINGS)
-
-
 def cmd_solve(args):
     out = _out_dir(args)
     cfg = _load_config(args)
     domain, field = _domain_and_field(args, cfg)
-    st = _solve_settings(cfg)
+    st = _settings(cfg, _SOLVE_SETTINGS)
     boundary = pipeline.boundary_from_json(cfg.get("boundary"))
     try:
         outcome = pipeline.solve_domain(
@@ -267,7 +269,7 @@ def cmd_verify(args):
     out = _out_dir(args)
     cfg = _load_config(args)
     domain, field = _domain_and_field(args, cfg)
-    st = _solve_settings(cfg)
+    st = _settings(cfg, _SOLVE_SETTINGS)
     if pipeline.boundary_from_json(cfg.get("boundary")) not in (None, 0.0):
         raise ParameterError("verify checks zero-boundary solves only; use solve")
     try:
@@ -416,6 +418,9 @@ def main(argv=None):
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InfeasibleFitError as exc:
+        print(f"indeterminate: no annulus fit found: {exc}", file=sys.stderr)
+        return EXIT_INDETERMINATE
 
 
 if __name__ == "__main__":

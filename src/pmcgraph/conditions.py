@@ -299,7 +299,7 @@ def check_annulus_smallness(dim, r, d, h_sup0):
     """
     if r <= 0.0 or d <= 0.0:
         raise ParameterError("need r > 0 and d > 0")
-    bound = 2.0 * (2.0 * r) ** (dim - 1) / ((2.0 * r + d) ** dim - (2.0 * r) ** dim)
+    bound = barrier.annulus_height_bound(dim, r, r + d)
     verdict = PASS if h_sup0 < bound else FAIL
     return CheckResult(
         "annulus_smallness", bound, h_sup0, verdict,

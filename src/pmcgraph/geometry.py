@@ -7,12 +7,15 @@ solvability checks: the exterior-sphere radius, the minimal annulus fit
 convex domains and sampled boundary mean curvature.
 
 Annulus and disc metrics are closed-form.  Polygon fits use a coarse
-directional scan plus Nelder-Mead refinement and are re-verified by an
-independent containment check; bitmap metrics are discrete estimates and
-are flagged approximate (they never certify existence).  Only the bitmap
-code paths use ``scipy.ndimage``, and only polygon and bitmap metrics use
-``scipy.optimize``; each imports it where it is used, so work on annuli
-and discs loads neither.
+directional scan plus Nelder-Mead refinement (a numpy port of scipy's,
+``_nelder_mead``) and are re-verified by an independent containment
+check; bitmap metrics are discrete estimates and are flagged approximate
+(they never certify existence).  Only the bitmap code paths use
+``scipy.ndimage``, and only the Chebyshev-centre LP of a polygon's
+inscribed disc (which ``check`` reaches, not ``solve`` or ``verify``)
+uses ``scipy.optimize``.  Each is imported where it is used, so
+``solve`` and ``verify`` load ``scipy.optimize`` on no domain, and
+``scipy.ndimage`` on bitmaps only.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ class Annulus:
         return (rho > self.r_in) & (rho < self.r_out)
 
     def volume(self, dim=2):
-        return unit_ball_volume(dim) * (self.r_out**dim - self.r_in**dim)
+        try:
+            return unit_ball_volume(dim) * (self.r_out**dim - self.r_in**dim)
+        except OverflowError:  # beyond the largest float
+            return math.inf
 
     def diameter(self):
         return 2.0 * self.r_out
@@ -89,7 +95,10 @@ class Disc:
         return np.linalg.norm(d, axis=-1) < self.radius
 
     def volume(self, dim=2):
-        return unit_ball_volume(dim) * self.radius**dim
+        try:
+            return unit_ball_volume(dim) * self.radius**dim
+        except OverflowError:  # beyond the largest float
+            return math.inf
 
     def diameter(self):
         return 2.0 * self.radius
@@ -356,12 +365,12 @@ class AnnulusFit:
 def containment_extent(domain, translation):
     """(min, max) of |x + translation| over the domain closure."""
     t = np.asarray(translation, dtype=float)
+    # hypot, not a sum of squares: the squares of huge lengths overflow
     if isinstance(domain, Annulus):
-        shift = float(np.linalg.norm(t))
+        shift = math.hypot(*t)
         return max(domain.r_in - shift, 0.0), domain.r_out + shift
     if isinstance(domain, Disc):
-        center = np.asarray(domain.center) + t
-        rho = float(np.linalg.norm(center))
+        rho = math.hypot(*(np.asarray(domain.center) + t))
         return max(rho - domain.radius, 0.0), rho + domain.radius
     if isinstance(domain, ConvexPolygon):
         q = -t
@@ -423,8 +432,6 @@ def annulus_fit(domain, r):
 
 
 def _search_fit(domain, r):
-    from scipy import optimize
-
     approximate = isinstance(domain, GridMask)
     if approximate:
         cloud = domain.corner_points()
@@ -484,10 +491,9 @@ def _search_fit(domain, r):
         pen = penalty_scale * gap * gap if gap > 0.0 else 0.0
         return worst_radius(q) + pen
 
-    res = optimize.minimize(objective, best_q, method="Nelder-Mead",
-                            options={"xatol": 1e-12, "fatol": 1e-12,
-                                     "maxiter": 2000})
-    q = res.x if res.fun <= objective(best_q) else best_q
+    x, fun = _nelder_mead(objective, best_q, xatol=1e-12, fatol=1e-12,
+                          maxiter=2000)
+    q = x if fun <= objective(best_q) else best_q
     # restore clearance exactly if the optimizer nibbled into the margin
     if dist_fn(q) < target:
         for _ in range(60):
@@ -505,6 +511,71 @@ def _search_fit(domain, r):
     if fit_margin(domain, fit) < 0.99 * FIT_MARGIN:
         raise InfeasibleFitError("search fit recheck failed")
     return fit
+
+
+def _nelder_mead(func, x0, xatol, fatol, maxiter):
+    """Minimum ``(x, fun)`` of ``func`` found by Nelder-Mead from ``x0``.
+
+    A port of the path of scipy 1.17's ``_minimize_neldermead`` that runs
+    without bounds, adaptive coefficients, a callback or a cap on function
+    evaluations, so that ``solve`` and ``verify`` need not load
+    ``scipy.optimize``.  The initial simplex, the coefficients, the sorts,
+    the stopping test and the iteration count are scipy's, so it makes the
+    same calls and returns the same point, bit for bit.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+
+    def f(x):
+        return func(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(x) for x in sim], dtype=float)
+
+    def order(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # scipy sorts twice before the first iteration
+    sim, fsim = order(*order(sim, fsim))
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = order(sim, fsim)
+    return sim[0], np.min(fsim)
 
 
 def inscribed_disc_radius(domain):

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pmcgraph import barrier, geometry, ioutil
 from pmcgraph.errors import (
@@ -277,6 +277,21 @@ class TestUsableRadius:
                 assert (h < h_eq) == (R < sup_r)
 
 
+class TestHeightBound:
+    def test_closed_forms(self):
+        assert barrier.annulus_height_bound(2, 1.0, 2.0) == 0.8
+        assert barrier.annulus_height_bound(3, 1.0, 3.0) == 1.0 / 7.0
+
+    def test_huge_lengths_do_not_overflow(self):
+        # (R + r)^n is past the largest float here
+        assert barrier.annulus_height_bound(2, 1.0, 1e300) == 0.0
+        assert barrier.annulus_height_bound(4, 1e-300, 1e300) == 0.0
+        # r^n alone overflows here, yet the bound is an ordinary number
+        bound = barrier.annulus_height_bound(3, 1e200, 1.5e200)
+        assert bound == pytest.approx(1.0 / (1e200 * (1.25 ** 3 - 1.0)),
+                                      rel=1e-15)
+
+
 class TestSelectC:
     def test_near_bound_pushes_to_upper_limit(self):
         h = 0.8 * (1.0 - 1e-9)
@@ -292,6 +307,16 @@ class TestSelectC:
             barrier.select_c(2, 0.81, 1.0, 2.0)
         with pytest.raises(NoAdmissibleConstantError):
             barrier.select_c(2, 0.8, 1.0, 2.0)  # equality is rejected too
+
+    def test_thin_annulus_at_the_bound_is_refused(self):
+        # the exact usable radii reach past R by less than an ulp of R, and
+        # no double constant covers R: a refusal, not a radius short of R
+        R = 1.000001
+        limit = (barrier.annulus_height_bound(2, 1.0, R)
+                 * (1.0 - barrier.REL_STRICTNESS))
+        h = limit * (1.0 - 1e-14)
+        with pytest.raises(NoAdmissibleConstantError):
+            barrier.select_c(2, h, 1.0, R)
 
     def test_grazing_rejected(self):
         bound = barrier.annulus_height_bound(2, 1.0, 2.0)
@@ -509,6 +534,26 @@ class TestBarrierProperties:
         split = (barrier.profile_height_integral(dim, h, c, lo, mid)
                  + barrier.profile_height_integral(dim, h, c, mid, hi))
         assert abs(whole - split) <= 2e-9
+
+    @BARRIER_EXAMPLES
+    @given(dim=st.integers(2, 4), r=st.floats(0.1, 10.0),
+           ratio=st.floats(1.0, 100.0, exclude_min=True),
+           frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_select_c_covers_outer_radius(self, dim, r, ratio, frac):
+        R = ratio * r
+        limit = (barrier.annulus_height_bound(dim, r, R)
+                 * (1.0 - barrier.REL_STRICTNESS))
+        h = frac * limit
+        assume(r < R and 0.0 < h < limit)
+        try:
+            c = barrier.select_c(dim, h, r, R)
+        except NoAdmissibleConstantError:
+            # refused only where the exact supremum of the usable radii
+            # lies within a few ulps of R, beyond what doubles resolve
+            sup = 2 * r * (1 + 1 / (mpmath.mpf(h) * r)) ** (1 / mpmath.mpf(dim))
+            assert sup - r - R <= 1e-15 * R
+            return
+        assert barrier.usable_radius(dim, h, r, c) >= R
 
 
 class TestCumulativeHeights:

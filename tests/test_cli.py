@@ -64,6 +64,13 @@ class TestBarrierCommand:
         assert code == 2
         assert "0.8" in capsys.readouterr().err
 
+    def test_huge_outer_radius_is_refused(self, tmp_path, capsys):
+        # the bound tends to 0 as R grows; no power of R may overflow
+        code = run(["barrier", "--h", 0.1, "--r", 1, "--R", 1e300,
+                    "--out", tmp_path])
+        assert code == 2
+        assert "the bound 0.0" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_annulus_pass(self, tmp_path):
@@ -100,6 +107,25 @@ class TestCheckCommand:
         names = {c["name"]: c["verdict"] for c in report["checks"]}
         assert names["strip_smallness"] == "pass"
         assert report["overall"] == "existence-guaranteed"
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_huge_annulus_fails_smallness(self, tmp_path, source):
+        # (2r + d)^n and the volume's r_out^n exceed the float range here
+        if source == "flags":
+            args = ["--annulus", 1, 1e200, "--h", 0.1]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "domain": {"kind": "annulus", "r_in": 1.0, "r_out": 1e200},
+                "curvature": {"constant": 0.1}}))
+            args = ["--config", cfg]
+        out = tmp_path / "out"
+        assert run(["check", *args, "--out", out]) == 2
+        report = json.loads((out / "condition_report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["annulus_smallness"]["verdict"] == "fail"
+        assert checks["annulus_smallness"]["bound"] == 0.0
+        assert checks["volume_smallness"]["bound"] == 0.0
 
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -266,6 +292,11 @@ class TestSolveAndVerifyCommands:
         # the homotopy's steps are fixed: a schedule is refused, not ignored
         ({"schedule": [0.0, 0.5, 1.0]}, "config 'schedule'", "solve"),
         ({"schedule": [0.0, 0.5, 1.0]}, "config 'schedule'", "verify"),
+        # a misspelt key does not fall back to the default it meant to change
+        ({"spacng": 0.5}, "config 'spacng': unknown key", "solve"),
+        ({"tolerance": 1e-6}, "config 'tolerance': unknown key", "verify"),
+        ({"sample": 64}, "config 'sample': unknown key", "check"),
+        ({"_base_dir": "."}, "config '_base_dir': unknown key", "check"),
         # non-finite and wrong-typed values are refused where they are read
         ({"curvature": {"constant": math.inf}},
          "config 'curvature': must be finite", "check"),
@@ -314,6 +345,8 @@ class TestSolveAndVerifyCommands:
             "lattice-cap-solve", "lattice-cap-verify",
             "tol-nan-solve", "tol-nan-verify", "spacing-nan-solve",
             "spacing-nan-verify", "schedule-key-solve", "schedule-key-verify",
+            "unknown-key-solve", "unknown-key-verify", "unknown-key-check",
+            "internal-key-check",
             "curvature-infinite-check", "curvature-nan-solve",
             "table-value-nan-solve", "z-slope-nan-solve",
             "boundary-constant-nan", "boundary-linear-nan",
@@ -497,3 +530,37 @@ class TestImports:
                                   tmp_path / "solve")
         assert json.loads(last) == [["import", 0, []], ["verify", 0, []],
                                     ["solve", 0, []]]
+
+    def test_polygon_and_bitmap_commands_load_no_optimizer(self, tmp_path):
+        # the annulus fit's Nelder-Mead is numpy code: solve and verify on
+        # a polygon or a bitmap load no optimizer, qhull or quadrature
+        polygon, bitmap = tmp_path / "polygon.json", tmp_path / "bitmap.json"
+        polygon.write_text(json.dumps({
+            "domain": {"kind": "convex_polygon",
+                       "vertices": [[0, 0], [2, 0], [2, 1.5], [1, 2.5],
+                                    [0, 1.5]]},
+            "curvature": {"constant": -0.3}, "spacing": 0.125}))
+        ring = [[int(1 <= i <= 8 and 1 <= j <= 8
+                     and not (4 <= i <= 5 and 4 <= j <= 5))
+                 for i in range(10)] for j in range(10)]
+        bitmap.write_text(json.dumps({
+            "domain": {"kind": "grid_mask", "cell_size": 0.125,
+                       "bitmap": ring},
+            "curvature": {"constant": -0.3}}))
+        script = (
+            "import json, sys\n"
+            "from pmcgraph.cli import main\n"
+            "banned = ('scipy.integrate', 'scipy.optimize', 'scipy.spatial')\n"
+            "stages = []\n"
+            "for cfg in sys.argv[1:3]:\n"
+            "    for cmd in ('solve', 'verify'):\n"
+            "        code = main([cmd, '--config', cfg, '--out',"
+            " sys.argv[3] + '/' + cmd])\n"
+            "        stages.append([cmd, code,"
+            " [m for m in banned if m in sys.modules]])\n"
+            "print(json.dumps(stages))\n")
+        last = self.fresh_process(script, polygon, bitmap, tmp_path)
+        # a bitmap has no refined grid for verify's estimate, so it exits 64
+        # after reading the domain
+        assert json.loads(last) == [["solve", 0, []], ["verify", 0, []],
+                                    ["solve", 0, []], ["verify", 64, []]]

@@ -4,10 +4,14 @@ Configs are drawn from a small grammar: every domain kind, both curvature
 forms, every boundary form and the settings each command reads, on grids
 small enough to solve in milliseconds.  A drawn config may carry one
 malformed value (NaN, an infinity, a negative length, a string or another
-wrong type) in an entry its command reads.  The contract:
+wrong type) in an entry its command reads, or a misspelt key.  Or one of
+its lengths may be finite but huge (1e200 or 1e300): that is no malformed
+value, and it may end in a verdict or a refusal.  The contract:
 
-* every run ends in exit 0, 2, 3 or 64, never in an exception;
-* a malformed value exits 64 before any output is written;
+* every run ends in exit 0, 2, 3 or 64, never in an exception (an
+  ``OverflowError`` from a huge length, say);
+* a malformed value or an unknown key exits 64 before any output is
+  written;
 * exit 0 from ``solve`` means a residual within the config's tolerance.
 
 Nonzero Dirichlet data on the pentagon may stall (exit 3); that is an
@@ -35,6 +39,11 @@ BAD_OPTIONAL = NONFINITE + WRONG_TYPES + [-1.0, 0.0]
 BAD_BOUNDARY = NONFINITE + WRONG_TYPES
 BAD_BIT = NONFINITE + ["x", "1", [1], None, -1, 0.5, 2]
 BAD_POINT = [[0.0], [0.0, 0.0, 5.0], "00", math.nan]
+# finite lengths whose powers and squares leave the float range, and the
+# entries that may take them
+HUGE = [1e200, 1e300]
+LENGTHS = {("domain", "r_in"), ("domain", "r_out"), ("domain", "radius"),
+           ("domain", "cell_size"), ("annulus_r",), ("spacing",)}
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 PENTAGON = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.5], [1.0, 2.5], [0.0, 1.5]]
@@ -104,14 +113,18 @@ def _boundary(draw, slots):
 
 @st.composite
 def cases(draw):
-    """(command, config, whether one entry the command reads is bad)."""
+    """(command, config, whether the config must be refused): at most one
+    entry the command reads is malformed or huge, or a key is misspelt."""
     command = draw(st.sampled_from(["check", "solve", "verify"]))
-    slots = []  # (path, bad values) of the entries ``command`` reads
+    # (path, malformed values) of the entries ``command`` reads, and of
+    # one misspelt key
+    slots = []
     cfg = {"domain": _domain(draw, slots),
            "curvature": _curvature(draw, slots)}
     if draw(st.booleans()):
         cfg["annulus_r"] = draw(st.sampled_from([0.5, 3.0]))
-    slots.append((("annulus_r",), BAD_OPTIONAL))
+    slots += [(("annulus_r",), BAD_OPTIONAL),
+              (("anulus_r",), [0.5])]
     if command == "check":
         cfg["dim"] = draw(st.sampled_from([2, 3]))
         slots += [(("dim",), BAD_COUNT + [1]), (("samples",), BAD_COUNT)]
@@ -124,20 +137,24 @@ def cases(draw):
         slots += [(("spacing",), BAD_POSITIVE), (("tol",), BAD_POSITIVE),
                   (("max_iters",), BAD_COUNT),
                   (("schedule",), [[0.0, 1.0], [0.5, 1.0]])]
-    corrupt = draw(st.booleans())
-    if corrupt:
-        path, bad = draw(st.sampled_from(slots))
+    change = draw(st.sampled_from(["none", "malformed", "huge"]))
+    if change == "malformed":
+        path, values = draw(st.sampled_from(slots))
+    elif change == "huge":
+        path = draw(st.sampled_from([p for p, _ in slots if p in LENGTHS]))
+        values = HUGE
+    if change != "none":
         node = cfg
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = draw(st.sampled_from(bad))
-    return command, cfg, corrupt
+        node[path[-1]] = draw(st.sampled_from(values))
+    return command, cfg, change == "malformed"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=cases())
 def test_config_contract(case):
-    command, cfg, corrupt = case
+    command, cfg, refused = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -147,7 +164,7 @@ def test_config_contract(case):
                 contextlib.redirect_stderr(sink):
             code = main([command, "--config", str(path), "--out", str(out)])
         written = sorted(p.name for p in out.iterdir())
-        if corrupt:
+        if refused:
             assert code == 64, sink.getvalue()
             assert written == []
         else:

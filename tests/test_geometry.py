@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -180,6 +182,110 @@ class TestSearchFitPinned:
         fit = geo.annulus_fit(geo.ConvexPolygon(vertices), r)
         assert abs(fit.d - d) <= 1e-9
         assert np.max(np.abs(np.subtract(fit.translation, translation))) <= 1e-9
+
+
+def recording(func, calls):
+    """``func``, appending a copy of every point it is called at to ``calls``."""
+    def recorded(x):
+        calls.append(np.array(x, copy=True))
+        return func(x)
+    return recorded
+
+
+def bumpy(x):
+    # a bowl plus steps: its search expands, contracts on both sides and
+    # shrinks within 60 iterations
+    return float(np.sum(x ** 2) + 0.5 * np.sum(np.floor(3.0 * x)))
+
+
+class TestNelderMead:
+    """``_nelder_mead`` against scipy's Nelder-Mead, imported by this
+    class only: the same calls, point and value, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_scipy(func, x0, xatol=1e-12, fatol=1e-12, maxiter=2000):
+        from scipy import optimize
+
+        ours, theirs = [], []
+        x, fun = geo._nelder_mead(recording(func, ours), x0, xatol=xatol,
+                                  fatol=fatol, maxiter=maxiter)
+        res = optimize.minimize(recording(func, theirs), x0,
+                                method="Nelder-Mead",
+                                options={"xatol": xatol, "fatol": fatol,
+                                         "maxiter": maxiter})
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+        assert len(ours) == len(theirs) == res.nfev
+        assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+        return res
+
+    @staticmethod
+    def search_fit_objectives(monkeypatch, domain, r):
+        """The (objective, start, options) ``annulus_fit`` hands the search."""
+        seen = []
+
+        def spy(func, x0, **options):
+            seen.append((func, np.array(x0, copy=True), options))
+            return real(func, x0, **options)
+
+        real = geo._nelder_mead
+        monkeypatch.setattr(geo, "_nelder_mead", spy)
+        geo.annulus_fit(domain, r)
+        monkeypatch.undo()
+        assert len(seen) == 1
+        return seen[0]
+
+    @pytest.mark.parametrize("vertices, r", [
+        ([(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)], 0.5),
+        ([(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)], 269.2582403567252),
+        ([(0, 0), (1, 0), (1, 1), (0, 1)], 3.0),
+        ([(0, 0), (4, 0), (4, 1), (0, 1)], 1000.0),
+        ([(0, 0), (4, 0), (3, 2)], 1.0),
+    ])
+    def test_polygon_fit_objectives(self, monkeypatch, vertices, r):
+        func, x0, options = self.search_fit_objectives(
+            monkeypatch, geo.ConvexPolygon(vertices), r)
+        self.assert_same_as_scipy(func, x0, **options)
+
+    def test_mask_fit_objective(self, monkeypatch):
+        m = np.zeros((10, 10), dtype=bool)
+        m[2:8, 2:8] = True
+        func, x0, options = self.search_fit_objectives(
+            monkeypatch, geo.GridMask(m, 0.1), 2.0)
+        self.assert_same_as_scipy(func, x0, **options)
+
+    @pytest.mark.parametrize("x0", [[1.3, -0.7], [0.0, 0.0]])
+    def test_stops_at_maxiter(self, x0):
+        res = self.assert_same_as_scipy(bumpy, np.array(x0), maxiter=60)
+        assert res.nit == 60 and res.status == 2
+
+    def test_every_step_is_taken(self):
+        # trace the lines of the port that compute each kind of step
+        lines, first = inspect.getsourcelines(geo._nelder_mead)
+        steps = {"expansion": "xe = (1 + rho * chi)",
+                 "outside contraction": "xc = (1 + psi * rho)",
+                 "inside contraction": "xc = (1 - psi)",
+                 "shrink": "sim[j] = sim[0] + sigma"}
+        where = {first + i: name for i, text in enumerate(lines)
+                 for name, statement in steps.items() if statement in text}
+        assert sorted(where.values()) == sorted(steps)
+        code, taken = geo._nelder_mead.__code__, set()
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "line" and frame.f_lineno in where:
+                taken.add(where[frame.f_lineno])
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            geo._nelder_mead(bumpy, np.array([1.3, -0.7]), xatol=1e-12,
+                             fatol=1e-12, maxiter=60)
+        finally:
+            sys.settrace(previous)
+        assert taken == set(steps)
 
 
 class TestInscribedDiscRadius:
