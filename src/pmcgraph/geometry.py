@@ -521,7 +521,13 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter):
     evaluations, so that ``solve`` and ``verify`` need not load
     ``scipy.optimize``.  The initial simplex, the coefficients, the sorts,
     the stopping test and the iteration count are scipy's, so it makes the
-    same calls and returns the same point, bit for bit.
+    same calls and returns the same point, bit for bit.  It makes fewer
+    calls in one case only: an iteration that leaves the sorted simplex
+    and its values bitwise unchanged is a fixed point of the iteration,
+    which scipy repeats until ``maxiter`` and then returns, so the port
+    returns the same ``(x, fun)`` at once.  Far from the origin, where
+    the objective's rounding exceeds the tolerances, that saves thousands
+    of calls.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
 
@@ -549,6 +555,7 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter):
         if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
             break
+        state = sim.tobytes() + fsim.tobytes()
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
         fxr = f(xr)
@@ -575,6 +582,8 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter):
                     fsim[j] = f(sim[j])
         iterations += 1
         sim, fsim = order(sim, fsim)
+        if sim.tobytes() + fsim.tobytes() == state:
+            break
     return sim[0], np.min(fsim)
 
 

@@ -14,6 +14,8 @@ membership test keeps one code path for every domain kind.  Each grid
 builds, on first use, a :class:`StencilPlan`: the scheme's neighbour
 indices and geometry-only coefficients over interior nodes, which the
 solver's residual and Jacobian kernels read instead of recomputing them.
+The coarse-to-fine transfer between nested grids (:func:`prolongate`)
+lives here too, since its boundary fill reads the cut-arm geometry.
 """
 
 from __future__ import annotations
@@ -383,27 +385,18 @@ def interpolate_values_cubic(grid, values, points):
     return np.where(ok & stencil_ok, val, np.nan)
 
 
-#: one axis of a nested prolongation: the weights of the coarse nodes at
-#: offsets -1, 0, 1 and 2 from a fine node's lower coarse neighbour, for
-#: a fine node on a coarse line (``EVEN``) and for one midway between two
-#: (linear, and the Keys cubic of :func:`interpolate_values_cubic` at 1/2)
-EVEN_WEIGHTS = (0.0, 1.0, 0.0, 0.0)
-LINEAR_MIDPOINT = (0.0, 0.5, 0.5, 0.0)
-CUBIC_MIDPOINT = (-0.0625, 0.5625, 0.5625, -0.0625)
-
-
-def nested_prolongation(coarse, fine, midpoint=LINEAR_MIDPOINT):
-    """Tensor-product interpolation from coarse to fine interior dofs.
+def nested_prolongation(coarse, fine):
+    """Bilinear interpolation from coarse to fine interior dofs.
 
     The fine lattice must nest in the coarse one at half its spacing, as
     :func:`grid_from_domain` builds them for spacings ``h`` and ``h / 2``.
-    Along each axis a fine node takes the coarse node it lies on, or the
-    ``midpoint`` weights of the four coarse nodes around it.  Returns the
-    sparse (fine.n_dof, coarse.n_dof) matrix and a boolean mask of the
-    fine dofs whose weighted nodes are all coarse interior nodes; the
-    weights of the other nodes are dropped, as for zero boundary values.
-    Both are built from index arrays and keep no reference to either
-    grid.
+    Along each axis a fine node takes the coarse node it lies on, or half
+    of each of the two coarse nodes around it.  A coarse node that is not
+    interior gets no entry, as for zero boundary values, so a fine dof's
+    row sums to exactly 1 when all of its coarse nodes are interior and
+    to less otherwise: the weights 1, 1/2 and 1/4 add without rounding.
+    Returns the sparse (fine.n_dof, coarse.n_dof) matrix, built from index
+    arrays with no reference to either grid.
     """
     if fine.spacing * 2.0 != coarse.spacing:
         raise ParameterError("the fine spacing must be half the coarse one")
@@ -415,34 +408,103 @@ def nested_prolongation(coarse, fine, midpoint=LINEAR_MIDPOINT):
     oy, ox = round(offset[1]), round(offset[0])
     jj, ii = np.nonzero(fine.interior)
     py, px = jj + oy, ii + ox  # fine node positions from the coarse origin
-    stencil = np.array([EVEN_WEIGHTS, midpoint])
-    wy, wx = stencil[py % 2].T, stencil[px % 2].T
-    # (cy, cx) is the coarse node at stencil offset (-1, -1); a missing
-    # or exterior coarse node has index -1
+    # per axis, the weights of the coarse nodes p // 2 and p // 2 + 1
+    wy = (1.0 - 0.5 * (py % 2), 0.5 * (py % 2))
+    wx = (1.0 - 0.5 * (px % 2), 0.5 * (px % 2))
+    # a missing or exterior coarse node has index -1
     ny, nx = coarse.shape
-    cy, cx = py // 2 - 1, px // 2 - 1
+    cy, cx = py // 2, px // 2
     index = coarse.index.ravel()
-    complete = np.ones(fine.n_dof, dtype=bool)
     rows, cols, weights = [], [], []
-    # offsets that carry a weight for some node (two for linear midpoints)
-    offsets = np.flatnonzero(stencil.any(axis=0)).tolist()
-    for dj in offsets:
+    for dj in (0, 1):
         on_row = (cy + dj >= 0) & (cy + dj < ny)
-        for di in offsets:
+        for di in (0, 1):
             w = wy[dj] * wx[di]
             on = on_row & (cx + di >= 0) & (cx + di < nx)
             col = np.where(on, index.take((cy + dj) * nx + cx + di,
                                           mode="clip"), -1)
-            used = w != 0.0
-            complete &= ~used | (col >= 0)
-            k = np.flatnonzero(used & (col >= 0))
+            k = np.flatnonzero((w != 0.0) & (col >= 0))
             rows.append(k)
             cols.append(col[k])
             weights.append(w[k])
-    matrix = csr_matrix(
+    return csr_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=(fine.n_dof, coarse.n_dof))
-    return matrix, complete
+
+
+def _line_fill(values, gap, cut_lo, cut_hi, theta_lo, theta_hi, g_lo, g_hi):
+    """Linear interpolation along each lattice row (axis 1) at the ``gap``
+    nodes, from the nearest node with a value or boundary crossing on
+    either side.
+
+    ``values`` is NaN at every node without one, ``cut_lo``/``cut_hi``
+    mark the nodes whose arm towards lower/higher columns is cut, with arm
+    fractions ``theta_*`` and Dirichlet values ``g_*``.  Returns the
+    interpolated values and the factor (x - x_lo)(x_hi - x), in cell
+    units, of the linear interpolation error, both NaN off the gap.
+    """
+    known = ~np.isnan(values)
+    col = np.arange(values.shape[1])
+    # a row's run of interior nodes starts and ends at cut arms, so the
+    # nearest anchor on either side of a gap node lies in its own run
+    lo = np.maximum.accumulate(np.where(known | cut_lo, col, -1), axis=1)
+    hi = np.minimum.accumulate(
+        np.where(known | cut_hi, col, col.size)[:, ::-1], axis=1)[:, ::-1]
+    jj, ii = np.nonzero(gap)
+    k_lo, k_hi = lo[jj, ii], hi[jj, ii]
+    on_lo, on_hi = known[jj, k_lo], known[jj, k_hi]
+    # distances as whole cells plus an arm fraction, so that mirrored
+    # lattices give bitwise mirrored fills
+    d_lo = (ii - k_lo) + np.where(on_lo, 0.0, theta_lo[jj, k_lo])
+    d_hi = (k_hi - ii) + np.where(on_hi, 0.0, theta_hi[jj, k_hi])
+    v_lo = np.where(on_lo, values[jj, k_lo], g_lo[jj, k_lo])
+    v_hi = np.where(on_hi, values[jj, k_hi], g_hi[jj, k_hi])
+    fill = np.full(values.shape, np.nan)
+    spread = np.full(values.shape, np.nan)
+    fill[jj, ii] = (v_lo * d_hi + v_hi * d_lo) / (d_lo + d_hi)
+    spread[jj, ii] = d_lo * d_hi
+    return fill, spread
+
+
+def _band_fill(grid, values):
+    """Interior-node ``values`` with their NaN entries filled from the
+    defined ones and the grid's boundary crossings.
+
+    Each NaN node gets the linear interpolant along its lattice row and
+    the one along its column (:func:`_line_fill`), averaged with weights
+    inversely proportional to their error factors, so that the line with
+    the closer anchors dominates.
+    """
+    lattice = np.full(grid.shape, np.nan)
+    lattice[grid.interior] = values
+    gap = grid.interior & np.isnan(lattice)
+    cut = {d: grid.interior & ~grid.nbr[d] for d in DIRECTIONS}
+    row, row_spread = _line_fill(lattice, gap, cut["W"], cut["E"],
+                                 grid.theta["W"], grid.theta["E"],
+                                 grid.gval["W"], grid.gval["E"])
+    col, col_spread = (a.T for a in _line_fill(
+        lattice.T, gap.T, cut["S"].T, cut["N"].T, grid.theta["S"].T,
+        grid.theta["N"].T, grid.gval["S"].T, grid.gval["N"].T))
+    lattice[gap] = ((row * col_spread + col * row_spread)
+                    / (row_spread + col_spread))[gap]
+    return lattice[grid.interior]
+
+
+def prolongate(coarse_grid, coarse_dofs, fine_grid):
+    """Coarse interior-node values at a finer grid's interior nodes, and
+    the :func:`nested_prolongation` matrix ``P`` they come from, which the
+    two-grid cycle reuses.
+
+    A fine dof whose row of ``P`` sums to 1 takes its bilinear value; the
+    others, next to the boundary, are filled by :func:`_band_fill`, and
+    anything still undefined by 0.
+    """
+    P = nested_prolongation(coarse_grid, fine_grid)
+    complete = P @ np.ones(coarse_grid.n_dof) == 1.0
+    values = np.where(complete, P @ coarse_dofs, np.nan)
+    if not complete.all():
+        values = _band_fill(fine_grid, values)
+    return np.nan_to_num(values, nan=0.0), P
 
 
 def interpolate_values(grid, values, points):

@@ -21,7 +21,7 @@ from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
 from .errors import (NoAdmissibleConstantError, ParameterError, SolverError,
                      UnsupportedDomainError, config_key, finite_number)
-from .grid import CUBIC_MIDPOINT, grid_from_domain, nested_prolongation, shift
+from .grid import grid_from_domain, prolongate, shift
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
 #: every radius; large values approach the strip-bound limit
@@ -169,92 +169,14 @@ def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
                       field, tol=tol, max_iters=max_iters)
 
 
-def _line_fill(values, gap, cut_lo, cut_hi, theta_lo, theta_hi, g_lo, g_hi):
-    """Linear interpolation along each lattice row (axis 1) at the ``gap``
-    nodes, from the nearest node with a value or boundary crossing on
-    either side.
-
-    ``values`` is NaN at every node without one, ``cut_lo``/``cut_hi``
-    mark the nodes whose arm towards lower/higher columns is cut, with arm
-    fractions ``theta_*`` and Dirichlet values ``g_*``.  Returns the
-    interpolated values and the factor (x - x_lo)(x_hi - x), in cell
-    units, of the linear interpolation error, both NaN off the gap.
-    """
-    known = ~np.isnan(values)
-    col = np.arange(values.shape[1])
-    # a row's run of interior nodes starts and ends at cut arms, so the
-    # nearest anchor on either side of a gap node lies in its own run
-    lo = np.maximum.accumulate(np.where(known | cut_lo, col, -1), axis=1)
-    hi = np.minimum.accumulate(
-        np.where(known | cut_hi, col, col.size)[:, ::-1], axis=1)[:, ::-1]
-    jj, ii = np.nonzero(gap)
-    k_lo, k_hi = lo[jj, ii], hi[jj, ii]
-    on_lo, on_hi = known[jj, k_lo], known[jj, k_hi]
-    # distances as whole cells plus an arm fraction, so that mirrored
-    # lattices give bitwise mirrored fills
-    d_lo = (ii - k_lo) + np.where(on_lo, 0.0, theta_lo[jj, k_lo])
-    d_hi = (k_hi - ii) + np.where(on_hi, 0.0, theta_hi[jj, k_hi])
-    v_lo = np.where(on_lo, values[jj, k_lo], g_lo[jj, k_lo])
-    v_hi = np.where(on_hi, values[jj, k_hi], g_hi[jj, k_hi])
-    fill = np.full(values.shape, np.nan)
-    spread = np.full(values.shape, np.nan)
-    fill[jj, ii] = (v_lo * d_hi + v_hi * d_lo) / (d_lo + d_hi)
-    spread[jj, ii] = d_lo * d_hi
-    return fill, spread
-
-
-def _band_fill(grid, values):
-    """Interior-node ``values`` with their NaN entries filled from the
-    defined ones and the grid's boundary crossings.
-
-    Each NaN node gets the linear interpolant along its lattice row and
-    the one along its column (:func:`_line_fill`), averaged with weights
-    inversely proportional to their error factors, so that the line with
-    the closer anchors dominates.
-    """
-    lattice = np.full(grid.shape, np.nan)
-    lattice[grid.interior] = values
-    gap = grid.interior & np.isnan(lattice)
-    cut = {d: grid.interior & ~grid.nbr[d] for d in ("E", "W", "N", "S")}
-    row, row_spread = _line_fill(lattice, gap, cut["W"], cut["E"],
-                                 grid.theta["W"], grid.theta["E"],
-                                 grid.gval["W"], grid.gval["E"])
-    col, col_spread = (a.T for a in _line_fill(
-        lattice.T, gap.T, cut["S"].T, cut["N"].T, grid.theta["S"].T,
-        grid.theta["N"].T, grid.gval["S"].T, grid.gval["N"].T))
-    lattice[gap] = ((row * col_spread + col * row_spread)
-                    / (row_spread + col_spread))[gap]
-    return lattice[grid.interior]
-
-
-def prolongate(coarse, grid):
-    """A coarse solution's values at a finer grid's interior nodes, and
-    the linear prolongation matrix, which the two-grid cycle reuses.
-
-    Cubic interpolation (:func:`pmcgraph.grid.nested_prolongation` with
-    Keys cubic midpoints) wherever its coarse nodes are interior, else
-    linear wherever those are; the remaining nodes next to the boundary
-    are filled by :func:`_band_fill`, and anything still undefined by 0.
-    """
-    coarse_grid = coarse.solution.grid
-    dofs = coarse.solution.values[coarse_grid.interior]
-    cubic, cubic_ok = nested_prolongation(coarse_grid, grid, CUBIC_MIDPOINT)
-    linear, linear_ok = nested_prolongation(coarse_grid, grid)
-    values = np.where(cubic_ok, cubic @ dofs,
-                      np.where(linear_ok, linear @ dofs, np.nan))
-    if np.isnan(values).any():
-        values = _band_fill(grid, values)
-    return np.nan_to_num(values, nan=0.0), linear
-
-
 def solve_grid(grid, field, *, coarse=None, tol=1e-10, max_iters=40):
     """Solve one grid by the one rule of ``solve`` and ``verify``; returns
     a :class:`pmcgraph.solver.SolveOutcome`.
 
     * With ``coarse``, a solved outcome on a coarser grid of the same
-      domain: Newton at t = 1 from its :func:`prolongate` values, with
-      GMRES preconditioned by the two-grid cycle of the linear
-      prolongation that :func:`prolongate` built.
+      domain: Newton at t = 1 from its values prolongated by
+      :func:`pmcgraph.grid.prolongate`, with GMRES preconditioned by the
+      two-grid cycle of the same prolongation matrix.
     * Else, when ``field.monotone`` holds (H nondecreasing in z, so the
       discrete solution is unique by the comparison principle): Newton at
       t = 1 from :func:`pmcgraph.solver.newton_solve`'s default start.
@@ -269,7 +191,8 @@ def solve_grid(grid, field, *, coarse=None, tol=1e-10, max_iters=40):
         initial, prolongation = None, None
         if coarse is not None:
             initial = np.zeros(grid.shape)
-            initial[grid.interior], prolongation = prolongate(coarse, grid)
+            initial[grid.interior], prolongation = prolongate(
+                coarse.solution.grid, coarse.solution.interior_values(), grid)
             # P outlives the fine solve.  Copied now that prolongate's
             # temporaries are freed, it sits below them in the heap; kept
             # where prolongate made it, it raised annulus-verify's peak RSS

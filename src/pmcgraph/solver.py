@@ -338,7 +338,7 @@ class FactorOnceSolver:
     the preconditioner, a lagged one for the later solves (Knoll & Keyes
     2004).  The solver keeps a map from a Jacobian to its preconditioner,
     a function ``v -> M v``.  With ``prolongation`` ``P`` from a solved
-    coarser grid (the linear :func:`pmcgraph.grid.nested_prolongation`),
+    coarser grid (:func:`pmcgraph.grid.nested_prolongation`),
     the first solve factors ``P^T J P`` and the map gives the two-grid
     cycle.
     ``factorizations`` counts every sparse LU and ``krylov_iters`` every

@@ -555,6 +555,23 @@ class TestBarrierProperties:
             return
         assert barrier.usable_radius(dim, h, r, c) >= R
 
+    @BARRIER_EXAMPLES
+    @given(dim=st.integers(2, 4), h=st.floats(0.05, 2.0),
+           eps=st.floats(0.1, 2.0), ratio=st.floats(1.0, 4.0, exclude_min=True),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    def test_outer_height_is_monotone_in_c(self, dim, h, eps, ratio, fracs):
+        # radial_shoot's bisection rests on this: over its feasible
+        # constants, the slope radicand stays nonnegative on [eps, outer]
+        # and the profile's height at outer grows with c
+        outer = ratio * eps
+        c_lo = max(h * eps**dim, h * outer**dim - outer ** (dim - 1))
+        c_hi = h * eps**dim + eps ** (dim - 1)
+        assume(c_lo < c_hi)
+        heights = [barrier.profile_height_integral(
+            dim, h, c_lo + f * (c_hi - c_lo), eps, outer) for f in sorted(fracs)]
+        # each height is within 1e-9 of the integral
+        assert heights[1] >= heights[0] - 2e-9
+
 
 class TestCumulativeHeights:
     def assert_matches_oracle(self, dim, h, c, r, ts):

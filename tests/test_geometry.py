@@ -254,6 +254,24 @@ class TestNelderMead:
             monkeypatch, geo.GridMask(m, 0.1), 2.0)
         self.assert_same_as_scipy(func, x0, **options)
 
+    def test_fixed_point_returns_scipys_minimum(self, monkeypatch):
+        # far from the origin the objective rounds above the tolerances,
+        # and the search reaches a simplex that its iteration maps to
+        # itself; scipy repeats it until maxiter, the port stops there
+        from scipy import optimize
+
+        yy, xx = np.mgrid[0:9, 0:9]
+        mask = geo.GridMask((xx - 4) ** 2 + (yy - 4) ** 2 <= 12, 0.25)
+        func, x0, options = self.search_fit_objectives(monkeypatch, mask, 1e6)
+        ours = []
+        x, fun = geo._nelder_mead(recording(func, ours), x0, **options)
+        res = optimize.minimize(func, x0, method="Nelder-Mead",
+                                options=options)
+        assert x.tobytes() == res.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+        assert res.nit == options["maxiter"]
+        assert len(ours) <= 400
+
     @pytest.mark.parametrize("x0", [[1.3, -0.7], [0.0, 0.0]])
     def test_stops_at_maxiter(self, x0):
         res = self.assert_same_as_scipy(bumpy, np.array(x0), maxiter=60)

@@ -1,7 +1,9 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmcgraph import conditions, geometry, pipeline, solver
 from pmcgraph.cli import main as cli_main
@@ -9,8 +11,8 @@ from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import (ContinuationFailureError,
                              NoAdmissibleConstantError, NonconvergenceError,
                              ParameterError, SolverError)
-from pmcgraph.grid import (CUBIC_MIDPOINT, grid_from_domain,
-                           interpolate_values_cubic, nested_prolongation)
+from pmcgraph.grid import (_band_fill, grid_from_domain, nested_prolongation,
+                           prolongate)
 
 
 class TestConditionsPipeline:
@@ -50,6 +52,30 @@ class TestConditionsPipeline:
         report = pipeline.conditions_for(geometry.Annulus(1.0, 2.0), field)
         assert report.check("curvature_monotone").verdict == conditions.FAIL
         assert report.overall == conditions.INDETERMINATE
+
+
+VERDICT_RANK = {conditions.EXISTENCE_GUARANTEED: 0, conditions.INDETERMINATE: 1,
+                conditions.NECESSARY_VIOLATED: 2}
+
+
+class TestCheckProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["annulus", "disc"]),
+           size=st.floats(0.1, 5.0), ratio=st.floats(1.0, 10.0, exclude_min=True),
+           sign=st.sampled_from([-1.0, 1.0]),
+           scaled=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2))
+    def test_verdict_is_monotone_in_h(self, kind, size, ratio, sign, scaled):
+        # existence guaranteed at |H| holds at every smaller |H|, and a
+        # violated necessary condition at every larger one
+        if kind == "annulus":
+            domain = geometry.Annulus(size, ratio * size)
+            rho = 0.5 * (ratio - 1.0) * size
+        else:
+            domain, rho = geometry.Disc(size), size
+        ranks = [VERDICT_RANK[pipeline.conditions_for(
+            domain, CurvatureField.from_constant(sign * x / rho)).overall]
+            for x in sorted(scaled)]
+        assert ranks[0] <= ranks[1]
 
 
 class TestBarrierPipeline:
@@ -167,49 +193,79 @@ class TestCoarseToFineVerify:
         assert outcome.report.passed()
 
 
+def coarse_start(coarse, grid):
+    """The start :func:`pmcgraph.grid.prolongate` makes on ``grid`` from a
+    solved coarse outcome."""
+    return prolongate(coarse.solution.grid, coarse.solution.interior_values(),
+                      grid)[0]
+
+
+#: (domain, field) pairs whose refine is pinned
+REFINE_CASES = {
+    "annulus": (geometry.Annulus(1.0, 2.0), CurvatureField.from_constant(-0.3)),
+    "disc": (geometry.Disc(1.0), CurvatureField.from_constant(0.5)),
+    "pentagon": (geometry.ConvexPolygon(
+        [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)]),
+        CurvatureField.from_constant(0.3)),
+}
+
+
+@functools.cache
+def refine_levels(case):
+    """Solved outcomes at 1/16 and 1/32 for one of ``REFINE_CASES``."""
+    domain, field = REFINE_CASES[case]
+    return tuple(pipeline.solve_domain(domain, field, h)
+                 for h in (1.0 / 16, 1.0 / 32))
+
+
 class TestProlongation:
     DOMAIN = geometry.Annulus(1.0, 2.0)
-    FIELD = CurvatureField.from_constant(-0.3)
 
-    @pytest.fixture(scope="class")
-    def levels(self):
-        return (pipeline.solve_domain(self.DOMAIN, self.FIELD, 1.0 / 16),
-                pipeline.solve_domain(self.DOMAIN, self.FIELD, 1.0 / 32))
-
-    def test_band_fill_covers_the_cubic_gap(self, levels):
-        coarse, fine = levels
-        grid = fine.solution.grid
-        cubic = interpolate_values_cubic(coarse.solution.grid,
-                                         coarse.solution.values,
-                                         grid.interior_points())
-        gap = np.isnan(cubic)
+    def test_band_fill_covers_the_linear_gap(self):
+        coarse, fine = refine_levels("annulus")
+        coarse_grid, grid = coarse.solution.grid, fine.solution.grid
+        P = nested_prolongation(coarse_grid, grid)
+        linear = np.where(P @ np.ones(coarse_grid.n_dof) == 1.0,
+                          P @ coarse.solution.interior_values(), np.nan)
+        gap = np.isnan(linear)
         assert gap.any()
-        fill = pipeline._band_fill(grid, cubic)
+        fill = _band_fill(grid, linear)
         assert not np.isnan(fill).any()
-        assert np.array_equal(fill[~gap], cubic[~gap])
+        assert np.array_equal(fill[~gap], linear[~gap])
+        assert np.array_equal(coarse_start(coarse, grid), fill)
 
-    def test_start_is_mirror_symmetric(self, levels):
+    def test_start_is_mirror_symmetric(self):
         # the annulus lattices are symmetric about both axes and the
         # diagonal, and so is the start built on their index arrays
-        coarse, fine = levels
+        coarse, fine = refine_levels("annulus")
         grid = fine.solution.grid
         start = np.zeros(grid.shape)
-        start[grid.interior] = pipeline.prolongate(coarse, grid)[0]
+        start[grid.interior] = coarse_start(coarse, grid)
         assert np.max(np.abs(start[:, ::-1] - start)) <= 1e-15
         assert np.max(np.abs(start.T - start)) <= 1e-15
 
-    def test_cubic_midpoints_reproduce_cubics(self):
+    def test_complete_rows_reproduce_bilinears(self):
         coarse = grid_from_domain(self.DOMAIN, 1.0 / 8)
         fine = grid_from_domain(self.DOMAIN, 1.0 / 16)
-        P, complete = nested_prolongation(coarse, fine, CUBIC_MIDPOINT)
-
-        def cubic(points):
-            x, y = points[:, 0], points[:, 1]
-            return 0.3 - 0.7 * x**3 + 1.1 * y**2 * x + 0.5 * x * y**3
-
-        error = P @ cubic(coarse.interior_points()) - cubic(
-            fine.interior_points())
+        P = nested_prolongation(coarse, fine)
+        complete = P @ np.ones(coarse.n_dof) == 1.0
+        # a row is complete exactly when the coarse nodes at the floor and
+        # ceiling of its position, on each axis, are all interior
+        pts = fine.interior_points()
+        cell = (pts - coarse.origin) / coarse.spacing
+        lo, hi = np.floor(cell + 1e-9), np.ceil(cell - 1e-9)
+        parents = np.ones(fine.n_dof, dtype=bool)
+        for ix in (lo[:, 0], hi[:, 0]):
+            for iy in (lo[:, 1], hi[:, 1]):
+                parents &= coarse.interior[iy.astype(int), ix.astype(int)]
+        assert np.array_equal(complete, parents)
         assert complete.sum() > 0.5 * fine.n_dof
+
+        def bilinear(points):
+            x, y = points[:, 0], points[:, 1]
+            return 0.3 - 0.7 * x + 1.1 * y + 0.5 * x * y
+
+        error = P @ bilinear(coarse.interior_points()) - bilinear(pts)
         assert np.max(np.abs(error[complete])) <= 1e-13
 
     def test_band_fill_is_exact_for_linear_data(self):
@@ -223,18 +279,19 @@ class TestProlongation:
         exact = plane(pts[:, 0], pts[:, 1])
         values = exact.copy()
         values[np.hypot(*pts.T) > 1.5] = np.nan
-        fill = pipeline._band_fill(grid, values)
+        fill = _band_fill(grid, values)
         assert np.max(np.abs(fill - exact)) <= 1e-12
 
-    def test_start_is_close_to_the_fine_solution(self, levels):
-        coarse, fine = levels
-        start = pipeline.prolongate(coarse, fine.solution.grid)[0]
+    def test_start_is_close_to_the_fine_solution(self):
+        coarse, fine = refine_levels("annulus")
+        start = coarse_start(coarse, fine.solution.grid)
         exact = fine.solution.values[fine.solution.grid.interior]
         assert np.max(np.abs(start - exact)) <= 1e-3
 
-    def test_refine_takes_one_factorization(self, levels):
-        coarse, fine = levels
-        refined = pipeline.refine_solve(coarse, self.FIELD)
+    @pytest.mark.parametrize("case", ["annulus", "disc", "pentagon"])
+    def test_refine_takes_one_factorization(self, case):
+        coarse, fine = refine_levels(case)
+        refined = pipeline.refine_solve(coarse, REFINE_CASES[case][1])
         (step,) = refined.trace.steps
         assert step.t == 1.0
         assert step.newton_iters <= 3
