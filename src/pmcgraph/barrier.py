@@ -358,7 +358,7 @@ def profile_height_integral(dim, h, c, t_lo, t_hi):
     if t_hi == t_lo:
         return 0.0
     a, b = profile_zeros(dim, h, c)
-    if t_lo < a - 1e-12 * max(1.0, a) or (math.isfinite(b) and t_hi > b):
+    if t_lo < a - 1e-12 * max(1.0, a) or t_hi > b + 1e-12 * max(1.0, b):
         raise OutOfDomainError(f"integration range must lie inside [{a}, {b}]")
 
     cut_a, cut_b = _singular_cuts(a, b)
@@ -495,11 +495,10 @@ class NodoidProfile:
         out = _slope_raw(arr, self.dim, self.h, self.c)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
-    def height(self, t, force_quadrature=False):
+    def height(self, t):
         """Profile height p(t) with p(r) = 0.
 
-        For the planar catenoid the closed form c*(arcosh(t/c) - arcosh(r/c))
-        is used unless ``force_quadrature`` asks for the integral path.
+        The planar catenoid uses its closed form c*(arcosh(t/c) - arcosh(r/c)).
         """
         t = float(t)
         limit = self.domain_limit()
@@ -511,18 +510,18 @@ class NodoidProfile:
         t = min(max(t, self.r), limit)
         if t == self.r:
             return 0.0
-        if self.h == 0.0 and self.dim == 2 and not force_quadrature:
+        if self.h == 0.0 and self.dim == 2:
             return self.c * (math.acosh(t / self.c) - math.acosh(self.r / self.c))
         return profile_height_integral(self.dim, self.h, self.c, self.r, t)
 
-    def heights(self, ts, force_quadrature=False):
+    def heights(self, ts):
         """Heights p(t) over a nondecreasing radius grid.
 
-        The planar catenoid uses its closed form (unless
-        ``force_quadrature``); every other profile goes through the
-        vectorized kernel :func:`cumulative_heights`: adaptive quadrature
-        at a few knots and in the singular windows, one Gauss-Legendre sum
-        per remaining radius.  Heights are accurate to 1e-9 absolute.
+        The planar catenoid uses its closed form; every other profile goes
+        through the vectorized kernel :func:`cumulative_heights`: adaptive
+        quadrature at a few knots and in the singular windows, one
+        Gauss-Legendre sum per remaining radius.  Heights are accurate to
+        1e-9 absolute.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) < 0.0):
@@ -531,7 +530,7 @@ class NodoidProfile:
         if ts[0] < self.r - 1e-12 * max(1.0, self.r) or ts[-1] > limit * (1.0 + 1e-12):
             raise OutOfDomainError("radius grid leaves the profile domain")
         ts = np.clip(ts, self.r, limit)
-        if self.h == 0.0 and self.dim == 2 and not force_quadrature:
+        if self.h == 0.0 and self.dim == 2:
             return self.c * (np.arccosh(ts / self.c) - np.arccosh(self.r / self.c))
         return cumulative_heights(self.dim, self.h, self.c, self.r, ts)
 

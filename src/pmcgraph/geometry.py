@@ -11,15 +11,13 @@ directional scan plus Nelder-Mead refinement (a numpy port of scipy's,
 ``_nelder_mead``) and are re-verified by an independent containment
 check; bitmap metrics are discrete estimates and are flagged approximate
 (they never certify existence).  Only the bitmap code paths use
-``scipy.ndimage``, and only the Chebyshev-centre LP of a polygon's
-inscribed disc (which ``check`` reaches, not ``solve`` or ``verify``)
-uses ``scipy.optimize``.  Each is imported where it is used, so
-``solve`` and ``verify`` load ``scipy.optimize`` on no domain, and
-``scipy.ndimage`` on bitmaps only.
+``scipy.ndimage``, imported where it is used, and no code path uses
+``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -604,22 +602,44 @@ def inscribed_disc_radius(domain):
 
 
 def _chebyshev_radius(poly):
-    from scipy import optimize
+    """Inradius of a convex polygon: the largest rho with n_i . q + rho <=
+    n_i . v_i over its edges i (outward unit normal n_i, first vertex v_i).
 
-    # maximize rho subject to n_i . q + rho <= n_i . v_i for each edge,
-    # with inward-pointing constraints written via outward unit normals
-    rows, rhs = [], []
-    for p, q in poly.edges():
-        e = q - p
-        n_out = np.array([e[1], -e[0]]) / np.linalg.norm(e)
-        rows.append([n_out[0], n_out[1], 1.0])
-        rhs.append(float(np.dot(n_out, p)))
-    res = optimize.linprog(c=[0.0, 0.0, -1.0], A_ub=np.asarray(rows),
-                           b_ub=np.asarray(rhs), bounds=[(None, None)] * 3,
-                           method="highs")
-    if not res.success:
-        raise InfeasibleFitError("Chebyshev center LP failed")
-    return float(res.x[2])
+    Offset inward by rho, an edge leaves where its line meets its two
+    neighbours'.  Dropping edges in that order until three remain keeps
+    the three active at the optimum, whose lines meet at the inradius.
+    An edge whose drop would leave its neighbours' normals more than pi
+    apart is kept, so that under ties (a regular polygon) the last three
+    are not nearly parallel.
+    """
+    v = poly.vertices
+    n = len(v)
+    e = np.roll(v, -1, axis=0) - v
+    normal = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(*e.T)[:, None]
+    rows = np.column_stack([normal, np.ones(n)])
+    rhs = np.sum(normal * v, axis=1)
+    prev, succ = list(np.roll(range(n), 1)), list(np.roll(range(n), -1))
+
+    def leave(k):
+        t = [prev[k], k, succ[k]]
+        return float(np.linalg.solve(rows[t], rhs[t])[2])
+
+    when = [leave(k) for k in range(n)]
+    heap, live = sorted(zip(when, range(n))), n
+    while live > 3:
+        t, k = heapq.heappop(heap)
+        p, q = prev[k], succ[k]
+        (xp, yp), (xq, yq) = normal[p], normal[q]
+        if t != when[k] or xp * yq - yp * xq < 0.0:
+            continue  # stale, or kept until a neighbour changes
+        when[k] = math.nan
+        live -= 1
+        succ[p], prev[q] = q, p
+        for j in (p, q):
+            when[j] = leave(j)
+            heapq.heappush(heap, (when[j], j))
+    # the three edges left all meet at their own three lines
+    return float(np.nanmin(when))
 
 
 def strip_width(domain):

@@ -15,7 +15,8 @@ builds, on first use, a :class:`StencilPlan`: the scheme's neighbour
 indices and geometry-only coefficients over interior nodes, which the
 solver's residual and Jacobian kernels read instead of recomputing them.
 The coarse-to-fine transfer between nested grids (:func:`prolongate`)
-lives here too, since its boundary fill reads the cut-arm geometry.
+lives here too, since its boundary fill reads the cut-arm geometry, and
+so does the map of their shared lattice points (:func:`twin_dofs`).
 """
 
 from __future__ import annotations
@@ -385,27 +386,44 @@ def interpolate_values_cubic(grid, values, points):
     return np.where(ok & stencil_ok, val, np.nan)
 
 
-def nested_prolongation(coarse, fine):
-    """Bilinear interpolation from coarse to fine interior dofs.
-
-    The fine lattice must nest in the coarse one at half its spacing, as
-    :func:`grid_from_domain` builds them for spacings ``h`` and ``h / 2``.
-    Along each axis a fine node takes the coarse node it lies on, or half
-    of each of the two coarse nodes around it.  A coarse node that is not
-    interior gets no entry, as for zero boundary values, so a fine dof's
-    row sums to exactly 1 when all of its coarse nodes are interior and
-    to less otherwise: the weights 1, 1/2 and 1/4 add without rounding.
-    Returns the sparse (fine.n_dof, coarse.n_dof) matrix, built from index
-    arrays with no reference to either grid.
-    """
+def _nesting_offset(coarse, fine):
+    """The fine origin's (row, column) offset from the coarse one, in fine
+    cells; ParameterError unless the fine lattice nests in the coarse one
+    at half its spacing, as :func:`grid_from_domain` builds them."""
     if fine.spacing * 2.0 != coarse.spacing:
         raise ParameterError("the fine spacing must be half the coarse one")
-    # the fine origin's offset from the coarse one, in fine cells
     offset = [(f - c) / fine.spacing
               for f, c in zip(fine.origin, coarse.origin)]
     if any(abs(o - round(o)) > 1e-6 for o in offset):
         raise ParameterError("the fine lattice does not nest in the coarse one")
-    oy, ox = round(offset[1]), round(offset[0])
+    return round(offset[1]), round(offset[0])
+
+
+def twin_dofs(coarse, fine):
+    """Per coarse interior dof, the fine dof of its twin (the fine node at
+    the same lattice point), or -1 where the twin is not interior, as can
+    happen when the two lattices' coordinates differ by roundoff."""
+    oy, ox = _nesting_offset(coarse, fine)
+    jj, ii = np.nonzero(coarse.interior)
+    fj, fi = 2 * jj - oy, 2 * ii - ox
+    ny, nx = fine.shape
+    on = (fj >= 0) & (fj < ny) & (fi >= 0) & (fi < nx)
+    return np.where(on, fine.index.take(fj * nx + fi, mode="clip"), -1)
+
+
+def nested_prolongation(coarse, fine):
+    """Bilinear interpolation from coarse to fine interior dofs.
+
+    The lattices must nest (:func:`_nesting_offset`).  Along each axis a
+    fine node takes the coarse node it lies on, or half of each of the two
+    coarse nodes around it.  A coarse node that is not interior gets no
+    entry, as for zero boundary values, so a fine dof's row sums to
+    exactly 1 when all of its coarse nodes are interior and to less
+    otherwise: the weights 1, 1/2 and 1/4 add without rounding.
+    Returns the sparse (fine.n_dof, coarse.n_dof) matrix, built from index
+    arrays with no reference to either grid.
+    """
+    oy, ox = _nesting_offset(coarse, fine)
     jj, ii = np.nonzero(fine.interior)
     py, px = jj + oy, ii + ox  # fine node positions from the coarse origin
     # per axis, the weights of the coarse nodes p // 2 and p // 2 + 1
@@ -505,30 +523,3 @@ def prolongate(coarse_grid, coarse_dofs, fine_grid):
     if not complete.all():
         values = _band_fill(fine_grid, values)
     return np.nan_to_num(values, nan=0.0), P
-
-
-def interpolate_values(grid, values, points):
-    """Bilinear interpolation of lattice values at arbitrary points.
-
-    Returns NaN where any of the four surrounding nodes is not interior.
-    """
-    pts = np.asarray(points, dtype=float)
-    x0, y0 = grid.origin
-    h = grid.spacing
-    fx = (pts[..., 0] - x0) / h
-    fy = (pts[..., 1] - y0) / h
-    ix = np.floor(fx).astype(int)
-    iy = np.floor(fy).astype(int)
-    ny, nx = grid.shape
-    ok = (ix >= 0) & (ix < nx - 1) & (iy >= 0) & (iy < ny - 1)
-    ixc = np.clip(ix, 0, nx - 2)
-    iyc = np.clip(iy, 0, ny - 2)
-    tx = fx - ixc
-    ty = fy - iyc
-    corners_ok = (grid.interior[iyc, ixc] & grid.interior[iyc, ixc + 1]
-                  & grid.interior[iyc + 1, ixc] & grid.interior[iyc + 1, ixc + 1])
-    val = ((1 - tx) * (1 - ty) * values[iyc, ixc]
-           + tx * (1 - ty) * values[iyc, ixc + 1]
-           + (1 - tx) * ty * values[iyc + 1, ixc]
-           + tx * ty * values[iyc + 1, ixc + 1])
-    return np.where(ok & corners_ok, val, np.nan)

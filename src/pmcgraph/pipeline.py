@@ -21,7 +21,7 @@ from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
 from .errors import (NoAdmissibleConstantError, ParameterError, SolverError,
                      UnsupportedDomainError, config_key, finite_number)
-from .grid import grid_from_domain, prolongate, shift
+from .grid import grid_from_domain, prolongate
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
 #: every radius; large values approach the strip-bound limit
@@ -235,14 +235,6 @@ class VerifyOutcome:
     gradient_inputs: object
 
 
-def _has_interior_block(grid):
-    """Whether some 2 x 2 block of lattice nodes is wholly interior, the
-    least a bilinear Richardson comparison at a grid node needs."""
-    inner = grid.interior
-    return bool((inner & shift(inner, 0, 1, False) & shift(inner, 1, 0, False)
-                 & shift(inner, 1, 1, False)).any())
-
-
 def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
                   max_iters=40):
     """Solve on two grids and check the barrier estimates on the fine one.
@@ -251,10 +243,8 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     error estimate; the checks run with ``SLACK_FACTOR`` times it.  Only
     zero-boundary solves are in scope here.  Bitmap domains raise
     :class:`ParameterError`: their grid is the bitmap's own cells at every
-    spacing, so there is no finer grid to compare with.  So does a domain
-    whose grid at ``spacing`` has no 2 x 2 block of interior nodes, since
-    the estimate has no common point there; that is decided before any
-    solve.  So is the barrier (:func:`barrier_for_domain`): a curvature
+    spacing, so there is no finer grid to compare with.  The barrier
+    (:func:`barrier_for_domain`) is decided before any solve: a curvature
     with no admissible barrier raises :class:`NoAdmissibleConstantError`
     at no solve cost.
 
@@ -269,15 +259,12 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
             "refinement: its grid is the bitmap's own cells at every spacing")
     settings = dict(tol=tol, max_iters=max_iters)
     grid = grid_from_domain(domain, spacing)
-    if not _has_interior_block(grid):
-        raise ParameterError("no common interpolation points for the estimate")
     fit, profile = barrier_for_domain(domain, sampled_h_sup0(field, domain),
                                       annulus_r=annulus_r)
     coarse = solve_grid(grid, field, **settings)
     fine = refine_solve(coarse, field, **settings)
 
-    pts = grid.interior_points()
-    est = verify.richardson_error_estimate(coarse.solution, fine.solution, pts)
+    est = verify.richardson_error_estimate(coarse.solution, fine.solution)
     slack = SLACK_FACTOR * est
 
     report = verify.estimate_report(fine.solution, profile, fit, slack)

@@ -10,7 +10,8 @@ fitted to its domain: the sup norm against the apex height C1, boundary
 difference quotients against the inner slope C2, and the pointwise values
 against the translated profile.  Discrete solutions satisfy the continuous
 estimates only up to discretization error, so every check takes a slack;
-the pipeline uses 10x a two-grid Richardson error estimate by default.
+the pipeline uses 10x a two-grid Richardson error estimate, which reads
+both solutions off the nested lattices by injection at the coarse nodes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .barrier import barrier_constants
 from .conditions import FAIL, NOT_APPLICABLE, PASS
 from .errors import ParameterError
+from .grid import twin_dofs
 from .ioutil import dump_json, write_csv
 
 
@@ -128,17 +130,17 @@ def estimate_report(solution, profile, fit, slack):
         checks=[sup_check, point_check, grad_check])
 
 
-def richardson_error_estimate(coarse_solution, fine_solution, points):
-    """Two-grid error estimate of the second-order scheme: the sup
-    difference at sample points over 2^2 - 1."""
-    from .grid import interpolate_values
-
-    pc = interpolate_values(coarse_solution.grid, coarse_solution.values, points)
-    pf = interpolate_values(fine_solution.grid, fine_solution.values, points)
-    ok = np.isfinite(pc) & np.isfinite(pf)
-    if not ok.any():
-        raise ParameterError("no common interpolation points for the estimate")
-    return float(np.max(np.abs(pc[ok] - pf[ok]))) / 3.0
+def richardson_error_estimate(coarse_solution, fine_solution):
+    """Two-grid error estimate of the second-order scheme: the sup of
+    |f_coarse - f_fine| over the coarse interior nodes whose fine twin
+    (:func:`pmcgraph.grid.twin_dofs`) is interior too, over 2^2 - 1."""
+    twin = twin_dofs(coarse_solution.grid, fine_solution.grid)
+    both = twin >= 0
+    if not both.any():
+        raise ParameterError("no coarse interior node has an interior twin")
+    diff = (coarse_solution.interior_values()[both]
+            - fine_solution.interior_values()[twin[both]])
+    return float(np.max(np.abs(diff))) / 3.0
 
 
 def spherical_cap_oracle(dim, h, disc_radius):

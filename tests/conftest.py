@@ -21,9 +21,7 @@ def annulus_case():
     # Newton at t = 1 from the interpolated coarse solution: the same fine
     # solution as the full 1/64 homotopy, to about 6e-16
     fine = pipeline.refine_solve(coarse, field)
-    est = verify.richardson_error_estimate(
-        coarse.solution, fine.solution,
-        coarse.solution.grid.interior_points())
+    est = verify.richardson_error_estimate(coarse.solution, fine.solution)
     fit, profile = pipeline.barrier_for_domain(domain, 0.3)
     return {
         "domain": domain,

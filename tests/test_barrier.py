@@ -130,7 +130,8 @@ class TestHeight:
         # the anchored catenary: c * (arcosh(t/c) - arcosh(r/c))
         prof = barrier.make_profile(2, 0.0, 1.0, 0.5)
         ts = np.linspace(1.0, 5.0, 41)
-        worst = max(abs(prof.height(t, force_quadrature=True)
+        worst = max(abs(barrier.profile_height_integral(2, 0.0, prof.c,
+                                                        prof.r, t)
                         - 0.5 * (math.acosh(t / 0.5) - math.acosh(2.0)))
                     for t in ts)
         assert worst <= 1e-8
@@ -139,7 +140,8 @@ class TestHeight:
         prof = barrier.make_profile(2, 0.0, 1.0, 0.5)
         for t in (1.3, 2.7, 4.9):
             assert prof.height(t) == pytest.approx(
-                prof.height(t, force_quadrature=True), abs=1e-10)
+                barrier.profile_height_integral(2, 0.0, prof.c, prof.r, t),
+                abs=1e-10)
 
     def test_monotone_rise_and_fall(self):
         prof = barrier.make_profile(2, 1.0 / 3.0, 1.0, 1.25)

@@ -434,6 +434,17 @@ class TestNonexistCommand:
                     "--out", tmp_path])
         assert code == 0
 
+    def test_outer_radius_an_ulp_above_b(self, tmp_path):
+        # at the lowest feasible c the profile's zero b lands one ulp below
+        # the outer radius, which the height integral must accept there as
+        # it accepts a at its lower end
+        code = run(["nonexist", "--dim", 2, "--h", 0.5636617307353248,
+                    "--outer", 2.813491328706566,
+                    "--eps", 1.4921266620748224, "--out", tmp_path])
+        assert code == 0
+        _, table = read_csv(tmp_path / "nonexist.csv")
+        assert table[0, 1] == 1.0
+
     def test_bad_eps_list(self, tmp_path):
         assert run(["nonexist", "--h", 1, "--eps", "abc",
                     "--out", tmp_path]) == 64
@@ -532,8 +543,9 @@ class TestImports:
                                     ["solve", 0, []]]
 
     def test_polygon_and_bitmap_commands_load_no_optimizer(self, tmp_path):
-        # the annulus fit's Nelder-Mead is numpy code: solve and verify on
-        # a polygon or a bitmap load no optimizer, qhull or quadrature
+        # the annulus fit's Nelder-Mead and the inscribed disc are numpy
+        # code: check, solve and verify on a polygon, and solve and verify
+        # on a bitmap, load no optimizer, qhull or quadrature
         polygon, bitmap = tmp_path / "polygon.json", tmp_path / "bitmap.json"
         polygon.write_text(json.dumps({
             "domain": {"kind": "convex_polygon",
@@ -552,8 +564,9 @@ class TestImports:
             "from pmcgraph.cli import main\n"
             "banned = ('scipy.integrate', 'scipy.optimize', 'scipy.spatial')\n"
             "stages = []\n"
-            "for cfg in sys.argv[1:3]:\n"
-            "    for cmd in ('solve', 'verify'):\n"
+            "for cfg, cmds in ((sys.argv[1], ('check', 'solve', 'verify')),"
+            " (sys.argv[2], ('solve', 'verify'))):\n"
+            "    for cmd in cmds:\n"
             "        code = main([cmd, '--config', cfg, '--out',"
             " sys.argv[3] + '/' + cmd])\n"
             "        stages.append([cmd, code,"
@@ -562,5 +575,6 @@ class TestImports:
         last = self.fresh_process(script, polygon, bitmap, tmp_path)
         # a bitmap has no refined grid for verify's estimate, so it exits 64
         # after reading the domain
-        assert json.loads(last) == [["solve", 0, []], ["verify", 0, []],
-                                    ["solve", 0, []], ["verify", 64, []]]
+        assert json.loads(last) == [["check", 0, []], ["solve", 0, []],
+                                    ["verify", 0, []], ["solve", 0, []],
+                                    ["verify", 64, []]]

@@ -1,6 +1,8 @@
 import inspect
+import itertools
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -316,6 +318,59 @@ class TestInscribedDiscRadius:
         # 3-4-5 right triangle: inradius = (3 + 4 - 5) / 2 = 1
         tri = geo.ConvexPolygon([(0, 0), (4, 0), (0, 3)])
         assert geo.inscribed_disc_radius(tri) == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def enumerated_radius(poly):
+        # the LP optimum is a vertex: the best feasible meeting point of
+        # three edge lines offset inward by rho
+        v = poly.vertices
+        e = np.roll(v, -1, axis=0) - v
+        normal = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(*e.T)[:, None]
+        rows = np.column_stack([normal, np.ones(len(v))])
+        rhs = np.sum(normal * v, axis=1)
+        best = -np.inf
+        for triple in itertools.combinations(range(len(v)), 3):
+            t = list(triple)
+            if abs(np.linalg.det(rows[t])) < 1e-14:
+                continue
+            x = np.linalg.solve(rows[t], rhs[t])
+            if np.all(rows @ x <= rhs + 1e-12):
+                best = max(best, x[2])
+        return best
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)],
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+        [(0, 0), (6, 0), (6, 1), (0, 1)],
+        [(0, 0), (1, 0), (0.3, 0.8)],
+        [(2.0 * math.cos(a), math.sin(a)) for a in
+         2 * math.pi * (np.arange(40) + 0.25 * np.sin(3 * np.arange(40))) / 40],
+    ], ids=["pentagon", "square", "rectangle-6x1", "triangle", "40-gon"])
+    def test_polygon_matches_vertex_enumeration(self, vertices):
+        poly = geo.ConvexPolygon(vertices)
+        assert geo.inscribed_disc_radius(poly) == pytest.approx(
+            self.enumerated_radius(poly), abs=1.1e-16)
+
+    def test_random_polygons_match_vertex_enumeration(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        for _ in range(40):
+            points = rng.normal(size=(12, 2)) * rng.uniform(0.2, 3.0, size=2)
+            poly = geo.ConvexPolygon(geo._convex_hull(points))
+            assert geo.inscribed_disc_radius(poly) == pytest.approx(
+                self.enumerated_radius(poly), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [5, 40, 2000])
+    def test_regular_polygons(self, n):
+        # inradius cos(pi / n) with every edge active at the optimum: the
+        # last three edges must not be nearly parallel ones, which put the
+        # 2000-gon's radius 3.3e-12 too high; 2000 edges take well under
+        # a second
+        poly = geo.ConvexPolygon([(math.cos(a), math.sin(a))
+                                  for a in 2 * math.pi * np.arange(n) / n])
+        start = time.perf_counter()
+        rho = geo.inscribed_disc_radius(poly)
+        assert time.perf_counter() - start < 2.0
+        assert rho == pytest.approx(math.cos(math.pi / n), abs=2.3e-16)
 
     def test_mask_distance_transform(self):
         m = np.zeros((20, 20), dtype=bool)

@@ -12,7 +12,7 @@ from pmcgraph.errors import (ContinuationFailureError,
                              NoAdmissibleConstantError, NonconvergenceError,
                              ParameterError, SolverError)
 from pmcgraph.grid import (_band_fill, grid_from_domain, nested_prolongation,
-                           prolongate)
+                           prolongate, twin_dofs)
 
 
 class TestConditionsPipeline:
@@ -385,18 +385,69 @@ class TestTwoGridVerify:
             pipeline.verify_domain(disc, field, 0.1, max_iters=20)
         assert newton == [] and homotopies == []
 
-    def test_no_interior_block_fails_before_solving(self, monkeypatch):
-        # Disc(0.15) at 0.2 has interior nodes but no 2 x 2 block of them,
-        # so the Richardson estimate has no common point
+    def test_disc_with_one_coarse_node_verifies(self, tmp_path):
+        # Disc(0.15) at 0.2 has a single interior node, and at 0.1 four:
+        # the estimate compares that node with its fine twin
         domain = geometry.Disc(0.15)
-        grid = grid_from_domain(domain, 0.2)
-        assert grid.n_dof > 0
-        newton = self.spy(monkeypatch, solver, "newton_solve")
-        homotopies = self.spy(monkeypatch, solver, "continuation_solve")
-        with pytest.raises(ParameterError, match="no common interpolation"):
-            pipeline.verify_domain(domain, CurvatureField.from_constant(-0.5),
-                                   0.2)
-        assert newton == [] and homotopies == []
+        assert grid_from_domain(domain, 0.2).n_dof == 1
+        outcome = pipeline.verify_domain(
+            domain, CurvatureField.from_constant(-0.5), 0.2)
+        assert outcome.solution.grid.n_dof == 4
+        assert outcome.error_estimate > 0.0
+        assert all(c.verdict == conditions.PASS
+                   for c in outcome.report.checks)
+        cfg = tmp_path / "disc.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "disc", "radius": 0.15},
+            "curvature": {"constant": -0.5}, "spacing": 0.2}))
+        assert cli_main(["verify", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 0
+
+    def test_estimate_is_the_sup_over_every_coarse_node(self, monkeypatch):
+        # pentagon, H = 0.3 at 1/16: the injection estimate against a sup
+        # over all coarse interior nodes, each matched to the fine node at
+        # the same coordinates
+        pentagon = geometry.ConvexPolygon(
+            [[0, 0], [2, 0], [2, 1.5], [1, 2.5], [0, 1.5]])
+        solutions = []
+        real = pipeline.solve_grid
+
+        def record(grid, *args, **kwargs):
+            out = real(grid, *args, **kwargs)
+            solutions.append(out.solution)
+            return out
+
+        monkeypatch.setattr(pipeline, "solve_grid", record)
+        outcome = pipeline.verify_domain(
+            pentagon, CurvatureField.from_constant(0.3), 1.0 / 16)
+        coarse, fine = solutions
+
+        def key(x, y):
+            return round(x * 2**20), round(y * 2**20)
+
+        fine_at = {key(x, y): v for (x, y), v in zip(
+            fine.grid.interior_points(), fine.interior_values())}
+        diffs = [abs(v - fine_at[key(x, y)]) for (x, y), v in zip(
+            coarse.grid.interior_points(), coarse.interior_values())]
+        assert len(diffs) == 969
+        assert outcome.error_estimate == max(diffs) / 3.0
+        assert outcome.error_estimate == pytest.approx(9.59047043829972e-05,
+                                                       rel=1e-9)
+
+    def test_an_exterior_twin_is_left_out(self):
+        # on the pentagon at 0.1, the coarse node (0.8, 2.3) is interior but
+        # its fine twin is not: the lattices' coordinates differ by 2.2e-16
+        pentagon = geometry.ConvexPolygon(
+            [[0, 0], [2, 0], [2, 1.5], [1, 2.5], [0, 1.5]])
+        coarse = grid_from_domain(pentagon, 0.1)
+        twin = twin_dofs(coarse, grid_from_domain(pentagon, 0.05))
+        assert coarse.n_dof == 368
+        outside = np.flatnonzero(twin < 0)
+        assert len(outside) == 1
+        assert coarse.interior_points()[outside[0]] == pytest.approx(
+            [0.8, 2.3], abs=1e-12)
+        assert np.isfinite(pipeline.verify_domain(
+            pentagon, CurvatureField.from_constant(0.3), 0.1).error_estimate)
 
     def test_no_admissible_barrier_fails_before_solving(self, monkeypatch,
                                                         tmp_path):
