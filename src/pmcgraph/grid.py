@@ -1,19 +1,22 @@
 """Masked finite-difference lattices over planar domains.
 
-Interior nodes are lattice points strictly inside the domain.  For each
-interior node and each of the four axis directions the grid stores the
-neighbor status, the arm fraction ``theta`` (1 for an interior neighbor,
-the fractional distance to the domain boundary for a cut arm) and the
-Dirichlet value at the crossing point.  Bitmap domains use their own cells
-as nodes with whole arms, so their staircase boundary is represented
-exactly.
+Interior nodes are lattice points inside the domain whose arms to
+outside neighbours are at least ``THETA_SNAP`` cells long; a point with a
+shorter one is a boundary node.  Each interior node has four arms, one per
+axis direction, and each arm a neighbour status, a fraction ``theta`` (1
+to an interior neighbour or a boundary node, else the fractional distance
+to the domain boundary) and the Dirichlet value at its end.  Bitmap
+domains use their own cells as nodes with whole arms, so their staircase
+boundary is represented exactly.
 
 The arm fractions feed a Shortley-Weller style divergence discretization
 in :mod:`pmcgraph.solver`; computing them by bisection of the domain's
-membership test keeps one code path for every domain kind.  Each grid
-builds, on first use, a :class:`StencilPlan`: the scheme's neighbour
-indices and geometry-only coefficients over interior nodes, which the
-solver's residual and Jacobian kernels read instead of recomputing them.
+membership test keeps one code path for every domain kind.  The grid's
+builder computes the arms once, per interior node, and the grid builds
+from them its :class:`StencilPlan`, the only copy of the arm geometry:
+the arms, the scheme's neighbour indices and its geometry-only
+coefficients, which the solver's residual and Jacobian kernels read
+instead of recomputing them.
 The coarse-to-fine transfer between nested grids (:func:`prolongate`)
 lives here too, since its boundary fill reads the cut-arm geometry, and
 so does the map of their shared lattice points (:func:`twin_dofs`).
@@ -21,8 +24,7 @@ so does the map of their shared lattice points (:func:`twin_dofs`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -33,7 +35,10 @@ from .geometry import GridMask
 DIRECTIONS = ("E", "W", "N", "S")
 # (dj, di) lattice offsets, rows = y, columns = x
 OFFSETS = {"E": (0, 1), "W": (0, -1), "N": (1, 0), "S": (-1, 0)}
-THETA_FLOOR = 1e-6
+#: a lattice point whose arm to an outside neighbour is shorter than this
+#: many cells is a boundary node, not an unknown, so no arm is shorter
+#: (Gibou, Fedkiw, Cheng & Kang, J. Comput. Phys. 176, 2002)
+THETA_SNAP = 1e-3
 #: largest lattice (nodes, exterior ones included) a domain is rasterized
 #: onto: 16 times the largest in use, Annulus(1, 2) at 1/128 (267,289)
 MAX_LATTICE_NODES = 2**22
@@ -69,25 +74,30 @@ def _boundary_callable(g):
 
 @dataclass
 class MaskedGrid:
-    """Lattice, interior mask and cut-arm geometry for one domain."""
+    """Lattice, interior mask and stencil plan for one domain.
+
+    ``nbr``, ``theta`` and ``gval`` are the interior nodes' arms, (4,
+    n_dof) each with rows in ``DIRECTIONS`` order: whether the neighbour
+    is interior, the arm fraction and the Dirichlet value at the arm's
+    end.  They go into ``plan``, the only copy of the arm geometry.
+    """
 
     origin: tuple
     spacing: float
     interior: np.ndarray
     X: np.ndarray
     Y: np.ndarray
-    theta: dict
-    nbr: dict
-    gval: dict
+    nbr: InitVar[np.ndarray]
+    theta: InitVar[np.ndarray]
+    gval: InitVar[np.ndarray]
     domain: object = None
-    index: np.ndarray = field(default=None)
-    n_dof: int = 0
     boundary_nonzero: bool = False
 
-    def __post_init__(self):
-        self.index = np.full(self.interior.shape, -1, dtype=np.int64)
-        self.index[self.interior] = np.arange(int(self.interior.sum()))
+    def __post_init__(self, nbr, theta, gval):
         self.n_dof = int(self.interior.sum())
+        self.index = np.full(self.interior.shape, -1, dtype=np.int64)
+        self.index[self.interior] = np.arange(self.n_dof)
+        self.plan = StencilPlan(self, nbr, theta, gval)
 
     @property
     def shape(self):
@@ -96,33 +106,20 @@ class MaskedGrid:
     def interior_points(self):
         return np.column_stack([self.X[self.interior], self.Y[self.interior]])
 
-    @cached_property
-    def plan(self):
-        """The grid's :class:`StencilPlan`, built on first use."""
-        return StencilPlan(self)
-
-    def cut_edges(self):
-        """Arrays (direction, theta, g, j, i) over all cut arms."""
-        out = []
-        for d in DIRECTIONS:
-            cut = self.interior & ~self.nbr[d]
-            jj, ii = np.nonzero(cut)
-            out.append((d, self.theta[d][cut], self.gval[d][cut], jj, ii))
-        return out
-
     def boundary_data(self):
-        """Crossing points with their Dirichlet values, one per cut arm."""
-        points, values = [], []
+        """Crossing points with their Dirichlet values, one per cut arm, in
+        direction then dof order."""
+        plan = self.plan
         h = self.spacing
-        for d, thetas, gs, jj, ii in self.cut_edges():
+        points, values = [], []
+        for k, d in enumerate(DIRECTIONS):
             dj, di = OFFSETS[d]
-            points.append(np.column_stack([
-                self.X[jj, ii] + di * thetas * h,
-                self.Y[jj, ii] + dj * thetas * h,
-            ]))
-            values.append(gs)
-        if not points:
-            return np.zeros((0, 2)), np.zeros(0)
+            cut = ~plan.nbr_mask[k]
+            thetas = plan.theta[k, cut]
+            x, y = plan.points[cut].T
+            points.append(np.column_stack([x + di * thetas * h,
+                                           y + dj * thetas * h]))
+            values.append(plan.gval[k, cut])
         return np.vstack(points), np.concatenate(values)
 
     def boundary_lipschitz_estimate(self):
@@ -160,14 +157,15 @@ class StencilPlan:
     residual and Jacobian kernels of :mod:`pmcgraph.solver` compute on dof
     vectors through these arrays and evaluate the field only at
     ``points``.  The plan keeps no reference to its grid, so a grid and
-    its cached plan are freed by reference counting alone.
+    its plan are freed by reference counting alone.
 
     Per direction: ``nbr_index`` (the neighbour's dof index, 0 on a cut
-    arm), ``nbr_mask``, ``theta_h`` (the arm length, theta times the
-    spacing) and ``gval`` (the Dirichlet value at the crossing).  For the
-    node derivatives: ``theta_sq``, ``den_x``/``den_y`` and
-    ``dsq_x``/``dsq_y`` (the differences of opposite squared thetas);
-    ``cfac`` is the divergence factor of each axis pair.
+    arm), ``nbr_mask``, ``theta`` (the arm fraction), ``theta_h`` (the
+    arm length, theta times the spacing) and ``gval`` (the Dirichlet value
+    at the arm's end).  For the node derivatives: ``theta_sq``,
+    ``den_x``/``den_y`` and ``dsq_x``/``dsq_y`` (the differences of
+    opposite squared thetas); ``cfac`` is the divergence factor of each
+    axis pair.
 
     For the Jacobian: ``slope_coef`` holds the one-sided slope's
     sensitivities to the node itself (``mP``) and to the neighbour
@@ -184,27 +182,22 @@ class StencilPlan:
     ``STENCIL_OFFSETS`` order) in CSR data order.
     """
 
-    def __init__(self, grid):
-        inner = grid.interior
+    def __init__(self, grid, nbr, theta, gval):
         h = grid.spacing
         n = grid.n_dof
         self.n_dof = n
         self.points = grid.interior_points()
 
-        def per_direction(arrays):
-            return np.stack([arrays[d][inner] for d in DIRECTIONS])
-
         def at_offset(dj, di):
-            return shift(grid.index, dj, di, fill=-1)[inner]
+            return shift(grid.index, dj, di, fill=-1)[grid.interior]
 
-        self.nbr_mask = per_direction(grid.nbr)
+        self.nbr_mask = nbr
         self.nbr_index = np.where(
-            self.nbr_mask,
-            np.stack([at_offset(*OFFSETS[d]) for d in DIRECTIONS]),
+            nbr, np.stack([at_offset(*OFFSETS[d]) for d in DIRECTIONS]),
             0).astype(np.int32)
-        theta = per_direction(grid.theta)
+        self.theta = theta
         self.theta_h = theta * h
-        self.gval = per_direction(grid.gval)
+        self.gval = gval
 
         tE, tW, tN, tS = theta
         self.theta_sq = theta**2
@@ -260,88 +253,75 @@ def grid_from_domain(domain, spacing, boundary=None):
     """Rasterize a domain onto a uniform lattice.
 
     ``boundary`` is the Dirichlet data: None/0 for zero data, a scalar, or
-    a vectorized callable ``g(x, y)``.  Cut-arm fractions are found by 50
-    bisection steps on the membership test, so any domain kind with a
-    ``contains`` method works.
+    a vectorized callable ``g(x, y)``.  A bitmap's own cells are the
+    nodes, with whole arms.  On other domains cut-arm fractions are found
+    by 50 bisection steps on the membership test, and boundary nodes by a
+    probe ``THETA_SNAP`` cells along each arm to an outside neighbour, so
+    any domain kind with a ``contains`` method works.
     """
     if not spacing > 0.0:
         raise ParameterError("grid spacing must be positive")
     gfun = _boundary_callable(boundary)
+    bitmap = isinstance(domain, GridMask)
+    if bitmap:
+        spacing = domain.cell_size
+        X, Y = np.meshgrid(*domain.cell_centers())
+        interior = domain.mask.copy()
+    else:
+        xmin, ymin, xmax, ymax = domain.bbox()
+        x0 = xmin - PAD_CELLS * spacing
+        y0 = ymin - PAD_CELLS * spacing
+        # counted in floats, so that no spacing overflows the count
+        nx = np.ceil((xmax - x0) / spacing) + 1 + PAD_CELLS
+        ny = np.ceil((ymax - y0) / spacing) + 1 + PAD_CELLS
+        if not nx * ny <= MAX_LATTICE_NODES:
+            raise ParameterError(
+                f"spacing {spacing!r} needs a lattice of {nx * ny:.0f} nodes "
+                f"({nx:.0f} x {ny:.0f}), above the cap of {MAX_LATTICE_NODES}")
+        X, Y = np.meshgrid(x0 + spacing * np.arange(int(nx)),
+                           y0 + spacing * np.arange(int(ny)))
+        pts = np.stack([X, Y], axis=-1)
+        inside = domain.contains(pts)
+        interior = inside.copy()
+        for dj, di in OFFSETS.values():
+            # a node snaps if an arm to an outside neighbour is too short
+            cut = inside & ~shift(inside, dj, di, fill=False)
+            interior[cut] &= domain.contains(
+                pts[cut] + THETA_SNAP * spacing * np.array([di, dj]))
+        if not interior.any():
+            raise ParameterError("no lattice nodes fall inside the domain; "
+                                 "reduce the spacing")
 
-    if isinstance(domain, GridMask):
-        return _grid_from_mask(domain, gfun)
-
-    xmin, ymin, xmax, ymax = domain.bbox()
-    x0 = xmin - PAD_CELLS * spacing
-    y0 = ymin - PAD_CELLS * spacing
-    # counted in floats, so that no spacing overflows the count
-    nx = np.ceil((xmax - x0) / spacing) + 1 + PAD_CELLS
-    ny = np.ceil((ymax - y0) / spacing) + 1 + PAD_CELLS
-    if not nx * ny <= MAX_LATTICE_NODES:
-        raise ParameterError(
-            f"spacing {spacing!r} needs a lattice of {nx * ny:.0f} nodes "
-            f"({nx:.0f} x {ny:.0f}), above the cap of {MAX_LATTICE_NODES}")
-    nx, ny = int(nx), int(ny)
-    xs = x0 + spacing * np.arange(nx)
-    ys = y0 + spacing * np.arange(ny)
-    X, Y = np.meshgrid(xs, ys)
-    pts = np.stack([X, Y], axis=-1)
-    interior = domain.contains(pts)
-    if not interior.any():
-        raise ParameterError("no lattice nodes fall inside the domain; "
-                             "reduce the spacing")
-
-    theta, nbr, gval = {}, {}, {}
-    for d in DIRECTIONS:
+    nbr = np.stack([shift(interior, *OFFSETS[d], fill=False)[interior]
+                    for d in DIRECTIONS])
+    points = np.column_stack([X[interior], Y[interior]])
+    theta = np.ones(nbr.shape)
+    gval = np.zeros(nbr.shape)
+    for k, d in enumerate(DIRECTIONS):
         dj, di = OFFSETS[d]
-        nbr[d] = shift(interior, dj, di, fill=False)
-        theta[d] = np.ones_like(X)
-        gval[d] = np.zeros_like(X)
-        cut = interior & ~nbr[d]
+        cut = ~nbr[k]
         if not cut.any():
             continue
-        cx = X[cut]
-        cy = Y[cut]
-        lo = np.zeros(cx.shape)
-        hi = np.ones(cx.shape)
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            probe = np.stack([cx + di * mid * spacing, cy + dj * mid * spacing], axis=-1)
-            inside = domain.contains(probe)
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        frac = np.maximum(0.5 * (lo + hi), THETA_FLOOR)
-        theta[d][cut] = frac
-        gval[d][cut] = _eval_boundary(gfun, cx + di * frac * spacing,
+        cx, cy = points[cut].T
+        if not bitmap:
+            # an arm to a boundary node inside the domain ends at that
+            # node: its bisection starts, and so stays, at lo = hi = 1
+            lo = shift(inside, dj, di, fill=False)[interior][cut].astype(float)
+            hi = np.ones(cx.shape)
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                probe = np.stack([cx + di * mid * spacing, cy + dj * mid * spacing], axis=-1)
+                within = domain.contains(probe)
+                lo = np.where(within, mid, lo)
+                hi = np.where(within, hi, mid)
+            theta[k, cut] = 0.5 * (lo + hi)
+        frac = theta[k, cut]
+        gval[k, cut] = _eval_boundary(gfun, cx + di * frac * spacing,
                                       cy + dj * frac * spacing)
-
-    grid = MaskedGrid(origin=(x0, y0), spacing=spacing, interior=interior,
-                      X=X, Y=Y, theta=theta, nbr=nbr, gval=gval, domain=domain)
-    grid.boundary_nonzero = gfun is not None
-    return grid
-
-
-def _grid_from_mask(domain, gfun):
-    interior = domain.mask.copy()
-    ny, nx = interior.shape
-    xs, ys = domain.cell_centers()
-    X, Y = np.meshgrid(xs, ys)
-    theta, nbr, gval = {}, {}, {}
-    for d in DIRECTIONS:
-        dj, di = OFFSETS[d]
-        nbr[d] = shift(interior, dj, di, fill=False)
-        theta[d] = np.ones_like(X)
-        gval[d] = np.zeros_like(X)
-        cut = interior & ~nbr[d]
-        if cut.any():
-            cx = X[cut] + di * domain.cell_size
-            cy = Y[cut] + dj * domain.cell_size
-            gval[d][cut] = _eval_boundary(gfun, cx, cy)
-    grid = MaskedGrid(origin=(xs[0], ys[0]), spacing=domain.cell_size,
-                      interior=interior, X=X, Y=Y, theta=theta, nbr=nbr,
-                      gval=gval, domain=domain)
-    grid.boundary_nonzero = gfun is not None
-    return grid
+    return MaskedGrid(origin=(X[0, 0], Y[0, 0]), spacing=spacing,
+                      interior=interior, X=X, Y=Y, nbr=nbr, theta=theta,
+                      gval=gval, domain=domain,
+                      boundary_nonzero=gfun is not None)
 
 
 def _keys_weights(t):
@@ -401,8 +381,8 @@ def _nesting_offset(coarse, fine):
 
 def twin_dofs(coarse, fine):
     """Per coarse interior dof, the fine dof of its twin (the fine node at
-    the same lattice point), or -1 where the twin is not interior, as can
-    happen when the two lattices' coordinates differ by roundoff."""
+    the same lattice point), or -1 where the twin is not interior, as on
+    grids of two different domains."""
     oy, ox = _nesting_offset(coarse, fine)
     jj, ii = np.nonzero(coarse.interior)
     fj, fi = 2 * jj - oy, 2 * ii - ox
@@ -450,14 +430,16 @@ def nested_prolongation(coarse, fine):
         shape=(fine.n_dof, coarse.n_dof))
 
 
-def _line_fill(values, gap, cut_lo, cut_hi, theta_lo, theta_hi, g_lo, g_hi):
+def _line_fill(values, gap, index, cut_lo, cut_hi, theta_lo, theta_hi, g_lo,
+               g_hi):
     """Linear interpolation along each lattice row (axis 1) at the ``gap``
     nodes, from the nearest node with a value or boundary crossing on
     either side.
 
-    ``values`` is NaN at every node without one, ``cut_lo``/``cut_hi``
-    mark the nodes whose arm towards lower/higher columns is cut, with arm
-    fractions ``theta_*`` and Dirichlet values ``g_*``.  Returns the
+    ``values`` is NaN at every node without one, ``index`` holds the
+    nodes' dof indices, ``cut_lo``/``cut_hi`` mark the nodes whose arm
+    towards lower/higher columns is cut, with per-dof arm fractions
+    ``theta_*`` and Dirichlet values ``g_*``.  Returns the
     interpolated values and the factor (x - x_lo)(x_hi - x), in cell
     units, of the linear interpolation error, both NaN off the gap.
     """
@@ -471,12 +453,13 @@ def _line_fill(values, gap, cut_lo, cut_hi, theta_lo, theta_hi, g_lo, g_hi):
     jj, ii = np.nonzero(gap)
     k_lo, k_hi = lo[jj, ii], hi[jj, ii]
     on_lo, on_hi = known[jj, k_lo], known[jj, k_hi]
+    dof_lo, dof_hi = index[jj, k_lo], index[jj, k_hi]
     # distances as whole cells plus an arm fraction, so that mirrored
     # lattices give bitwise mirrored fills
-    d_lo = (ii - k_lo) + np.where(on_lo, 0.0, theta_lo[jj, k_lo])
-    d_hi = (k_hi - ii) + np.where(on_hi, 0.0, theta_hi[jj, k_hi])
-    v_lo = np.where(on_lo, values[jj, k_lo], g_lo[jj, k_lo])
-    v_hi = np.where(on_hi, values[jj, k_hi], g_hi[jj, k_hi])
+    d_lo = (ii - k_lo) + np.where(on_lo, 0.0, theta_lo[dof_lo])
+    d_hi = (k_hi - ii) + np.where(on_hi, 0.0, theta_hi[dof_hi])
+    v_lo = np.where(on_lo, values[jj, k_lo], g_lo[dof_lo])
+    v_hi = np.where(on_hi, values[jj, k_hi], g_hi[dof_hi])
     fill = np.full(values.shape, np.nan)
     spread = np.full(values.shape, np.nan)
     fill[jj, ii] = (v_lo * d_hi + v_hi * d_lo) / (d_lo + d_hi)
@@ -493,16 +476,19 @@ def _band_fill(grid, values):
     inversely proportional to their error factors, so that the line with
     the closer anchors dominates.
     """
+    plan = grid.plan
     lattice = np.full(grid.shape, np.nan)
     lattice[grid.interior] = values
     gap = grid.interior & np.isnan(lattice)
-    cut = {d: grid.interior & ~grid.nbr[d] for d in DIRECTIONS}
-    row, row_spread = _line_fill(lattice, gap, cut["W"], cut["E"],
-                                 grid.theta["W"], grid.theta["E"],
-                                 grid.gval["W"], grid.gval["E"])
+    cut = np.zeros((4,) + grid.shape, dtype=bool)
+    cut[:, grid.interior] = ~plan.nbr_mask
+    theta, g = plan.theta, plan.gval
+    E, W, N, S = range(4)
+    row, row_spread = _line_fill(lattice, gap, grid.index, cut[W], cut[E],
+                                 theta[W], theta[E], g[W], g[E])
     col, col_spread = (a.T for a in _line_fill(
-        lattice.T, gap.T, cut["S"].T, cut["N"].T, grid.theta["S"].T,
-        grid.theta["N"].T, grid.gval["S"].T, grid.gval["N"].T))
+        lattice.T, gap.T, grid.index.T, cut[S].T, cut[N].T, theta[S],
+        theta[N], g[S], g[N]))
     lattice[gap] = ((row * col_spread + col * row_spread)
                     / (row_spread + col_spread))[gap]
     return lattice[grid.interior]

@@ -17,7 +17,9 @@ the slope factor ``W`` built from the axis difference and the averaged
 transverse node derivatives of the two edge endpoints; divergence divides
 by the half-sum of opposite arm lengths.  Cut arms next to the boundary
 use their fractional length and the Dirichlet value at the true crossing
-point, which is what keeps the scheme second order on curved domains.
+point, which is what keeps the scheme second order on curved domains; a
+lattice point whose cut arm would be shorter than
+:data:`pmcgraph.grid.THETA_SNAP` cells is a boundary node instead.
 
 Linear solves have one solver, :class:`FactorOnceSolver`: right-
 preconditioned GMRES with a stored preconditioner, and a direct SuperLU
@@ -37,9 +39,9 @@ stops at a relative residual set by the size of the Newton residual
 tightly.
 
 The residual and the analytic Jacobian run on vectors of interior values
-through the grid's :class:`pmcgraph.grid.StencilPlan` (neighbour indices,
-geometry-only coefficients and the CSR structure, built once per grid) and
-evaluate the field only at interior nodes.  Newton computes each iterate's
+through the grid's :class:`pmcgraph.grid.StencilPlan` (the arms, neighbour
+indices, geometry-only coefficients and the CSR structure, built with the
+grid) and evaluate the field only at interior nodes.  Newton computes each iterate's
 edge states (:func:`_edge_states`) once and hands them to that iterate's
 residual and then to its Jacobian assembly or its final report, which
 take them over so that they are freed as soon as they are used.  A field

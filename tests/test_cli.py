@@ -404,6 +404,37 @@ class TestSolveAndVerifyCommands:
         assert report["status"] == "converged"
         assert report["residual_inf"] <= 1e-10
 
+    @pytest.mark.parametrize("spacing", [0.1, 0.05])
+    def test_plane_on_pentagon_converges(self, tmp_path, spacing):
+        # the plane 0.4x - 1.1y + 0.3 is the exact solution for H = 0;
+        # lattice points on the slanted edges are boundary nodes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "convex_polygon",
+                       "vertices": [[0, 0], [2, 0], [2, 1.5], [1, 2.5],
+                                    [0, 1.5]]},
+            "curvature": {"constant": 0.0},
+            "boundary": {"linear": [0.4, -1.1, 0.3]},
+            "spacing": spacing, "tol": 1e-10}))
+        out = tmp_path / "plane"
+        assert run(["solve", "--config", cfg, "--out", out]) == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["status"] == "converged"
+        assert report["residual_inf"] <= 1e-10
+
+    @pytest.mark.parametrize("spacing", [1e20, 1e200])
+    def test_grid_coarser_than_the_domain_exits_64(self, tmp_path, capsys,
+                                                   spacing):
+        # the one lattice node inside the disc is a hair from its boundary
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "disc", "radius": 1.0,
+                       "center": [0.5, -0.25]},
+            "curvature": {"constant": 0.3}, "spacing": spacing}))
+        assert run(["solve", "--config", cfg, "--out",
+                    tmp_path / "coarse"]) == 64
+        assert "no lattice nodes fall inside" in capsys.readouterr().err
+
     def test_table_curvature_spec(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -14,8 +14,9 @@ value, and it may end in a verdict or a refusal.  The contract:
   written;
 * exit 0 from ``solve`` means a residual within the config's tolerance.
 
-Nonzero Dirichlet data on the pentagon may stall (exit 3); that is an
-allowed outcome, not one the grammar avoids.
+A solve may stall (exit 3); that is an allowed outcome, not one the
+grammar avoids.  On the pentagon at the grammar's spacings only the
+over-curved H = 1.2 stalls, with zero and nonzero Dirichlet data alike.
 """
 
 import contextlib

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmcgraph import conditions, geometry, pipeline, solver
+from pmcgraph import conditions, geometry, pipeline, solver, verify
 from pmcgraph.cli import main as cli_main
 from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import (ContinuationFailureError,
@@ -435,19 +435,39 @@ class TestTwoGridVerify:
                                                        rel=1e-9)
 
     def test_an_exterior_twin_is_left_out(self):
-        # on the pentagon at 0.1, the coarse node (0.8, 2.3) is interior but
-        # its fine twin is not: the lattices' coordinates differ by 2.2e-16
+        # the unit square at 0.1 over the triangle (0, 0), (1, 0), (0, 1)
+        # at 0.05: the lattices nest, and the coarse nodes on or above the
+        # diagonal have exterior twins
+        square = geometry.ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+        triangle = geometry.ConvexPolygon([[0, 0], [1, 0], [0, 1]])
+        coarse = grid_from_domain(square, 0.1)
+        fine = grid_from_domain(triangle, 0.05)
+        x, y = coarse.interior_points().T
+        outside = twin_dofs(coarse, fine) < 0
+        assert coarse.n_dof == 81
+        assert np.array_equal(outside, x + y > 0.95)
+
+        def solution(grid, values):
+            lattice = np.zeros(grid.shape)
+            lattice[grid.interior] = values
+            return solver.GridSolution(grid, lattice, 0.0, 0, 1.0, 0.0, 0.0,
+                                       0.0)
+
+        # the largest x with an interior twin is 0.8; an exterior twin
+        # read as the last fine dof would bring in 0.9
+        estimate = verify.richardson_error_estimate(
+            solution(coarse, x), solution(fine, np.zeros(fine.n_dof)))
+        assert estimate == x[~outside].max() / 3.0 == 0.8 / 3.0
+
+    @pytest.mark.parametrize("spacing", [0.1, 0.05])
+    def test_every_pentagon_node_has_an_interior_twin(self, spacing):
+        # lattice points on the pentagon's slanted edges are boundary nodes
+        # on both grids, on whichever side of the edge roundoff puts them
         pentagon = geometry.ConvexPolygon(
             [[0, 0], [2, 0], [2, 1.5], [1, 2.5], [0, 1.5]])
-        coarse = grid_from_domain(pentagon, 0.1)
-        twin = twin_dofs(coarse, grid_from_domain(pentagon, 0.05))
-        assert coarse.n_dof == 368
-        outside = np.flatnonzero(twin < 0)
-        assert len(outside) == 1
-        assert coarse.interior_points()[outside[0]] == pytest.approx(
-            [0.8, 2.3], abs=1e-12)
-        assert np.isfinite(pipeline.verify_domain(
-            pentagon, CurvatureField.from_constant(0.3), 0.1).error_estimate)
+        coarse = grid_from_domain(pentagon, spacing)
+        fine = grid_from_domain(pentagon, spacing / 2)
+        assert (twin_dofs(coarse, fine) >= 0).all()
 
     def test_no_admissible_barrier_fails_before_solving(self, monkeypatch,
                                                         tmp_path):

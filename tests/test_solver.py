@@ -18,8 +18,8 @@ from pmcgraph.errors import (
     ParameterError,
     SolverError,
 )
-from pmcgraph.grid import (OFFSETS, grid_from_domain, nested_prolongation,
-                           prolongate, shift)
+from pmcgraph.grid import (DIRECTIONS, OFFSETS, grid_from_domain,
+                           nested_prolongation, prolongate, shift)
 from pmcgraph.ioutil import write_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,15 +51,32 @@ def cap_values(h, R, X, Y):
     return np.sqrt(1.0 / h**2 - X**2 - Y**2) - math.sqrt(1.0 / h**2 - R**2)
 
 
+def lattice_arms(grid):
+    """The plan's per-dof arms scattered back onto the lattice: dicts by
+    direction of the neighbour flags, arm fractions and Dirichlet values,
+    filled off the interior with False, 1 and 0."""
+    plan = grid.plan
+    out = []
+    for rows, fill in ((plan.nbr_mask, False), (plan.theta, 1.0),
+                       (plan.gval, 0.0)):
+        arms = {}
+        for d, row in zip(DIRECTIONS, rows):
+            arms[d] = np.full(grid.shape, fill, dtype=row.dtype)
+            arms[d][grid.interior] = row
+        out.append(arms)
+    return out
+
+
 def full_stencil_mask(grid):
     """Interior nodes whose full 9-point stencil has only whole arms: where
     the scheme has its clean second-order truncation."""
+    nbr, _, _ = lattice_arms(grid)
     full = grid.interior.copy()
     for d in ("E", "W", "N", "S"):
-        full &= grid.nbr[d]
+        full &= nbr[d]
         dj, di = OFFSETS[d]
         for arm in ("E", "W", "N", "S"):
-            full &= shift(grid.nbr[arm], dj, di, fill=False)
+            full &= shift(nbr[arm], dj, di, fill=False)
     return full
 
 
@@ -128,17 +145,19 @@ class TestResidual:
 
 # The lattice kernels that the stencil plan replaced, kept as the bit-exact
 # reference: every stencil term on whole bounding-box arrays, accumulated
-# per offset in a dict, then masked into COO triplets.
+# per offset in a dict, then masked into COO triplets.  They read the arm
+# geometry on the lattice, from ``lattice_arms``.
 
 def _lattice_edge_data(grid, f):
     h = grid.spacing
+    nbr, theta, gval = lattice_arms(grid)
     val, dval = {}, {}
     for d in ("E", "W", "N", "S"):
         dj, di = OFFSETS[d]
-        val[d] = np.where(grid.nbr[d], shift(f, dj, di), grid.gval[d])
-        dval[d] = (val[d] - f) / (grid.theta[d] * h)
-    tE, tW = grid.theta["E"], grid.theta["W"]
-    tN, tS = grid.theta["N"], grid.theta["S"]
+        val[d] = np.where(nbr[d], shift(f, dj, di), gval[d])
+        dval[d] = (val[d] - f) / (theta[d] * h)
+    tE, tW = theta["E"], theta["W"]
+    tN, tS = theta["N"], theta["S"]
     den_x = tE * tW * (tE + tW) * h
     den_y = tN * tS * (tN + tS) * h
     Dx = (tW**2 * val["E"] - tE**2 * val["W"] + (tE**2 - tW**2) * f) / den_x
@@ -148,11 +167,12 @@ def _lattice_edge_data(grid, f):
 
 def _lattice_edge_states(grid, f):
     val, dval, Dx, Dy = _lattice_edge_data(grid, f)
+    nbr, _, _ = lattice_arms(grid)
     states = {}
     for d, transverse in (("E", Dy), ("W", Dy), ("N", Dx), ("S", Dx)):
         dj, di = OFFSETS[d]
         primary = dval[d] if d in ("E", "N") else -dval[d]
-        cross = np.where(grid.nbr[d],
+        cross = np.where(nbr[d],
                          0.5 * (transverse + shift(transverse, dj, di)),
                          transverse)
         W = np.sqrt(1.0 + primary**2 + cross**2)
@@ -163,8 +183,9 @@ def _lattice_edge_states(grid, f):
 def _lattice_residual(f, grid, hfield, t_homotopy):
     states, _, _ = _lattice_edge_states(grid, f)
     h = grid.spacing
-    cfac_x = 2.0 / ((grid.theta["E"] + grid.theta["W"]) * h)
-    cfac_y = 2.0 / ((grid.theta["N"] + grid.theta["S"]) * h)
+    _, theta, _ = lattice_arms(grid)
+    cfac_x = 2.0 / ((theta["E"] + theta["W"]) * h)
+    cfac_y = 2.0 / ((theta["N"] + theta["S"]) * h)
     flux = {d: states[d][0] / states[d][2] for d in states}
     div = (flux["E"] - flux["W"]) * cfac_x + (flux["N"] - flux["S"]) * cfac_y
     pts = np.stack([grid.X, grid.Y], axis=-1)
@@ -175,17 +196,18 @@ def _lattice_residual(f, grid, hfield, t_homotopy):
 def _lattice_jacobian(grid, f, hfield, t_homotopy):
     h = grid.spacing
     states, Dx, Dy = _lattice_edge_states(grid, f)
+    nbr, theta, _ = lattice_arms(grid)
     cfac = {
-        "E": 2.0 / ((grid.theta["E"] + grid.theta["W"]) * h),
-        "W": 2.0 / ((grid.theta["E"] + grid.theta["W"]) * h),
-        "N": 2.0 / ((grid.theta["N"] + grid.theta["S"]) * h),
-        "S": 2.0 / ((grid.theta["N"] + grid.theta["S"]) * h),
+        "E": 2.0 / ((theta["E"] + theta["W"]) * h),
+        "W": 2.0 / ((theta["E"] + theta["W"]) * h),
+        "N": 2.0 / ((theta["N"] + theta["S"]) * h),
+        "S": 2.0 / ((theta["N"] + theta["S"]) * h),
     }
     sign = {"E": 1.0, "W": -1.0, "N": 1.0, "S": -1.0}
-    mP = {d: -1.0 / (grid.theta[d] * h) for d in OFFSETS}
-    mN = {d: 1.0 / (grid.theta[d] * h) for d in OFFSETS}
-    tE, tW = grid.theta["E"], grid.theta["W"]
-    tN, tS = grid.theta["N"], grid.theta["S"]
+    mP = {d: -1.0 / (theta[d] * h) for d in OFFSETS}
+    mN = {d: 1.0 / (theta[d] * h) for d in OFFSETS}
+    tE, tW = theta["E"], theta["W"]
+    tN, tS = theta["N"], theta["S"]
     den_x = tE * tW * (tE + tW) * h
     den_y = tN * tS * (tN + tS) * h
     cx = {"P": (tE**2 - tW**2) / den_x, "E": tW**2 / den_x, "W": -(tE**2) / den_x}
@@ -206,12 +228,12 @@ def _lattice_jacobian(grid, f, hfield, t_homotopy):
             add((0, 0), weight * coefs["P"])
             for arm in arms:
                 oj, oi = OFFSETS[arm]
-                add((oj, oi), weight * np.where(grid.nbr[arm], coefs[arm], 0.0))
+                add((oj, oi), weight * np.where(nbr[arm], coefs[arm], 0.0))
         else:
             add((bj, bi), weight * shift(coefs["P"], bj, bi))
             for arm in arms:
                 oj, oi = OFFSETS[arm]
-                guard = shift(np.where(grid.nbr[arm], coefs[arm], 0.0), bj, bi)
+                guard = shift(np.where(nbr[arm], coefs[arm], 0.0), bj, bi)
                 add((bj + oj, bi + oi), weight * guard)
 
     for d in ("E", "W", "N", "S"):
@@ -223,10 +245,10 @@ def _lattice_jacobian(grid, f, hfield, t_homotopy):
         B = sign[d] * cfac[d] * phi_c
         flip = 1.0 if d in ("E", "N") else -1.0
         add((0, 0), A * flip * mP[d])
-        add((dj, di), A * flip * np.where(grid.nbr[d], mN[d], 0.0))
+        add((dj, di), A * flip * np.where(nbr[d], mN[d], 0.0))
         axis = "y" if d in ("E", "W") else "x"
-        wP = np.where(grid.nbr[d], 0.5, 1.0)
-        wQ = np.where(grid.nbr[d], 0.5, 0.0)
+        wP = np.where(nbr[d], 0.5, 1.0)
+        wQ = np.where(nbr[d], 0.5, 0.0)
         add_node_derivative((0, 0), B * wP, axis)
         add_node_derivative((dj, di), B * wQ, axis)
 
@@ -268,7 +290,8 @@ class TestStencilPlan:
             assert np.array_equal(J.indices, ref.indices)
             assert np.array_equal(J.data, ref.data)
         _, dval, Dx, Dy = _lattice_edge_data(grid, f)
-        cut_slopes = [np.abs(dval[d][grid.interior & ~grid.nbr[d]])
+        nbr, _, _ = lattice_arms(grid)
+        cut_slopes = [np.abs(dval[d][grid.interior & ~nbr[d]])
                       for d in ("E", "W", "N", "S")]
         expected = (np.max(np.sqrt(Dx**2 + Dy**2)[grid.interior]),
                     max(s.max() for s in cut_slopes if s.size))
@@ -284,6 +307,31 @@ class TestStencilPlan:
         ref = weakref.ref(grid)
         del grid
         assert ref() is None
+
+
+class TestBoundaryData:
+    def test_crossings_lie_on_the_pentagon(self):
+        # spacing 0.1 puts lattice points on the slanted edges, so cut arms
+        # end at boundary nodes as well as at bisected crossings
+        g = pipeline.boundary_from_json({"linear": [0.2, -0.1, 0.05]})
+        grid = grid_from_domain(PENTAGON, 0.1, boundary=g)
+        points, values = grid.boundary_data()
+        plan = grid.plan
+        # one point per cut arm, in direction then dof order
+        k, dof = np.nonzero(~plan.nbr_mask)
+        unit = np.array([OFFSETS[d][::-1] for d in DIRECTIONS], dtype=float)
+        assert np.allclose(points, plan.points[dof]
+                           + unit[k] * plan.theta_h[k, dof, None],
+                           rtol=0.0, atol=1e-12)
+        assert np.array_equal(values, g(points[:, 0], points[:, 1]))
+        # distance to the nearest edge
+        v = np.array(PENTAGON.vertices)
+        p, q = v, np.roll(v, -1, axis=0)
+        s = np.clip(np.einsum("mej,ej->me", points[:, None] - p, q - p)
+                    / np.sum((q - p) ** 2, axis=1), 0.0, 1.0)
+        foot = p + s[..., None] * (q - p)
+        dist = np.linalg.norm(points[:, None] - foot, axis=-1).min(axis=1)
+        assert dist.max() <= 1e-12
 
 
 class TestNewton:
@@ -763,7 +811,7 @@ class TestSolutionCsv:
                                 boundary=pipeline.boundary_from_json(
                                     {"linear": [0.2, -0.1, 0.05]}))
         sol = solver.newton_solve(grid, table_field())
-        assert (~grid.nbr["E"] & grid.interior).any()  # cut arms
+        assert not grid.plan.nbr_mask[0].all()  # cut E arms
         sol.write_csv(tmp_path / "lattice.csv")
         mask = grid.interior
         write_csv(tmp_path / "rows.csv", ["x", "y", "f"],
