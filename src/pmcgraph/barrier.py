@@ -227,6 +227,14 @@ def apex(dim, h, c):
 
 def _slope_raw(t, dim, h, c):
     t = np.asarray(t, dtype=float)
+    if h == 0.0 and dim == 2:
+        # the planar catenoid's c / sqrt((t - c)(t + c)), the general
+        # formula's operations at h = 0, in units of c's power of two:
+        # the scaling is exact, so the bits are the same wherever the
+        # radicand is a normal float, and t^2 stays in range at any radius
+        e = math.frexp(c)[1]
+        t, c = np.ldexp(t, -e), math.ldexp(c, -e)
+        return c / np.sqrt((t - c) * (t + c))
     num = c - h * t**dim
     rad = _g1(dim, h, c, t) * (-_g2(dim, h, c, t))
     return num / np.sqrt(rad)
@@ -536,14 +544,23 @@ class NodoidProfile:
 
 
 def admissible_interval(dim, h, r):
-    """Open interval of integration constants keeping a < r < t0."""
+    """Open interval of integration constants keeping a < r < t0.
+
+    A radius whose powers pass the largest float leaves no constant to
+    represent, which raises ``NoAdmissibleConstantError``.
+    """
     dim = _check_dim(dim)
     if r <= 0.0:
         raise ParameterError(f"inner radius must be positive, got {r!r}")
     if h <= 0.0:
         raise ParameterError("the admissible interval is defined for h > 0")
-    lo = h * r**dim
-    return lo, lo + r ** (dim - 1)
+    try:
+        lo = h * r**dim
+        return lo, lo + r ** (dim - 1)
+    except OverflowError:
+        raise NoAdmissibleConstantError(
+            f"r^{dim} overflows for r={r}: no integration constant "
+            f"for h={h}") from None
 
 
 def make_profile(dim, h, r, c):

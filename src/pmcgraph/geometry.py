@@ -39,6 +39,22 @@ from .conditions import unit_ball_volume
 FIT_MARGIN = 1e-9
 
 
+def _radius(points):
+    """Euclidean length over the last axis of planar points.
+
+    ``sqrt(x*x + y*y)`` is what ``np.linalg.norm(points, axis=-1)``
+    computes, bit for bit; where the squares overflow (lengths past about
+    1.3e154) ``np.hypot`` gives the finite length instead.
+    """
+    x, y = points[..., 0], points[..., 1]
+    with np.errstate(over="ignore"):
+        rho = np.sqrt(x * x + y * y)
+    over = np.isinf(rho)
+    if over.any():
+        rho = np.where(over, np.hypot(x, y), rho)
+    return rho
+
+
 @dataclass(frozen=True)
 class Annulus:
     """Open annulus {r_in < |x| < r_out} centered at the origin."""
@@ -51,7 +67,7 @@ class Annulus:
             raise ParameterError(f"need 0 < r_in < r_out, got {self.r_in}, {self.r_out}")
 
     def contains(self, points):
-        rho = np.linalg.norm(np.asarray(points, dtype=float), axis=-1)
+        rho = _radius(np.asarray(points, dtype=float))
         return (rho > self.r_in) & (rho < self.r_out)
 
     def volume(self, dim=2):
@@ -90,7 +106,7 @@ class Disc:
 
     def contains(self, points):
         d = np.asarray(points, dtype=float) - np.asarray(self.center)
-        return np.linalg.norm(d, axis=-1) < self.radius
+        return _radius(d) < self.radius
 
     def volume(self, dim=2):
         try:
@@ -112,10 +128,15 @@ class Disc:
 
 
 class ConvexPolygon:
-    """Convex polygon with counterclockwise vertices (planar only)."""
+    """Convex polygon with counterclockwise vertices (planar only).
+
+    ``edge_vectors`` holds each edge's end minus its start vertex and
+    ``edge_sq`` its squared length, computed once here for the membership
+    test and :func:`_polygon_distance`; all three arrays are read-only.
+    """
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        v = np.array(vertices, dtype=float)  # a copy: it is made read-only
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ParameterError("polygon needs at least three planar vertices")
         if not np.all(np.isfinite(v)):
@@ -138,6 +159,10 @@ class ConvexPolygon:
             if cross <= 1e-12 * scale**2:
                 raise ParameterError("vertices must be in strictly convex position")
         self.vertices = v
+        self.edge_vectors = np.roll(v, -1, axis=0) - v
+        self.edge_sq = np.sum(self.edge_vectors * self.edge_vectors, axis=-1)
+        for arr in (self.vertices, self.edge_vectors, self.edge_sq):
+            arr.flags.writeable = False
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()!r})"
@@ -148,13 +173,15 @@ class ConvexPolygon:
 
     def contains(self, points):
         pts = np.asarray(points, dtype=float)
-        out = np.ones(pts.shape[:-1], dtype=bool)
-        v = self.vertices
-        for i in range(len(v)):
-            p, q = v[i], v[(i + 1) % len(v)]
-            cross = (q[0] - p[0]) * (pts[..., 1] - p[1]) - (q[1] - p[1]) * (pts[..., 0] - p[0])
-            out &= cross > 0.0
-        return out
+        return self._inside(pts[..., None, :] - self.vertices)
+
+    def _inside(self, rel):
+        """Strict membership of points given by their offsets (..., edges,
+        2) from every edge's start vertex: left of every edge, so a point
+        on an edge (cross product 0) is outside."""
+        e = self.edge_vectors
+        cross = e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0]
+        return np.all(cross > 0.0, axis=-1)
 
     def volume(self, dim=2):
         if dim != 2:
@@ -296,16 +323,17 @@ def _polygon_distance(q, poly):
     """Distance from points (..., 2) to the polygon closure (0 inside).
 
     Every point is projected onto every edge at once, over a
-    (points x edges) array; the result has shape ``q.shape[:-1]``.
+    (points x edges) array of offsets from the edges' start vertices,
+    which also gives the membership test; the result has shape
+    ``q.shape[:-1]``.
     """
     q = np.asarray(q, dtype=float)
-    p0 = poly.vertices
-    d = np.roll(p0, -1, axis=0) - p0
+    p0, d = poly.vertices, poly.edge_vectors
     rel = q[..., None, :] - p0
-    t = np.clip(np.sum(rel * d, axis=-1) / np.sum(d * d, axis=-1), 0.0, 1.0)
+    t = np.clip(np.sum(rel * d, axis=-1) / poly.edge_sq, 0.0, 1.0)
     gap = q[..., None, :] - (p0 + t[..., None] * d)
     dist = np.sqrt(np.min(np.sum(gap * gap, axis=-1), axis=-1))
-    return np.where(poly.contains(q), 0.0, dist)
+    return np.where(poly._inside(rel), 0.0, dist)
 
 
 def exterior_sphere_radius(domain):

@@ -11,9 +11,11 @@ boundary is represented exactly.
 
 The arm fractions feed a Shortley-Weller style divergence discretization
 in :mod:`pmcgraph.solver`; computing them by bisection of the domain's
-membership test keeps one code path for every domain kind.  The grid's
-builder computes the arms once, per interior node, and the grid builds
-from them its :class:`StencilPlan`, the only copy of the arm geometry:
+membership test keeps one code path for every domain kind, and one
+bisection over every cut arm of all four directions at once keeps the
+membership calls per grid at 55.  The grid's builder computes the arms
+once, per interior node, and the grid builds from them its
+:class:`StencilPlan`, the only copy of the arm geometry:
 the arms, the scheme's neighbour indices and its geometry-only
 coefficients, which the solver's residual and Jacobian kernels read
 instead of recomputing them.
@@ -254,10 +256,12 @@ def grid_from_domain(domain, spacing, boundary=None):
 
     ``boundary`` is the Dirichlet data: None/0 for zero data, a scalar, or
     a vectorized callable ``g(x, y)``.  A bitmap's own cells are the
-    nodes, with whole arms.  On other domains cut-arm fractions are found
-    by 50 bisection steps on the membership test, and boundary nodes by a
-    probe ``THETA_SNAP`` cells along each arm to an outside neighbour, so
-    any domain kind with a ``contains`` method works.
+    nodes, with whole arms.  On other domains boundary nodes are found by
+    a probe ``THETA_SNAP`` cells along each arm to an outside neighbour,
+    one membership call per direction, and cut-arm fractions by 50
+    bisection steps on the membership test, each one call over the cut
+    arms of all four directions, so any domain kind with a vectorized
+    ``contains`` method works, with 55 calls per grid.
     """
     if not spacing > 0.0:
         raise ParameterError("grid spacing must be positive")
@@ -294,30 +298,28 @@ def grid_from_domain(domain, spacing, boundary=None):
 
     nbr = np.stack([shift(interior, *OFFSETS[d], fill=False)[interior]
                     for d in DIRECTIONS])
-    points = np.column_stack([X[interior], Y[interior]])
     theta = np.ones(nbr.shape)
     gval = np.zeros(nbr.shape)
-    for k, d in enumerate(DIRECTIONS):
-        dj, di = OFFSETS[d]
-        cut = ~nbr[k]
-        if not cut.any():
-            continue
-        cx, cy = points[cut].T
-        if not bitmap:
-            # an arm to a boundary node inside the domain ends at that
-            # node: its bisection starts, and so stays, at lo = hi = 1
-            lo = shift(inside, dj, di, fill=False)[interior][cut].astype(float)
-            hi = np.ones(cx.shape)
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                probe = np.stack([cx + di * mid * spacing, cy + dj * mid * spacing], axis=-1)
-                within = domain.contains(probe)
-                lo = np.where(within, mid, lo)
-                hi = np.where(within, hi, mid)
-            theta[k, cut] = 0.5 * (lo + hi)
-        frac = theta[k, cut]
-        gval[k, cut] = _eval_boundary(gfun, cx + di * frac * spacing,
-                                      cy + dj * frac * spacing)
+    # every cut arm, in direction then dof order, with its own offsets
+    k, dof = np.nonzero(~nbr)
+    dj, di = np.array([OFFSETS[d] for d in DIRECTIONS])[k].T
+    cx, cy = X[interior][dof], Y[interior][dof]
+    if not bitmap:
+        # an arm to a boundary node inside the domain ends at that node:
+        # its bisection starts, and so stays, at lo = hi = 1
+        lo = np.stack([shift(inside, *OFFSETS[d], fill=False)[interior]
+                       for d in DIRECTIONS])[k, dof].astype(float)
+        hi = np.ones(cx.shape)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            probe = np.stack([cx + di * mid * spacing, cy + dj * mid * spacing], axis=-1)
+            within = domain.contains(probe)
+            lo = np.where(within, mid, lo)
+            hi = np.where(within, hi, mid)
+        theta[k, dof] = 0.5 * (lo + hi)
+    frac = theta[k, dof]
+    gval[k, dof] = _eval_boundary(gfun, cx + di * frac * spacing,
+                                  cy + dj * frac * spacing)
     return MaskedGrid(origin=(X[0, 0], Y[0, 0]), spacing=spacing,
                       interior=interior, X=X, Y=Y, nbr=nbr, theta=theta,
                       gval=gval, domain=domain,

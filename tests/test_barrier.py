@@ -237,6 +237,30 @@ class TestSymmetryInequality:
                 assert up > abs(down)
 
 
+class TestCatenoidSlope:
+    @staticmethod
+    def general_formula(t, c):
+        # the nodoid slope's operations at h = 0, n = 2
+        t = np.asarray(t, dtype=float)
+        num = c - 0.0 * t**2
+        return num / np.sqrt(barrier._g1(2, 0.0, c, t)
+                             * (-barrier._g2(2, 0.0, c, t)))
+
+    def test_same_bits_as_the_general_formula(self):
+        rng = np.random.default_rng(23)
+        for c in 10.0 ** rng.uniform(-60.0, 60.0, size=40):
+            t = c * (1.0 + 10.0 ** rng.uniform(-14.0, 30.0, size=100))
+            assert (barrier.slope(t, 2, 0.0, c).tobytes()
+                    == self.general_formula(t, c).tobytes())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300])
+    def test_scale_free_past_the_float_range_of_t_squared(self, scale):
+        # c / sqrt(t^2 - c^2) depends on t / c only
+        profile = barrier.make_profile(2, 0.0, scale, 0.5 * scale)
+        assert profile.slope(scale) == pytest.approx(3 ** -0.5, rel=1e-15)
+
+
 class TestUsableRadius:
     def test_figure_value(self):
         assert barrier.usable_radius(2, 1.0 / 3.0, 1.0, 4.0 / 3.0) == pytest.approx(
@@ -324,6 +348,13 @@ class TestSelectC:
         bound = barrier.annulus_height_bound(2, 1.0, 2.0)
         with pytest.raises(NoAdmissibleConstantError):
             barrier.select_c(2, bound * (1.0 - 1e-14), 1.0, 2.0)
+
+    def test_radius_past_the_float_range_is_refused(self):
+        # h is below the height bound, but r^2 is no float
+        r, R = 2e202, 2.02e202
+        assert 1e-201 < barrier.annulus_height_bound(2, r, R)
+        with pytest.raises(NoAdmissibleConstantError):
+            barrier.select_c(2, 1e-201, r, R)
 
     def test_usable_radius_covers_target(self):
         rng = np.random.default_rng(19)

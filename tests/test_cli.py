@@ -422,6 +422,7 @@ class TestSolveAndVerifyCommands:
         assert report["status"] == "converged"
         assert report["residual_inf"] <= 1e-10
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spacing", [1e20, 1e200])
     def test_grid_coarser_than_the_domain_exits_64(self, tmp_path, capsys,
                                                    spacing):
@@ -434,6 +435,37 @@ class TestSolveAndVerifyCommands:
         assert run(["solve", "--config", cfg, "--out",
                     tmp_path / "coarse"]) == 64
         assert "no lattice nodes fall inside" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [0.0, 1e-201, 0.1])
+    @pytest.mark.parametrize("domain", [
+        {"kind": "disc", "radius": 1e200},
+        {"kind": "annulus", "r_in": 1e200, "r_out": 2e200},
+    ], ids=["disc", "annulus"])
+    def test_huge_domains_end_in_a_verdict(self, tmp_path, domain, h):
+        # the barrier radius's square is past the float range here
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": domain,
+                                   "curvature": {"constant": h},
+                                   "spacing": 1e199}))
+        codes = {cmd: run([cmd, "--config", cfg, "--out", tmp_path / cmd])
+                 for cmd in ("solve", "verify", "check")}
+        assert set(codes.values()) <= {0, 2, 3, 64}
+        if h == 0.0:
+            assert codes["solve"] == 0
+            _, table = read_csv(tmp_path / "solve" / "solution.csv")
+            assert len(table) and not table[:, 2].any()
+            # the catenoid's inner slope c / sqrt(r^2 - c^2) at c = r / 2
+            assert codes["verify"] == 0
+            report = json.loads(
+                (tmp_path / "verify" / "estimate_report.json").read_text())
+            assert report["bgrad_bound"] == pytest.approx(3 ** -0.5,
+                                                          rel=1e-15)
+        if h == 1e-201:
+            assert codes["verify"] == 2
+            report = json.loads(
+                (tmp_path / "verify" / "estimate_report.json").read_text())
+            assert report["status"] == "no-admissible-barrier"
 
     def test_table_curvature_spec(self, tmp_path):
         cfg = tmp_path / "cfg.json"

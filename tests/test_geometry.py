@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pmcgraph import geometry as geo
 from pmcgraph.errors import (
@@ -13,6 +14,7 @@ from pmcgraph.errors import (
     ParameterError,
     UnsupportedDomainError,
 )
+from pmcgraph.grid import grid_from_domain
 
 
 @pytest.fixture
@@ -162,6 +164,125 @@ class TestPolygonDistance:
         assert got[0, 0] == 1.0 and got[0, 1] == 0.0
         assert got[1, 0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
         assert geo._polygon_distance(np.array([2.0, 0.5]), unit_square).shape == ()
+
+
+def loop_contains(poly, points):
+    """The per-edge membership loop that one broadcast over points x edges
+    replaced, kept as its oracle."""
+    pts = np.asarray(points, dtype=float)
+    out = np.ones(pts.shape[:-1], dtype=bool)
+    v = poly.vertices
+    for i in range(len(v)):
+        p, q = v[i], v[(i + 1) % len(v)]
+        cross = ((q[0] - p[0]) * (pts[..., 1] - p[1])
+                 - (q[1] - p[1]) * (pts[..., 0] - p[0]))
+        out &= cross > 0.0
+    return out
+
+
+def roll_polygon_distance(q, poly):
+    """``_polygon_distance`` as it was before the polygon stored its
+    edges: a fresh ``np.roll`` per call and a second membership test."""
+    q = np.asarray(q, dtype=float)
+    p0 = poly.vertices
+    d = np.roll(p0, -1, axis=0) - p0
+    rel = q[..., None, :] - p0
+    t = np.clip(np.sum(rel * d, axis=-1) / np.sum(d * d, axis=-1), 0.0, 1.0)
+    gap = q[..., None, :] - (p0 + t[..., None] * d)
+    dist = np.sqrt(np.min(np.sum(gap * gap, axis=-1), axis=-1))
+    return np.where(loop_contains(poly, q), 0.0, dist)
+
+
+@st.composite
+def polygons_and_points(draw):
+    """A convex polygon, with random points around it, its vertices and
+    the points a quarter, half and three quarters along each edge.  On
+    an integer polygon those edge points are exact, so their cross
+    products are exactly 0."""
+    if draw(st.booleans()):
+        corners = draw(st.lists(st.tuples(st.integers(-20, 20),
+                                          st.integers(-20, 20)),
+                                min_size=3, max_size=12))
+        hull = geo._convex_hull(np.array(corners, dtype=float))
+        assume(len(hull) >= 3)
+        poly = geo.ConvexPolygon(hull)
+    else:
+        n = draw(st.integers(3, 9))
+        angles = np.sort(draw(st.lists(st.floats(0.0, 2.0 * math.pi),
+                                       min_size=n, max_size=n)))
+        assume(np.min(np.diff(np.append(angles, angles[0] + 2.0 * math.pi)))
+               > 0.05)
+        a, b = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+        cx, cy = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+        poly = geo.ConvexPolygon(np.column_stack(
+            [cx + a * np.cos(angles), cy + b * np.sin(angles)]))
+    v = poly.vertices
+    w = np.roll(v, -1, axis=0)
+    on_edges = np.concatenate([v + f * (w - v) for f in (0.25, 0.5, 0.75)])
+    xmin, ymin, xmax, ymax = poly.bbox()
+    pad = 0.5 * max(xmax - xmin, ymax - ymin)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scattered = rng.uniform([xmin - pad, ymin - pad], [xmax + pad, ymax + pad],
+                            size=(200, 2))
+    return poly, np.concatenate([v, on_edges, scattered]), len(v) * 4
+
+
+class TestPolygonArrays:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(case=polygons_and_points())
+    def test_match_the_per_edge_oracles_bit_for_bit(self, case):
+        poly, pts, n_boundary = case
+        for q in (pts, pts.reshape(-1, 4, 2), pts[7]):
+            assert (np.asarray(poly.contains(q)).tobytes()
+                    == loop_contains(poly, q).tobytes())
+            got = geo._polygon_distance(q, poly)
+            assert got.shape == np.shape(q)[:-1]
+            assert got.tobytes() == roll_polygon_distance(q, poly).tobytes()
+        # vertices and exact edge points are outside, at distance 0
+        on_boundary = pts[:n_boundary]
+        if np.all(poly.vertices == np.round(poly.vertices)):
+            assert not poly.contains(on_boundary).any()
+            assert not geo._polygon_distance(on_boundary, poly).any()
+
+    def test_edges_are_stored_read_only(self):
+        corners = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)])
+        poly = geo.ConvexPolygon(corners)
+        assert corners.flags.writeable  # the caller's array is copied
+        assert poly.edge_vectors.tolist() == [[2, 0], [-1, 2], [-1, -2]]
+        assert poly.edge_sq.tolist() == [4, 5, 5]
+        with pytest.raises(ValueError):
+            poly.vertices[0, 0] = 1.0
+
+
+@pytest.mark.filterwarnings("error")
+class TestHugeScales:
+    """Disc and annulus membership past the range of the squares of the
+    coordinates (about 1.3e154)."""
+
+    def test_radius_is_the_norm_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        pts = (rng.standard_normal((2000, 2))
+               * 10.0 ** rng.integers(-150, 150, size=(2000, 1)))
+        assert (geo._radius(pts).tobytes()
+                == np.linalg.norm(pts, axis=-1).tobytes())
+
+    def test_membership(self):
+        pts = np.array([[0.0, 0.0], [0.7, 0.7], [0.71, 0.71], [1.0, 0.0],
+                        [-1.5, 0.2]])
+        for scale in (1.0, 1e160, 1e300):
+            assert (geo.Disc(scale).contains(scale * pts).tolist()
+                    == [True, True, False, False, False])
+            assert (geo.Annulus(0.99 * scale, 2.0 * scale)
+                    .contains(scale * pts).tolist()
+                    == [False, False, True, True, True])
+
+    @pytest.mark.parametrize("radius", [1.0, 1e160, 1e200, 1e300])
+    def test_disc_grid_is_scale_free(self, radius):
+        assert grid_from_domain(geo.Disc(radius), radius / 10).n_dof == 305
+
+    def test_annulus_grid_is_scale_free(self):
+        assert (grid_from_domain(geo.Annulus(1e200, 2e200), 1e199).n_dof
+                == grid_from_domain(geo.Annulus(1.0, 2.0), 0.1).n_dof == 928)
 
 
 class TestSearchFitPinned:

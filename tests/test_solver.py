@@ -18,8 +18,9 @@ from pmcgraph.errors import (
     ParameterError,
     SolverError,
 )
-from pmcgraph.grid import (DIRECTIONS, OFFSETS, grid_from_domain,
-                           nested_prolongation, prolongate, shift)
+from pmcgraph.grid import (DIRECTIONS, OFFSETS, PAD_CELLS, THETA_SNAP,
+                           grid_from_domain, nested_prolongation, prolongate,
+                           shift)
 from pmcgraph.ioutil import write_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -332,6 +333,85 @@ class TestBoundaryData:
         foot = p + s[..., None] * (q - p)
         dist = np.linalg.norm(points[:, None] - foot, axis=-1).min(axis=1)
         assert dist.max() <= 1e-12
+
+
+def per_direction_arms(domain, spacing, boundary=None):
+    """Interior mask and (4, n_dof) arm fractions and Dirichlet values of
+    a non-bitmap domain, bisecting the cut arms of one direction at a
+    time: the loop that one batched bisection replaced, kept as its
+    oracle."""
+    xmin, ymin, xmax, ymax = domain.bbox()
+    x0, y0 = xmin - PAD_CELLS * spacing, ymin - PAD_CELLS * spacing
+    nx = np.ceil((xmax - x0) / spacing) + 1 + PAD_CELLS
+    ny = np.ceil((ymax - y0) / spacing) + 1 + PAD_CELLS
+    X, Y = np.meshgrid(x0 + spacing * np.arange(int(nx)),
+                       y0 + spacing * np.arange(int(ny)))
+    pts = np.stack([X, Y], axis=-1)
+    inside = domain.contains(pts)
+    interior = inside.copy()
+    for dj, di in OFFSETS.values():
+        cut = inside & ~shift(inside, dj, di, fill=False)
+        interior[cut] &= domain.contains(
+            pts[cut] + THETA_SNAP * spacing * np.array([di, dj]))
+    nbr = np.stack([shift(interior, *OFFSETS[d], fill=False)[interior]
+                    for d in DIRECTIONS])
+    points = np.column_stack([X[interior], Y[interior]])
+    theta, gval = np.ones(nbr.shape), np.zeros(nbr.shape)
+    for k, d in enumerate(DIRECTIONS):
+        dj, di = OFFSETS[d]
+        cut = ~nbr[k]
+        cx, cy = points[cut].T
+        lo = shift(inside, dj, di, fill=False)[interior][cut].astype(float)
+        hi = np.ones(cx.shape)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            within = domain.contains(np.stack(
+                [cx + di * mid * spacing, cy + dj * mid * spacing], axis=-1))
+            lo = np.where(within, mid, lo)
+            hi = np.where(within, hi, mid)
+        theta[k, cut] = 0.5 * (lo + hi)
+        if boundary is not None:
+            frac = theta[k, cut]
+            gval[k, cut] = boundary(cx + di * frac * spacing,
+                                    cy + dj * frac * spacing)
+    return interior, theta, gval
+
+
+class TestArmBisection:
+    LINEAR = pipeline.boundary_from_json({"linear": [0.4, -1.1, 0.3]})
+
+    @pytest.mark.parametrize("domain, spacing, boundary", [
+        (geometry.Annulus(1.0, 2.0), 1.0 / 32, None),
+        (geometry.Disc(1.0, (0.5, -0.25)), 0.05, LINEAR),
+        (PENTAGON, 1.0 / 64, None),
+    ], ids=["annulus", "offcentre-disc", "pentagon"])
+    def test_matches_per_direction_bisection(self, domain, spacing, boundary):
+        grid = grid_from_domain(domain, spacing, boundary=boundary)
+        interior, theta, gval = per_direction_arms(domain, spacing, boundary)
+        assert grid.interior.tobytes() == interior.tobytes()
+        assert grid.plan.theta.tobytes() == theta.tobytes()
+        assert grid.plan.gval.tobytes() == gval.tobytes()
+
+    @pytest.mark.parametrize("domain, spacing", [
+        (geometry.Annulus(1.0, 2.0), 1.0 / 32),
+        (geometry.Disc(1.0, (0.5, -0.25)), 0.05),
+        (PENTAGON, 1.0 / 64),
+    ], ids=["annulus", "offcentre-disc", "pentagon"])
+    def test_one_membership_call_per_bisection_step(self, monkeypatch,
+                                                    domain, spacing):
+        # the lattice, one snap probe per direction, then 50 steps that
+        # bisect the cut arms of all four directions at once
+        calls = []
+        real = type(domain).contains
+
+        def spy(self, points):
+            calls.append(np.shape(points))
+            return real(self, points)
+
+        monkeypatch.setattr(type(domain), "contains", spy)
+        grid_from_domain(domain, spacing)
+        assert len(calls) == 1 + 4 + 50
+        assert len({shape for shape in calls[5:]}) == 1
 
 
 class TestNewton:
