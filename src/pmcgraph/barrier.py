@@ -23,15 +23,17 @@ apex height ``C1 = p(t0)`` and inner slope ``C2 = |p'(r)|`` are the
 comparison constants that bound solutions of the zero-boundary-value
 prescribed mean curvature problem over domains fitted into the annulus.
 
-Heights over many radii come from one vectorized kernel,
-:func:`cumulative_heights`.  Away from the square-root singularities at
-``a`` and ``b`` the slope is analytic, so adaptive quadrature runs only up
-to a few knots (64 panels, each at most half as wide as its distance from
-``a``) and every other radius adds one array-wide 10-point Gauss-Legendre
-sum from the knot below it.  Radii within the singular windows next to
-``a`` or ``b`` keep the per-interval adaptive quadrature of
-:func:`profile_height_integral`.  The accuracy guarantee is unchanged:
-1e-9 absolute on every height.
+Every height, at one radius or many and in any order, comes from one
+vectorized kernel, :func:`cumulative_heights` (the planar catenoid, h = 0
+and n = 2, uses its closed form instead).  Away from the square-root
+singularities at ``a`` and ``b`` the slope is analytic, so adaptive
+quadrature runs only up to a few knots (64 panels, each at most half as
+wide as its distance from ``a``) and every other radius adds one
+array-wide 10-point Gauss-Legendre sum from the knot below it.  Radii
+within the singular windows next to ``a`` or ``b`` keep the per-interval
+adaptive quadrature of :func:`profile_height_integral`, whose endpoint
+substitution s = a + u^2 or s = b - u^2 is one function for both zeros.
+The accuracy guarantee is 1e-9 absolute on every height.
 
 All functions are pure and deterministic; identical inputs give
 bit-identical outputs.
@@ -97,6 +99,22 @@ def _check_dim(dim):
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise ParameterError(f"graph dimension must be an integer >= 2, got {dim!r}")
     return int(dim)
+
+
+def _check_params(dim, h, c=None):
+    """The checked dimension, once h is a finite magnitude >= 0 and c,
+    when given, a finite positive integration constant."""
+    dim = _check_dim(dim)
+    if c is not None and not (math.isfinite(c) and c > 0.0):
+        raise ParameterError(
+            f"the integration constant must be positive, got c={c!r}")
+    if h < 0.0 or not math.isfinite(h):
+        raise ParameterError(f"curvature magnitude h must be >= 0, got {h!r}")
+    return dim
+
+
+def _usable_radius(dim, h, r, c):
+    return 2.0 * (c / h) ** (1.0 / dim) - r
 
 
 def _g1(dim, h, c, t):
@@ -167,13 +185,7 @@ def profile_zeros(dim, h, c):
     for the catenoid (h = 0) there is only ``a = c^(1/(n-1))`` and ``b``
     is returned as ``+inf``.
     """
-    dim = _check_dim(dim)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ParameterError(
-            f"the integration constant must be positive (nodoid branch), got c={c!r}"
-        )
-    if h < 0.0 or not math.isfinite(h):
-        raise ParameterError(f"curvature magnitude h must be >= 0, got {h!r}")
+    dim = _check_params(dim, h, c)
     return _profile_zeros(dim, float(h), float(c))
 
 
@@ -215,13 +227,9 @@ def apex(dim, h, c):
     The catenoid has no apex: for h = 0 the sentinel +inf is returned
     (its profile keeps rising over the whole domain).
     """
-    dim = _check_dim(dim)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ParameterError(f"the integration constant must be positive, got c={c!r}")
+    dim = _check_params(dim, h, c)
     if h == 0.0:
         return math.inf
-    if h < 0.0 or not math.isfinite(h):
-        raise ParameterError(f"curvature magnitude h must be >= 0, got {h!r}")
     return (c / h) ** (1.0 / dim)
 
 
@@ -240,6 +248,14 @@ def _slope_raw(t, dim, h, c):
     return num / np.sqrt(rad)
 
 
+def _checked_slope(t, dim, h, c, a, b):
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr <= a) or np.any(arr >= b):
+        raise OutOfDomainError(f"slope is defined on the open interval ({a}, {b})")
+    out = _slope_raw(arr, dim, h, c)
+    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+
+
 def slope(t, dim, h, c):
     """Profile slope p'(t); positive below the apex, negative above it.
 
@@ -247,12 +263,7 @@ def slope(t, dim, h, c):
     point lies outside the open interval (a, b) where the radicand is
     positive.
     """
-    a, b = profile_zeros(dim, h, c)
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr <= a) or np.any(arr >= b):
-        raise OutOfDomainError(f"slope is defined on the open interval ({a}, {b})")
-    out = _slope_raw(arr, dim, h, c)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    return _checked_slope(t, dim, h, c, *profile_zeros(dim, h, c))
 
 
 def _qk21(fn, lo, hi):
@@ -321,28 +332,20 @@ def _power_quotient(m, s, t):
     return acc
 
 
-def _segment_near_a(dim, h, c, a, lo, hi):
-    # substitute s = a + u^2: ds = 2u du removes the (s - a)^(-1/2) blowup,
-    # and g1(s) / u^2 is g1's difference quotient at the zero a
+def _segment_near(dim, h, c, zero, sign, lo, hi):
+    # substitute s = zero + sign u^2 (a with sign 1, b with sign -1): ds =
+    # 2 sign u du removes the |s - zero|^(-1/2) blowup, and the radicand
+    # factor vanishing at the zero (g1 at a, -g2 at b) is u^2 times its
+    # difference quotient q there; the other is s^(n-1) + sign (c - h s^n)
     def psi(u):
-        s = a + u * u
+        s = zero + sign * (u * u)
         num = c - h * s**dim
-        q1 = h * _power_quotient(dim, s, a) + _power_quotient(dim - 1, s, a)
-        return 2.0 * num / np.sqrt(q1 * (s ** (dim - 1) + num))
+        q = (h * _power_quotient(dim, s, zero)
+             + sign * _power_quotient(dim - 1, s, zero))
+        return 2.0 * num / np.sqrt(q * (s ** (dim - 1) + sign * num))
 
-    return _quad(psi, math.sqrt(max(lo - a, 0.0)), math.sqrt(hi - a))
-
-
-def _segment_near_b(dim, h, c, b, lo, hi):
-    # substitute s = b - u^2 against the (b - s)^(-1/2) blowup; -g2(s) / u^2
-    # is g2's difference quotient at the zero b
-    def psi(u):
-        s = b - u * u
-        num = c - h * s**dim
-        q2 = h * _power_quotient(dim, s, b) - _power_quotient(dim - 1, s, b)
-        return 2.0 * num / np.sqrt((s ** (dim - 1) - num) * q2)
-
-    return _quad(psi, math.sqrt(max(b - hi, 0.0)), math.sqrt(b - lo))
+    return _quad(psi, *sorted(math.sqrt(max(sign * (x - zero), 0.0))
+                              for x in (lo, hi)))
 
 
 def _singular_cuts(a, b):
@@ -374,7 +377,7 @@ def profile_height_integral(dim, h, c, t_lo, t_hi):
     s0 = max(t_lo, a)
     if s0 < cut_a:
         s1 = min(t_hi, cut_a)
-        val, err = _segment_near_a(dim, h, c, a, s0, s1)
+        val, err = _segment_near(dim, h, c, a, 1.0, s0, s1)
         total += val
         err_total += err
         s0 = s1
@@ -387,7 +390,7 @@ def profile_height_integral(dim, h, c, t_lo, t_hi):
         err_total += err
         s0 = s1
     if s0 < t_hi:
-        val, err = _segment_near_b(dim, h, c, b, s0, t_hi)
+        val, err = _segment_near(dim, h, c, b, -1.0, s0, t_hi)
         total += val
         err_total += err
 
@@ -418,10 +421,10 @@ def _knot_grid(lo, hi, a):
 
 
 def cumulative_heights(dim, h, c, r, ts):
-    """Heights p(t) = integral_r^t p'(s) ds over a nondecreasing radius grid.
+    """Heights p(t) = integral_r^t p'(s) ds over radii in any order.
 
-    Equals the running sum of :func:`profile_height_integral` over
-    consecutive radii (to roundoff, within the same 1e-9 absolute
+    Equals the running sum of :func:`profile_height_integral` over the
+    sorted distinct radii (to roundoff, within the same 1e-9 absolute
     guarantee) without one adaptive quadrature per radius:
 
     - radii inside the singular windows next to ``a`` or ``b`` are chained
@@ -495,48 +498,33 @@ class NodoidProfile:
         return min(self.r_usable, self.b - guard)
 
     def slope(self, t):
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr <= self.a) or np.any(arr >= self.b):
-            raise OutOfDomainError(
-                f"slope is defined on the open interval ({self.a}, {self.b})"
-            )
-        out = _slope_raw(arr, self.dim, self.h, self.c)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        """:func:`slope` of this profile."""
+        return _checked_slope(t, self.dim, self.h, self.c, self.a, self.b)
 
     def height(self, t):
-        """Profile height p(t) with p(r) = 0.
-
-        The planar catenoid uses its closed form c*(arcosh(t/c) - arcosh(r/c)).
-        """
-        t = float(t)
-        limit = self.domain_limit()
-        tol = 1e-12 * max(1.0, self.r)
-        if t < self.r - tol or t > limit * (1.0 + 1e-12):
-            raise OutOfDomainError(
-                f"height is defined for {self.r} <= t <= {limit}, got {t}"
-            )
-        t = min(max(t, self.r), limit)
-        if t == self.r:
-            return 0.0
-        if self.h == 0.0 and self.dim == 2:
-            return self.c * (math.acosh(t / self.c) - math.acosh(self.r / self.c))
-        return profile_height_integral(self.dim, self.h, self.c, self.r, t)
+        """Profile height p(t) with p(r) = 0: :meth:`heights` at one radius."""
+        return float(self.heights([t])[0])
 
     def heights(self, ts):
-        """Heights p(t) over a nondecreasing radius grid.
+        """Heights p(t), p(r) = 0, over a radius array in any order.
 
-        The planar catenoid uses its closed form; every other profile goes
-        through the vectorized kernel :func:`cumulative_heights`: adaptive
+        Radii within 1e-12 (relatively) outside [r, :meth:`domain_limit`]
+        are clipped to it; farther ones raise :class:`OutOfDomainError`.
+        The planar catenoid uses its closed form
+        c (arcosh(t/c) - arcosh(r/c)); every other profile goes through
+        the vectorized kernel :func:`cumulative_heights`: adaptive
         quadrature at a few knots and in the singular windows, one
         Gauss-Legendre sum per remaining radius.  Heights are accurate to
         1e-9 absolute.
         """
         ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) < 0.0):
-            raise ParameterError("radius grid must be one-dimensional and increasing")
+        if ts.ndim != 1 or ts.size == 0:
+            raise ParameterError("radii must form a nonempty one-dimensional array")
         limit = self.domain_limit()
-        if ts[0] < self.r - 1e-12 * max(1.0, self.r) or ts[-1] > limit * (1.0 + 1e-12):
-            raise OutOfDomainError("radius grid leaves the profile domain")
+        if (ts.min() < self.r - 1e-12 * max(1.0, self.r)
+                or ts.max() > limit * (1.0 + 1e-12)):
+            raise OutOfDomainError(
+                f"heights are defined for {self.r} <= t <= {limit}")
         ts = np.clip(ts, self.r, limit)
         if self.h == 0.0 and self.dim == 2:
             return self.c * (np.arccosh(ts / self.c) - np.arccosh(self.r / self.c))
@@ -565,11 +553,9 @@ def admissible_interval(dim, h, r):
 
 def make_profile(dim, h, r, c):
     """Construct a validated profile from its raw parameters."""
-    dim = _check_dim(dim)
+    dim = _check_params(dim, h)
     if r <= 0.0 or not math.isfinite(r):
         raise ParameterError(f"inner radius must be positive, got {r!r}")
-    if h < 0.0 or not math.isfinite(h):
-        raise ParameterError(f"curvature magnitude h must be >= 0, got {h!r}")
     if h == 0.0:
         limit = r ** (dim - 1)
         if not (0.0 < c < limit * (1.0 - REL_STRICTNESS)):
@@ -589,7 +575,7 @@ def make_profile(dim, h, r, c):
     if not (a < r < t0 < b):
         raise ParameterError(
             f"inconsistent profile ordering a={a}, r={r}, t0={t0}, b={b}")
-    return NodoidProfile(dim, h, r, c, a, b, t0, 2.0 * t0 - r)
+    return NodoidProfile(dim, h, r, c, a, b, t0, _usable_radius(dim, h, r, c))
 
 
 def usable_radius(dim, h, r, c):
@@ -607,7 +593,7 @@ def usable_radius(dim, h, r, c):
         raise ParameterError(
             f"integration constant must lie inside [{lo}, {hi}], got {c!r}"
         )
-    return 2.0 * (c / h) ** (1.0 / dim) - r
+    return _usable_radius(dim, h, r, c)
 
 
 def annulus_height_bound(dim, r, R):
@@ -639,11 +625,9 @@ def select_c(dim, h, r, R):
     annulus only a few ulps wide can leave no float constant whose computed
     usable radius reaches R; that raises ``NoAdmissibleConstantError`` too.
     """
-    dim = _check_dim(dim)
+    dim = _check_params(dim, h)
     if r <= 0.0 or R <= r:
         raise ParameterError("need 0 < r < R")
-    if h < 0.0 or not math.isfinite(h):
-        raise ParameterError(f"curvature magnitude h must be >= 0, got {h!r}")
     if h == 0.0:
         return 0.5 * r ** (dim - 1)
     bound = annulus_height_bound(dim, r, R)
@@ -655,7 +639,7 @@ def select_c(dim, h, r, R):
     lo, hi = admissible_interval(dim, h, r)
 
     def gap(c):
-        return 2.0 * (c / h) ** (1.0 / dim) - r - R
+        return _usable_radius(dim, h, r, c) - R
 
     c_lo, c_hi = lo, hi
     # gap(lo) = r - R < 0 and gap(hi) > 0 thanks to the bound check

@@ -100,9 +100,6 @@ def _load_config(args):
         raise ParameterError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ParameterError("config file must hold a JSON object")
-    if "schedule" in cfg:
-        raise ParameterError("config 'schedule': the homotopy's steps are "
-                             "fixed and no longer set; remove the key")
     for key in cfg:
         if key not in CONFIG_KEYS:
             raise ParameterError(f"config {key!r}: unknown key; the keys "

@@ -34,14 +34,6 @@ GRID_DIM = solver.GRID_DIM
 SLACK_FACTOR = 10.0
 
 
-def is_convex_domain(domain):
-    if isinstance(domain, (geometry.Disc, geometry.ConvexPolygon)):
-        return True
-    if isinstance(domain, geometry.GridMask):
-        return domain.is_convex()
-    return False
-
-
 def effective_sphere_radius(domain, annulus_r=None):
     """Finite exterior-sphere radius used for the annulus fit.
 
@@ -72,7 +64,6 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
     """Evaluate every applicable solvability/nonexistence check, with H
     sampled over the heights ``conditions.CHECK_SLAB``."""
     h_sup0 = sampled_h_sup0(field, domain)
-    convex = is_convex_domain(domain)
     metrics_exact = not isinstance(domain, geometry.GridMask)
 
     r_eff = effective_sphere_radius(domain, annulus_r)
@@ -83,7 +74,7 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
     except UnsupportedDomainError:
         volume = None
 
-    width = geometry.strip_width(domain)
+    width = geometry.strip_width(domain)  # None exactly when not convex
     rho = geometry.inscribed_disc_radius(domain)
 
     try:
@@ -114,7 +105,7 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
     report = conditions.evaluate_conditions(
         dim, h_sup0,
         annulus_r=fit.r, annulus_d=fit.d, volume=volume,
-        strip_width=width, convex=convex, inscribed_rho=rho,
+        strip_width=width, convex=width is not None, inscribed_rho=rho,
         constant_h=field.constant, boundary_samples=boundary_samples,
         field=field, monotone_ok=monotone_ok, metrics_exact=metrics_exact)
     report.notes.extend(notes)

@@ -702,30 +702,8 @@ class RadialShootResult:
     sup_p: float = math.nan
     p_outer: float = math.nan
     radicand_min: float = math.nan
-    c_interval: tuple = (math.nan, math.nan)
     message: str = ""
-    nearest_c: float = math.nan
     nearest_p_outer: float = math.nan
-
-    def report_dict(self):
-        rep = {
-            "exists": self.exists, "dim": self.dim, "h": self.h,
-            "epsilon": self.epsilon, "outer": self.outer,
-            "c_interval": list(self.c_interval), "message": self.message,
-        }
-        if self.exists:
-            rep.update({"c": self.c, "k": self.k, "sup_p": self.sup_p,
-                        "p_outer": self.p_outer,
-                        "radicand_min": self.radicand_min})
-        else:
-            rep.update({"nearest_c": self.nearest_c,
-                        "nearest_p_outer": self.nearest_p_outer})
-        return rep
-
-    def write_csv(self, path):
-        if self.table is None:
-            raise ParameterError("no profile table to write")
-        write_csv(path, ["t", "p"], self.table)
 
 
 def radial_shoot(dim, h, epsilon, outer, tol=1e-10):
@@ -751,12 +729,10 @@ def radial_shoot(dim, h, epsilon, outer, tol=1e-10):
     # returned constants satisfy k = c - h eps^n >= 0 (otherwise the slope
     # is negative throughout and the outer boundary value cannot vanish)
     c_lo = max(h * epsilon**dim, c_feas_lo)
-    interval = (c_lo, c_hi)
 
     if c_lo >= c_hi:
         return RadialShootResult(
             exists=False, dim=dim, h=h, epsilon=epsilon, outer=outer,
-            c_interval=interval,
             message="no feasible integration constant: the slope radicand "
                     "cannot stay nonnegative over the annulus")
 
@@ -767,14 +743,14 @@ def radial_shoot(dim, h, epsilon, outer, tol=1e-10):
     if p_hi < -tol:
         return RadialShootResult(
             exists=False, dim=dim, h=h, epsilon=epsilon, outer=outer,
-            c_interval=interval, nearest_c=c_hi, nearest_p_outer=p_hi,
+            nearest_p_outer=p_hi,
             message="no solution: even the steepest feasible profile "
                     "returns below zero at the outer radius")
     p_lo = p_outer(c_lo)
     if p_lo > tol:
         return RadialShootResult(
             exists=False, dim=dim, h=h, epsilon=epsilon, outer=outer,
-            c_interval=interval, nearest_c=c_lo, nearest_p_outer=p_lo,
+            nearest_p_outer=p_lo,
             message="no solution: every feasible profile stays positive "
                     "at the outer radius")
 
@@ -792,7 +768,7 @@ def radial_shoot(dim, h, epsilon, outer, tol=1e-10):
     if abs(p_mid) > tol:
         return RadialShootResult(
             exists=False, dim=dim, h=h, epsilon=epsilon, outer=outer,
-            c_interval=interval, nearest_c=c_mid, nearest_p_outer=p_mid,
+            nearest_p_outer=p_mid,
             message="shooting tolerance not reachable at the feasibility "
                     "boundary")
 
@@ -804,7 +780,7 @@ def radial_shoot(dim, h, epsilon, outer, tol=1e-10):
         exists=True, dim=dim, h=h, epsilon=epsilon, outer=outer, c=c,
         k=c - h * epsilon**dim, table=np.column_stack([ts, ps]),
         sup_p=float(ps.max()), p_outer=p_mid,
-        radicand_min=float(radicand.min()), c_interval=interval)
+        radicand_min=float(radicand.min()))
 
 
 def write_solution_report(solution, trace, path, extra=None):

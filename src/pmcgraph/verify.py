@@ -91,18 +91,16 @@ def check_height_estimate(solution, profile, fit, slack):
     radii = np.hypot(grid.X[grid.interior] + t[0], grid.Y[grid.interior] + t[1])
     limit = profile.domain_limit()
     radii = np.clip(radii, profile.r, limit)
-    heights = profile.heights(np.sort(radii))
-    order = np.argsort(radii)
-    barrier_vals = np.empty_like(heights)
-    barrier_vals[order] = heights
-    violation = float(np.max(np.abs(solution.interior_values()) - barrier_vals))
+    violation = float(np.max(np.abs(solution.interior_values())
+                             - profile.heights(radii)))
     point_check = EstimateCheck("height_pointwise", slack, violation,
                                 PASS if violation <= slack else FAIL)
     return sup_check, point_check
 
 
-def check_boundary_gradient(solution, profile, slack, outer=None):
-    """Max one-sided boundary difference quotient <= C2 + slack.
+def check_boundary_gradient(solution, profile, slack, outer):
+    """Max one-sided boundary difference quotient <= C2 + slack, with
+    ``outer`` the fit's outer radius (the catenoid's constants need it).
 
     Solves with nonzero Dirichlet data are out of the estimate's scope and
     report not-applicable.
@@ -110,8 +108,6 @@ def check_boundary_gradient(solution, profile, slack, outer=None):
     if solution.boundary_nonzero:
         return EstimateCheck("boundary_gradient", math.nan, math.nan,
                              NOT_APPLICABLE)
-    if profile.h == 0.0 and outer is None:
-        outer = solution.grid.domain.radial_extent()[1]
     _, c2 = barrier_constants(profile, outer=outer)
     actual = solution.sup_gradient_boundary
     return EstimateCheck("boundary_gradient", c2 + slack, actual,

@@ -119,6 +119,41 @@ class TestSlope:
                 barrier.slope(t, 2, 1.0 / 3.0, 4.0 / 3.0)
 
 
+class TestSlopeMethod:
+    @staticmethod
+    def assert_same_bits(prof, ts):
+        got = prof.slope(ts)
+        assert got.tobytes() == barrier.slope(ts, prof.dim, prof.h,
+                                              prof.c).tobytes()
+        for t in ts[::97].tolist():
+            assert (np.float64(prof.slope(t)).tobytes()
+                    == np.float64(barrier.slope(t, prof.dim, prof.h,
+                                                prof.c)).tobytes())
+
+    @pytest.mark.parametrize("dim,h,r,R", [(2, 0.3, 1.0, 2.0),
+                                           (3, 0.25, 1.0, 2.0),
+                                           (2, 0.0, 1.0, 2.0)])
+    def test_method_is_the_function(self, dim, h, r, R):
+        # radii from just above a, below the anchor r, to just below b
+        prof = barrier.profile_for_annulus(dim, h, r, R)
+        top = prof.b if math.isfinite(prof.b) else 10.0 * R
+        ts = np.linspace(prof.a, top, 1002)[1:-1]
+        assert ts[0] < prof.r
+        self.assert_same_bits(prof, ts)
+        for t in (prof.a, prof.b):
+            for fn in (prof.slope,
+                       lambda t: barrier.slope(t, dim, h, prof.c)):
+                with pytest.raises(OutOfDomainError):
+                    fn(t)
+
+    def test_catenoid_slope_radii(self):
+        # TestCatenoidSlope's constants and radii, on profiles anchored at 2c
+        rng = np.random.default_rng(23)
+        for c in 10.0 ** rng.uniform(-60.0, 60.0, size=40):
+            t = c * (1.0 + 10.0 ** rng.uniform(-14.0, 30.0, size=100))
+            self.assert_same_bits(barrier.make_profile(2, 0.0, 2.0 * c, c), t)
+
+
 class TestHeight:
     def test_anchor_is_zero(self):
         for prof in (barrier.make_profile(2, 1.0 / 3.0, 1.0, 1.2),
@@ -201,6 +236,52 @@ class TestHeight:
             prof.height(prof.r - 0.01)
         with pytest.raises(OutOfDomainError):
             prof.height(prof.r_usable * 1.01)
+
+    @pytest.mark.parametrize("dim,h,r,R", [(2, 0.3, 1.0, 2.0),
+                                           (3, 0.25, 1.0, 2.0),
+                                           (2, 0.0, 1.0, 2.0)])
+    def test_height_is_heights_at_one_radius(self, dim, h, r, R):
+        prof = barrier.profile_for_annulus(dim, h, r, R)
+        ends = ((prof.t0, prof.domain_limit()) if h > 0.0
+                else (R, 4.9 * R))  # the catenoid has neither
+        for t in (prof.r, *ends):
+            assert (np.float64(prof.height(t)).tobytes()
+                    == prof.heights([t])[0].tobytes())
+        if h > 0.0:
+            # a radius a rounding step past the limit is clipped to it
+            limit = prof.domain_limit()
+            assert prof.height(limit * (1.0 + 1e-13)) == prof.height(limit)
+
+    def test_height_makes_no_quadrature_of_its_own(self, monkeypatch):
+        prof = barrier.profile_for_annulus(2, 0.3, 1.0, 2.0)
+        real = barrier.NodoidProfile.heights
+        calls = []
+
+        def spy(self, ts):
+            calls.append(list(ts))
+            return real(self, ts)
+
+        monkeypatch.setattr(barrier.NodoidProfile, "heights", spy)
+        prof.height(prof.t0)
+        assert calls == [[prof.t0]]
+
+    @pytest.mark.parametrize("dim,h", [(2, 0.3), (3, 0.25), (2, 0.0)])
+    def test_radii_in_any_order(self, dim, h):
+        # shuffled radii, duplicates included, get the bits of the sorted
+        # evaluation scattered back
+        prof = barrier.profile_for_annulus(dim, h, 1.0, 2.0)
+        ts = np.linspace(prof.r, min(2.0, prof.domain_limit()), 500)
+        ts = np.random.default_rng(5).permutation(
+            np.concatenate([ts, ts[::7]]))
+        order = np.argsort(ts)
+        want = np.empty_like(ts)
+        want[order] = prof.heights(ts[order])
+        assert prof.heights(ts).tobytes() == want.tobytes()
+        # the range check looks at every radius, not the first and last
+        for bad in (prof.r - 0.01, 2.0 * prof.domain_limit()):
+            if math.isfinite(bad):
+                with pytest.raises(OutOfDomainError):
+                    prof.heights(np.concatenate([ts[:9], [bad], ts[9:]]))
 
 
 class TestPlanarIntervalLength:
@@ -460,7 +541,49 @@ def acceptance_integrals():
     return cases
 
 
+def old_segment_near_a(dim, h, c, a, lo, hi):
+    # the near-a substitution as it was before the two were merged
+    def psi(u):
+        s = a + u * u
+        num = c - h * s**dim
+        q1 = (h * barrier._power_quotient(dim, s, a)
+              + barrier._power_quotient(dim - 1, s, a))
+        return 2.0 * num / np.sqrt(q1 * (s ** (dim - 1) + num))
+
+    return barrier._quad(psi, math.sqrt(max(lo - a, 0.0)), math.sqrt(hi - a))
+
+
+def old_segment_near_b(dim, h, c, b, lo, hi):
+    # the near-b substitution as it was before the two were merged
+    def psi(u):
+        s = b - u * u
+        num = c - h * s**dim
+        q2 = (h * barrier._power_quotient(dim, s, b)
+              - barrier._power_quotient(dim - 1, s, b))
+        return 2.0 * num / np.sqrt((s ** (dim - 1) - num) * q2)
+
+    return barrier._quad(psi, math.sqrt(max(b - hi, 0.0)), math.sqrt(b - lo))
+
+
 class TestQuadrature:
+    def test_endpoint_substitution_bits(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            dim = int(rng.integers(2, 5))
+            h = float(rng.uniform(0.05, 2.0)) if rng.random() < 0.8 else 0.0
+            c = float(10.0 ** rng.uniform(-2.0, 1.0))
+            a, b = barrier.profile_zeros(dim, h, c)
+            cut_a, cut_b = barrier._singular_cuts(a, b)
+            lo, hi = np.sort(rng.uniform(a, cut_a, 2)).tolist()
+            for lo_a in (a, lo):
+                assert (barrier._segment_near(dim, h, c, a, 1.0, lo_a, hi)
+                        == old_segment_near_a(dim, h, c, a, lo_a, hi))
+            if math.isfinite(b):
+                lo, hi = np.sort(rng.uniform(cut_b, b, 2)).tolist()
+                for hi_b in (b, hi, b * (1.0 + 1e-13)):
+                    assert (barrier._segment_near(dim, h, c, b, -1.0, lo, hi_b)
+                            == old_segment_near_b(dim, h, c, b, lo, hi_b))
+
     @pytest.mark.parametrize("dim,h,c,t_lo,t_hi", acceptance_integrals())
     def test_against_mpmath_at_acceptance_parameters(self, dim, h, c, t_lo,
                                                      t_hi):

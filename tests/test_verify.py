@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pmcgraph import geometry, solver, verify
+from pmcgraph import barrier, geometry, solver, verify
 from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import ParameterError
 from pmcgraph.grid import grid_from_domain
@@ -99,6 +99,17 @@ class TestBoundaryGradient:
             annulus_case["fine"].solution, annulus_case["profile"],
             annulus_case["slack"], outer=2.0)
         assert check.verdict == verify.PASS
+
+    def test_catenoid_bound_on_a_polygon(self):
+        # H = 0 on a domain without a radial extent: the catenoid's
+        # constants come from the outer radius the caller passes
+        square = geometry.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        sol = solver.newton_solve(grid_from_domain(square, 0.1),
+                                  CurvatureField.from_constant(0.0))
+        profile = barrier.profile_for_annulus(2, 0.0, 1.0, 2.0)
+        check = verify.check_boundary_gradient(sol, profile, 0.0, outer=2.0)
+        assert check.verdict == verify.PASS
+        assert check.bound == pytest.approx(3 ** -0.5, rel=1e-15)
 
     def test_nonzero_boundary_data_not_applicable(self, annulus_case):
         square = geometry.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
