@@ -53,7 +53,7 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .ioutil import dump_json, write_csv
+from .ioutil import write_csv
 
 # Inputs this close (relatively) to a strict inequality are rejected:
 # grazing cases carry no numerical meaning.
@@ -726,7 +726,3 @@ def profile_params(profile, outer=None):
         "C1": c1,
         "C2": c2,
     }
-
-
-def write_params_json(profile, path, outer=None):
-    dump_json(profile_params(profile, outer=outer), path)

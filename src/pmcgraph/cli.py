@@ -137,7 +137,8 @@ def cmd_barrier(args):
         return EXIT_CONDITION_FAILED
     barrier.write_profile_csv(profile, out / "profile.csv", args.R,
                               num=args.points)
-    barrier.write_params_json(profile, out / "params.json", outer=args.R)
+    params = barrier.profile_params(profile, outer=args.R)
+    dump_json(params, out / "params.json")
     if args.svg:
         table = barrier.profile_table(profile, args.R, num=args.points)
         marks = [("r", profile.r), ("R", args.R)]
@@ -146,9 +147,8 @@ def cmd_barrier(args):
         _svg_polyline(out / "profile.svg", table[:, 0], table[:, 1],
                       f"barrier profile (dim={profile.dim}, h={profile.h})",
                       marks)
-    c1, c2 = barrier.barrier_constants(profile, outer=args.R)
     print(f"profile: a={profile.a!r} b={profile.b!r} t0={profile.t0!r} "
-          f"C1={c1!r} C2={c2!r}")
+          f"C1={params['C1']!r} C2={params['C2']!r}")
     return EXIT_OK
 
 
@@ -226,6 +226,13 @@ def _settings(cfg, rows):
     return settings
 
 
+def _write_stall_report(exc, path):
+    """``solve``'s and ``verify``'s report of a ContinuationFailureError."""
+    dump_json({"status": "continuation-stalled", "stall_t": exc.stall_t,
+               "diagnostics": exc.diagnostics,
+               "trace": exc.trace.as_dict()["steps"]}, path)
+
+
 def cmd_solve(args):
     out = _out_dir(args)
     cfg = _load_config(args)
@@ -237,10 +244,7 @@ def cmd_solve(args):
             domain, field, st["spacing"], boundary=boundary, tol=st["tol"],
             max_iters=st["max_iters"])
     except ContinuationFailureError as exc:
-        dump_json({"status": "continuation-stalled", "stall_t": exc.stall_t,
-                   "diagnostics": exc.diagnostics,
-                   "trace": exc.trace.as_dict()["steps"]},
-                  out / "solve_report.json")
+        _write_stall_report(exc, out / "solve_report.json")
         print(f"continuation stalled at t* = {exc.stall_t} (numerical; "
               f"see solve_report.json)", file=sys.stderr)
         return EXIT_INDETERMINATE
@@ -274,9 +278,7 @@ def cmd_verify(args):
             domain, field, st["spacing"], annulus_r=st["annulus_r"],
             tol=st["tol"], max_iters=st["max_iters"])
     except ContinuationFailureError as exc:
-        dump_json({"status": "continuation-stalled", "stall_t": exc.stall_t,
-                   "diagnostics": exc.diagnostics},
-                  out / "estimate_report.json")
+        _write_stall_report(exc, out / "estimate_report.json")
         print(f"continuation stalled at t* = {exc.stall_t}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except NoAdmissibleConstantError as exc:

@@ -145,14 +145,10 @@ class CurvatureField:
             raise ParameterError(f"curvature must be finite, got {value!r}")
 
         def func(points, z):
-            points = np.asarray(points, dtype=float)
-            z = np.asarray(z, dtype=float)
-            shape = np.broadcast_shapes(points.shape[:-1], z.shape)
-            return np.full(shape, value)
+            return np.full(np.broadcast_shapes(np.shape(points)[:-1],
+                                               np.shape(z)), value)
 
-        def grad(points, z):
-            points = np.asarray(points, dtype=float)
-            z = np.asarray(z, dtype=float)
+        def grad(points, z):  # grad_eval passes arrays
             shape = np.broadcast_shapes(points.shape[:-1], z.shape)
             return np.zeros(shape + (points.shape[-1],)), np.zeros(shape)
 
@@ -164,8 +160,9 @@ class CurvatureField:
         return self.constant is not None
 
     def eval(self, points, z):
+        """H(points, z); a complex ``z`` keeps its imaginary part."""
         return np.asarray(self._func(np.asarray(points, dtype=float),
-                                     np.asarray(z, dtype=float)), dtype=float)
+                                     np.asarray(z)))
 
     def grad_eval(self, points, z):
         points = np.asarray(points, dtype=float)

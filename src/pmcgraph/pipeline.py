@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,18 +115,29 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
     return report
 
 
+class DomainBarrier(NamedTuple):
+    """A domain's annulus fit and barrier profile, with the profile's
+    :func:`pmcgraph.barrier.barrier_constants` at ``fit.r + fit.d``."""
+
+    fit: object
+    profile: object
+    c1: float
+    c2: float
+
+
 def barrier_for_domain(domain, h_sup0, *, annulus_r=None):
-    """Annulus fit plus the matching barrier profile of the planar graph
-    problem for a domain.
+    """The :class:`DomainBarrier` of the planar graph problem on a domain:
+    the one place where a domain becomes a barrier.
 
     Raises :class:`pmcgraph.errors.NoAdmissibleConstantError` when the
     curvature magnitude is not strictly below the fit's bound.
     """
     r_eff = effective_sphere_radius(domain, annulus_r)
     fit = geometry.annulus_fit(domain, r_eff)
-    profile = barrier.profile_for_annulus(GRID_DIM, h_sup0, fit.r,
-                                          fit.r + fit.d)
-    return fit, profile
+    outer = fit.r + fit.d
+    profile = barrier.profile_for_annulus(GRID_DIM, h_sup0, fit.r, outer)
+    return DomainBarrier(fit, profile,
+                         *barrier.barrier_constants(profile, outer=outer))
 
 
 def gradient_hypotheses(domain, field, solution, *, annulus_r=None,
@@ -134,20 +146,17 @@ def gradient_hypotheses(domain, field, solution, *, annulus_r=None,
     (:func:`pmcgraph.conditions.verify_gradient_bound_inputs`), sampled over
     the slab ``|z| <= M``.
 
-    When the domain admits a barrier, ``M`` is the larger of its height
-    ``C1`` at the annulus fit's outer radius and ``sup|f|``; otherwise it
-    is ``max(sup|f|, 1)``.  ``fitted`` is the ``(fit, profile)`` pair of
-    :func:`barrier_for_domain` when the caller already has it.  ``solve``
-    and ``verify`` both report these.
+    ``M`` is ``max(C1, sup|f|)`` with the domain's :class:`DomainBarrier`,
+    ``fitted`` when the caller has it, or ``max(sup|f|, 1)`` with no
+    admissible barrier.  ``solve`` and ``verify`` both report these.
     """
     try:
-        fit, profile = fitted or barrier_for_domain(
+        fitted = fitted or barrier_for_domain(
             domain, sampled_h_sup0(field, domain), annulus_r=annulus_r)
-        c1 = barrier.barrier_constants(profile, outer=fit.r + fit.d)[0]
     except (NoAdmissibleConstantError, ParameterError):
         m_slab = max(solution.sup_norm, 1.0)
     else:
-        m_slab = max(c1, solution.sup_norm, 1e-12)
+        m_slab = max(fitted.c1, solution.sup_norm, 1e-12)
     return conditions.verify_gradient_bound_inputs(field, m_slab,
                                                    domain=domain)
 
@@ -216,13 +225,14 @@ def refine_solve(coarse, field, *, tol=1e-10, max_iters=40):
 
 @dataclass
 class VerifyOutcome:
+    """The fine solve of :func:`verify_domain`, the
+    :class:`DomainBarrier` its checks read, and their report."""
+
     solution: object
     trace: object
-    fit: object
-    profile: object
+    barrier: object
     report: object
     error_estimate: float
-    slack: float
     gradient_inputs: object
 
 
@@ -235,7 +245,8 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     zero-boundary solves are in scope here.  Bitmap domains raise
     :class:`ParameterError`: their grid is the bitmap's own cells at every
     spacing, so there is no finer grid to compare with.  The barrier
-    (:func:`barrier_for_domain`) is decided before any solve: a curvature
+    record (:func:`barrier_for_domain`), which every check and the
+    gradient hypotheses read, is made once before any solve: a curvature
     with no admissible barrier raises :class:`NoAdmissibleConstantError`
     at no solve cost.
 
@@ -250,21 +261,18 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
             "refinement: its grid is the bitmap's own cells at every spacing")
     settings = dict(tol=tol, max_iters=max_iters)
     grid = grid_from_domain(domain, spacing)
-    fit, profile = barrier_for_domain(domain, sampled_h_sup0(field, domain),
-                                      annulus_r=annulus_r)
+    fitted = barrier_for_domain(domain, sampled_h_sup0(field, domain),
+                                annulus_r=annulus_r)
     coarse = solve_grid(grid, field, **settings)
     fine = refine_solve(coarse, field, **settings)
 
     est = verify.richardson_error_estimate(coarse.solution, fine.solution)
-    slack = SLACK_FACTOR * est
+    report = verify.estimate_report(fine.solution, fitted, SLACK_FACTOR * est)
+    ginputs = gradient_hypotheses(domain, field, fine.solution, fitted=fitted)
 
-    report = verify.estimate_report(fine.solution, profile, fit, slack)
-    ginputs = gradient_hypotheses(domain, field, fine.solution,
-                                  fitted=(fit, profile))
-
-    return VerifyOutcome(solution=fine.solution, trace=fine.trace, fit=fit,
-                         profile=profile, report=report, error_estimate=est,
-                         slack=slack, gradient_inputs=ginputs)
+    return VerifyOutcome(solution=fine.solution, trace=fine.trace,
+                         barrier=fitted, report=report, error_estimate=est,
+                         gradient_inputs=ginputs)
 
 
 def nonexistence_sweep(dim, h, outer, epsilons):

@@ -170,15 +170,16 @@ def mc_residual(values, grid, hfield, t_homotopy=1.0, states=None):
     The stencil runs on the interior dof vector through ``grid.plan``, and
     the result is scattered back onto the lattice.  ``states`` are the
     :func:`_edge_states` of these values when the caller has them.
+    Complex values give a complex residual (a complex-step derivative).
     """
     plan = grid.plan
-    x = np.asarray(values, dtype=float)[grid.interior]
+    x = np.asarray(values)[grid.interior]
     primary, _, W = _edge_states(plan, x) if states is None else states
     flux = primary / W
     div = ((flux[0] - flux[1]) * plan.cfac[0]
            + (flux[2] - flux[3]) * plan.cfac[1])
     rhs = t_homotopy * GRID_DIM * hfield.eval(plan.points, x)
-    out = np.zeros(grid.shape)
+    out = np.zeros(grid.shape, dtype=np.result_type(div, rhs))
     out[grid.interior] = div - rhs
     return out
 

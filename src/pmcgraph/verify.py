@@ -5,12 +5,12 @@ the upward graph orientation, so a spherical cap lying above the plane has
 H = -h < 0.  Replacing H by -H mirrors solutions through z = 0, which is
 how results for the opposite sign are obtained.
 
-The checks compare a converged grid solution against the barrier profile
-fitted to its domain: the sup norm against the apex height C1, boundary
-difference quotients against the inner slope C2, and the pointwise values
-against the translated profile.  Discrete solutions satisfy the continuous
-estimates only up to discretization error, so every check takes a slack;
-the pipeline uses 10x a two-grid Richardson error estimate, which reads
+The checks compare a converged grid solution against its domain's
+:class:`pmcgraph.pipeline.DomainBarrier`: the sup norm against the apex height
+C1, boundary difference quotients against the inner slope C2, and the pointwise
+values against the translated profile.  Discrete solutions satisfy the
+continuous estimates only up to discretization error, so every check takes a
+slack; the pipeline uses 10x a two-grid Richardson error estimate, which reads
 both solutions off the nested lattices by injection at the coarse nodes.
 """
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import barrier_constants
 from .conditions import FAIL, NOT_APPLICABLE, PASS
 from .errors import ParameterError
 from .grid import twin_dofs
@@ -70,37 +69,35 @@ class EstimateReport:
         dump_json(self.as_dict(), path)
 
 
-def check_height_estimate(solution, profile, fit, slack):
-    """sup |f| <= C1 + slack and |f(x)| <= p(|x + translation|) + slack.
+def check_height_estimate(solution, barrier, slack):
+    """sup |f| <= C1 + slack and |f(x)| <= p(|x + translation|) + slack,
+    with ``barrier`` a :class:`pmcgraph.pipeline.DomainBarrier`.
 
     Requires a zero-boundary solve; the estimate is proved only there.
     """
-    if fit is None:
-        raise ParameterError("an annulus fit is required for the height check")
     if solution.boundary_nonzero:
         return (EstimateCheck("height_sup", math.nan, math.nan, NOT_APPLICABLE),
                 EstimateCheck("height_pointwise", math.nan, math.nan,
                               NOT_APPLICABLE))
-    c1, _ = barrier_constants(profile, outer=fit.r + fit.d)
-    sup_f = float(np.max(np.abs(solution.interior_values())))
+    c1, profile = barrier.c1, barrier.profile
+    abs_f = np.abs(solution.interior_values())
+    sup_f = float(np.max(abs_f))
     sup_check = EstimateCheck("height_sup", c1 + slack, sup_f,
                               PASS if sup_f <= c1 + slack else FAIL)
 
     grid = solution.grid
-    t = np.asarray(fit.translation, dtype=float)
+    t = np.asarray(barrier.fit.translation, dtype=float)
     radii = np.hypot(grid.X[grid.interior] + t[0], grid.Y[grid.interior] + t[1])
-    limit = profile.domain_limit()
-    radii = np.clip(radii, profile.r, limit)
-    violation = float(np.max(np.abs(solution.interior_values())
-                             - profile.heights(radii)))
+    radii = np.clip(radii, profile.r, profile.domain_limit())
+    violation = float(np.max(abs_f - profile.heights(radii)))
     point_check = EstimateCheck("height_pointwise", slack, violation,
                                 PASS if violation <= slack else FAIL)
     return sup_check, point_check
 
 
-def check_boundary_gradient(solution, profile, slack, outer):
+def check_boundary_gradient(solution, barrier, slack):
     """Max one-sided boundary difference quotient <= C2 + slack, with
-    ``outer`` the fit's outer radius (the catenoid's constants need it).
+    ``barrier`` a :class:`pmcgraph.pipeline.DomainBarrier`.
 
     Solves with nonzero Dirichlet data are out of the estimate's scope and
     report not-applicable.
@@ -108,17 +105,16 @@ def check_boundary_gradient(solution, profile, slack, outer):
     if solution.boundary_nonzero:
         return EstimateCheck("boundary_gradient", math.nan, math.nan,
                              NOT_APPLICABLE)
-    _, c2 = barrier_constants(profile, outer=outer)
     actual = solution.sup_gradient_boundary
-    return EstimateCheck("boundary_gradient", c2 + slack, actual,
-                         PASS if actual <= c2 + slack else FAIL)
+    return EstimateCheck("boundary_gradient", barrier.c2 + slack, actual,
+                         PASS if actual <= barrier.c2 + slack else FAIL)
 
 
-def estimate_report(solution, profile, fit, slack):
-    """Bundle the height and boundary-gradient checks into one report."""
-    sup_check, point_check = check_height_estimate(solution, profile, fit, slack)
-    grad_check = check_boundary_gradient(solution, profile, slack,
-                                         outer=fit.r + fit.d)
+def estimate_report(solution, barrier, slack):
+    """Bundle the height and boundary-gradient checks against a
+    :class:`pmcgraph.pipeline.DomainBarrier` into one report."""
+    sup_check, point_check = check_height_estimate(solution, barrier, slack)
+    grad_check = check_boundary_gradient(solution, barrier, slack)
     return EstimateReport(
         c0_bound=sup_check.bound, c0_actual=sup_check.actual,
         bgrad_bound=grad_check.bound, bgrad_actual=grad_check.actual,

@@ -22,7 +22,7 @@ def annulus_case():
     # solution as the full 1/64 homotopy, to about 6e-16
     fine = pipeline.refine_solve(coarse, field)
     est = verify.richardson_error_estimate(coarse.solution, fine.solution)
-    fit, profile = pipeline.barrier_for_domain(domain, 0.3)
+    fitted = pipeline.barrier_for_domain(domain, 0.3)
     return {
         "domain": domain,
         "field": field,
@@ -30,8 +30,9 @@ def annulus_case():
         "fine": fine,
         "error_estimate": est,
         "slack": 10.0 * est,
-        "fit": fit,
-        "profile": profile,
+        "barrier": fitted,
+        "fit": fitted.fit,
+        "profile": fitted.profile,
     }
 
 

@@ -810,13 +810,10 @@ class TestExports:
         assert lines[0] == "t,p,p_prime"
         assert len(lines) == 52
 
-    def test_params_json_keys(self, tmp_path):
+    def test_params_json_keys(self):
         prof = barrier.profile_for_annulus(2, 0.3, 1.0, 2.0)
-        path = tmp_path / "params.json"
-        barrier.write_params_json(prof, path)
-        data = json.loads(path.read_text())
-        assert set(data) == {"dim", "h", "r", "c", "a", "b", "t0",
-                             "R_usable", "C1", "C2"}
+        assert set(barrier.profile_params(prof)) == {
+            "dim", "h", "r", "c", "a", "b", "t0", "R_usable", "C1", "C2"}
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_float_array_csv_bytes(self, tmp_path, dtype):
@@ -841,6 +838,6 @@ class TestExports:
     def test_infinity_serialized_readably(self, tmp_path):
         prof = barrier.make_profile(2, 0.0, 1.0, 0.5)
         path = tmp_path / "params.json"
-        barrier.write_params_json(prof, path, outer=3.0)
+        ioutil.dump_json(barrier.profile_params(prof, outer=3.0), path)
         data = json.loads(path.read_text())
         assert data["b"] == "inf" and data["t0"] == "inf"

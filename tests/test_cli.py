@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pmcgraph import barrier
 from pmcgraph.cli import main
 
 
@@ -57,6 +58,26 @@ class TestBarrierCommand:
         c = 0.5
         expected = c * (np.arccosh(table[:, 0] / c) - math.acosh(1.0 / c))
         assert np.max(np.abs(table[:, 1] - expected)) <= 1e-8
+
+    @pytest.mark.parametrize("h", [0.3, 0.0])
+    def test_constants_are_computed_once(self, tmp_path, capsys, monkeypatch,
+                                         h):
+        calls = []
+        constants = barrier.barrier_constants
+
+        def count(*args, **kwargs):
+            calls.append(args)
+            return constants(*args, **kwargs)
+
+        monkeypatch.setattr(barrier, "barrier_constants", count)
+        assert run(["barrier", "--h", h, "--r", 1, "--R", 2,
+                    "--out", tmp_path]) == 0
+        assert len(calls) == 1
+        printed = dict(item.split("=", 1)
+                       for item in capsys.readouterr().out.split()[1:])
+        params = json.loads((tmp_path / "params.json").read_text())
+        assert float(printed["C1"]) == params["C1"]
+        assert float(printed["C2"]) == params["C2"]
 
     def test_bound_violation_exits_2(self, tmp_path, capsys):
         code = run(["barrier", "--dim", 2, "--h", 0.9, "--r", 1, "--R", 2,
@@ -190,6 +211,21 @@ class TestSolveAndVerifyCommands:
         report = json.loads((out / "solve_report.json").read_text())
         assert report["status"] == "continuation-stalled"
         assert 0.0 < report["stall_t"] < 1.0
+
+    def test_verify_stall_reports_as_solve_does(self, tmp_path):
+        # one Newton iteration per step stalls the homotopy at once, and
+        # verify's first solve is solve's at the same spacing: the two
+        # stall reports are the same, trace included
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**ANNULUS_EIGHTH, "max_iters": 1}))
+        out = tmp_path / "stall"
+        assert run(["solve", "--config", cfg, "--out", out]) == 3
+        assert run(["verify", "--config", cfg, "--out", out]) == 3
+        report = json.loads((out / "estimate_report.json").read_text())
+        assert report["status"] == "continuation-stalled"
+        assert report["trace"][0]["t"] == 0.0
+        assert ((out / "estimate_report.json").read_bytes()
+                == (out / "solve_report.json").read_bytes())
 
     def test_verify_passes_on_annulus(self, tmp_path, annulus_config):
         out = tmp_path / "verify"

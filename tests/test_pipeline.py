@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmcgraph import conditions, geometry, pipeline, solver, verify
+from pmcgraph import barrier, conditions, geometry, pipeline, solver, verify
 from pmcgraph.cli import main as cli_main
 from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import (ContinuationFailureError,
@@ -80,12 +80,41 @@ class TestCheckProperties:
 
 class TestBarrierPipeline:
     def test_profile_matches_fit(self):
-        fit, profile = pipeline.barrier_for_domain(geometry.Annulus(1.0, 2.0), 0.3)
+        fit, profile, c1, c2 = pipeline.barrier_for_domain(
+            geometry.Annulus(1.0, 2.0), 0.3)
         assert fit.r == 1.0 and fit.d == pytest.approx(1.0)
         assert profile.r_usable >= fit.r + fit.d
+        assert (c1, c2) == barrier.barrier_constants(profile, outer=2.0)
+
+    def test_verify_evaluates_the_constants_once(self, monkeypatch):
+        # C1 and C2 come from the one barrier record; the only other
+        # profile heights are the pointwise check's, one per fine dof
+        calls, sizes = [], []
+        constants = barrier.barrier_constants
+        heights = barrier.NodoidProfile.heights
+
+        def count(*args, **kwargs):
+            calls.append(args)
+            return constants(*args, **kwargs)
+
+        def record(profile, ts):
+            sizes.append(np.size(ts))
+            return heights(profile, ts)
+
+        monkeypatch.setattr(barrier, "barrier_constants", count)
+        monkeypatch.setattr(barrier.NodoidProfile, "heights", record)
+        outcome = pipeline.verify_domain(geometry.Annulus(1.0, 2.0),
+                                         CurvatureField.from_constant(-0.3),
+                                         1.0 / 16)
+        assert len(calls) == 1
+        assert sizes == [1, outcome.solution.grid.n_dof]
+        report = outcome.report
+        assert report.c0_bound == outcome.barrier.c1 + report.slack
+        assert report.bgrad_bound == outcome.barrier.c2 + report.slack
 
     def test_disc_uses_large_radius(self):
-        fit, profile = pipeline.barrier_for_domain(geometry.Disc(0.5), 0.5)
+        fit, profile, _, _ = pipeline.barrier_for_domain(geometry.Disc(0.5),
+                                                         0.5)
         assert fit.r == pytest.approx(100.0 * 1.0, rel=1e-12)
         assert profile.r_usable >= fit.r + fit.d
 

@@ -114,6 +114,41 @@ class TestResidual:
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
             assert all(1.5 <= o <= 2.5 for o in orders), (errs, orders)
 
+    @pytest.mark.parametrize("case", ["annulus", "pentagon", "disc"])
+    def test_jacobian_matches_complex_steps(self, case):
+        # complex-step differentiation (Squire & Trapp 1998): a residual at
+        # values + i h e has imaginary part h J e to roundoff, with no
+        # difference to cancel.  A node's residual reads only its 3 x 3
+        # block, so the nodes of one colour of a 3 x 3 lattice colouring
+        # never share a row: J e for that colour's indicator e holds one
+        # entry per row, and nine residuals recover every entry
+        if case == "annulus":
+            grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 0.1)
+            field = CurvatureField.from_constant(-0.3)
+        elif case == "pentagon":
+            linear = pipeline.boundary_from_json({"linear": [0.2, -0.1, 0.05]})
+            grid = grid_from_domain(PENTAGON, 0.1, boundary=linear)
+            field = CurvatureField(
+                lambda p, z: 0.2 * p[..., 0] + 0.1 * z, z_slope=0.1,
+                spatial=lambda p: 0.2 * p[..., 0])
+        else:
+            grid = grid_from_domain(geometry.Disc(1.0, (0.3, -0.2)), 0.1)
+            field = CurvatureField.from_constant(0.5)
+        f = np.zeros(grid.shape)
+        f[grid.interior] = 0.3 * np.sin(grid.X + 2.0 * grid.Y)[grid.interior]
+        t, step = 0.8, 1e-30
+        J = solver._assemble_jacobian(grid, f, field, t)
+        rows, cols = np.indices(grid.shape)
+        colour = ((rows % 3) * 3 + cols % 3)[grid.interior]
+        worst = 0.0
+        for c in range(9):
+            e = (colour == c).astype(float)
+            z = f.astype(complex)
+            z[grid.interior] += 1j * step * e
+            res = solver.mc_residual(z, grid, field, t)[grid.interior]
+            worst = max(worst, np.max(np.abs(J @ e - res.imag / step)))
+        assert worst <= 1e-14 * np.max(np.abs(J.data))
+
     def test_jacobian_matches_finite_differences(self):
         field = CurvatureField(
             lambda p, z: 0.1 * p[..., 0] - 0.2 * p[..., 1] + 0.3 * z)

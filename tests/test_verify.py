@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pmcgraph import barrier, geometry, solver, verify
+from pmcgraph import geometry, pipeline, solver, verify
 from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import ParameterError
 from pmcgraph.grid import grid_from_domain
@@ -57,14 +57,14 @@ class TestHeightEstimate:
         grid = annulus_case["coarse"].solution.grid
         flat = solver.newton_solve(grid, CurvatureField.from_constant(0.0))
         sup_check, point_check = verify.check_height_estimate(
-            flat, annulus_case["profile"], annulus_case["fit"], 1e-9)
+            flat, annulus_case["barrier"], 1e-9)
         assert sup_check.verdict == verify.PASS
         assert point_check.verdict == verify.PASS
 
     def test_reference_solution_passes(self, annulus_case):
         sup_check, point_check = verify.check_height_estimate(
-            annulus_case["fine"].solution, annulus_case["profile"],
-            annulus_case["fit"], annulus_case["slack"])
+            annulus_case["fine"].solution, annulus_case["barrier"],
+            annulus_case["slack"])
         assert sup_check.verdict == verify.PASS
         assert point_check.verdict == verify.PASS
 
@@ -74,40 +74,34 @@ class TestHeightEstimate:
         fake = dataclasses.replace(sol, values=sol.values * 10.0,
                                    sup_norm=sol.sup_norm * 10.0)
         sup_check, point_check = verify.check_height_estimate(
-            fake, annulus_case["profile"], annulus_case["fit"],
-            annulus_case["slack"])
+            fake, annulus_case["barrier"], annulus_case["slack"])
         assert verify.FAIL in (sup_check.verdict, point_check.verdict)
-
-    def test_missing_fit_rejected(self, annulus_case):
-        with pytest.raises(ParameterError):
-            verify.check_height_estimate(
-                annulus_case["fine"].solution, annulus_case["profile"],
-                None, 0.0)
 
 
 class TestBoundaryGradient:
     def test_flat_solution_passes(self, annulus_case):
         grid = annulus_case["coarse"].solution.grid
         flat = solver.newton_solve(grid, CurvatureField.from_constant(0.0))
-        check = verify.check_boundary_gradient(flat, annulus_case["profile"],
-                                               1e-9, outer=2.0)
+        check = verify.check_boundary_gradient(flat, annulus_case["barrier"],
+                                               1e-9)
         assert check.verdict == verify.PASS
         assert check.actual == 0.0
 
     def test_reference_solution_passes(self, annulus_case):
         check = verify.check_boundary_gradient(
-            annulus_case["fine"].solution, annulus_case["profile"],
-            annulus_case["slack"], outer=2.0)
+            annulus_case["fine"].solution, annulus_case["barrier"],
+            annulus_case["slack"])
         assert check.verdict == verify.PASS
 
     def test_catenoid_bound_on_a_polygon(self):
         # H = 0 on a domain without a radial extent: the catenoid's
-        # constants come from the outer radius the caller passes
+        # constants come from the fit's outer radius; its inner slope is
+        # 3^(-1/2) at every inner radius
         square = geometry.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         sol = solver.newton_solve(grid_from_domain(square, 0.1),
                                   CurvatureField.from_constant(0.0))
-        profile = barrier.profile_for_annulus(2, 0.0, 1.0, 2.0)
-        check = verify.check_boundary_gradient(sol, profile, 0.0, outer=2.0)
+        check = verify.check_boundary_gradient(
+            sol, pipeline.barrier_for_domain(square, 0.0), 0.0)
         assert check.verdict == verify.PASS
         assert check.bound == pytest.approx(3 ** -0.5, rel=1e-15)
 
@@ -115,16 +109,16 @@ class TestBoundaryGradient:
         square = geometry.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         grid = grid_from_domain(square, 0.1, boundary=lambda x, y: 0.2 * x)
         sol = solver.newton_solve(grid, CurvatureField.from_constant(0.0))
-        check = verify.check_boundary_gradient(sol, annulus_case["profile"],
-                                               0.0, outer=2.0)
+        check = verify.check_boundary_gradient(sol, annulus_case["barrier"],
+                                               0.0)
         assert check.verdict == verify.NOT_APPLICABLE
 
 
 class TestEstimateReport:
     def test_reference_report(self, annulus_case, tmp_path):
         report = verify.estimate_report(
-            annulus_case["fine"].solution, annulus_case["profile"],
-            annulus_case["fit"], annulus_case["slack"])
+            annulus_case["fine"].solution, annulus_case["barrier"],
+            annulus_case["slack"])
         assert report.passed()
         assert report.c0_actual <= report.c0_bound
         assert report.bgrad_actual <= report.bgrad_bound
