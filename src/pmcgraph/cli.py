@@ -258,7 +258,8 @@ def cmd_solve(args):
     ginputs = pipeline.gradient_hypotheses(domain, field, sol,
                                            annulus_r=st["annulus_r"])
     extra = {"status": "converged",
-             "gradient_hypotheses": ginputs.as_dict()}
+             "gradient_hypotheses": ginputs.as_dict(),
+             "levels": outcome.levels}
     solver.write_solution_report(sol, outcome.trace, out / "solve_report.json",
                                  extra=extra)
     print(f"converged: residual_inf={sol.residual_inf!r} "
@@ -290,6 +291,7 @@ def cmd_verify(args):
     rep["status"] = "checked"
     rep["error_estimate"] = outcome.error_estimate
     rep["gradient_hypotheses"] = outcome.gradient_inputs.as_dict()
+    rep["levels"] = outcome.levels
     dump_json(rep, out / "estimate_report.json")
     outcome.solution.write_csv(out / "solution.csv")
     for c in outcome.report.checks:

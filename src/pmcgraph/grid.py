@@ -82,6 +82,9 @@ class MaskedGrid:
     n_dof) each with rows in ``DIRECTIONS`` order: whether the neighbour
     is interior, the arm fraction and the Dirichlet value at the arm's
     end.  They go into ``plan``, the only copy of the arm geometry.
+    ``boundary`` is the Dirichlet data ``g(x, y)`` the grid was built
+    with, None for zero data, so that the grids of the same problem at
+    other spacings can be built.
     """
 
     origin: tuple
@@ -93,7 +96,7 @@ class MaskedGrid:
     theta: InitVar[np.ndarray]
     gval: InitVar[np.ndarray]
     domain: object = None
-    boundary_nonzero: bool = False
+    boundary: object = None
 
     def __post_init__(self, nbr, theta, gval):
         self.n_dof = int(self.interior.sum())
@@ -104,6 +107,10 @@ class MaskedGrid:
     @property
     def shape(self):
         return self.interior.shape
+
+    @property
+    def boundary_nonzero(self):
+        return self.boundary is not None
 
     def interior_points(self):
         return np.column_stack([self.X[self.interior], self.Y[self.interior]])
@@ -322,8 +329,7 @@ def grid_from_domain(domain, spacing, boundary=None):
                                   cy + dj * frac * spacing)
     return MaskedGrid(origin=(X[0, 0], Y[0, 0]), spacing=spacing,
                       interior=interior, X=X, Y=Y, nbr=nbr, theta=theta,
-                      gval=gval, domain=domain,
-                      boundary_nonzero=gfun is not None)
+                      gval=gval, domain=domain, boundary=gfun)
 
 
 def _keys_weights(t):
@@ -496,18 +502,17 @@ def _band_fill(grid, values):
     return lattice[grid.interior]
 
 
-def prolongate(coarse_grid, coarse_dofs, fine_grid):
-    """Coarse interior-node values at a finer grid's interior nodes, and
-    the :func:`nested_prolongation` matrix ``P`` they come from, which the
-    two-grid cycle reuses.
+def prolongate(P, coarse_dofs, fine_grid):
+    """Coarse interior-node values at a finer grid's interior nodes,
+    through ``P``, the grids' :func:`nested_prolongation` matrix, which
+    the V-cycle of the fine solve reuses.
 
     A fine dof whose row of ``P`` sums to 1 takes its bilinear value; the
     others, next to the boundary, are filled by :func:`_band_fill`, and
     anything still undefined by 0.
     """
-    P = nested_prolongation(coarse_grid, fine_grid)
-    complete = P @ np.ones(coarse_grid.n_dof) == 1.0
+    complete = P @ np.ones(P.shape[1]) == 1.0
     values = np.where(complete, P @ coarse_dofs, np.nan)
     if not complete.all():
         values = _band_fill(fine_grid, values)
-    return np.nan_to_num(values, nan=0.0), P
+    return np.nan_to_num(values, nan=0.0)

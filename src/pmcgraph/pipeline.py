@@ -4,9 +4,9 @@ These functions wire the geometry metrics into the condition checks,
 build barrier profiles matched to a domain's annulus fit, run the grid
 solver with a two-grid error estimate and feed everything into the
 verification checks.  Every grid that ``solve`` or ``verify`` solves goes
-through :func:`solve_grid`, which holds the one rule for choosing between
-Newton at t = 1 and the homotopy.  The command line front end is a thin
-wrapper around this module.
+through one rule for choosing between Newton at t = 1 up a chain of
+nested grids (:func:`grid_chain`) and the homotopy.  The command line
+front end is a thin wrapper around this module.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
 from .errors import (NoAdmissibleConstantError, ParameterError, SolverError,
                      UnsupportedDomainError, config_key, finite_number)
-from .grid import grid_from_domain, prolongate
+from .grid import grid_from_domain, nested_prolongation, prolongate
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
 #: every radius; large values approach the strip-bound limit
@@ -33,6 +33,15 @@ GRID_DIM = solver.GRID_DIM
 #: ``verify`` runs its checks with this multiple of the Richardson error
 #: estimate as slack
 SLACK_FACTOR = 10.0
+
+#: a solve's chain of nested grids (:func:`grid_chain`) ends at the first
+#: grid with at most this many interior nodes, the only one whose matrices
+#: are factored.  The depth barely matters: on the pentagon at 1/64, with
+#: the table field, chains ending at 1/32, 1/16, 1/8, 1/4 and 1/2 all took
+#: 18 GMRES iterations on the fine grid and 0.129-0.144 s per solve
+#: (0.170 s factoring the fine grid).  This limit keeps both the coarsest
+#: factor and the chain short
+COARSEST_DOF = 1024
 
 
 def effective_sphere_radius(domain, annulus_r=None):
@@ -164,69 +173,161 @@ def gradient_hypotheses(domain, field, solution, *, annulus_r=None,
 def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
                  max_iters=40):
     """Rasterize and solve by :func:`solve_grid`; returns a
-    :class:`pmcgraph.solver.SolveOutcome`."""
+    :class:`GridOutcome`."""
     return solve_grid(grid_from_domain(domain, spacing, boundary=boundary),
                       field, tol=tol, max_iters=max_iters)
 
 
-def solve_grid(grid, field, *, coarse=None, tol=1e-10, max_iters=40):
-    """Solve one grid by the one rule of ``solve`` and ``verify``; returns
-    a :class:`pmcgraph.solver.SolveOutcome`.
+def grid_chain(grid):
+    """``grid`` and the grids of its problem at twice, four times, ...
+    its spacing, finest first: the chain of nested grids a solve walks.
 
-    * With ``coarse``, a solved outcome on a coarser grid of the same
-      domain: Newton at t = 1 from its values prolongated by
-      :func:`pmcgraph.grid.prolongate`, with GMRES preconditioned by the
-      two-grid cycle of the same prolongation matrix.
-    * Else, when ``field.monotone`` holds (H nondecreasing in z, so the
-      discrete solution is unique by the comparison principle): Newton at
-      t = 1 from :func:`pmcgraph.solver.newton_solve`'s default start.
-    * Else, or when that Newton run fails: the homotopy
-      (:func:`pmcgraph.solver.continuation_solve`), whose continuation
-      defines the solution branch.
-
-    A successful Newton run's trace is one step at t = 1.
+    Halving stops at the first grid with at most ``COARSEST_DOF`` interior
+    nodes, or where the next coarser lattice would have no interior node.
+    The grids come from :func:`pmcgraph.grid.grid_from_domain` with the
+    grid's domain and Dirichlet data, so their lattices nest.  A bitmap's
+    grid is its own cells at every spacing, so its chain is that grid.
     """
-    settings = dict(tol=tol, max_iters=max_iters)
-    if coarse is not None or field.monotone:
-        initial, prolongation = None, None
-        if coarse is not None:
-            initial = np.zeros(grid.shape)
-            initial[grid.interior], prolongation = prolongate(
-                coarse.solution.grid, coarse.solution.interior_values(), grid)
-            # P outlives the fine solve.  Copied now that prolongate's
-            # temporaries are freed, it sits below them in the heap; kept
-            # where prolongate made it, it raised annulus-verify's peak RSS
-            # by 5-9 MiB in half of the benchmark runs
-            prolongation = prolongation.copy()
-        linsolve = solver.FactorOnceSolver(prolongation)
+    chain = [grid]
+    if isinstance(grid.domain, geometry.GridMask):
+        return chain
+    while chain[-1].n_dof > COARSEST_DOF:
         try:
-            solution = solver.newton_solve(grid, field, t_homotopy=1.0,
-                                           initial=initial, linsolve=linsolve,
-                                           **settings)
+            coarser = grid_from_domain(grid.domain, 2.0 * chain[-1].spacing,
+                                       boundary=grid.boundary)
+        except ParameterError:  # no lattice node inside the domain
+            break
+        chain.append(coarser)
+    return chain
+
+
+def _prolongations(chain):
+    """The :func:`pmcgraph.grid.nested_prolongation` matrices between the
+    neighbouring grids of a chain, finest first; they hold no grid."""
+    return [nested_prolongation(coarse, fine)
+            for fine, coarse in zip(chain, chain[1:])]
+
+
+class GridOutcome(NamedTuple):
+    """A converged grid solution, the trace of the solve that reached it,
+    and the report's ``levels``: one dict per grid that solve solved,
+    coarsest first, with its spacing, ``n_dof``, Newton steps, GMRES
+    iterations, factorizations and ``path``, ``"chain"`` or
+    ``"homotopy"``."""
+
+    solution: solver.GridSolution
+    trace: solver.ContinuationTrace
+    levels: list
+
+
+def _level(outcome, path):
+    steps = outcome.trace.steps
+    grid = outcome.solution.grid
+    return {"spacing": grid.spacing, "n_dof": grid.n_dof,
+            "newton_iters": sum(s.newton_iters for s in steps),
+            "krylov_iters": sum(s.krylov_iters for s in steps),
+            "factorizations": sum(s.factorizations for s in steps),
+            "path": path}
+
+
+def _climb(chain, prolongations, field, settings, coarse=None):
+    """Newton at t = 1 up a chain, coarsest grid first; returns the
+    outcome of its finest grid, and the ``levels`` of every grid.
+
+    ``chain`` lists grids finest first; it is emptied as the climb goes,
+    so that each grid is freed once the grid above it has its start.
+    ``prolongations`` are the :func:`_prolongations` from ``chain[0]``
+    down, which may reach below the chain to a solved ``coarse`` outcome
+    that the climb starts from.  Without one, the chain's last grid is
+    solved from :func:`pmcgraph.solver.newton_solve`'s default start with
+    its own factor.  Every other grid starts from the solution below,
+    :func:`pmcgraph.grid.prolongate`d, and its GMRES is preconditioned by
+    the V-cycle over every grid below it, which factors only the
+    coarsest.  Raises the first :class:`SolverError`.
+    """
+    levels = []
+    outcome = coarse
+    while chain:
+        grid = chain.pop()
+        below = prolongations[len(chain):]
+        initial = None
+        if outcome is not None:
+            initial = np.zeros(grid.shape)
+            initial[grid.interior] = prolongate(
+                below[0], outcome.solution.interior_values(), grid)
+            outcome = solution = None  # frees the grid below
+        linsolve = solver.FactorOnceSolver(below)
+        solution = solver.newton_solve(grid, field, t_homotopy=1.0,
+                                       initial=initial, linsolve=linsolve,
+                                       **settings)
+        step = solver.ContinuationStep.from_solution(
+            solution, linsolve.factorizations, linsolve.krylov_iters)
+        outcome = solver.SolveOutcome(solution,
+                                      solver.ContinuationTrace(steps=[step]))
+        levels.append(_level(outcome, "chain"))
+    return outcome, levels
+
+
+def _solve_chain(chain, prolongations, field, settings, coarse=None):
+    """:func:`_climb` for a monotone field or from a solved ``coarse``
+    outcome; else, or when the climb raises a :class:`SolverError`, the
+    homotopy on the chain's finest grid.  Returns that grid's outcome and
+    its ``levels``."""
+    finest = chain[0]
+    if coarse is not None or field.monotone:
+        try:
+            return _climb(chain, prolongations, field, settings, coarse)
         except SolverError:
             pass
-        else:
-            step = solver.ContinuationStep.from_solution(
-                solution, linsolve.factorizations, linsolve.krylov_iters)
-            return solver.SolveOutcome(solution,
-                                       solver.ContinuationTrace(steps=[step]))
-    return solver.continuation_solve(grid, field, **settings)
+    chain.clear()
+    outcome = solver.continuation_solve(finest, field, **settings)
+    return outcome, [_level(outcome, "homotopy")]
+
+
+def solve_grid(grid, field, *, tol=1e-10, max_iters=40):
+    """Solve one grid by the one rule of ``solve`` and ``verify``; returns
+    a :class:`GridOutcome`.
+
+    When ``field.monotone`` holds (H nondecreasing in z, so the discrete
+    solution is unique by the comparison principle), a climb up the
+    grid's chain (:func:`grid_chain`): Newton at t = 1 from zero (or the
+    harmonic start, for nonzero data) on the coarsest grid with its own
+    factor, then on each finer grid from the solution below, with GMRES
+    preconditioned by a V-cycle that factors only the coarsest grid's
+    Galerkin operator.  For any other field, whose homotopy defines the
+    solution branch, or when any Newton run of the climb fails: the
+    homotopy (:func:`pmcgraph.solver.continuation_solve`) on ``grid``
+    itself, so that a stall is reported at the requested spacing.  A
+    climb's trace is the one step at t = 1 of its finest grid.
+    """
+    settings = dict(tol=tol, max_iters=max_iters)
+    # a homotopy solves the grid alone
+    chain = grid_chain(grid) if field.monotone else [grid]
+    outcome, levels = _solve_chain(chain, _prolongations(chain), field,
+                                   settings)
+    return GridOutcome(*outcome, levels)
 
 
 def refine_solve(coarse, field, *, tol=1e-10, max_iters=40):
-    """:func:`solve_grid` at half the spacing of ``coarse``, a
-    :class:`pmcgraph.solver.SolveOutcome` on a zero-boundary grid, from
-    that coarse solution."""
+    """The grid at half the spacing of ``coarse``'s, a solved outcome,
+    solved from that coarse solution: Newton at t = 1 with GMRES
+    preconditioned by the V-cycle over the chain below (the homotopy on
+    the fine grid if it fails); returns a :class:`GridOutcome`."""
     coarse_grid = coarse.solution.grid
-    grid = grid_from_domain(coarse_grid.domain, 0.5 * coarse_grid.spacing)
-    return solve_grid(grid, field, coarse=coarse, tol=tol,
-                      max_iters=max_iters)
+    grid = grid_from_domain(coarse_grid.domain, 0.5 * coarse_grid.spacing,
+                            boundary=coarse_grid.boundary)
+    prolongations = _prolongations([grid] + grid_chain(coarse_grid))
+    outcome, levels = _solve_chain([grid], prolongations, field,
+                                   dict(tol=tol, max_iters=max_iters),
+                                   coarse=coarse)
+    return GridOutcome(*outcome, levels)
 
 
 @dataclass
 class VerifyOutcome:
     """The fine solve of :func:`verify_domain`, the
-    :class:`DomainBarrier` its checks read, and their report."""
+    :class:`DomainBarrier` its checks read, their report, and the
+    ``levels`` of every grid solved (:class:`GridOutcome`)."""
 
     solution: object
     trace: object
@@ -234,6 +335,7 @@ class VerifyOutcome:
     report: object
     error_estimate: float
     gradient_inputs: object
+    levels: list
 
 
 def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
@@ -250,10 +352,14 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     with no admissible barrier raises :class:`NoAdmissibleConstantError`
     at no solve cost.
 
-    Both grids are solved by :func:`solve_grid`: the grid at ``spacing``
-    by itself, and the grid at ``spacing / 2`` from its solution
-    (:func:`refine_solve`).  A stall is therefore that of ``solve`` at
-    ``spacing``.  ``trace`` is the fine solve's trace.
+    The grid at ``spacing`` is built first, so that a lattice past the
+    cap is named at that spacing.  One chain runs from ``spacing / 2``
+    down (:func:`grid_chain`).  The grid at ``spacing`` is solved by
+    ``solve``'s rule (:func:`solve_grid`) on the chain below it, and a
+    stall is therefore that of ``solve`` at ``spacing``.  The grid at
+    ``spacing / 2`` is then solved from it by Newton at t = 1, with the
+    V-cycle over the whole chain, or by the homotopy if that fails.
+    ``trace`` is the fine solve's trace.
     """
     if isinstance(domain, geometry.GridMask):
         raise ParameterError(
@@ -263,8 +369,12 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     grid = grid_from_domain(domain, spacing)
     fitted = barrier_for_domain(domain, sampled_h_sup0(field, domain),
                                 annulus_r=annulus_r)
-    coarse = solve_grid(grid, field, **settings)
-    fine = refine_solve(coarse, field, **settings)
+    chain = grid_chain(grid)
+    fine_grid = grid_from_domain(domain, 0.5 * spacing)
+    prolongations = _prolongations([fine_grid] + chain)
+    coarse, levels = _solve_chain(chain, prolongations[1:], field, settings)
+    fine, fine_levels = _solve_chain([fine_grid], prolongations, field,
+                                     settings, coarse=coarse)
 
     est = verify.richardson_error_estimate(coarse.solution, fine.solution)
     report = verify.estimate_report(fine.solution, fitted, SLACK_FACTOR * est)
@@ -272,7 +382,8 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
 
     return VerifyOutcome(solution=fine.solution, trace=fine.trace,
                          barrier=fitted, report=report, error_estimate=est,
-                         gradient_inputs=ginputs)
+                         gradient_inputs=ginputs,
+                         levels=levels + fine_levels)
 
 
 def nonexistence_sweep(dim, h, outer, epsilons):
@@ -349,7 +460,7 @@ def curvature_from_json(spec):
                         + tx * ty * vals[fy + 1, fx + 1])
 
             def func(points, z):
-                return interp(points) + z_slope * np.asarray(z, dtype=float)
+                return interp(points) + z_slope * np.asarray(z)
 
             def grad(points, z):
                 # the bilinear cell's gradient; zero across a clamped edge

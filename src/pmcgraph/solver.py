@@ -32,8 +32,9 @@ later step at the same or a later t.
 The default start is zero for zero Dirichlet data; for nonzero data it
 is the discrete harmonic extension (:func:`_harmonic_start`), whose
 factor is the first preconditioner instead.  A grid refined
-from a solved coarser one starts with a two-grid cycle whose Galerkin
-coarse operator is factored once.  Newton is inexact: each GMRES solve
+from a solved coarser one starts with a V-cycle over a chain of nested
+coarser grids whose Galerkin operator is factored only at the coarsest
+grid, once.  Newton is inexact: each GMRES solve
 stops at a relative residual set by the size of the Newton residual
 (:func:`_forcing`), so early steps are solved loosely and the last ones
 tightly.
@@ -81,8 +82,8 @@ _LINE_SEARCH_FLOOR = 2.0 ** -20
 _HOMOTOPY_MEMBERS = 11
 _DT_MIN = 1e-3
 
-# Right-preconditioned GMRES, by a reused LU factor or by the two-grid
-# cycle.  A Newton step with residual sup norm r solves its update to the
+# Right-preconditioned GMRES, by a reused LU factor or by the V-cycle.
+# A Newton step with residual sup norm r solves its update to the
 # relative residual min(_FORCING_CAP, max(_KRYLOV_RTOL, r^2)) (Dembo,
 # Eisenstat & Steihaug 1982): an update is solved only as far as the
 # quadratic convergence of Newton can use, so Newton iteration counts
@@ -91,15 +92,19 @@ _DT_MIN = 1e-3
 # terms linear in r (0.1 r, or Eisenstat & Walker's safeguards) save a few
 # more iterations but break the transposition symmetry of ``verify``
 # beyond 1e-15.  The basis holds restart + 1 vectors, and the restart is
-# the smallest that holds a whole two-grid solve in one cycle: on
+# the smallest that held a whole two-grid solve in one cycle: on
 # Annulus(1, 2), H = -0.3, those took 14 iterations at 1/64 and 17 at
-# 1/128 to 1e-12 (13-16 on a pentagon and on the annulus at 1/32), while
-# LU-preconditioned solves along a homotopy take about 4 to 11
+# 1/128 to 1e-12.  V-cycle solves down to a coarsest grid of at most
+# 1,024 nodes fit it too: the three Newton steps above the coarsest grid
+# take 2, 4-5 and 11-13 iterations at every level up to 1/64 on that
+# annulus, a pentagon and an off-centre disc; at 1/128 the annulus's
+# fourth step takes 20, in two cycles.  LU-preconditioned solves along a
+# homotopy take about 4 to 11
 _KRYLOV_RTOL = 1e-12
 _FORCING_CAP = 1e-2
 _KRYLOV_RESTART = 17
 _KRYLOV_MAXITER = 3
-# damping of the two-grid cycle's Jacobi sweeps
+# damping of the V-cycle's Jacobi sweeps
 _JACOBI_WEIGHT = 0.8
 
 
@@ -310,21 +315,47 @@ def _gmres(J, rhs, precond, rtol=_KRYLOV_RTOL):
     return x, iters, beta <= target and bool(np.all(np.isfinite(x)))
 
 
-def _two_grid(J, prolong):
-    """Factor the Galerkin coarse operator ``P^T J P`` once; returns the
-    map from a fine Jacobian to its two-grid cycle: one damped-Jacobi
-    sweep, the coarse correction through that factor, one more sweep."""
-    restrict = prolong.T.tocsr()
-    coarse_lu = _splu(restrict @ J @ prolong)
+def _v_cycle(J, prolongations):
+    """Build the Galerkin operators ``P^T A P`` down ``prolongations``
+    (finest first) from ``J`` and factor only the coarsest; returns the
+    map from a fine Jacobian to its V-cycle.
+
+    Each level above the coarsest does one damped-Jacobi sweep, hands its
+    restricted residual down, adds the prolongated correction on the way
+    back up and does one more sweep; the coarsest level solves through
+    the factor.  The fine level takes the Jacobian the map is given, the
+    levels below keep their operators from ``J``.  The cycle is a loop
+    down and up the levels: a closure that called itself would form a
+    reference cycle holding every Jacobian it saw until the garbage
+    collector ran.  With one prolongation this is the two-grid cycle.
+    """
+    restricts = [P.T.tocsr() for P in prolongations]
+    operators = []  # the Galerkin operators below J, coarsest last
+    A = J
+    for R, P in zip(restricts, prolongations):
+        A = R @ A @ P
+        operators.append(A)
+    coarsest_lu = _splu(operators.pop())
+    weights = [_JACOBI_WEIGHT / A.diagonal() for A in operators]
 
     def cycle(J):
-        weight = _JACOBI_WEIGHT / J.diagonal()
+        levels = list(zip([J] + operators,
+                          [_JACOBI_WEIGHT / J.diagonal()] + weights,
+                          restricts, prolongations))
 
         def apply(r):
-            x = weight * r
-            x += prolong @ coarse_lu.solve(restrict @ (r - J @ x))
-            x += weight * (r - J @ x)
-            return x
+            down = []  # each level's first sweep and right-hand side
+            for A, weight, R, _ in levels:
+                x = weight * r
+                down.append((x, r))
+                r = R @ (r - A @ x)
+            e = coarsest_lu.solve(r)
+            for (A, weight, _, P), (x, r) in zip(reversed(levels),
+                                                 reversed(down)):
+                x += P @ e
+                x += weight * (r - A @ x)
+                e = x
+            return e
 
         return apply
 
@@ -340,18 +371,20 @@ class FactorOnceSolver:
     no preconditioner yet or GMRES fails.  The new factor then becomes
     the preconditioner, a lagged one for the later solves (Knoll & Keyes
     2004).  The solver keeps a map from a Jacobian to its preconditioner,
-    a function ``v -> M v``.  With ``prolongation`` ``P`` from a solved
-    coarser grid (:func:`pmcgraph.grid.nested_prolongation`),
-    the first solve factors ``P^T J P`` and the map gives the two-grid
-    cycle.
+    a function ``v -> M v``.  With ``prolongations``, the
+    :func:`pmcgraph.grid.nested_prolongation` matrices of a chain of
+    nested coarser grids, finest first, the first solve builds their
+    Galerkin operators from ``J``, factors only the coarsest, and the map
+    gives the V-cycle (:func:`_v_cycle`; with one prolongation, the
+    two-grid cycle).
     ``factorizations`` counts every sparse LU and ``krylov_iters`` every
     GMRES inner iteration.
     """
 
-    def __init__(self, prolongation=None):
-        # the preconditioner closures hold factors and P, never ``self``,
-        # so a solver is freed by reference counting alone
-        self._prolong = prolongation
+    def __init__(self, prolongations=()):
+        # the preconditioner closures hold factors and the prolongations,
+        # never ``self``, so a solver is freed by reference counting alone
+        self._prolongations = list(prolongations)
         self._precond = None  # Jacobian -> preconditioner function
         self.factorizations = 0
         self.krylov_iters = 0
@@ -360,9 +393,9 @@ class FactorOnceSolver:
         """Solve ``J x = rhs``, by GMRES to the relative residual ``rtol``
         or directly; returns ``(x, krylov_iters, factored)``, with
         ``factored`` true when ``J`` was factored for this solve."""
-        if self._precond is None and self._prolong is not None:
-            self._precond = _two_grid(J, self._prolong)
-            self._prolong = None
+        if self._precond is None and self._prolongations:
+            self._precond = _v_cycle(J, self._prolongations)
+            self._prolongations = []
             self.factorizations += 1
         iters = 0
         if self._precond is not None:

@@ -200,6 +200,52 @@ class TestSolveAndVerifyCommands:
         assert report["trace"][-1]["krylov_iters"] > 0
         assert report["gradient_hypotheses"]["monotone_ok"] is True
 
+    def test_reports_list_the_levels(self, tmp_path):
+        # the pentagon at 1/32 with the monotone table field: a chain down
+        # to 1/16, the first grid with at most COARSEST_DOF nodes; verify
+        # at 1/16 walks the same chain, and a field decreasing in z runs
+        # the homotopy on the requested grid alone
+        table = {"x": [0.0, 2.0], "y": [0.0, 2.5],
+                 "values": [[-0.3, -0.2], [-0.2, -0.3]]}
+        base = {"domain": {"kind": "convex_polygon",
+                           "vertices": [[0, 0], [2, 0], [2, 1.5], [1, 2.5],
+                                        [0, 1.5]]},
+                "curvature": {"table": table, "z_slope": 0.1}}
+        runs = {"solve": ("solve", 1.0 / 32, 0.1),
+                "verify": ("verify", 1.0 / 16, 0.1),
+                "homotopy": ("solve", 1.0 / 32, -0.1)}
+        reports = {}
+        for name, (command, spacing, z_slope) in runs.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({
+                **base, "spacing": spacing,
+                "curvature": {"table": table, "z_slope": z_slope}}))
+            out = tmp_path / name
+            assert run([command, "--config", cfg, "--out", out]) == 0
+            report = "solve_report.json" if command == "solve" else \
+                "estimate_report.json"
+            reports[name] = json.loads((out / report).read_text())
+        chain = [(1.0 / 16, 969, "chain"), (1.0 / 32, 3985, "chain")]
+        for name in ("solve", "verify"):
+            levels = reports[name]["levels"]
+            assert [(level["spacing"], level["n_dof"], level["path"])
+                    for level in levels] == chain
+            assert [level["factorizations"] for level in levels] == [1, 1]
+            assert all(level["newton_iters"] > 0 and level["krylov_iters"] > 0
+                       for level in levels)
+        (step,) = reports["solve"]["trace"]
+        assert {key: reports["solve"]["levels"][-1][key] for key in
+                ("newton_iters", "krylov_iters", "factorizations")} == {
+            key: step[key] for key in
+            ("newton_iters", "krylov_iters", "factorizations")}
+        (level,) = reports["homotopy"]["levels"]
+        trace = reports["homotopy"]["trace"]
+        assert len(trace) == 11
+        assert level == {
+            "spacing": 1.0 / 32, "n_dof": 3985, "path": "homotopy",
+            **{key: sum(step[key] for step in trace) for key in
+               ("newton_iters", "krylov_iters", "factorizations")}}
+
     def test_solve_stall_exits_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

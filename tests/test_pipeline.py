@@ -225,8 +225,8 @@ class TestCoarseToFineVerify:
 def coarse_start(coarse, grid):
     """The start :func:`pmcgraph.grid.prolongate` makes on ``grid`` from a
     solved coarse outcome."""
-    return prolongate(coarse.solution.grid, coarse.solution.interior_values(),
-                      grid)[0]
+    return prolongate(nested_prolongation(coarse.solution.grid, grid),
+                      coarse.solution.interior_values(), grid)
 
 
 #: (domain, field) pairs whose refine is pinned
@@ -344,28 +344,44 @@ class TestTwoGridVerify:
         monkeypatch.setattr(module, name, wrapped)
         return calls
 
-    def test_two_levels_match_continuations(self, monkeypatch):
-        levels = []
-        real = pipeline.solve_grid
+    @staticmethod
+    def record_newton(monkeypatch):
+        """(spacing, solution) of every converged Newton run, in order."""
+        runs = []
+        real = solver.newton_solve
 
         def record(grid, *args, **kwargs):
             out = real(grid, *args, **kwargs)
-            levels.append((grid.spacing, out))
+            runs.append((grid.spacing, out))
             return out
 
-        monkeypatch.setattr(pipeline, "solve_grid", record)
+        monkeypatch.setattr(solver, "newton_solve", record)
+        return runs
+
+    def test_chain_levels_match_continuations(self, monkeypatch):
+        runs = self.record_newton(monkeypatch)
         homotopies = self.spy(monkeypatch, solver, "continuation_solve")
         outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
-        assert [h for h, _ in levels] == [1.0 / 16, 1.0 / 32]
+        levels = list(runs)
+        # one chain from 1/32 down to the first grid of at most
+        # COARSEST_DOF nodes, solved coarsest first, one Newton run each
+        assert [h for h, _ in levels] == [1.0 / 8, 1.0 / 16, 1.0 / 32]
+        assert (grid_from_domain(self.DOMAIN, 1.0 / 8).n_dof
+                <= pipeline.COARSEST_DOF
+                < grid_from_domain(self.DOMAIN, 1.0 / 16).n_dof)
         assert homotopies == []
         for h, level in levels:
             direct = solver.continuation_solve(
                 grid_from_domain(self.DOMAIN, h), self.FIELD)
-            diff = np.max(np.abs(level.solution.values
-                                 - direct.solution.values))
+            diff = np.max(np.abs(level.values - direct.solution.values))
             assert diff <= 1e-12
-        assert outcome.solution is levels[-1][1].solution
-        assert outcome.trace is levels[-1][1].trace
+        assert outcome.solution is levels[-1][1]
+        (step,) = outcome.trace.steps
+        assert step.t == 1.0
+        assert step.newton_iters == levels[-1][1].newton_iters
+        assert [(level["spacing"], level["newton_iters"], level["path"])
+                for level in outcome.levels] == [
+            (h, level.newton_iters, "chain") for h, level in levels]
 
     def test_coarse_newton_failure_falls_back(self, monkeypatch):
         real = solver.newton_solve
@@ -392,11 +408,25 @@ class TestTwoGridVerify:
             "z_slope": -0.1})
         assert not field.monotone
         homotopies = self.spy(monkeypatch, solver, "continuation_solve")
-        grid_solves = self.spy(monkeypatch, pipeline, "solve_grid")
+        newton = self.spy(monkeypatch, solver, "newton_solve")
+        sizes = []
+        real_splu = solver.sparse_linalg.splu
+
+        def splu(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return real_splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(solver.sparse_linalg, "splu", splu)
         outcome = pipeline.verify_domain(self.DOMAIN, field, 1.0 / 16)
-        # the homotopy at the spacing, Newton from its solution at half it
-        assert grid_solves == [1.0 / 16, 1.0 / 32]
+        # the homotopy at the spacing, then one Newton run from its
+        # solution at half it, preconditioned by the V-cycle down to 1/8
         assert homotopies == [1.0 / 16]
+        assert newton[-1] == 1.0 / 32 and set(newton[:-1]) == {1.0 / 16}
+        assert sizes == [grid_from_domain(self.DOMAIN, h).n_dof
+                         for h in (1.0 / 16, 1.0 / 8)]
+        assert [(level["spacing"], level["path"])
+                for level in outcome.levels] == [(1.0 / 16, "homotopy"),
+                                                 (1.0 / 32, "chain")]
         direct = solver.continuation_solve(
             grid_from_domain(self.DOMAIN, 1.0 / 32), field)
         diff = np.max(np.abs(outcome.solution.values - direct.solution.values))
@@ -438,18 +468,11 @@ class TestTwoGridVerify:
         # the same coordinates
         pentagon = geometry.ConvexPolygon(
             [[0, 0], [2, 0], [2, 1.5], [1, 2.5], [0, 1.5]])
-        solutions = []
-        real = pipeline.solve_grid
-
-        def record(grid, *args, **kwargs):
-            out = real(grid, *args, **kwargs)
-            solutions.append(out.solution)
-            return out
-
-        monkeypatch.setattr(pipeline, "solve_grid", record)
+        runs = self.record_newton(monkeypatch)
         outcome = pipeline.verify_domain(
             pentagon, CurvatureField.from_constant(0.3), 1.0 / 16)
-        coarse, fine = solutions
+        # the grid at 1/16 is the chain's coarsest
+        (_, coarse), (_, fine) = runs
 
         def key(x, y):
             return round(x * 2**20), round(y * 2**20)
@@ -585,6 +608,42 @@ class TestOneSolveRule:
         assert events[2:].count(("homotopy",)) == 0
         assert solved.value.stall_t == direct.value.stall_t
         assert solved.value.diagnostics == direct.value.diagnostics
+
+    def test_stall_is_the_homotopy_at_the_requested_spacing(self,
+                                                            monkeypatch):
+        # Disc(1), H = 1.2 has no solution.  Newton from zero fails on the
+        # chain's coarsest grid, 1/12, and the homotopy runs on the
+        # requested grid, 1/24, where it stalls as it does alone
+        disc, field = geometry.Disc(1.0), CurvatureField.from_constant(1.2)
+        grid = grid_from_domain(disc, 1.0 / 24)
+        assert [g.spacing for g in pipeline.grid_chain(grid)] == [
+            1.0 / 24, 1.0 / 12]
+        with pytest.raises(ContinuationFailureError) as direct:
+            solver.continuation_solve(grid, field, max_iters=25)
+        assert direct.value.stall_t == 0.859375
+        spacings = TestTwoGridVerify.spy(monkeypatch, solver, "newton_solve")
+        with pytest.raises(ContinuationFailureError) as solved:
+            pipeline.solve_domain(disc, field, 1.0 / 24, max_iters=25)
+        assert spacings[0] == 1.0 / 12 and set(spacings[1:]) == {1.0 / 24}
+        assert solved.value.stall_t == direct.value.stall_t
+        assert solved.value.diagnostics == direct.value.diagnostics
+        assert solved.value.trace == direct.value.trace
+        # verify finds first that no barrier admits this curvature; where
+        # it has one, its stall is solve's at the same spacing: one Newton
+        # iteration per run fails on the chain's coarsest grid, 1/8, and
+        # the homotopy at 1/16 stalls at once
+        with pytest.raises(NoAdmissibleConstantError):
+            pipeline.verify_domain(disc, field, 1.0 / 24, max_iters=25)
+        annulus = geometry.Annulus(1.0, 2.0)
+        h = CurvatureField.from_constant(-0.3)
+        with pytest.raises(ContinuationFailureError) as direct:
+            solver.continuation_solve(grid_from_domain(annulus, 1.0 / 16), h,
+                                      max_iters=1)
+        for run in (pipeline.solve_domain, pipeline.verify_domain):
+            with pytest.raises(ContinuationFailureError) as stalled:
+                run(annulus, h, 1.0 / 16, max_iters=1)
+            assert stalled.value.stall_t == direct.value.stall_t
+            assert stalled.value.diagnostics == direct.value.diagnostics
 
 
 class TestVerifySymmetries:

@@ -114,7 +114,7 @@ class TestResidual:
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
             assert all(1.5 <= o <= 2.5 for o in orders), (errs, orders)
 
-    @pytest.mark.parametrize("case", ["annulus", "pentagon", "disc"])
+    @pytest.mark.parametrize("case", ["annulus", "pentagon", "disc", "table"])
     def test_jacobian_matches_complex_steps(self, case):
         # complex-step differentiation (Squire & Trapp 1998): a residual at
         # values + i h e has imaginary part h J e to roundoff, with no
@@ -131,9 +131,12 @@ class TestResidual:
             field = CurvatureField(
                 lambda p, z: 0.2 * p[..., 0] + 0.1 * z, z_slope=0.1,
                 spatial=lambda p: 0.2 * p[..., 0])
-        else:
+        elif case == "disc":
             grid = grid_from_domain(geometry.Disc(1.0, (0.3, -0.2)), 0.1)
             field = CurvatureField.from_constant(0.5)
+        else:
+            # the benchmark's tabulated field: its z term keeps the step
+            grid, field = grid_from_domain(PENTAGON, 0.2), table_field()
         f = np.zeros(grid.shape)
         f[grid.interior] = 0.3 * np.sin(grid.X + 2.0 * grid.Y)[grid.interior]
         t, step = 0.8, 1e-30
@@ -812,7 +815,8 @@ class TestTwoGridSolver:
         grid = grid_from_domain(domain, 1.0 / 32)
         initial = np.zeros(grid.shape)
         initial[grid.interior] = prolongate(
-            coarse.solution.grid, coarse.solution.interior_values(), grid)[0]
+            nested_prolongation(coarse.solution.grid, grid),
+            coarse.solution.interior_values(), grid)
         reference = solver.newton_solve(grid, field, initial=initial,
                                         linsolve=solver.FactorOnceSolver())
         diff = np.max(np.abs(refined.solution.values - reference.values))
@@ -824,10 +828,11 @@ class TestTwoGridSolver:
     def test_verify_factors_no_fine_matrix(self, monkeypatch):
         sizes = spy_splu(monkeypatch)
         outcome = pipeline.verify_domain(self.ANNULUS, self.FIELD, 1.0 / 16)
-        n_coarse = grid_from_domain(self.ANNULUS, 1.0 / 16).n_dof
-        # the coarse grid's own factor, then the Galerkin operator's
-        assert sizes == [n_coarse, n_coarse]
-        assert outcome.solution.grid.n_dof > n_coarse
+        n_coarsest = grid_from_domain(self.ANNULUS, 1.0 / 8).n_dof
+        # the chain 1/32, 1/16, 1/8: the coarsest grid's own factor, then
+        # one Galerkin operator of its size for each grid above it
+        assert sizes == [n_coarsest] * 3
+        assert outcome.solution.grid.n_dof > n_coarsest
 
     def test_gmres_failure_factors_the_fine_jacobian(self, monkeypatch):
         coarse = pipeline.solve_domain(self.ANNULUS, self.FIELD, 1.0 / 16)
@@ -846,38 +851,218 @@ class TestTwoGridSolver:
         sizes = spy_splu(monkeypatch)
         refined = pipeline.refine_solve(coarse, self.FIELD)
         assert failed == [fine_n]
-        # the Galerkin factor, then one fine factor that preconditions
-        # every later Newton step
+        # the Galerkin factor at the chain's coarsest grid, 1/8, then one
+        # fine factor that preconditions every later Newton step
         (step,) = refined.trace.steps
         assert step.t == 1.0 and step.newton_iters > 1
-        assert sizes == [coarse.solution.grid.n_dof, fine_n]
+        assert sizes == [grid_from_domain(self.ANNULUS, 1.0 / 8).n_dof, fine_n]
         assert step.factorizations == 2
         assert refined.solution.residual_inf <= 1e-10
 
     def test_grids_are_freed_while_the_solver_lives(self, monkeypatch):
-        coarse = grid_from_domain(self.ANNULUS, 1.0 / 8)
-        fine = grid_from_domain(self.ANNULUS, 1.0 / 16)
-        prolongation = nested_prolongation(coarse, fine)
-        linsolve = solver.FactorOnceSolver(prolongation)
+        fine, middle, coarse = (grid_from_domain(self.ANNULUS, h)
+                                for h in (1.0 / 32, 1.0 / 16, 1.0 / 8))
+        prolongations = [nested_prolongation(middle, fine),
+                         nested_prolongation(coarse, middle)]
+        linsolve = solver.FactorOnceSolver(prolongations)
         solver.newton_solve(fine, self.FIELD, linsolve=linsolve)
         assert linsolve.factorizations == 1
         # a second solver whose GMRES fails: the fine factor takes over
         real = solver._gmres
         monkeypatch.setattr(solver, "_gmres",
                             lambda *args: real(*args)[:2] + (False,))
-        failed = solver.FactorOnceSolver(prolongation)
+        failed = solver.FactorOnceSolver(prolongations)
         iters = solver.newton_solve(fine, self.FIELD,
                                     linsolve=failed).newton_iters
         assert failed.factorizations == 1 + iters
-        refs = [weakref.ref(coarse), weakref.ref(fine)]
+        refs = [weakref.ref(grid) for grid in (coarse, middle, fine)]
         solvers = [weakref.ref(linsolve), weakref.ref(failed)]
         gc.disable()
         try:
-            del coarse, fine
-            assert [ref() for ref in refs] == [None, None]
+            del coarse, middle, fine
+            assert [ref() for ref in refs] == [None, None, None]
             # no reference cycle keeps a solver alive either
             del linsolve, failed
             assert [ref() for ref in solvers] == [None, None]
+        finally:
+            gc.enable()
+
+
+def chain_case(name):
+    """(domain, monotone field) of a chain whose finest grid is at 1/32."""
+    if name == "annulus":
+        return geometry.Annulus(1.0, 2.0), CurvatureField.from_constant(-0.3)
+    if name == "pentagon":
+        return PENTAGON, table_field()
+    return geometry.Disc(1.0, (0.3, -0.2)), CurvatureField.from_constant(0.4)
+
+
+class TwoGridReference(solver.FactorOnceSolver):
+    """The two-grid preconditioner that the V-cycle generalises, as it was
+    written before: the Galerkin operator ``P^T J P`` factored at the
+    first solve, then one damped-Jacobi sweep, the coarse correction
+    through that factor and one more sweep."""
+
+    def __init__(self, prolong):
+        super().__init__()
+        self._reference = prolong
+
+    def solve(self, J, rhs, rtol=solver._KRYLOV_RTOL):
+        if self._reference is not None:
+            prolong, self._reference = self._reference, None
+            restrict = prolong.T.tocsr()
+            coarse_lu = solver._splu(restrict @ J @ prolong)
+            self.factorizations += 1
+
+            def cycle(J):
+                weight = solver._JACOBI_WEIGHT / J.diagonal()
+
+                def apply(r):
+                    x = weight * r
+                    x += prolong @ coarse_lu.solve(restrict @ (r - J @ x))
+                    x += weight * (r - J @ x)
+                    return x
+
+                return apply
+
+            self._precond = cycle
+        return super().solve(J, rhs, rtol)
+
+
+def spy_gmres(monkeypatch):
+    """Record (order, inner iterations) of every GMRES solve."""
+    calls = []
+    real = solver._gmres
+
+    def recorded(J, *args):
+        out = real(J, *args)
+        calls.append((J.shape[0], out[1]))
+        return out
+
+    monkeypatch.setattr(solver, "_gmres", recorded)
+    return calls
+
+
+class TestVCycle:
+    """The V-cycle over a chain of nested grids (``pipeline.grid_chain``):
+    only the coarsest grid is factored, and the fine solutions are the
+    homotopy's."""
+
+    ANNULUS = geometry.Annulus(1.0, 2.0)
+    FIELD = CurvatureField.from_constant(-0.3)
+
+    def test_one_prolongation_is_the_two_grid_cycle(self):
+        coarse = grid_from_domain(self.ANNULUS, 1.0 / 16)
+        fine = grid_from_domain(self.ANNULUS, 1.0 / 32)
+        P = nested_prolongation(coarse, fine)
+        start = np.zeros(fine.shape)
+        start[fine.interior] = prolongate(
+            P, solver.newton_solve(coarse, self.FIELD).interior_values(), fine)
+        runs = []
+        for cls in (solver.FactorOnceSolver, TwoGridReference):
+            updates = []
+
+            class Recording(cls):
+                def solve(self, J, rhs, rtol=solver._KRYLOV_RTOL,
+                          updates=updates):
+                    out = super().solve(J, rhs, rtol)
+                    updates.append(out)
+                    return out
+
+            linsolve = Recording([P] if cls is solver.FactorOnceSolver else P)
+            runs.append((solver.newton_solve(fine, self.FIELD, initial=start,
+                                             linsolve=linsolve), updates))
+        (vcycle, updates), (two_grid, reference) = runs
+        assert len(updates) == len(reference) == vcycle.newton_iters > 1
+        for (x, iters, factored), (y, ref_iters, ref_factored) in zip(
+                updates, reference):
+            assert np.array_equal(x, y)
+            assert (iters, factored) == (ref_iters, ref_factored)
+        assert np.array_equal(vcycle.values, two_grid.values)
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("case", ["annulus", "pentagon", "disc"])
+    def test_no_factor_larger_than_the_coarsest_grid(self, monkeypatch,
+                                                     case, command):
+        domain, field = chain_case(case)
+        chain = pipeline.grid_chain(grid_from_domain(domain, 1.0 / 32))
+        sizes = spy_splu(monkeypatch)
+        if command == "solve":
+            outcome = pipeline.solve_domain(domain, field, 1.0 / 32)
+        else:
+            outcome = pipeline.verify_domain(domain, field, 1.0 / 16)
+        assert len(chain) > 1
+        assert outcome.solution.grid.n_dof == chain[0].n_dof
+        # the coarsest grid's own factor, and one Galerkin factor of its
+        # size per grid above it
+        assert sizes == [chain[-1].n_dof] * len(chain)
+        assert [(level["n_dof"], level["path"]) for level in outcome.levels] \
+            == [(grid.n_dof, "chain") for grid in chain[::-1]]
+
+    @pytest.mark.parametrize("case", ["annulus", "pentagon", "disc"])
+    def test_every_vcycle_gmres_fits_one_restart(self, monkeypatch, case):
+        domain, field = chain_case(case)
+        n_coarsest = pipeline.grid_chain(
+            grid_from_domain(domain, 1.0 / 32))[-1].n_dof
+        calls = spy_gmres(monkeypatch)
+        outcome = pipeline.verify_domain(domain, field, 1.0 / 16)
+        # GMRES above the coarsest grid runs on the V-cycle, once per
+        # Newton step
+        vcycle = [iters for n, iters in calls if n > n_coarsest]
+        assert len(vcycle) == sum(level["newton_iters"] for level
+                                  in outcome.levels[1:]) > 0
+        assert all(0 < iters <= solver._KRYLOV_RESTART for iters in vcycle)
+
+    @pytest.mark.parametrize("case", ["annulus", "pentagon", "disc"])
+    def test_fine_solutions_match_the_homotopy(self, case):
+        domain, field = chain_case(case)
+        outcome = pipeline.verify_domain(domain, field, 1.0 / 16)
+        homotopy = solver.continuation_solve(
+            grid_from_domain(domain, 1.0 / 32), field).solution
+        assert np.max(np.abs(outcome.solution.values
+                             - homotopy.values)) <= 1e-12
+        assert outcome.report.passed()
+
+    def test_the_climb_frees_each_grid_below(self, monkeypatch):
+        # while Newton runs on a grid of the chain, no grid below it is
+        # alive: each was needed only for the start of the grid above
+        below, alive = [], []
+        real = solver.newton_solve
+
+        def record(grid, *args, **kwargs):
+            alive.append([ref() is not None for ref in below])
+            below.append(weakref.ref(grid))
+            return real(grid, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", record)
+        gc.disable()
+        try:
+            pipeline.solve_domain(self.ANNULUS, self.FIELD, 1.0 / 32)
+        finally:
+            gc.enable()
+        assert alive == [[], [False], [False, False]]
+
+    def test_dropping_the_solver_frees_its_fine_jacobian(self):
+        chain = pipeline.grid_chain(grid_from_domain(self.ANNULUS, 1.0 / 32))
+        prolongations = [nested_prolongation(coarse, fine)
+                         for fine, coarse in zip(chain, chain[1:])]
+        jacobians = []
+
+        class Watching(solver.FactorOnceSolver):
+            def solve(self, J, rhs, rtol=solver._KRYLOV_RTOL):
+                jacobians.append(weakref.ref(J))
+                return super().solve(J, rhs, rtol)
+
+        gc.disable()
+        try:
+            linsolve = Watching(prolongations)
+            solver.newton_solve(chain[0], self.FIELD, linsolve=linsolve)
+            assert len(chain) == 3 and len(jacobians) > 1
+            assert linsolve.factorizations == 1
+            del linsolve
+            # a V-cycle whose apply called itself would keep every Jacobian
+            # it saw in a reference cycle, which only the collector frees
+            assert [ref() for ref in jacobians] == [None] * len(jacobians)
         finally:
             gc.enable()
 
