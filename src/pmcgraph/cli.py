@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import barrier, conditions, geometry, pipeline, solver, verify
+from . import barrier, conditions, geometry, pipeline, verify
 from .errors import (
     ContinuationFailureError,
     InfeasibleFitError,
@@ -233,6 +233,22 @@ def _write_stall_report(exc, path):
                "trace": exc.trace.as_dict()["steps"]}, path)
 
 
+def _write_solve_report(outcome, ginputs, path):
+    """``solve``'s report of a converged solve, with its trace's steps, the
+    gradient hypotheses ``ginputs`` and the levels."""
+    sol = outcome.solution
+    rep = {"residual_inf": sol.residual_inf, "sup_norm": sol.sup_norm,
+           "sup_gradient_interior": sol.sup_gradient_interior,
+           "sup_gradient_boundary": sol.sup_gradient_boundary,
+           "newton_iters": sol.newton_iters, "homotopy_t": sol.homotopy_t,
+           "n_dof": sol.grid.n_dof, "spacing": sol.grid.spacing}
+    if sol.no_existence_guarantee:
+        rep["no_existence_guarantee"] = sol.no_existence_guarantee
+    dump_json({**rep, "trace": outcome.trace.as_dict()["steps"],
+               "status": "converged", "gradient_hypotheses": ginputs.as_dict(),
+               "levels": outcome.levels}, path)
+
+
 def cmd_solve(args):
     out = _out_dir(args)
     cfg = _load_config(args)
@@ -257,11 +273,7 @@ def cmd_solve(args):
     sol.write_csv(out / "solution.csv")
     ginputs = pipeline.gradient_hypotheses(domain, field, sol,
                                            annulus_r=st["annulus_r"])
-    extra = {"status": "converged",
-             "gradient_hypotheses": ginputs.as_dict(),
-             "levels": outcome.levels}
-    solver.write_solution_report(sol, outcome.trace, out / "solve_report.json",
-                                 extra=extra)
+    _write_solve_report(outcome, ginputs, out / "solve_report.json")
     print(f"converged: residual_inf={sol.residual_inf!r} "
           f"sup|f|={sol.sup_norm!r}")
     return EXIT_OK

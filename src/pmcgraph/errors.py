@@ -36,7 +36,13 @@ class InfeasibleFitError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Base class for nonlinear solver failures."""
+    """Base class for nonlinear solver failures.
+
+    ``trace`` holds the steps accepted before the failure: a list of
+    per-iteration dicts for a Newton failure, the homotopy's
+    :class:`pmcgraph.solver.ContinuationTrace` for a
+    :class:`ContinuationFailureError`.
+    """
 
     def __init__(self, message, trace=None, diagnostics=None):
         super().__init__(message)

@@ -37,6 +37,9 @@ from .conditions import unit_ball_volume
 
 # Search-based fits keep at least this containment margin on both sides.
 FIT_MARGIN = 1e-9
+# A search fit whose radius or coordinates pass this size runs in units of
+# a power of two that keep its squared offsets and its penalty finite.
+FIT_SCALE_LIMIT = 2.0 ** 64
 
 
 def _radius(points):
@@ -423,8 +426,8 @@ def annulus_fit(domain, r):
     run a 64-direction coarse scan followed by Nelder-Mead refinement of
     the worst-radius objective, so the reported d is the best found, not a
     certified minimum.  Every returned fit passes an independent
-    containment recheck (with margin at least ``FIT_MARGIN`` when the fit
-    came from the search).
+    containment recheck (with margin at least ``FIT_MARGIN``, in the
+    search's units, when the fit came from the search).
     """
     if r <= 0.0 or not math.isfinite(r):
         raise ParameterError("need a finite r > 0")
@@ -458,6 +461,36 @@ def annulus_fit(domain, r):
 
 
 def _search_fit(domain, r):
+    """The fit of a polygon or a bitmap by search, in units of a power of
+    two that bring every length to at most ``FIT_SCALE_LIMIT``.
+
+    Scaling by a power of two is exact, and a fit within the limit is
+    searched for as it is.  Raises :class:`InfeasibleFitError` when the
+    units shrink a bitmap's cells below the normal range, or a polygon
+    below ``FIT_SCALE_LIMIT ** -7``, where its squared edge lengths leave
+    it, or when the fit overflows in the caller's units.
+    """
+    x0, y0, x1, y1 = domain.bbox()
+    size = max(r, abs(x0), abs(y0), abs(x1), abs(y1))
+    if not size > FIT_SCALE_LIMIT:
+        return _search_fit_at_scale(domain, r)
+    unit = math.ldexp(1.0, math.frexp(size / FIT_SCALE_LIMIT)[1])
+    bitmap = isinstance(domain, GridMask)
+    too_small = (domain.cell_size / unit < np.finfo(float).tiny if bitmap
+                 else max(x1 - x0, y1 - y0) / unit < FIT_SCALE_LIMIT ** -7)
+    if too_small:
+        raise InfeasibleFitError(f"the domain is too small against r = {r!r}")
+    scaled = (GridMask(domain.mask, domain.cell_size / unit,
+                       np.divide(domain.origin, unit)) if bitmap
+              else ConvexPolygon(domain.vertices / unit))
+    fit = _search_fit_at_scale(scaled, r / unit)
+    d, translation = fit.d * unit, tuple(unit * v for v in fit.translation)
+    if not np.all(np.isfinite([d, *translation])):
+        raise InfeasibleFitError("the fit overflows")
+    return AnnulusFit(r, d, translation, approximate=bitmap)
+
+
+def _search_fit_at_scale(domain, r):
     approximate = isinstance(domain, GridMask)
     if approximate:
         cloud = domain.corner_points()

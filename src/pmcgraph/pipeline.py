@@ -173,7 +173,7 @@ def gradient_hypotheses(domain, field, solution, *, annulus_r=None,
 def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
                  max_iters=40):
     """Rasterize and solve by :func:`solve_grid`; returns a
-    :class:`GridOutcome`."""
+    :class:`pmcgraph.solver.SolveOutcome`."""
     return solve_grid(grid_from_domain(domain, spacing, boundary=boundary),
                       field, tol=tol, max_iters=max_iters)
 
@@ -208,36 +208,15 @@ def _prolongations(chain):
             for fine, coarse in zip(chain, chain[1:])]
 
 
-class GridOutcome(NamedTuple):
-    """A converged grid solution, the trace of the solve that reached it,
-    and the report's ``levels``: one dict per grid that solve solved,
-    coarsest first, with its spacing, ``n_dof``, Newton steps, GMRES
-    iterations, factorizations and ``path``, ``"chain"`` or
-    ``"homotopy"``."""
-
-    solution: solver.GridSolution
-    trace: solver.ContinuationTrace
-    levels: list
-
-
-def _level(outcome, path):
-    steps = outcome.trace.steps
-    grid = outcome.solution.grid
-    return {"spacing": grid.spacing, "n_dof": grid.n_dof,
-            "newton_iters": sum(s.newton_iters for s in steps),
-            "krylov_iters": sum(s.krylov_iters for s in steps),
-            "factorizations": sum(s.factorizations for s in steps),
-            "path": path}
-
-
-def _climb(chain, prolongations, field, settings, coarse=None):
+def _climb(chain, prolongations, field, settings, solution=None):
     """Newton at t = 1 up a chain, coarsest grid first; returns the
-    outcome of its finest grid, and the ``levels`` of every grid.
+    :class:`pmcgraph.solver.SolveOutcome` of its finest grid, with one
+    ``"chain"`` level per grid.
 
     ``chain`` lists grids finest first; it is emptied as the climb goes,
     so that each grid is freed once the grid above it has its start.
     ``prolongations`` are the :func:`_prolongations` from ``chain[0]``
-    down, which may reach below the chain to a solved ``coarse`` outcome
+    down, which may reach below the chain to a solved grid ``solution``
     that the climb starts from.  Without one, the chain's last grid is
     solved from :func:`pmcgraph.solver.newton_solve`'s default start with
     its own factor.  Every other grid starts from the solution below,
@@ -246,47 +225,44 @@ def _climb(chain, prolongations, field, settings, coarse=None):
     coarsest.  Raises the first :class:`SolverError`.
     """
     levels = []
-    outcome = coarse
     while chain:
         grid = chain.pop()
         below = prolongations[len(chain):]
         initial = None
-        if outcome is not None:
+        if solution is not None:
             initial = np.zeros(grid.shape)
             initial[grid.interior] = prolongate(
-                below[0], outcome.solution.interior_values(), grid)
-            outcome = solution = None  # frees the grid below
+                below[0], solution.interior_values(), grid)
+            solution = None  # frees the grid below
         linsolve = solver.FactorOnceSolver(below)
         solution = solver.newton_solve(grid, field, t_homotopy=1.0,
                                        initial=initial, linsolve=linsolve,
                                        **settings)
-        step = solver.ContinuationStep.from_solution(
-            solution, linsolve.factorizations, linsolve.krylov_iters)
-        outcome = solver.SolveOutcome(solution,
-                                      solver.ContinuationTrace(steps=[step]))
-        levels.append(_level(outcome, "chain"))
-    return outcome, levels
+        trace = solver.ContinuationTrace(steps=[
+            solver.ContinuationStep.from_solution(
+                solution, linsolve.factorizations, linsolve.krylov_iters)])
+        levels.append(trace.level(grid, "chain"))
+    return solver.SolveOutcome(solution, trace, levels)
 
 
-def _solve_chain(chain, prolongations, field, settings, coarse=None):
-    """:func:`_climb` for a monotone field or from a solved ``coarse``
-    outcome; else, or when the climb raises a :class:`SolverError`, the
-    homotopy on the chain's finest grid.  Returns that grid's outcome and
-    its ``levels``."""
+def _solve_chain(chain, prolongations, field, settings, start=None):
+    """:func:`_climb` for a monotone field or from a solved ``start``;
+    else, or when the climb raises a :class:`SolverError`, the homotopy on
+    the chain's finest grid.  Returns that grid's
+    :class:`pmcgraph.solver.SolveOutcome`."""
     finest = chain[0]
-    if coarse is not None or field.monotone:
+    if start is not None or field.monotone:
         try:
-            return _climb(chain, prolongations, field, settings, coarse)
+            return _climb(chain, prolongations, field, settings, start)
         except SolverError:
             pass
     chain.clear()
-    outcome = solver.continuation_solve(finest, field, **settings)
-    return outcome, [_level(outcome, "homotopy")]
+    return solver.continuation_solve(finest, field, **settings)
 
 
 def solve_grid(grid, field, *, tol=1e-10, max_iters=40):
     """Solve one grid by the one rule of ``solve`` and ``verify``; returns
-    a :class:`GridOutcome`.
+    a :class:`pmcgraph.solver.SolveOutcome`.
 
     When ``field.monotone`` holds (H nondecreasing in z, so the discrete
     solution is unique by the comparison principle), a climb up the
@@ -300,37 +276,19 @@ def solve_grid(grid, field, *, tol=1e-10, max_iters=40):
     itself, so that a stall is reported at the requested spacing.  A
     climb's trace is the one step at t = 1 of its finest grid.
     """
-    settings = dict(tol=tol, max_iters=max_iters)
     # a homotopy solves the grid alone
     chain = grid_chain(grid) if field.monotone else [grid]
-    outcome, levels = _solve_chain(chain, _prolongations(chain), field,
-                                   settings)
-    return GridOutcome(*outcome, levels)
-
-
-def refine_solve(coarse, field, *, tol=1e-10, max_iters=40):
-    """The grid at half the spacing of ``coarse``'s, a solved outcome,
-    solved from that coarse solution: Newton at t = 1 with GMRES
-    preconditioned by the V-cycle over the chain below (the homotopy on
-    the fine grid if it fails); returns a :class:`GridOutcome`."""
-    coarse_grid = coarse.solution.grid
-    grid = grid_from_domain(coarse_grid.domain, 0.5 * coarse_grid.spacing,
-                            boundary=coarse_grid.boundary)
-    prolongations = _prolongations([grid] + grid_chain(coarse_grid))
-    outcome, levels = _solve_chain([grid], prolongations, field,
-                                   dict(tol=tol, max_iters=max_iters),
-                                   coarse=coarse)
-    return GridOutcome(*outcome, levels)
+    return _solve_chain(chain, _prolongations(chain), field,
+                        dict(tol=tol, max_iters=max_iters))
 
 
 @dataclass
 class VerifyOutcome:
-    """The fine solve of :func:`verify_domain`, the
+    """The fine solution of :func:`verify_domain`, the
     :class:`DomainBarrier` its checks read, their report, and the
-    ``levels`` of every grid solved (:class:`GridOutcome`)."""
+    ``levels`` of every grid solved, coarsest first."""
 
     solution: object
-    trace: object
     barrier: object
     report: object
     error_estimate: float
@@ -354,12 +312,13 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
 
     The grid at ``spacing`` is built first, so that a lattice past the
     cap is named at that spacing.  One chain runs from ``spacing / 2``
-    down (:func:`grid_chain`).  The grid at ``spacing`` is solved by
-    ``solve``'s rule (:func:`solve_grid`) on the chain below it, and a
-    stall is therefore that of ``solve`` at ``spacing``.  The grid at
+    down (:func:`grid_chain`), and every grid and prolongation is built
+    before any solve.  The grid at ``spacing`` is solved by ``solve``'s
+    rule (:func:`solve_grid`) on the chain below it, and a stall is
+    therefore that of ``solve`` at ``spacing``.  The grid at
     ``spacing / 2`` is then solved from it by Newton at t = 1, with the
-    V-cycle over the whole chain, or by the homotopy if that fails.
-    ``trace`` is the fine solve's trace.
+    V-cycle over the whole chain, or by the homotopy if that fails: the
+    one place where a grid is solved from a solved coarser one.
     """
     if isinstance(domain, geometry.GridMask):
         raise ParameterError(
@@ -372,18 +331,18 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     chain = grid_chain(grid)
     fine_grid = grid_from_domain(domain, 0.5 * spacing)
     prolongations = _prolongations([fine_grid] + chain)
-    coarse, levels = _solve_chain(chain, prolongations[1:], field, settings)
-    fine, fine_levels = _solve_chain([fine_grid], prolongations, field,
-                                     settings, coarse=coarse)
+    coarse = _solve_chain(chain, prolongations[1:], field, settings)
+    fine = _solve_chain([fine_grid], prolongations, field, settings,
+                        start=coarse.solution)
 
     est = verify.richardson_error_estimate(coarse.solution, fine.solution)
     report = verify.estimate_report(fine.solution, fitted, SLACK_FACTOR * est)
     ginputs = gradient_hypotheses(domain, field, fine.solution, fitted=fitted)
 
-    return VerifyOutcome(solution=fine.solution, trace=fine.trace,
-                         barrier=fitted, report=report, error_estimate=est,
+    return VerifyOutcome(solution=fine.solution, barrier=fitted,
+                         report=report, error_estimate=est,
                          gradient_inputs=ginputs,
-                         levels=levels + fine_levels)
+                         levels=coarse.levels + fine.levels)
 
 
 def nonexistence_sweep(dim, h, outer, epsilons):

@@ -73,7 +73,7 @@ from .errors import (
     SingularSystemError,
 )
 from .grid import DIRECTIONS, STENCIL_OFFSETS, interpolate_values_cubic
-from .ioutil import dump_json, lattice_rows, write_csv
+from .ioutil import lattice_rows, write_csv
 
 #: graph dimension of the planar grid problem
 GRID_DIM = 2
@@ -433,26 +433,10 @@ class GridSolution:
     sup_norm: float
     sup_gradient_interior: float
     sup_gradient_boundary: float
-    boundary_nonzero: bool = False
     no_existence_guarantee: str = ""
 
     def interior_values(self):
         return self.values[self.grid.interior]
-
-    def report_dict(self):
-        rep = {
-            "residual_inf": self.residual_inf,
-            "sup_norm": self.sup_norm,
-            "sup_gradient_interior": self.sup_gradient_interior,
-            "sup_gradient_boundary": self.sup_gradient_boundary,
-            "newton_iters": self.newton_iters,
-            "homotopy_t": self.homotopy_t,
-            "n_dof": self.grid.n_dof,
-            "spacing": self.grid.spacing,
-        }
-        if self.no_existence_guarantee:
-            rep["no_existence_guarantee"] = self.no_existence_guarantee
-        return rep
 
     def write_csv(self, path):
         """Interior nodes as ``x,y,f`` rows in dof order, with the bytes
@@ -479,7 +463,6 @@ def _finish_solution(grid, f, hfield, t, iters, states):
         grid=grid, values=f, residual_inf=rinf, newton_iters=iters,
         homotopy_t=t, sup_norm=float(np.max(np.abs(f[grid.interior]))),
         sup_gradient_interior=sup_int, sup_gradient_boundary=sup_bdry,
-        boundary_nonzero=grid.boundary_nonzero,
     )
     if grid.boundary_nonzero:
         lip = grid.boundary_lipschitz_estimate()
@@ -625,22 +608,35 @@ class ContinuationTrace:
     def as_dict(self):
         return {"steps": [s.as_dict() for s in self.steps]}
 
+    def level(self, grid, path):
+        """The ``levels`` entry of ``grid`` solved by these steps: its
+        spacing, ``n_dof``, the steps' Newton steps, GMRES iterations and
+        factorizations, and ``path``, ``"chain"`` or ``"homotopy"``."""
+        return {"spacing": grid.spacing, "n_dof": grid.n_dof,
+                "newton_iters": sum(s.newton_iters for s in self.steps),
+                "krylov_iters": sum(s.krylov_iters for s in self.steps),
+                "factorizations": sum(s.factorizations for s in self.steps),
+                "path": path}
+
 
 class SolveOutcome(NamedTuple):
-    """A converged grid solution and the trace of the solve that reached
-    it; unpacks as ``solution, trace``."""
+    """A converged grid solution, the trace of the solve that reached it,
+    and ``levels``: the :meth:`ContinuationTrace.level` of every grid that
+    solve solved, coarsest first, the last one the solution's."""
 
     solution: GridSolution
     trace: ContinuationTrace
+    levels: list
 
 
 def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
     """Solve the homotopy family t -> t n H successively, warm-starting.
 
-    Returns a :class:`SolveOutcome`.  The members are the 11 uniform
-    values of t on [0, 1], or t = 1 alone for H = 0, whose every member is
-    the minimal surface problem; the first member starts where
-    :func:`newton_solve` starts by default.  A failed step is bisected
+    Returns a :class:`SolveOutcome` whose one level is the grid's
+    ``"homotopy"``.  The members are the 11 uniform values of t on [0, 1],
+    or t = 1 alone for H = 0, whose every member is the minimal surface
+    problem; the first member starts where :func:`newton_solve` starts by
+    default.  A failed step is bisected
     until the increment falls below 1e-3, at which point a
     :class:`ContinuationFailureError` reports the stall parameter and the
     gradient at the last success.  A stall is a numerical statement, not
@@ -690,7 +686,7 @@ def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
             solution, linsolve.factorizations - counted[0],
             linsolve.krylov_iters - counted[1]))
         counted = (linsolve.factorizations, linsolve.krylov_iters)
-    return SolveOutcome(solution, trace)
+    return SolveOutcome(solution, trace, [trace.level(grid, "homotopy")])
 
 
 def angular_asymmetry(solution):
@@ -815,12 +811,3 @@ def radial_shoot(dim, h, epsilon, outer, tol=1e-10):
         k=c - h * epsilon**dim, table=np.column_stack([ts, ps]),
         sup_p=float(ps.max()), p_outer=p_mid,
         radicand_min=float(radicand.min()))
-
-
-def write_solution_report(solution, trace, path, extra=None):
-    """Solve report JSON: residual, norms, gradients and the homotopy trace."""
-    rep = solution.report_dict()
-    rep["trace"] = trace.as_dict()["steps"] if trace is not None else []
-    if extra:
-        rep.update(extra)
-    dump_json(rep, path)

@@ -75,7 +75,7 @@ def check_height_estimate(solution, barrier, slack):
 
     Requires a zero-boundary solve; the estimate is proved only there.
     """
-    if solution.boundary_nonzero:
+    if solution.grid.boundary_nonzero:
         return (EstimateCheck("height_sup", math.nan, math.nan, NOT_APPLICABLE),
                 EstimateCheck("height_pointwise", math.nan, math.nan,
                               NOT_APPLICABLE))
@@ -102,7 +102,7 @@ def check_boundary_gradient(solution, barrier, slack):
     Solves with nonzero Dirichlet data are out of the estimate's scope and
     report not-applicable.
     """
-    if solution.boundary_nonzero:
+    if solution.grid.boundary_nonzero:
         return EstimateCheck("boundary_gradient", math.nan, math.nan,
                              NOT_APPLICABLE)
     actual = solution.sup_gradient_boundary

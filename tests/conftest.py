@@ -1,6 +1,6 @@
 import pytest
 
-from pmcgraph import geometry, pipeline, solver, verify
+from pmcgraph import geometry, pipeline, solver
 from pmcgraph.conditions import CurvatureField
 from pmcgraph.grid import grid_from_domain
 
@@ -10,7 +10,9 @@ def annulus_case():
     """Reference solve: annulus(1, 2), constant H = -0.3, Richardson pair.
 
     Shared across solver, verify and acceptance tests; everything
-    downstream treats it as read-only.
+    downstream treats it as read-only.  ``fine`` is ``verify``'s outcome
+    at 1/32, whose fine solution, error estimate and barrier the tests
+    read.
     """
     domain = geometry.Annulus(1.0, 2.0)
     field = CurvatureField.from_constant(-0.3)
@@ -18,21 +20,18 @@ def annulus_case():
     # ``solve`` reaches this monotone field's solution by Newton from zero
     coarse = solver.continuation_solve(grid_from_domain(domain, 1.0 / 32),
                                        field)
-    # Newton at t = 1 from the interpolated coarse solution: the same fine
-    # solution as the full 1/64 homotopy, to about 6e-16
-    fine = pipeline.refine_solve(coarse, field)
-    est = verify.richardson_error_estimate(coarse.solution, fine.solution)
-    fitted = pipeline.barrier_for_domain(domain, 0.3)
+    fine = pipeline.verify_domain(domain, field, 1.0 / 32)
+    est = fine.error_estimate
     return {
         "domain": domain,
         "field": field,
         "coarse": coarse,
         "fine": fine,
         "error_estimate": est,
-        "slack": 10.0 * est,
-        "barrier": fitted,
-        "fit": fitted.fit,
-        "profile": fitted.profile,
+        "slack": pipeline.SLACK_FACTOR * est,
+        "barrier": fine.barrier,
+        "fit": fine.barrier.fit,
+        "profile": fine.barrier.profile,
     }
 
 

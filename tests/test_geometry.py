@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pmcgraph import geometry as geo
 from pmcgraph.errors import (
     DisconnectedMaskError,
+    InfeasibleFitError,
     ParameterError,
     UnsupportedDomainError,
 )
@@ -283,6 +285,62 @@ class TestHugeScales:
     def test_annulus_grid_is_scale_free(self):
         assert (grid_from_domain(geo.Annulus(1e200, 2e200), 1e199).n_dof
                 == grid_from_domain(geo.Annulus(1.0, 2.0), 0.1).n_dof == 928)
+
+
+class TestHugeFits:
+    """Search fits past ``FIT_SCALE_LIMIT``: finite, or refused."""
+
+    PENTAGON = [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)]
+
+    @staticmethod
+    def disc_mask(cell):
+        yy, xx = np.mgrid[0:9, 0:9]
+        return geo.GridMask((xx - 4) ** 2 + (yy - 4) ** 2 <= 12, cell)
+
+    @pytest.mark.parametrize("kind", ["polygon", "mask"])
+    @pytest.mark.parametrize("r", [1e20, 1e100, 1e154, 1e160, 1e200, 1e300])
+    def test_fit_is_finite_or_infeasible(self, kind, r):
+        domain = (geo.ConvexPolygon(self.PENTAGON) if kind == "polygon"
+                  else self.disc_mask(0.25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fit = geo.annulus_fit(domain, r)
+            except InfeasibleFitError:
+                # the pentagon, 2.5 wide, falls below FIT_SCALE_LIMIT ** -7
+                # in units that bring r to 2**64; the mask's cells stay
+                # normal numbers in any units
+                assert kind == "polygon" and r >= 1e160
+                return
+        assert fit.r == r and math.isfinite(fit.d) and fit.d > 0.0
+        assert all(map(math.isfinite, fit.translation))
+
+    def test_units_are_exact(self):
+        # past the limit a fit runs in units of a power of two, so scaling
+        # the domain and r by another one scales the fit bit for bit
+        scale = 2.0 ** 40
+        for domain, scaled in (
+                (geo.ConvexPolygon(self.PENTAGON),
+                 geo.ConvexPolygon(scale * np.array(self.PENTAGON))),
+                (self.disc_mask(0.25), self.disc_mask(0.25 * scale))):
+            fit = geo.annulus_fit(domain, 1e30)
+            big = geo.annulus_fit(scaled, 1e30 * scale)
+            assert big.d == scale * fit.d
+            assert big.translation == tuple(scale * v
+                                            for v in fit.translation)
+
+    def test_fits_below_the_limit_run_unscaled(self, monkeypatch):
+        seen = []
+        real = geo._search_fit_at_scale
+
+        def spy(domain, r):
+            seen.append((domain, r))
+            return real(domain, r)
+
+        monkeypatch.setattr(geo, "_search_fit_at_scale", spy)
+        pentagon = geo.ConvexPolygon(self.PENTAGON)
+        geo.annulus_fit(pentagon, geo.FIT_SCALE_LIMIT)
+        assert seen == [(pentagon, geo.FIT_SCALE_LIMIT)]
 
 
 class TestSearchFitPinned:

@@ -198,14 +198,21 @@ class TestCoarseToFineVerify:
             grid_from_domain(self.DOMAIN, 1.0 / 32), self.FIELD)
         diff = np.max(np.abs(outcome.solution.values - fine.solution.values))
         assert diff <= 1e-12
-        (step,) = outcome.trace.steps
-        assert step.t == 1.0 and step.newton_iters <= 6
-        assert step.factorizations <= 2
+        level = outcome.levels[-1]
+        assert outcome.solution.homotopy_t == 1.0
+        assert (level["spacing"], level["path"]) == (1.0 / 32, "chain")
+        assert level["newton_iters"] <= 6 and level["factorizations"] <= 2
         assert outcome.report.passed()
 
     def test_falls_back_to_fine_continuation(self, monkeypatch):
         real = solver.newton_solve
         injected = []
+        homotopies = []
+        real_homotopy = solver.continuation_solve
+
+        def record_homotopy(grid, *args, **kwargs):
+            homotopies.append(real_homotopy(grid, *args, **kwargs))
+            return homotopies[-1]
 
         def fail_first_fine_solve(grid, hfield, **kwargs):
             if grid.spacing == 1.0 / 32 and not injected:
@@ -214,12 +221,38 @@ class TestCoarseToFineVerify:
             return real(grid, hfield, **kwargs)
 
         monkeypatch.setattr(solver, "newton_solve", fail_first_fine_solve)
+        monkeypatch.setattr(solver, "continuation_solve", record_homotopy)
         outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
         assert injected == [1.0]
-        assert [s.t for s in outcome.trace.steps] == pytest.approx(
+        (homotopy,) = homotopies
+        assert homotopy.solution is outcome.solution
+        assert [s.t for s in homotopy.trace.steps] == pytest.approx(
             np.linspace(0.0, 1.0, 11), abs=1e-15)
+        assert outcome.levels[-1] == homotopy.trace.level(
+            outcome.solution.grid, "homotopy")
         assert outcome.solution.residual_inf <= 1e-10
         assert outcome.report.passed()
+
+
+class TestSolveOutcome:
+    """One record per solve: the last level is the one its trace builds."""
+
+    DOMAIN = geometry.Annulus(1.0, 2.0)
+    NONMONOTONE = {"table": {"x": [-2.0, 2.0], "y": [-2.0, 2.0],
+                             "values": [[-0.3, -0.2], [-0.2, -0.3]]},
+                   "z_slope": -0.1}
+
+    def test_last_level_is_built_from_the_trace(self):
+        chain = pipeline.solve_domain(
+            self.DOMAIN, CurvatureField.from_constant(-0.3), 1.0 / 32)
+        homotopy = pipeline.solve_domain(
+            self.DOMAIN, pipeline.curvature_from_json(self.NONMONOTONE),
+            1.0 / 16)
+        for outcome, path in ((chain, "chain"), (homotopy, "homotopy")):
+            assert outcome.levels[-1] == outcome.trace.level(
+                outcome.solution.grid, path)
+        assert len(chain.levels) > 1 and len(chain.trace.steps) == 1
+        assert len(homotopy.levels) == 1 and len(homotopy.trace.steps) == 11
 
 
 def coarse_start(coarse, grid):
@@ -229,10 +262,11 @@ def coarse_start(coarse, grid):
                       coarse.solution.interior_values(), grid)
 
 
-#: (domain, field) pairs whose refine is pinned
+#: (domain, field) pairs whose refine is pinned; each admits a barrier,
+#: so that ``verify`` refines it (on Disc(1) that needs H < 0.5)
 REFINE_CASES = {
     "annulus": (geometry.Annulus(1.0, 2.0), CurvatureField.from_constant(-0.3)),
-    "disc": (geometry.Disc(1.0), CurvatureField.from_constant(0.5)),
+    "disc": (geometry.Disc(1.0), CurvatureField.from_constant(0.4)),
     "pentagon": (geometry.ConvexPolygon(
         [(0, 0), (2, 0), (2, 1.5), (1, 2.5), (0, 1.5)]),
         CurvatureField.from_constant(0.3)),
@@ -319,12 +353,14 @@ class TestProlongation:
 
     @pytest.mark.parametrize("case", ["annulus", "disc", "pentagon"])
     def test_refine_takes_one_factorization(self, case):
+        # verify's fine grid, solved from its solution at 1/16
         coarse, fine = refine_levels(case)
-        refined = pipeline.refine_solve(coarse, REFINE_CASES[case][1])
-        (step,) = refined.trace.steps
-        assert step.t == 1.0
-        assert step.newton_iters <= 3
-        assert step.factorizations == 1
+        refined = pipeline.verify_domain(*REFINE_CASES[case], 1.0 / 16)
+        level = refined.levels[-1]
+        assert refined.solution.homotopy_t == 1.0
+        assert (level["spacing"], level["path"]) == (1.0 / 32, "chain")
+        assert level["newton_iters"] <= 3
+        assert level["factorizations"] == 1
         diff = np.max(np.abs(refined.solution.values - fine.solution.values))
         assert diff <= 1e-12
 
@@ -376,9 +412,7 @@ class TestTwoGridVerify:
             diff = np.max(np.abs(level.values - direct.solution.values))
             assert diff <= 1e-12
         assert outcome.solution is levels[-1][1]
-        (step,) = outcome.trace.steps
-        assert step.t == 1.0
-        assert step.newton_iters == levels[-1][1].newton_iters
+        assert outcome.solution.homotopy_t == 1.0
         assert [(level["spacing"], level["newton_iters"], level["path"])
                 for level in outcome.levels] == [
             (h, level.newton_iters, "chain") for h, level in levels]

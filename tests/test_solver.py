@@ -537,7 +537,7 @@ class TestHarmonicStart:
             geometry.Annulus(1.0, 2.0), 1.0 / 16,
             boundary=pipeline.boundary_from_json({"linear": [0.3, -0.2, 0.1]}))
         field = CurvatureField.from_constant(-0.5)
-        sol, trace = solver.continuation_solve(grid, field)
+        sol, trace, _ = solver.continuation_solve(grid, field)
         assert [s.t for s in trace.steps] == pytest.approx(
             np.linspace(0.0, 1.0, 11), abs=1e-15)
         assert sol.residual_inf <= 1e-10
@@ -742,9 +742,9 @@ class TestInexactNewton:
                                                              monkeypatch):
         grid = grid_from_domain(PENTAGON, 1.0 / 16)
         field = table_field()
-        inexact, trace = solver.continuation_solve(grid, field)
+        inexact, trace, _ = solver.continuation_solve(grid, field)
         monkeypatch.setattr(solver, "FactorOnceSolver", FactorEveryStep)
-        direct, reference = solver.continuation_solve(grid, field)
+        direct, reference, _ = solver.continuation_solve(grid, field)
         iters = [s.newton_iters for s in trace.steps]
         assert iters == [s.newton_iters for s in reference.steps]
         assert [s.factorizations for s in reference.steps] == iters
@@ -811,7 +811,8 @@ class TestTwoGridSolver:
         else:
             domain, field = PENTAGON, table_field()
         coarse = pipeline.solve_domain(domain, field, 1.0 / 16)
-        refined = pipeline.refine_solve(coarse, field)
+        # verify solves its fine grid from this same coarse solution
+        refined = pipeline.verify_domain(domain, field, 1.0 / 16)
         grid = grid_from_domain(domain, 1.0 / 32)
         initial = np.zeros(grid.shape)
         initial[grid.interior] = prolongate(
@@ -822,8 +823,9 @@ class TestTwoGridSolver:
         diff = np.max(np.abs(refined.solution.values - reference.values))
         assert diff <= 1e-12
         assert refined.solution.newton_iters == reference.newton_iters
-        (step,) = refined.trace.steps
-        assert step.factorizations == 1 and step.krylov_iters > 0
+        level = refined.levels[-1]
+        assert level["newton_iters"] == reference.newton_iters
+        assert level["factorizations"] == 1 and level["krylov_iters"] > 0
 
     def test_verify_factors_no_fine_matrix(self, monkeypatch):
         sizes = spy_splu(monkeypatch)
@@ -835,28 +837,31 @@ class TestTwoGridSolver:
         assert outcome.solution.grid.n_dof > n_coarsest
 
     def test_gmres_failure_factors_the_fine_jacobian(self, monkeypatch):
-        coarse = pipeline.solve_domain(self.ANNULUS, self.FIELD, 1.0 / 16)
         fine_n = grid_from_domain(self.ANNULUS, 1.0 / 32).n_dof
         real = solver._gmres
         failed = []
 
-        def fail_first(J, *args):
+        def fail_first_fine(J, *args):
             x, iters, converged = real(J, *args)
-            if not failed:
+            if J.shape[0] == fine_n and not failed:
                 failed.append(J.shape[0])
                 return x, iters, False
             return x, iters, converged
 
-        monkeypatch.setattr(solver, "_gmres", fail_first)
+        monkeypatch.setattr(solver, "_gmres", fail_first_fine)
         sizes = spy_splu(monkeypatch)
-        refined = pipeline.refine_solve(coarse, self.FIELD)
+        refined = pipeline.verify_domain(self.ANNULUS, self.FIELD, 1.0 / 16)
         assert failed == [fine_n]
-        # the Galerkin factor at the chain's coarsest grid, 1/8, then one
-        # fine factor that preconditions every later Newton step
-        (step,) = refined.trace.steps
-        assert step.t == 1.0 and step.newton_iters > 1
-        assert sizes == [grid_from_domain(self.ANNULUS, 1.0 / 8).n_dof, fine_n]
-        assert step.factorizations == 2
+        # the chain 1/16, 1/8 takes three factors of the coarsest grid's
+        # size (test_verify_factors_no_fine_matrix); the fine grid's
+        # Galerkin factor at 1/8 is the last of them, then one fine factor
+        # preconditions every later Newton step
+        level = refined.levels[-1]
+        assert refined.solution.homotopy_t == 1.0
+        assert level["path"] == "chain" and level["newton_iters"] > 1
+        n_coarsest = grid_from_domain(self.ANNULUS, 1.0 / 8).n_dof
+        assert sizes == [n_coarsest] * 3 + [fine_n]
+        assert level["factorizations"] == 2
         assert refined.solution.residual_inf <= 1e-10
 
     def test_grids_are_freed_while_the_solver_lives(self, monkeypatch):
@@ -1173,7 +1178,7 @@ class TestAnnulusReferenceSolve:
 class TestContinuation:
     def test_minimal_surface_single_step(self):
         grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 0.1)
-        sol, trace = solver.continuation_solve(grid, H_ZERO)
+        sol, trace, _ = solver.continuation_solve(grid, H_ZERO)
         assert len(trace.steps) == 1
         assert trace.steps[0].t == 1.0
 
@@ -1208,11 +1213,11 @@ class TestContinuation:
     def test_one_factorization_per_homotopy(self, monkeypatch):
         grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 16)
         field = CurvatureField.from_constant(-0.3)
-        _, trace = solver.continuation_solve(grid, field)
+        _, trace, _ = solver.continuation_solve(grid, field)
         assert sum(s.factorizations for s in trace.steps) == 1
         assert all(s.krylov_iters > 0 for s in trace.steps[2:])
         monkeypatch.setattr(solver, "FactorOnceSolver", FactorEveryStep)
-        _, reference = solver.continuation_solve(grid, field)
+        _, reference, _ = solver.continuation_solve(grid, field)
         iters = [s.newton_iters for s in trace.steps]
         assert iters == [s.newton_iters for s in reference.steps]
         assert [s.factorizations for s in reference.steps] == iters
@@ -1330,11 +1335,11 @@ class TestLipschitzFlag:
         plane = lambda x, y: 0.25 * x
         grid = grid_from_domain(square, 0.1, boundary=plane)
         sol = solver.newton_solve(grid, H_ZERO)
-        assert sol.boundary_nonzero
+        assert sol.grid.boundary_nonzero
         assert "no existence guarantee" in sol.no_existence_guarantee
         lip = grid.boundary_lipschitz_estimate()
         assert lip == pytest.approx(0.25, abs=0.02)
 
     def test_zero_boundary_not_flagged(self, annulus_case):
-        assert not annulus_case["fine"].solution.boundary_nonzero
+        assert not annulus_case["fine"].solution.grid.boundary_nonzero
         assert annulus_case["fine"].solution.no_existence_guarantee == ""
