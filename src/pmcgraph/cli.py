@@ -24,7 +24,6 @@ from .errors import (
     InfeasibleFitError,
     NoAdmissibleConstantError,
     ParameterError,
-    SolverError,
     config_key,
     json_number,
 )
@@ -263,11 +262,6 @@ def cmd_solve(args):
         _write_stall_report(exc, out / "solve_report.json")
         print(f"continuation stalled at t* = {exc.stall_t} (numerical; "
               f"see solve_report.json)", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    except SolverError as exc:
-        dump_json({"status": "nonconvergence", "message": str(exc)},
-                  out / "solve_report.json")
-        print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     sol = outcome.solution
     sol.write_csv(out / "solution.csv")

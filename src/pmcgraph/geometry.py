@@ -255,23 +255,35 @@ class GridMask:
     def volume(self, dim=2):
         if dim != 2:
             raise UnsupportedDomainError("mask volume is planar only")
-        return float(self.mask.sum()) * self.cell_size**2
+        try:
+            return float(self.mask.sum()) * self.cell_size**2
+        except OverflowError:  # beyond the largest float
+            return math.inf
+
+    def _corner_indices(self):
+        """Corners of all interior cells as (column, row) lattice indices,
+        sorted and unique."""
+        iy, ix = np.nonzero(self.mask)
+        return np.unique(np.vstack([
+            np.column_stack([ix + dx, iy + dy])
+            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1))]), axis=0)
 
     def corner_points(self):
         """Corners of all interior cells (closure point cloud)."""
-        iy, ix = np.nonzero(self.mask)
-        x0, y0 = self.origin
-        h = self.cell_size
-        pts = []
-        for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            pts.append(np.column_stack([x0 + (ix + dx) * h, y0 + (iy + dy) * h]))
-        return np.unique(np.vstack(pts), axis=0)
+        return (np.asarray(self.origin)
+                + self.cell_size * self._corner_indices())
+
+    def cell_hull(self):
+        """Convex hull of the interior cells' corners, counterclockwise, in
+        cell units from the origin.  Its vertices are whole numbers, so
+        its turn tests are exact, and metrics taken from it apply the cell
+        size last, so that huge cells overflow no product of coordinates."""
+        return _convex_hull(self._corner_indices())
 
     def diameter(self):
-        pts = self.corner_points()
-        hull = _convex_hull(pts)
+        hull = self.cell_hull()
         d = hull[:, None, :] - hull[None, :, :]
-        return float(np.max(np.linalg.norm(d, axis=-1)))
+        return self.cell_size * float(np.max(np.linalg.norm(d, axis=-1)))
 
     def bbox(self):
         pts = self.corner_points()
@@ -279,17 +291,20 @@ class GridMask:
                 float(pts[:, 0].max()), float(pts[:, 1].max()))
 
     def is_convex(self):
-        """Discrete convexity: the mask fills its own convex hull."""
-        hull = _convex_hull(self.corner_points())
-        xs, ys = self.cell_centers()
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.stack([gx, gy], axis=-1)
-        inside = np.ones(pts.shape[:-1], dtype=bool)
+        """Discrete convexity: the mask fills its own convex hull.
+
+        Cell centres are tested against :meth:`cell_hull` in cell units,
+        where every cross product is an exact multiple of 1/2, so a centre
+        on a hull edge (cross product 0) is inside.
+        """
+        hull = self.cell_hull()
+        gy, gx = np.indices(self.mask.shape) + 0.5
+        inside = np.ones(self.mask.shape, dtype=bool)
         n = len(hull)
         for i in range(n):
             p, q = hull[i], hull[(i + 1) % n]
-            cross = (q[0] - p[0]) * (pts[..., 1] - p[1]) - (q[1] - p[1]) * (pts[..., 0] - p[0])
-            inside &= cross >= -1e-9 * self.cell_size
+            cross = (q[0] - p[0]) * (gy - p[1]) - (q[1] - p[1]) * (gx - p[0])
+            inside &= cross >= 0.0
         from scipy import ndimage
 
         # shrink by one cell: centers well inside the hull must be set
@@ -445,7 +460,7 @@ def annulus_fit(domain, r):
     if isinstance(domain, Disc):
         margin = max(FIT_MARGIN, 1e-12 * (r + domain.radius))
         center = np.asarray(domain.center, dtype=float)
-        rho = float(np.linalg.norm(center))
+        rho = float(_radius(center))
         direction = center / rho if rho > 0.0 else np.array([1.0, 0.0])
         target = (r + domain.radius + margin) * direction
         fit = AnnulusFit(r=r, d=2.0 * domain.radius + 2.0 * margin,
@@ -713,7 +728,7 @@ def strip_width(domain):
         return None
     if isinstance(domain, GridMask):
         if domain.is_convex():
-            return _polygon_width(_convex_hull(domain.corner_points()))
+            return domain.cell_size * _polygon_width(domain.cell_hull())
         return None
     raise UnsupportedDomainError(f"unknown domain kind {type(domain).__name__}")
 

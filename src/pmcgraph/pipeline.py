@@ -20,8 +20,9 @@ import numpy as np
 
 from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
-from .errors import (NoAdmissibleConstantError, ParameterError, SolverError,
-                     UnsupportedDomainError, config_key, finite_number)
+from .errors import (InfeasibleFitError, NoAdmissibleConstantError,
+                     ParameterError, SolverError, UnsupportedDomainError,
+                     config_key, finite_number)
 from .grid import grid_from_domain, nested_prolongation, prolongate
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
@@ -72,12 +73,20 @@ def sampled_h_sup0(field, domain):
 def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
                    boundary_sample_count=256):
     """Evaluate every applicable solvability/nonexistence check, with H
-    sampled over the heights ``conditions.CHECK_SLAB``."""
+    sampled over the heights ``conditions.CHECK_SLAB``.
+
+    A domain with no annulus fit at the exterior-sphere radius
+    (:class:`pmcgraph.errors.InfeasibleFitError`) reports the annulus
+    condition as not applicable; the other checks still decide.
+    """
     h_sup0 = sampled_h_sup0(field, domain)
     metrics_exact = not isinstance(domain, geometry.GridMask)
 
     r_eff = effective_sphere_radius(domain, annulus_r)
-    fit = geometry.annulus_fit(domain, r_eff)
+    try:
+        fit = geometry.annulus_fit(domain, r_eff)
+    except InfeasibleFitError:
+        fit = None
 
     try:
         volume = domain.volume(dim)
@@ -114,12 +123,12 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
 
     report = conditions.evaluate_conditions(
         dim, h_sup0,
-        annulus_r=fit.r, annulus_d=fit.d, volume=volume,
+        annulus_r=fit and fit.r, annulus_d=fit and fit.d, volume=volume,
         strip_width=width, convex=width is not None, inscribed_rho=rho,
         constant_h=field.constant, boundary_samples=boundary_samples,
         field=field, monotone_ok=monotone_ok, metrics_exact=metrics_exact)
     report.notes.extend(notes)
-    if fit.approximate:
+    if fit and fit.approximate:
         report.notes.append("annulus fit computed from a bitmap point cloud")
     return report
 
@@ -230,9 +239,7 @@ def _climb(chain, prolongations, field, settings, solution=None):
         below = prolongations[len(chain):]
         initial = None
         if solution is not None:
-            initial = np.zeros(grid.shape)
-            initial[grid.interior] = prolongate(
-                below[0], solution.interior_values(), grid)
+            initial = prolongate(below[0], solution.dof_values, grid)
             solution = None  # frees the grid below
         linsolve = solver.FactorOnceSolver(below)
         solution = solver.newton_solve(grid, field, t_homotopy=1.0,

@@ -39,13 +39,18 @@ stops at a relative residual set by the size of the Newton residual
 (:func:`_forcing`), so early steps are solved loosely and the last ones
 tightly.
 
-The residual and the analytic Jacobian run on vectors of interior values
-through the grid's :class:`pmcgraph.grid.StencilPlan` (the arms, neighbour
-indices, geometry-only coefficients and the CSR structure, built with the
-grid) and evaluate the field only at interior nodes.  Newton computes each iterate's
-edge states (:func:`_edge_states`) once and hands them to that iterate's
-residual and then to its Jacobian assembly or its final report, which
-take them over so that they are freed as soon as they are used.  A field
+A grid function has one representation here, the dof vector: its values
+at the grid's interior nodes in ``grid.index`` order.  Only
+:attr:`GridSolution.values` and :meth:`GridSolution.write_csv` see the
+lattice.  The residual and the analytic Jacobian run on dof vectors
+through the grid's :class:`pmcgraph.grid.StencilPlan` (the arms,
+neighbour indices, geometry-only coefficients and the CSR structure,
+built with the grid) and evaluate the field only at interior nodes.
+Newton computes each
+iterate's edge states (:func:`_edge_states`) once and hands them to that
+iterate's residual and then to its Jacobian assembly or its final
+report, which take them over so that they are freed as soon as they are
+used.  A field
 of the form H(x) + s z has its H(x) evaluated once per homotopy or Newton
 run (:meth:`pmcgraph.conditions.CurvatureField.on_nodes`), and its dH/dz
 is s.  Each node's floating-point operations run in a fixed order, so
@@ -163,42 +168,39 @@ def _edge_states(plan, x):
     return primary, cross, W
 
 
-def mc_residual(values, grid, hfield, t_homotopy=1.0, states=None):
-    """Residual of the discrete operator minus t n H(x, f), per node.
+def mc_residual(x, grid, hfield, t_homotopy=1.0, states=None):
+    """Residual of the discrete operator minus t n H(x, f), per interior
+    node.
 
-    Zero outside the interior mask.  Vanishes identically for constant
-    values with H = 0 and, up to rounding, for affine data on polygonal
-    domains (planes are minimal graphs).  This is the strong (pointwise)
-    normalization used for Newton stopping tests.
+    Vanishes identically for constant values with H = 0 and, up to
+    rounding, for affine data on polygonal domains (planes are minimal
+    graphs).  This is the strong (pointwise) normalization used for Newton
+    stopping tests.
 
-    ``values`` is a lattice array; only its interior entries are read.
-    The stencil runs on the interior dof vector through ``grid.plan``, and
-    the result is scattered back onto the lattice.  ``states`` are the
-    :func:`_edge_states` of these values when the caller has them.
-    Complex values give a complex residual (a complex-step derivative).
+    ``x`` holds the values at the interior nodes in dof order (length
+    ``grid.n_dof``), and so does the result; the stencil runs through
+    ``grid.plan``.  ``states`` are the :func:`_edge_states` of ``x`` when
+    the caller has them.  Complex values give a complex residual (a
+    complex-step derivative).
     """
     plan = grid.plan
-    x = np.asarray(values)[grid.interior]
     primary, _, W = _edge_states(plan, x) if states is None else states
     flux = primary / W
     div = ((flux[0] - flux[1]) * plan.cfac[0]
            + (flux[2] - flux[3]) * plan.cfac[1])
-    rhs = t_homotopy * GRID_DIM * hfield.eval(plan.points, x)
-    out = np.zeros(grid.shape, dtype=np.result_type(div, rhs))
-    out[grid.interior] = div - rhs
-    return out
+    return div - t_homotopy * GRID_DIM * hfield.eval(plan.points, x)
 
 
-def _assemble_jacobian(grid, f, hfield, t_homotopy, states=None):
-    """Analytic Jacobian of :func:`mc_residual` on the interior dofs, CSR.
+def _assemble_jacobian(grid, x, hfield, t_homotopy, states=None):
+    """Analytic Jacobian of :func:`mc_residual` at the dof vector ``x``,
+    CSR.
 
     ``states``, when given, is a one-item list holding the
-    :func:`_edge_states` of ``f``; they are taken out of it, so that they
+    :func:`_edge_states` of ``x``; they are taken out of it, so that they
     are freed here once used rather than held by the caller.
     """
     plan = grid.plan
     n = plan.n_dof
-    x = np.asarray(f, dtype=float)[grid.interior]
     primary, cross, W = states.pop() if states else _edge_states(plan, x)
     W3 = W**3
     phi_p = (1.0 + cross**2) / W3
@@ -423,10 +425,11 @@ def _gradient_diagnostics(plan, x):
 
 @dataclass
 class GridSolution:
-    """Converged lattice solution with residual and gradient diagnostics."""
+    """Converged grid solution, ``dof_values`` in dof order, with residual
+    and gradient diagnostics."""
 
     grid: object
-    values: np.ndarray
+    dof_values: np.ndarray
     residual_inf: float
     newton_iters: int
     homotopy_t: float
@@ -435,33 +438,38 @@ class GridSolution:
     sup_gradient_boundary: float
     no_existence_guarantee: str = ""
 
-    def interior_values(self):
-        return self.values[self.grid.interior]
+    @property
+    def values(self):
+        """The solution on the lattice, zero off the interior (a new array)."""
+        lattice = np.zeros(self.grid.shape)
+        lattice[self.grid.interior] = self.dof_values
+        return lattice
 
     def write_csv(self, path):
         """Interior nodes as ``x,y,f`` rows in dof order, with the bytes
         :func:`pmcgraph.ioutil.write_csv` writes for the float rows.
 
-        Lattice coordinates repeat along rows and columns (``X == X[0]``
-        and ``Y == Y[:, :1]`` exactly), so :func:`lattice_rows` formats
-        each x and y once.
+        ``np.nonzero`` of the interior mask runs in dof order.  Lattice
+        coordinates repeat along rows and columns (``X == X[0]`` and
+        ``Y == Y[:, :1]`` exactly), so :func:`lattice_rows` formats each x
+        and y once.
         """
         grid = self.grid
         jj, ii = np.nonzero(grid.interior)
         write_csv(path, ["x", "y", "f"],
                   lattice_rows(grid.X[0], grid.Y[:, 0], jj, ii,
-                               self.values[jj, ii]))
+                               self.dof_values))
 
 
-def _finish_solution(grid, f, hfield, t, iters, states):
+def _finish_solution(grid, x, hfield, t, iters, states):
     # the final residual takes the one-item list's edge states, which are
     # freed before the gradient diagnostics run
-    res = mc_residual(f, grid, hfield, t, states=states.pop())
-    rinf = float(np.max(np.abs(res[grid.interior]))) if grid.n_dof else 0.0
-    sup_int, sup_bdry = _gradient_diagnostics(grid.plan, f[grid.interior])
+    res = mc_residual(x, grid, hfield, t, states=states.pop())
+    rinf = float(np.max(np.abs(res))) if grid.n_dof else 0.0
+    sup_int, sup_bdry = _gradient_diagnostics(grid.plan, x)
     sol = GridSolution(
-        grid=grid, values=f, residual_inf=rinf, newton_iters=iters,
-        homotopy_t=t, sup_norm=float(np.max(np.abs(f[grid.interior]))),
+        grid=grid, dof_values=x, residual_inf=rinf, newton_iters=iters,
+        homotopy_t=t, sup_norm=float(np.max(np.abs(x))),
         sup_gradient_interior=sup_int, sup_gradient_boundary=sup_bdry,
     )
     if grid.boundary_nonzero:
@@ -484,19 +492,21 @@ def _harmonic_start(grid, hfield, linsolve):
     the values.  One ``linsolve`` solve gives them, and its factor then
     preconditions the Newton steps.
     """
-    zero = np.zeros(grid.shape)
-    slope = _edge_slopes(grid.plan, zero[grid.interior])[0] * _SIGN
+    zero = np.zeros(grid.n_dof)
+    slope = _edge_slopes(grid.plan, zero)[0] * _SIGN
     res = mc_residual(zero, grid, hfield, 0.0, states=(slope, None, 1.0))
     flat = (np.zeros_like(slope), np.zeros_like(slope), np.ones_like(slope))
     lap = _assemble_jacobian(grid, zero, hfield, 0.0, [flat])
-    return linsolve.solve(lap, -res[grid.interior])[0]
+    return linsolve.solve(lap, -res)[0]
 
 
 def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
                  max_iters=40, linsolve=None):
     """Damped Newton iteration for the discrete problem at fixed t.
 
-    Without ``initial`` it starts from zero on zero Dirichlet data and from
+    Iterates are dof vectors, and so is ``initial`` (length ``grid.n_dof``;
+    any other shape raises :class:`ParameterError`).  Without it Newton
+    starts from zero on zero Dirichlet data and from
     :func:`_harmonic_start` on nonzero data, where a zero start puts the
     whole boundary jump on the cut arms.  The analytic Jacobian of the
     discrete operator is assembled each step and handed to ``linsolve``,
@@ -520,17 +530,20 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
         linsolve = FactorOnceSolver()
     plan = grid.plan
     hfield = hfield.on_nodes(plan.points)
-    f = np.zeros(grid.shape) if initial is None else np.array(initial, dtype=float)
-    f[~grid.interior] = 0.0
-    if initial is None and grid.boundary_nonzero:
-        f[grid.interior] = _harmonic_start(grid, hfield, linsolve)
+    if initial is None:
+        x = (_harmonic_start(grid, hfield, linsolve) if grid.boundary_nonzero
+             else np.zeros(grid.n_dof))
+    else:
+        x = np.array(initial, dtype=float)
+        if x.shape != (grid.n_dof,):
+            raise ParameterError(f"initial values must have shape "
+                                 f"({grid.n_dof},), got {x.shape}")
 
     trace = []
     # the current iterate's edge states, in a one-item list that its
     # assembly or the final report empties
-    states = [_edge_states(plan, f[grid.interior])]
-    res = mc_residual(f, grid, hfield, t_homotopy, states=states[0])
-    r_vec = res[grid.interior]
+    states = [_edge_states(plan, x)]
+    r_vec = mc_residual(x, grid, hfield, t_homotopy, states=states[0])
     rinf = float(np.max(np.abs(r_vec))) if r_vec.size else 0.0
     rnorm = float(np.linalg.norm(r_vec))
     iters = 0
@@ -541,7 +554,7 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
                 f"(residual_inf={rinf:.3e}, t={t_homotopy})", trace=trace)
         if not math.isfinite(rnorm):
             raise NonconvergenceError("residual is not finite", trace=trace)
-        J = _assemble_jacobian(grid, f, hfield, t_homotopy, states)
+        J = _assemble_jacobian(grid, x, hfield, t_homotopy, states)
         delta, k_iters, factored = linsolve.solve(J, -r_vec,
                                                   rtol=_forcing(rinf))
         if not np.all(np.isfinite(delta)):
@@ -549,12 +562,10 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
                                       trace=trace)
         lam = 1.0
         while True:
-            f_try = f.copy()
-            f_try[grid.interior] += lam * delta
-            states.append(_edge_states(plan, f_try[grid.interior]))
-            res_try = mc_residual(f_try, grid, hfield, t_homotopy,
-                                  states=states[0])
-            r_try = res_try[grid.interior]
+            x_try = x + lam * delta
+            states.append(_edge_states(plan, x_try))
+            r_try = mc_residual(x_try, grid, hfield, t_homotopy,
+                                states=states[0])
             rnorm_try = float(np.linalg.norm(r_try))
             if math.isfinite(rnorm_try) and rnorm_try < rnorm:
                 break
@@ -564,12 +575,12 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
                 raise LineSearchStallError(
                     f"line search stalled at iteration {iters} "
                     f"(residual_inf={rinf:.3e}, t={t_homotopy})", trace=trace)
-        f, r_vec, rnorm = f_try, r_try, rnorm_try
+        x, r_vec, rnorm = x_try, r_try, rnorm_try
         rinf = float(np.max(np.abs(r_vec)))
         iters += 1
         trace.append({"iter": iters, "residual_inf": rinf, "step": lam,
                       "krylov_iters": k_iters, "factored": factored})
-    return _finish_solution(grid, f, hfield, t_homotopy, iters, states)
+    return _finish_solution(grid, x, hfield, t_homotopy, iters, states)
 
 
 @dataclass(frozen=True)
@@ -656,13 +667,13 @@ def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
     trace = ContinuationTrace()
     linsolve = FactorOnceSolver()
     counted = (0, 0)  # linear-solver counters at the last accepted step
-    f = None  # until a member converges, Newton's default start
+    x = None  # until a member converges, Newton's default start
     t_prev = None
     solution = None
     while pending:
         t_next = pending.pop(0)
         try:
-            solution = newton_solve(grid, hfield, t_homotopy=t_next, initial=f,
+            solution = newton_solve(grid, hfield, t_homotopy=t_next, initial=x,
                                     tol=tol, max_iters=max_iters,
                                     linsolve=linsolve)
         except (NonconvergenceError, SingularSystemError) as exc:
@@ -680,7 +691,7 @@ def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
             pending.insert(0, t_next)
             pending.insert(0, base + 0.5 * dt)
             continue
-        f = solution.values
+        x = solution.dof_values
         t_prev = t_next
         trace.steps.append(ContinuationStep.from_solution(
             solution, linsolve.factorizations - counted[0],
@@ -698,7 +709,7 @@ def angular_asymmetry(solution):
     interpolation keeps the measurement's own error below the effect being
     measured.
     """
-    grid = solution.grid
+    grid, values = solution.grid, solution.values
     r_lo, r_hi = grid.domain.radial_extent()
     pad = 4.0 * grid.spacing
     radii = np.linspace(r_lo + pad, r_hi - pad, 24)
@@ -706,7 +717,7 @@ def angular_asymmetry(solution):
     worst = 0.0
     for rho in radii:
         pts = np.column_stack([rho * np.cos(thetas), rho * np.sin(thetas)])
-        vals = interpolate_values_cubic(grid, solution.values, pts)
+        vals = interpolate_values_cubic(grid, values, pts)
         vals = vals[np.isfinite(vals)]
         if vals.size >= 2:
             worst = max(worst, float(vals.max() - vals.min()))

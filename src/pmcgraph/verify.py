@@ -80,14 +80,14 @@ def check_height_estimate(solution, barrier, slack):
                 EstimateCheck("height_pointwise", math.nan, math.nan,
                               NOT_APPLICABLE))
     c1, profile = barrier.c1, barrier.profile
-    abs_f = np.abs(solution.interior_values())
+    abs_f = np.abs(solution.dof_values)
     sup_f = float(np.max(abs_f))
     sup_check = EstimateCheck("height_sup", c1 + slack, sup_f,
                               PASS if sup_f <= c1 + slack else FAIL)
 
-    grid = solution.grid
+    x, y = solution.grid.plan.points.T
     t = np.asarray(barrier.fit.translation, dtype=float)
-    radii = np.hypot(grid.X[grid.interior] + t[0], grid.Y[grid.interior] + t[1])
+    radii = np.hypot(x + t[0], y + t[1])
     radii = np.clip(radii, profile.r, profile.domain_limit())
     violation = float(np.max(abs_f - profile.heights(radii)))
     point_check = EstimateCheck("height_pointwise", slack, violation,
@@ -130,8 +130,8 @@ def richardson_error_estimate(coarse_solution, fine_solution):
     both = twin >= 0
     if not both.any():
         raise ParameterError("no coarse interior node has an interior twin")
-    diff = (coarse_solution.interior_values()[both]
-            - fine_solution.interior_values()[twin[both]])
+    diff = (coarse_solution.dof_values[both]
+            - fine_solution.dof_values[twin[both]])
     return float(np.max(np.abs(diff))) / 3.0
 
 

@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmcgraph import barrier
+from pmcgraph import barrier, solver
 from pmcgraph.cli import main
+from pmcgraph.errors import SingularSystemError
 
 
 ANNULUS_EIGHTH = {"domain": {"kind": "annulus", "r_in": 1.0, "r_out": 2.0},
                   "curvature": {"constant": -0.3}, "spacing": 1.0 / 8}
+PENTAGON = [[0, 0], [2, 0], [2, 1.5], [1, 2.5], [0, 1.5]]
 
 
 def run(args):
@@ -148,6 +150,39 @@ class TestCheckCommand:
         assert checks["annulus_smallness"]["bound"] == 0.0
         assert checks["volume_smallness"]["bound"] == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("domain, extra", [
+        ({"kind": "convex_polygon", "vertices": PENTAGON},
+         {"annulus_r": 1e160}),
+        ({"kind": "disc", "radius": 1.0, "center": [1e200, 0.0]}, {}),
+    ], ids=["pentagon", "far-disc"])
+    def test_no_annulus_fit_leaves_the_other_checks(self, tmp_path, domain,
+                                                    extra):
+        # neither domain has an annulus fit in floats; the strip decides
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domain": domain,
+                                   "curvature": {"constant": 0.2}, **extra}))
+        assert run(["check", "--config", cfg, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "condition_report.json").read_text())
+        assert report["overall"] == "existence-guaranteed"
+        verdicts = {c["name"]: c["verdict"] for c in report["checks"]}
+        assert verdicts["annulus_smallness"] == "not-applicable"
+        assert verdicts["strip_smallness"] == "pass"
+
+    @pytest.mark.filterwarnings("error")
+    def test_bitmap_with_huge_cells_ends_in_a_verdict(self, tmp_path):
+        yy, xx = np.mgrid[0:9, 0:9]
+        disc = ((xx - 4) ** 2 + (yy - 4) ** 2 <= 12).astype(int).tolist()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "grid_mask", "cell_size": 1e200,
+                       "bitmap": disc},
+            "curvature": {"constant": 0.2}}))
+        assert run(["check", "--config", cfg, "--out", tmp_path]) in (0, 2, 3)
+        report = json.loads((tmp_path / "condition_report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        assert math.isfinite(checks["strip_smallness"]["bound"])
+
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -257,6 +292,22 @@ class TestSolveAndVerifyCommands:
         report = json.loads((out / "solve_report.json").read_text())
         assert report["status"] == "continuation-stalled"
         assert 0.0 < report["stall_t"] < 1.0
+
+    def test_newton_failing_everywhere_stalls_at_zero(self, tmp_path,
+                                                      monkeypatch):
+        # the climb and the homotopy catch every Newton error, so the one
+        # failure that reaches solve is the homotopy's stall
+        def singular(*args, **kwargs):
+            raise SingularSystemError("singular")
+
+        monkeypatch.setattr(solver, "newton_solve", singular)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(ANNULUS_EIGHTH))
+        out = tmp_path / "stall"
+        assert run(["solve", "--config", cfg, "--out", out]) == 3
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["status"] == "continuation-stalled"
+        assert report["stall_t"] == 0.0
 
     def test_verify_stall_reports_as_solve_does(self, tmp_path):
         # one Newton iteration per step stalls the homotopy at once, and

@@ -315,6 +315,18 @@ class TestHugeFits:
         assert fit.r == r and math.isfinite(fit.d) and fit.d > 0.0
         assert all(map(math.isfinite, fit.translation))
 
+    def test_bitmap_metrics_are_exact_in_cell_units(self):
+        # the hull of a bitmap runs in cell units, so cells whose
+        # coordinates' squares overflow scale every metric bit for bit
+        scale = 2.0 ** 600
+        small, huge = self.disc_mask(0.25), self.disc_mask(0.25 * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert huge.is_convex() and small.is_convex()
+            assert huge.diameter() == scale * small.diameter()
+            assert geo.strip_width(huge) == scale * geo.strip_width(small)
+            assert self.disc_mask(1e200).volume() == math.inf
+
     def test_units_are_exact(self):
         # past the limit a fit runs in units of a power of two, so scaling
         # the domain and r by another one scales the fit bit for bit

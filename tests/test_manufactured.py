@@ -87,9 +87,8 @@ def bubble_derivatives(x, y):
 
 
 def sup_error(solution, f):
-    grid = solution.grid
-    exact = f(grid.X[grid.interior], grid.Y[grid.interior])
-    return float(np.max(np.abs(solution.interior_values() - exact)))
+    exact = f(*solution.grid.plan.points.T)
+    return float(np.max(np.abs(solution.dof_values - exact)))
 
 
 def snapped_nodes(grid, domain):

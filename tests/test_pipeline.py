@@ -171,7 +171,7 @@ class TestCliWithMaskFile:
                                     0.1)
         sol = out.solution
         assert sol.residual_inf <= 1e-10
-        assert sol.interior_values().min() >= -1e-12
+        assert sol.dof_values.min() >= -1e-12
         # cell-sized square of side 1.2: bounded by the cap over its
         # circumscribed disc is loose; sanity bound by sup of the barrier
         assert sol.sup_norm < 0.5
@@ -259,7 +259,7 @@ def coarse_start(coarse, grid):
     """The start :func:`pmcgraph.grid.prolongate` makes on ``grid`` from a
     solved coarse outcome."""
     return prolongate(nested_prolongation(coarse.solution.grid, grid),
-                      coarse.solution.interior_values(), grid)
+                      coarse.solution.dof_values, grid)
 
 
 #: (domain, field) pairs whose refine is pinned; each admits a barrier,
@@ -289,7 +289,7 @@ class TestProlongation:
         coarse_grid, grid = coarse.solution.grid, fine.solution.grid
         P = nested_prolongation(coarse_grid, grid)
         linear = np.where(P @ np.ones(coarse_grid.n_dof) == 1.0,
-                          P @ coarse.solution.interior_values(), np.nan)
+                          P @ coarse.solution.dof_values, np.nan)
         gap = np.isnan(linear)
         assert gap.any()
         fill = _band_fill(grid, linear)
@@ -348,7 +348,7 @@ class TestProlongation:
     def test_start_is_close_to_the_fine_solution(self):
         coarse, fine = refine_levels("annulus")
         start = coarse_start(coarse, fine.solution.grid)
-        exact = fine.solution.values[fine.solution.grid.interior]
+        exact = fine.solution.dof_values
         assert np.max(np.abs(start - exact)) <= 1e-3
 
     @pytest.mark.parametrize("case", ["annulus", "disc", "pentagon"])
@@ -512,9 +512,9 @@ class TestTwoGridVerify:
             return round(x * 2**20), round(y * 2**20)
 
         fine_at = {key(x, y): v for (x, y), v in zip(
-            fine.grid.interior_points(), fine.interior_values())}
+            fine.grid.interior_points(), fine.dof_values)}
         diffs = [abs(v - fine_at[key(x, y)]) for (x, y), v in zip(
-            coarse.grid.interior_points(), coarse.interior_values())]
+            coarse.grid.interior_points(), coarse.dof_values)]
         assert len(diffs) == 969
         assert outcome.error_estimate == max(diffs) / 3.0
         assert outcome.error_estimate == pytest.approx(9.59047043829972e-05,
@@ -534,9 +534,7 @@ class TestTwoGridVerify:
         assert np.array_equal(outside, x + y > 0.95)
 
         def solution(grid, values):
-            lattice = np.zeros(grid.shape)
-            lattice[grid.interior] = values
-            return solver.GridSolution(grid, lattice, 0.0, 0, 1.0, 0.0, 0.0,
+            return solver.GridSolution(grid, values, 0.0, 0, 1.0, 0.0, 0.0,
                                        0.0)
 
         # the largest x with an interior twin is 0.8; an exterior twin

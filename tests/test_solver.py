@@ -84,15 +84,15 @@ def full_stencil_mask(grid):
 class TestResidual:
     def test_zero_for_flat_minimal(self):
         grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 0.1)
-        res = solver.mc_residual(np.zeros(grid.shape), grid, H_ZERO)
+        res = solver.mc_residual(np.zeros(grid.n_dof), grid, H_ZERO)
         assert np.max(np.abs(res)) == 0.0
 
     def test_zero_for_affine_plane(self):
         square = geometry.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         plane = lambda x, y: 0.4 * x - 1.1 * y + 0.3
         grid = grid_from_domain(square, 0.05, boundary=plane)
-        res = solver.mc_residual(plane(grid.X, grid.Y), grid, H_ZERO)
-        assert np.max(np.abs(res[grid.interior])) <= 1e-12
+        res = solver.mc_residual(plane(*grid.plan.points.T), grid, H_ZERO)
+        assert np.max(np.abs(res)) <= 1e-12
 
     def test_cap_truncation_orders(self):
         # interpolating the exact cap: the finite-volume residual (cell
@@ -105,11 +105,12 @@ class TestResidual:
         weighted, bulk = [], []
         for n in (33, 65, 129):
             grid = grid_from_domain(disc, 2.0 / (n - 1))
-            f = cap_values(h, R, grid.X, grid.Y)
-            res_p = solver.mc_residual(f, grid, field)
+            x = cap_values(h, R, *grid.plan.points.T)
+            res_p = solver.mc_residual(x, grid, field)
             res_w = res_p * grid.spacing * grid.spacing
-            weighted.append(np.max(np.abs(res_w[grid.interior])))
-            bulk.append(np.max(np.abs(res_p[full_stencil_mask(grid)])))
+            weighted.append(np.max(np.abs(res_w)))
+            bulk.append(np.max(np.abs(
+                res_p[full_stencil_mask(grid)[grid.interior]])))
         for errs in (weighted, bulk):
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
             assert all(1.5 <= o <= 2.5 for o in orders), (errs, orders)
@@ -137,18 +138,15 @@ class TestResidual:
         else:
             # the benchmark's tabulated field: its z term keeps the step
             grid, field = grid_from_domain(PENTAGON, 0.2), table_field()
-        f = np.zeros(grid.shape)
-        f[grid.interior] = 0.3 * np.sin(grid.X + 2.0 * grid.Y)[grid.interior]
+        x = 0.3 * np.sin(grid.X + 2.0 * grid.Y)[grid.interior]
         t, step = 0.8, 1e-30
-        J = solver._assemble_jacobian(grid, f, field, t)
+        J = solver._assemble_jacobian(grid, x, field, t)
         rows, cols = np.indices(grid.shape)
         colour = ((rows % 3) * 3 + cols % 3)[grid.interior]
         worst = 0.0
         for c in range(9):
             e = (colour == c).astype(float)
-            z = f.astype(complex)
-            z[grid.interior] += 1j * step * e
-            res = solver.mc_residual(z, grid, field, t)[grid.interior]
+            res = solver.mc_residual(x + 1j * step * e, grid, field, t)
             worst = max(worst, np.max(np.abs(J @ e - res.imag / step)))
         assert worst <= 1e-14 * np.max(np.abs(J.data))
 
@@ -167,18 +165,15 @@ class TestResidual:
         assert cut.any(axis=1).all() and np.any(grids[1].plan.gval != 0.0)
         for grid in grids:
             rng = np.random.default_rng(4)
-            f = np.zeros(grid.shape)
-            f[grid.interior] = 0.3 * rng.standard_normal(grid.n_dof)
-            J = solver._assemble_jacobian(grid, f, field, 0.8).toarray()
+            x = 0.3 * rng.standard_normal(grid.n_dof)
+            J = solver._assemble_jacobian(grid, x, field, 0.8).toarray()
             eps = 1e-7
             for k in range(grid.n_dof):
                 e = np.zeros(grid.n_dof)
                 e[k] = eps
-                fp, fm = f.copy(), f.copy()
-                fp[grid.interior] += e
-                fm[grid.interior] -= e
-                col = (solver.mc_residual(fp, grid, field, 0.8)
-                       - solver.mc_residual(fm, grid, field, 0.8))[grid.interior] / (2 * eps)
+                col = (solver.mc_residual(x + e, grid, field, 0.8)
+                       - solver.mc_residual(x - e, grid, field, 0.8))
+                col /= 2 * eps
                 assert np.max(np.abs(J[:, k] - col)) <= 1e-6 * max(1.0, np.abs(col).max())
 
 
@@ -320,10 +315,12 @@ class TestStencilPlan:
         rng = np.random.default_rng(5)
         f = np.zeros(grid.shape)
         f[grid.interior] = 0.4 * rng.standard_normal(grid.n_dof)
+        x = f[grid.interior]
         for t in (0.0, 0.7, 1.0):
-            res = solver.mc_residual(f, grid, field, t)
-            assert np.array_equal(res, _lattice_residual(f, grid, field, t))
-            J = solver._assemble_jacobian(grid, f, field, t)
+            res = solver.mc_residual(x, grid, field, t)
+            assert np.array_equal(
+                res, _lattice_residual(f, grid, field, t)[grid.interior])
+            J = solver._assemble_jacobian(grid, x, field, t)
             ref = _lattice_jacobian(grid, f, field, t)
             assert np.array_equal(J.indptr, ref.indptr)
             assert np.array_equal(J.indices, ref.indices)
@@ -334,14 +331,13 @@ class TestStencilPlan:
                       for d in ("E", "W", "N", "S")]
         expected = (np.max(np.sqrt(Dx**2 + Dy**2)[grid.interior]),
                     max(s.max() for s in cut_slopes if s.size))
-        assert solver._gradient_diagnostics(
-            grid.plan, f[grid.interior]) == expected
+        assert solver._gradient_diagnostics(grid.plan, x) == expected
 
     def test_plan_is_freed_with_its_grid(self):
         # the plan keeps no reference to its grid, so no cycle outlives
         # the last reference to the grid
         grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 0.1)
-        solver.mc_residual(np.zeros(grid.shape), grid, H_ZERO)
+        solver.mc_residual(np.zeros(grid.n_dof), grid, H_ZERO)
         assert "plan" in vars(grid)
         ref = weakref.ref(grid)
         del grid
@@ -480,6 +476,25 @@ class TestNewton:
         assert once.factorizations == 1 and once.krylov_iters > 0
         assert every.factorizations == reference.newton_iters
 
+    def test_initial_must_be_a_dof_vector(self):
+        # a lattice would otherwise be read in the wrong order by ``take``
+        grid = grid_from_domain(geometry.Disc(1.0), 0.2)
+        field = CurvatureField.from_constant(-0.3)
+        for initial in (np.zeros(grid.shape), np.zeros(grid.n_dof + 1),
+                        np.zeros((grid.n_dof, 1))):
+            with pytest.raises(ParameterError, match="initial values"):
+                solver.newton_solve(grid, field, initial=initial)
+
+    def test_values_lay_the_dof_vector_on_the_lattice(self):
+        grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 0.1)
+        sol = solver.newton_solve(grid, CurvatureField.from_constant(-0.3))
+        assert sol.dof_values.shape == (grid.n_dof,)
+        assert np.all(sol.dof_values > 0.0)
+        values = sol.values
+        assert values.shape == grid.shape
+        assert np.array_equal(values[grid.interior], sol.dof_values)
+        assert not values[~grid.interior].any()
+
     def test_invalid_tolerance(self):
         grid = grid_from_domain(geometry.Disc(1.0), 0.2)
         with pytest.raises(ParameterError):
@@ -517,7 +532,7 @@ class TestHarmonicStart:
     def test_constant_data_is_reached_exactly(self):
         out = pipeline.solve_domain(geometry.Disc(1.0), H_ZERO, 1.0 / 32,
                                     boundary=0.1)
-        assert np.max(np.abs(out.solution.interior_values() - 0.1)) <= 1e-12
+        assert np.max(np.abs(out.solution.dof_values - 0.1)) <= 1e-12
 
     def test_plane_needs_no_newton_step(self):
         # the W = 1 scheme is exact on affine data, like the full one
@@ -528,7 +543,7 @@ class TestHarmonicStart:
         sol = solver.newton_solve(grid, H_ZERO, linsolve=linsolve)
         assert sol.newton_iters == 0 and linsolve.factorizations == 1
         exact = plane(grid.X, grid.Y)[grid.interior]
-        assert np.max(np.abs(sol.interior_values() - exact)) <= 1e-12
+        assert np.max(np.abs(sol.dof_values - exact)) <= 1e-12
 
     def test_homotopy_leaves_the_minimal_surface_member(self):
         # a zero start puts the whole boundary jump on the cut arms, and
@@ -558,10 +573,12 @@ class TestHarmonicStart:
 class TestOncePerIterate:
     """Newton computes each iterate's edge states once, for its residual,
     and hands them on to its assembly or to the final report; a field
-    H(x) + s z gives dH/dz as s, with no gradient evaluation."""
+    H(x) + s z gives dH/dz as s, with no gradient evaluation.  Every
+    iterate reaches the kernels as a dof vector."""
 
-    KERNELS = {"_edge_states": "E", "mc_residual": "R",
-               "_assemble_jacobian": "J"}
+    # kernel name -> (letter, position of its values argument)
+    KERNELS = {"_edge_states": ("E", 1), "mc_residual": ("R", 0),
+               "_assemble_jacobian": ("J", 1)}
 
     @pytest.mark.parametrize("field", [CurvatureField.from_constant(-0.3),
                                        table_field()],
@@ -569,14 +586,17 @@ class TestOncePerIterate:
     def test_edge_states_once_per_iterate(self, field, monkeypatch):
         grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 16)
         calls, nested = [], []  # kernel letters, from Newton / from a kernel
+        shapes = set()  # of every values argument
         depth = 0
 
         def spy(name):
             real = getattr(solver, name)
+            letter, position = self.KERNELS[name]
 
             def wrapped(*args, **kwargs):
                 nonlocal depth
-                (nested if depth else calls).append(self.KERNELS[name])
+                (nested if depth else calls).append(letter)
+                shapes.add(np.shape(args[position]))
                 depth += 1
                 try:
                     return real(*args, **kwargs)
@@ -593,7 +613,7 @@ class TestOncePerIterate:
 
         monkeypatch.setattr(CurvatureField, "grad_eval", no_gradient)
         # a start far enough from the solution that the line search backtracks
-        r = np.hypot(grid.X, grid.Y)
+        r = np.hypot(*grid.plan.points.T)
         sol = solver.newton_solve(grid, field,
                                   initial=2.0 * (r - 1.0) * (2.0 - r))
         monkeypatch.undo()
@@ -604,7 +624,8 @@ class TestOncePerIterate:
         assert re.fullmatch(r"ER(J(ER)+)*R", sequence), sequence
         assert "JERER" in sequence and nested == []
         assert sequence.count("J") == sol.newton_iters > 0
-        fresh = solver.mc_residual(sol.values, grid, field)
+        assert shapes == {(grid.n_dof,)}
+        fresh = solver.mc_residual(sol.dof_values, grid, field)
         assert float(np.max(np.abs(fresh))) == sol.residual_inf
 
 
@@ -627,7 +648,7 @@ class TestSolveSymmetries:
     def test_translation_by_whole_cells(self, reference, center):
         moved = self.solve(geometry.Disc(1.0, center), 0.5, 1.0 / 16)
         assert np.array_equal(moved.grid.interior, reference.grid.interior)
-        diff = moved.interior_values() - reference.interior_values()
+        diff = moved.dof_values - reference.dof_values
         assert np.max(np.abs(diff)) <= 1e-15
 
     @pytest.mark.parametrize("lam", [2.0, 0.5])
@@ -635,7 +656,7 @@ class TestSolveSymmetries:
         # domain times lam, H / lam and spacing times lam: f -> lam f
         scaled = self.solve(geometry.Disc(lam), 0.5 / lam, lam / 16)
         assert np.array_equal(scaled.grid.interior, reference.grid.interior)
-        diff = scaled.interior_values() - lam * reference.interior_values()
+        diff = scaled.dof_values - lam * reference.dof_values
         assert np.max(np.abs(diff)) <= 1e-15
 
 
@@ -814,10 +835,8 @@ class TestTwoGridSolver:
         # verify solves its fine grid from this same coarse solution
         refined = pipeline.verify_domain(domain, field, 1.0 / 16)
         grid = grid_from_domain(domain, 1.0 / 32)
-        initial = np.zeros(grid.shape)
-        initial[grid.interior] = prolongate(
-            nested_prolongation(coarse.solution.grid, grid),
-            coarse.solution.interior_values(), grid)
+        initial = prolongate(nested_prolongation(coarse.solution.grid, grid),
+                             coarse.solution.dof_values, grid)
         reference = solver.newton_solve(grid, field, initial=initial,
                                         linsolve=solver.FactorOnceSolver())
         diff = np.max(np.abs(refined.solution.values - reference.values))
@@ -960,9 +979,8 @@ class TestVCycle:
         coarse = grid_from_domain(self.ANNULUS, 1.0 / 16)
         fine = grid_from_domain(self.ANNULUS, 1.0 / 32)
         P = nested_prolongation(coarse, fine)
-        start = np.zeros(fine.shape)
-        start[fine.interior] = prolongate(
-            P, solver.newton_solve(coarse, self.FIELD).interior_values(), fine)
+        start = prolongate(
+            P, solver.newton_solve(coarse, self.FIELD).dof_values, fine)
         runs = []
         for cls in (solver.FactorOnceSolver, TwoGridReference):
             updates = []
@@ -1132,7 +1150,7 @@ class TestAnnulusReferenceSolve:
 
     def test_discrete_maximum_principle(self, annulus_case):
         # H = -h < 0 with zero boundary keeps the solution nonnegative
-        assert annulus_case["fine"].solution.interior_values().min() >= -1e-9
+        assert annulus_case["fine"].solution.dof_values.min() >= -1e-9
 
     def test_sup_norm_below_barrier_height(self, annulus_case):
         c1, _ = barrier.barrier_constants(annulus_case["profile"])
@@ -1251,8 +1269,8 @@ class TestRadialShoot:
                 2, 0.3, radial_case.c, sorted_r[0], sorted_r)
             f = np.zeros(grid.shape)
             f.flat[flat] = prof_heights
-            res = solver.mc_residual(f, grid, field) * spacing * spacing
-            errs.append(np.max(np.abs(res[grid.interior])))
+            res = solver.mc_residual(f[grid.interior], grid, field)
+            errs.append(np.max(np.abs(res * spacing * spacing)))
         order = math.log2(errs[0] / errs[1])
         assert 1.5 <= order <= 2.5
 

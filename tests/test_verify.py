@@ -45,10 +45,9 @@ class TestSphericalCapOracle:
         errs = []
         for n in (33, 65):
             grid = grid_from_domain(geometry.Disc(R), 2.0 / (n - 1))
-            pts = np.stack([grid.X, grid.Y], axis=-1)
-            res = (solver.mc_residual(cap(pts), grid, field)
+            res = (solver.mc_residual(cap(grid.plan.points), grid, field)
                    * grid.spacing * grid.spacing)
-            errs.append(np.max(np.abs(res[grid.interior])))
+            errs.append(np.max(np.abs(res)))
         assert 1.5 <= math.log2(errs[0] / errs[1]) <= 2.5
 
 
@@ -71,7 +70,7 @@ class TestHeightEstimate:
     def test_scaled_solution_is_caught(self, annulus_case):
         # negative control: a fabricated violation must fail the check
         sol = annulus_case["fine"].solution
-        fake = dataclasses.replace(sol, values=sol.values * 10.0,
+        fake = dataclasses.replace(sol, dof_values=sol.dof_values * 10.0,
                                    sup_norm=sol.sup_norm * 10.0)
         sup_check, point_check = verify.check_height_estimate(
             fake, annulus_case["barrier"], annulus_case["slack"])
