@@ -15,10 +15,10 @@ membership test keeps one code path for every domain kind, and one
 bisection over every cut arm of all four directions at once keeps the
 membership calls per grid at 55.  The grid's builder computes the arms
 once, per interior node, and the grid builds from them its
-:class:`StencilPlan`, the only copy of the arm geometry:
-the arms, the scheme's neighbour indices and its geometry-only
-coefficients, which the solver's residual and Jacobian kernels read
-instead of recomputing them.
+:class:`StencilPlan`, the only copy of the arm geometry: the scheme's
+neighbour indices, and its geometry-only coefficients, which the
+solver's residual and Jacobian kernels read instead of recomputing them,
+stored per dof only where the boundary cuts the stencil.
 The coarse-to-fine transfer between nested grids (:func:`prolongate`)
 lives here too, since its boundary fill reads the cut-arm geometry, and
 so does the map of their shared lattice points (:func:`twin_dofs`).
@@ -119,16 +119,18 @@ class MaskedGrid:
         """Crossing points with their Dirichlet values, one per cut arm, in
         direction then dof order."""
         plan = self.plan
+        arms = plan.cut_arms
         h = self.spacing
         points, values = [], []
         for k, d in enumerate(DIRECTIONS):
             dj, di = OFFSETS[d]
-            cut = ~plan.nbr_mask[k]
-            thetas = plan.theta[k, cut]
-            x, y = plan.points[cut].T
+            # every cut arm belongs to a cut dof
+            cut = ~arms.nbr_mask[k]
+            thetas = arms.theta[k, cut]
+            x, y = plan.points[plan.cut_dofs[cut]].T
             points.append(np.column_stack([x + di * thetas * h,
                                            y + dj * thetas * h]))
-            values.append(plan.gval[k, cut])
+            values.append(arms.gval[k, cut])
         return np.vstack(points), np.concatenate(values)
 
     def boundary_lipschitz_estimate(self):
@@ -157,24 +159,17 @@ class MaskedGrid:
         return float(np.max(np.abs(vals[a][good] - vals[b][good]) / dist[good]))
 
 
-class StencilPlan:
-    """Neighbour indices and geometry-only coefficients of the scheme.
+class ArmCoefficients:
+    """Arms and geometry-only coefficients of the scheme at a set of dofs.
 
-    Every array runs over interior nodes in ``grid.index`` order; arrays of
-    shape (4, n) have one row per direction in ``DIRECTIONS`` order, and
-    arrays of shape (2, n) one row per axis pair, (E, W) then (N, S).  The
-    residual and Jacobian kernels of :mod:`pmcgraph.solver` compute on dof
-    vectors through these arrays and evaluate the field only at
-    ``points``.  The plan keeps no reference to its grid, so a grid and
-    its plan are freed by reference counting alone.
-
-    Per direction: ``nbr_index`` (the neighbour's dof index, 0 on a cut
-    arm), ``nbr_mask``, ``theta`` (the arm fraction), ``theta_h`` (the
-    arm length, theta times the spacing) and ``gval`` (the Dirichlet value
-    at the arm's end).  For the node derivatives: ``theta_sq``,
-    ``den_x``/``den_y`` and ``dsq_x``/``dsq_y`` (the differences of
-    opposite squared thetas); ``cfac`` is the divergence factor of each
-    axis pair.
+    Arrays of shape (4, k) have one row per direction in ``DIRECTIONS``
+    order, and arrays of shape (2, k) one row per axis pair, (E, W) then
+    (N, S).  Per direction: ``nbr_mask`` (whether the neighbour is
+    interior), ``theta`` (the arm fraction), ``theta_h`` (the arm length,
+    theta times the spacing) and ``gval`` (the Dirichlet value at the
+    arm's end).  For the node derivatives: ``theta_sq``, ``den_x``/
+    ``den_y`` and ``dsq_x``/``dsq_y`` (the differences of opposite
+    squared thetas); ``cfac`` is the divergence factor of each axis pair.
 
     For the Jacobian: ``slope_coef`` holds the one-sided slope's
     sensitivities to the node itself (``mP``) and to the neighbour
@@ -183,27 +178,12 @@ class StencilPlan:
     ``cy`` at P) and at its first and second transverse arm (N and S for
     the (E, W) pair, E and W for the (N, S) pair), zero where that arm is
     cut; ``deriv_nbr`` holds the same three, per direction, taken at the
-    arm's neighbour Q (zero where Q is not interior).
-
-    The Jacobian's sparsity is the 9-point interior adjacency: ``indptr``
-    and ``indices`` are its CSR structure, and ``gather`` picks each
-    stored entry from a (9, n) per-offset coefficient array (rows in
-    ``STENCIL_OFFSETS`` order) in CSR data order.
+    arm's neighbour Q (zero where Q is not interior).  ``nbr_deriv_node``
+    maps the (3, 4, k) per-direction ``deriv_node`` to the neighbours'.
     """
 
-    def __init__(self, grid, nbr, theta, gval):
-        h = grid.spacing
-        n = grid.n_dof
-        self.n_dof = n
-        self.points = grid.interior_points()
-
-        def at_offset(dj, di):
-            return shift(grid.index, dj, di, fill=-1)[grid.interior]
-
-        self.nbr_mask = nbr
-        self.nbr_index = np.where(
-            nbr, np.stack([at_offset(*OFFSETS[d]) for d in DIRECTIONS]),
-            0).astype(np.int32)
+    def __init__(self, nbr_mask, theta, gval, h, nbr_deriv_node):
+        self.nbr_mask = nbr_mask
         self.theta = theta
         self.theta_h = theta * h
         self.gval = gval
@@ -219,8 +199,8 @@ class StencilPlan:
 
         self.slope_coef = np.stack([
             -1.0 / self.theta_h,
-            np.where(self.nbr_mask, 1.0 / self.theta_h, 0.0)])
-        mask_e, mask_w, mask_n, mask_s = self.nbr_mask
+            np.where(nbr_mask, 1.0 / self.theta_h, 0.0)])
+        mask_e, mask_w, mask_n, mask_s = nbr_mask
         cx_p = self.dsq_x / self.den_x
         cy_p = self.dsq_y / self.den_y
         guard_n = np.where(mask_n, sqS / self.den_y, 0.0)
@@ -230,19 +210,112 @@ class StencilPlan:
         # (coefficient, axis pair): the transverse axis of E/W arms is y
         self.deriv_node = np.array([[cy_p, cx_p], [guard_n, guard_e],
                                     [guard_s, guard_w]])
-        self.deriv_nbr = np.where(self.nbr_mask, self.at_nbr(
+        self.deriv_nbr = np.where(nbr_mask, nbr_deriv_node(
             self.deriv_node[:, (0, 0, 1, 1)]), 0.0)
+        for value in vars(self).values():
+            value.flags.writeable = False
+
+
+class StencilPlan:
+    """Neighbour indices, CSR structure and arm geometry of the scheme.
+
+    Every per-dof array runs over interior nodes in ``grid.index`` order;
+    arrays of shape (4, n) have one row per direction in ``DIRECTIONS``
+    order.  The residual and Jacobian kernels of :mod:`pmcgraph.solver`
+    compute on dof vectors through the plan and evaluate the field only at
+    ``points``.  The plan keeps no reference to its grid, so a grid and
+    its plan are freed by reference counting alone.
+
+    The scheme is the Shortley-Weller cut-arm stencil (Shortley & Weller
+    1938): it differs from the five-point Laplacian's only next to the
+    boundary.  So the dofs split in two.  A **bulk** dof and the four
+    neighbours its arms reach have only whole arms (theta = 1 to an
+    interior neighbour), and its coefficients are those of the single
+    column ``bulk_arms``, the same at every bulk dof.  Every other dof is
+    a **cut** dof, listed in ``cut_dofs`` (ascending), with its own
+    coefficients in ``cut_arms``, one column per cut dof; as in
+    embedded-boundary codes (Johansen & Colella 1998), only these carry
+    per-dof geometry, and they are O(n^1/2) of the dofs.  Both are
+    :class:`ArmCoefficients`.  A kernel runs the bulk formula on every dof
+    and then recomputes the cut dofs from ``cut_arms``.
+
+    Stored per dof: ``points``, ``nbr_mask``, ``nbr_index`` (the
+    neighbour's dof index, 0 on a cut arm) and the Jacobian's CSR
+    structure, ``indptr`` and ``indices``, of the 9-point interior
+    adjacency; about 76 bytes per dof.  Stored per cut dof, about 400
+    bytes: its :class:`ArmCoefficients` column and ``cut_present``, which
+    offsets of its 3 x 3 block (``STENCIL_OFFSETS`` order) are interior; a
+    bulk dof has all nine.  The plan of Annulus(1, 2) holds 98.2 bytes per
+    dof at spacing 1/64 (2,176 of 38,576 dofs cut) and 87.1 at 1/128
+    (4,352 of 154,424), where storing every coefficient per dof took 496.
+    :meth:`arms` gives the arm fractions and Dirichlet values of every
+    dof, on demand.
+    """
+
+    def __init__(self, grid, nbr, theta, gval):
+        h = grid.spacing
+        n = grid.n_dof
+        self.n_dof = n
+        self.points = grid.interior_points()
+
+        def at_offset(dj, di):
+            return shift(grid.index, dj, di, fill=-1)[grid.interior]
+
+        self.nbr_mask = nbr
+        self.nbr_index = np.where(
+            nbr, np.stack([at_offset(*OFFSETS[d]) for d in DIRECTIONS]),
+            0).astype(np.int32)
+        whole = nbr.all(axis=0)
+        # a cut arm's index 0 is harmless: its own node is not whole
+        bulk = whole & whole.take(self.nbr_index).all(axis=0)
+        self.cut_dofs = np.flatnonzero(~bulk).astype(np.int32)
+        m = self.cut_dofs.size
+
+        # a bulk dof's neighbours are bulk-like: whole arms everywhere
+        self.bulk_arms = ArmCoefficients(
+            np.ones((4, 1), dtype=bool), np.ones((4, 1)), np.zeros((4, 1)),
+            h, lambda node: node)
+        # a cut dof's neighbour is cut, at its position in ``cut_dofs``,
+        # or bulk, at the appended bulk column m
+        position = np.full(n, m)
+        position[self.cut_dofs] = np.arange(m)
+        cut_nbr = position.take(self.nbr_index[:, self.cut_dofs])
+        bulk_node = self.bulk_arms.deriv_node[:, (0, 0, 1, 1)]
+
+        def cut_deriv_node(node):
+            node = np.concatenate([node, bulk_node], axis=-1)
+            return np.stack([node[:, d].take(cut_nbr[d], axis=-1)
+                             for d in range(len(DIRECTIONS))], axis=1)
+
+        cut = self.cut_dofs
+        self.cut_arms = ArmCoefficients(nbr[:, cut], theta[:, cut],
+                                        gval[:, cut], h, cut_deriv_node)
 
         cols = np.stack([at_offset(dj, di) for dj, di in STENCIL_OFFSETS])
         present = cols.T >= 0
         self.indptr = np.concatenate(
             [[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
         self.indices = cols.T[present].astype(np.int32)
-        self.gather = (np.arange(len(STENCIL_OFFSETS)) * n
-                       + np.arange(n)[:, None])[present].astype(np.int32)
+        self.cut_present = present[cut]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    def arms(self):
+        """Arm fractions and Dirichlet values of every dof, (4, n) each:
+        1 and 0 on whole arms (new arrays)."""
+        theta = np.ones((len(DIRECTIONS), self.n_dof))
+        gval = np.zeros((len(DIRECTIONS), self.n_dof))
+        theta[:, self.cut_dofs] = self.cut_arms.theta
+        gval[:, self.cut_dofs] = self.cut_arms.gval
+        return theta, gval
+
+    def csr_data(self, coef):
+        """The stored entries of a (9, n) per-offset coefficient array
+        (rows in ``STENCIL_OFFSETS`` order), in CSR data order."""
+        present = np.ones((self.n_dof, len(STENCIL_OFFSETS)), dtype=bool)
+        present[self.cut_dofs] = self.cut_present
+        return coef.T[present]
 
     def at_nbr(self, per_direction):
         """Values of a (..., 4, n) per-direction array at each arm's
@@ -490,7 +563,7 @@ def _band_fill(grid, values):
     gap = grid.interior & np.isnan(lattice)
     cut = np.zeros((4,) + grid.shape, dtype=bool)
     cut[:, grid.interior] = ~plan.nbr_mask
-    theta, g = plan.theta, plan.gval
+    theta, g = plan.arms()
     E, W, N, S = range(4)
     row, row_spread = _line_fill(lattice, gap, grid.index, cut[W], cut[E],
                                  theta[W], theta[E], g[W], g[E])

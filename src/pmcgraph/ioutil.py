@@ -14,9 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-# Rows per tolist() call in lattice_rows.
-_CSV_BLOCK = 1024
-
 
 def _pyfloat(x):
     if isinstance(x, (np.floating, np.integer)):
@@ -57,19 +54,18 @@ def format_value(x):
 def write_csv(path, header, rows):
     """Write rows of scalars with a fixed header line.
 
-    A row that is a string is written as it stands: the caller has already
-    joined its fields.
+    ``rows`` may instead be the body already formatted, one string of
+    newline-terminated lines (:func:`lattice_rows`).
     """
-    lines = [",".join(header)]
-    lines.extend(row if isinstance(row, str)
-                 else ",".join(format_value(v) for v in row)
-                 for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    if not isinstance(rows, str):
+        rows = "".join(",".join(format_value(v) for v in row) + "\n"
+                       for row in rows)
+    Path(path).write_text(",".join(header) + "\n" + rows)
 
 
 def lattice_rows(xs, ys, jj, ii, values):
-    """Rows ``x,y,value`` of lattice nodes, formatted as :func:`write_csv`
-    formats floats, made lazily a block at a time.
+    """Lines ``x,y,value`` of lattice nodes, formatted as :func:`write_csv`
+    formats floats, each ending in a newline, joined into one string.
 
     Node ``k`` lies at column ``ii[k]`` and row ``jj[k]`` of a lattice with
     column coordinates ``xs`` and row coordinates ``ys``, so each
@@ -80,7 +76,5 @@ def lattice_rows(xs, ys, jj, ii, values):
                   dtype=object)
     ys = np.array([repr(y) for y in np.asarray(ys, dtype=float).tolist()],
                   dtype=object)
-    for k in range(0, len(values), _CSV_BLOCK):
-        block = slice(k, k + _CSV_BLOCK)
-        yield from map(",".join, zip(xs[ii[block]], ys[jj[block]],
-                                     map(repr, values[block].tolist())))
+    lines = map(",".join, zip(xs[ii], ys[jj], map(repr, values.tolist())))
+    return "\n".join(lines) + "\n" if len(values) else ""

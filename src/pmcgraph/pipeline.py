@@ -166,12 +166,13 @@ def gradient_hypotheses(domain, field, solution, *, annulus_r=None,
 
     ``M`` is ``max(C1, sup|f|)`` with the domain's :class:`DomainBarrier`,
     ``fitted`` when the caller has it, or ``max(sup|f|, 1)`` with no
-    admissible barrier.  ``solve`` and ``verify`` both report these.
+    admissible barrier, as when the domain has no annulus fit in floats.
+    ``solve`` and ``verify`` both report these.
     """
     try:
         fitted = fitted or barrier_for_domain(
             domain, sampled_h_sup0(field, domain), annulus_r=annulus_r)
-    except (NoAdmissibleConstantError, ParameterError):
+    except (NoAdmissibleConstantError, ParameterError, InfeasibleFitError):
         m_slab = max(solution.sup_norm, 1.0)
     else:
         m_slab = max(fitted.c1, solution.sup_norm, 1e-12)

@@ -43,9 +43,12 @@ A grid function has one representation here, the dof vector: its values
 at the grid's interior nodes in ``grid.index`` order.  Only
 :attr:`GridSolution.values` and :meth:`GridSolution.write_csv` see the
 lattice.  The residual and the analytic Jacobian run on dof vectors
-through the grid's :class:`pmcgraph.grid.StencilPlan` (the arms,
-neighbour indices, geometry-only coefficients and the CSR structure,
-built with the grid) and evaluate the field only at interior nodes.
+through the grid's :class:`pmcgraph.grid.StencilPlan` (neighbour
+indices, the CSR structure and the geometry-only coefficients, built
+with the grid) and evaluate the field only at interior nodes.  Each
+kernel runs the bulk formula, whose coefficients are the same at every
+dof, on every dof, then recomputes the few cut dofs next to the boundary
+with their own coefficients, in the same operation order.
 Newton computes each
 iterate's edge states (:func:`_edge_states`) once and hands them to that
 iterate's residual and then to its Jacobian assembly or its final
@@ -119,7 +122,7 @@ _SIGN = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
 # The Jacobian of one node couples it to the 3 x 3 block around it.  Its
 # coefficients are sums of terms, each the product of a per-arm flux
 # sensitivity and a geometry-only coefficient of the plan (the kinds are
-# listed in ``_assemble_jacobian``).  Each offset of the block sums its
+# listed in ``_stencil_coefficients``).  Each offset of the block sums its
 # terms in the order listed: the order is part of the result, since
 # floating-point addition does not associate.
 _JACOBIAN_TERMS = {
@@ -146,13 +149,26 @@ _TERMS = tuple(
 _CENTER = STENCIL_OFFSETS.index((0, 0))
 
 
+def _slopes(arms, val, x):
+    """One-sided arm slopes and node derivatives through one
+    :class:`pmcgraph.grid.ArmCoefficients`, from the arms' end values."""
+    dval = (val - x) / arms.theta_h
+    sqE, sqW, sqN, sqS = arms.theta_sq
+    Dx = (sqW * val[0] - sqE * val[1] + arms.dsq_x * x) / arms.den_x
+    Dy = (sqS * val[2] - sqN * val[3] + arms.dsq_y * x) / arms.den_y
+    return dval, Dx, Dy
+
+
 def _edge_slopes(plan, x):
-    """One-sided arm slopes (4, n) and the node derivatives Dx, Dy."""
-    val = np.where(plan.nbr_mask, x.take(plan.nbr_index), plan.gval)
-    dval = (val - x) / plan.theta_h
-    sqE, sqW, sqN, sqS = plan.theta_sq
-    Dx = (sqW * val[0] - sqE * val[1] + plan.dsq_x * x) / plan.den_x
-    Dy = (sqS * val[2] - sqN * val[3] + plan.dsq_y * x) / plan.den_y
+    """One-sided arm slopes (4, n) and the node derivatives Dx, Dy.
+
+    The bulk formula runs on every dof, reading ``x`` at index 0 on cut
+    arms; the cut dofs are then recomputed with their own arms."""
+    val = x.take(plan.nbr_index)
+    dval, Dx, Dy = _slopes(plan.bulk_arms, val, x)
+    cut, arms = plan.cut_dofs, plan.cut_arms
+    dval[:, cut], Dx[cut], Dy[cut] = _slopes(
+        arms, np.where(arms.nbr_mask, val[:, cut], arms.gval), x[cut])
     return dval, Dx, Dy
 
 
@@ -186,9 +202,16 @@ def mc_residual(x, grid, hfield, t_homotopy=1.0, states=None):
     plan = grid.plan
     primary, _, W = _edge_states(plan, x) if states is None else states
     flux = primary / W
-    div = ((flux[0] - flux[1]) * plan.cfac[0]
-           + (flux[2] - flux[3]) * plan.cfac[1])
+    div = _divergence(plan.bulk_arms, flux)
+    div[plan.cut_dofs] = _divergence(plan.cut_arms, flux[:, plan.cut_dofs])
     return div - t_homotopy * GRID_DIM * hfield.eval(plan.points, x)
+
+
+def _divergence(arms, flux):
+    """The discrete divergence of the four edge fluxes, through one
+    :class:`pmcgraph.grid.ArmCoefficients`."""
+    return ((flux[0] - flux[1]) * arms.cfac[0]
+            + (flux[2] - flux[3]) * arms.cfac[1])
 
 
 def _assemble_jacobian(grid, x, hfield, t_homotopy, states=None):
@@ -203,23 +226,44 @@ def _assemble_jacobian(grid, x, hfield, t_homotopy, states=None):
     n = plan.n_dof
     primary, cross, W = states.pop() if states else _edge_states(plan, x)
     W3 = W**3
-    phi_p = (1.0 + cross**2) / W3
-    phi_c = -primary * cross / W3
+    phi = ((1.0 + cross**2) / W3, -primary * cross / W3)
     del primary, cross, W, W3
-    cfac = plan.cfac[:, None]  # one factor per axis pair
+    cut = plan.cut_dofs
+    cut_coef = _stencil_coefficients(plan.cut_arms,
+                                     *(p[:, cut] for p in phi))
+    coef = _stencil_coefficients(plan.bulk_arms, *phi)
+    del phi
+    coef[:, cut] = cut_coef
+    coef[_CENTER] += -t_homotopy * GRID_DIM * hfield.hz(plan.points, x)
+    return csr_matrix((plan.csr_data(coef), plan.indices, plan.indptr),
+                      shape=(n, n))
+
+
+def _stencil_coefficients(arms, phi_p, phi_c):
+    """The (9, k) per-offset Jacobian coefficients (rows in
+    ``STENCIL_OFFSETS`` order) of the dofs whose
+    :class:`pmcgraph.grid.ArmCoefficients` are ``arms``, from their edges'
+    flux derivatives in the primary slope and the transverse one."""
+    k = phi_p.shape[1]
+    cfac = arms.cfac[:, None]  # one factor per axis pair
     # flux sensitivities to the primary slope (A, with the slope's sign
     # folded in) and to the transverse derivative (B); B is split between
     # an arm's two endpoints, half each, and falls wholly on the node when
     # the arm is cut
-    a = (cfac * phi_p.reshape(2, 2, n)).reshape(4, n)
-    b = _SIGN * (cfac * phi_c.reshape(2, 2, n)).reshape(4, n)
+    a = (cfac * phi_p.reshape(2, 2, k)).reshape(4, k)
+    b = _SIGN * (cfac * phi_c.reshape(2, 2, k)).reshape(4, k)
     half = 0.5 * b
-    b_node = np.where(plan.nbr_mask, half, b)
-    b_nbr = np.where(plan.nbr_mask, half, 0.0)
-    del phi_p, phi_c, b, half
+    # with every arm whole (the bulk) both are ``half``: one array, not
+    # two more at the assembly's memory peak
+    if arms.nbr_mask.all():
+        b_node = b_nbr = half
+    else:
+        b_node = np.where(arms.nbr_mask, half, b)
+        b_nbr = np.where(arms.nbr_mask, half, 0.0)
+    del b, half
     # transverse-derivative coefficients per direction; E/W arms have y
-    node = [[pair[p] for p in (0, 0, 1, 1)] for pair in plan.deriv_node]
-    nbr = plan.deriv_nbr
+    node = [[pair[p] for p in (0, 0, 1, 1)] for pair in arms.deriv_node]
+    nbr = arms.deriv_nbr
     # term kind -> (sensitivity, coefficient), each indexed by direction:
     #   a_node  A times the slope's derivative in f_P
     #   a_nbr   A times its derivative in the arm's neighbour Q
@@ -228,23 +272,21 @@ def _assemble_jacobian(grid, x, hfield, t_homotopy, states=None):
     #           transverse arm
     #   b_nbr, b_nbr_a, b_nbr_b     the same, for the node derivative at Q
     factors = {
-        "a_node": (a, plan.slope_coef[0]), "a_nbr": (a, plan.slope_coef[1]),
+        "a_node": (a, arms.slope_coef[0]), "a_nbr": (a, arms.slope_coef[1]),
         "b_node": (b_node, node[0]), "b_node_a": (b_node, node[1]),
         "b_node_b": (b_node, node[2]), "b_nbr": (b_nbr, nbr[0]),
         "b_nbr_a": (b_nbr, nbr[1]), "b_nbr_b": (b_nbr, nbr[2]),
     }
 
-    coef = np.empty((len(STENCIL_OFFSETS), n))
-    term = np.empty(n)
+    coef = np.empty((len(STENCIL_OFFSETS), k))
+    term = np.empty(k)
     for row, terms in zip(coef, _TERMS):
-        for k, (kind, d) in enumerate(terms):
+        for i, (kind, d) in enumerate(terms):
             sensitivity, geometry = factors[kind]
-            np.multiply(sensitivity[d], geometry[d], out=term if k else row)
-            if k:
+            np.multiply(sensitivity[d], geometry[d], out=term if i else row)
+            if i:
                 row += term
-    coef[_CENTER] += -t_homotopy * GRID_DIM * hfield.hz(plan.points, x)
-    return csr_matrix((coef.take(plan.gather), plan.indices, plan.indptr),
-                      shape=(n, n))
+    return coef
 
 
 def _splu(A):

@@ -235,6 +235,28 @@ class TestSolveAndVerifyCommands:
         assert report["trace"][-1]["krylov_iters"] > 0
         assert report["gradient_hypotheses"]["monotone_ok"] is True
 
+    @pytest.mark.filterwarnings("error")
+    def test_solve_with_no_annulus_fit_reports_the_unit_slab(self, tmp_path):
+        # the pentagon has no annulus fit in floats at annulus_r 1e160, so
+        # no barrier: the gradient hypotheses take the slab max(sup|f|, 1),
+        # as with no admissible barrier; verify, which needs the barrier's
+        # C1 and C2, stays indeterminate
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "convex_polygon", "vertices": PENTAGON},
+            "curvature": {"constant": 0.2}, "spacing": 0.125,
+            "annulus_r": 1e160}))
+        out = tmp_path / "solve"
+        assert run(["solve", "--config", cfg, "--out", out]) == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["status"] == "converged"
+        assert report["gradient_hypotheses"]["slab_height"] == max(
+            report["sup_norm"], 1.0)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "solution.csv", "solve_report.json"]
+        assert run(["verify", "--config", cfg,
+                    "--out", tmp_path / "verify"]) == 3
+
     def test_reports_list_the_levels(self, tmp_path):
         # the pentagon at 1/32 with the monotone table field: a chain down
         # to 1/16, the first grid with at most COARSEST_DOF nodes; verify

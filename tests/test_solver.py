@@ -57,9 +57,9 @@ def lattice_arms(grid):
     direction of the neighbour flags, arm fractions and Dirichlet values,
     filled off the interior with False, 1 and 0."""
     plan = grid.plan
+    theta, gval = plan.arms()
     out = []
-    for rows, fill in ((plan.nbr_mask, False), (plan.theta, 1.0),
-                       (plan.gval, 0.0)):
+    for rows, fill in ((plan.nbr_mask, False), (theta, 1.0), (gval, 0.0)):
         arms = {}
         for d, row in zip(DIRECTIONS, rows):
             arms[d] = np.full(grid.shape, fill, dtype=row.dtype)
@@ -162,7 +162,8 @@ class TestResidual:
             grid_from_domain(pentagon, 0.3, boundary=linear),
         ]
         cut = ~grids[1].plan.nbr_mask
-        assert cut.any(axis=1).all() and np.any(grids[1].plan.gval != 0.0)
+        gval = grids[1].plan.arms()[1]
+        assert cut.any(axis=1).all() and np.any(gval != 0.0)
         for grid in grids:
             rng = np.random.default_rng(4)
             x = 0.3 * rng.standard_normal(grid.n_dof)
@@ -344,6 +345,86 @@ class TestStencilPlan:
         assert ref() is None
 
 
+def held_bytes(obj):
+    """Bytes of every ndarray an object holds through its attributes,
+    counting a view's whole base."""
+    total = 0
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            base = value.base if isinstance(value.base, np.ndarray) else value
+            total += base.nbytes
+        elif hasattr(value, "__dict__") and not callable(value):
+            total += held_bytes(value)
+    return total
+
+
+class TestPlanStorage:
+    @pytest.mark.parametrize("domain", [geometry.Annulus(1.0, 2.0), PENTAGON],
+                             ids=["annulus", "pentagon"])
+    def test_geometry_is_stored_only_at_cut_dofs(self, domain):
+        grid = grid_from_domain(domain, 1.0 / 128)
+        plan = grid.plan
+        assert held_bytes(plan) <= 100 * grid.n_dof
+        # a dof is bulk when it and the four neighbours its arms reach have
+        # only arms to interior neighbours; the cut set is every other dof
+        nbr, _, _ = lattice_arms(grid)
+        whole = nbr["E"] & nbr["W"] & nbr["N"] & nbr["S"]
+        bulk = whole.copy()
+        for d in DIRECTIONS:
+            bulk &= shift(whole, *OFFSETS[d], fill=False)
+        assert np.array_equal(plan.cut_dofs,
+                              np.flatnonzero(~bulk[grid.interior]))
+        assert plan.cut_arms.theta.shape == (4, plan.cut_dofs.size)
+        # the boundary's share: under 3 % of the dofs at this spacing
+        assert plan.cut_dofs.size < 0.03 * grid.n_dof
+
+
+class TestScaleCovariance:
+    # Omega -> lam Omega, H -> H / lam and spacing -> lam spacing map the
+    # scheme onto itself: for a power of two lam every lattice coordinate,
+    # membership test and bisection probe scales exactly, so the grids
+    # are bitwise the same, the residual of lam f is the residual of f
+    # over lam, and the Jacobian is scaled by 1 / lam^2, bit for bit.  The
+    # solves differ only in Newton's absolute stopping test and GMRES's
+    # forcing terms: measured max |lam f_1 - f_2| / (lam sup|f_1|) at 1/16
+    # is 1.07e-15 on the annulus and 3.0e-16 on the pentagon
+    CASES = {
+        "annulus": (lambda lam: geometry.Annulus(lam * 1.0, lam * 2.0), -0.3),
+        "pentagon": (lambda lam: geometry.ConvexPolygon(
+            [(lam * x, lam * y) for x, y in PENTAGON.vertices]), 0.3),
+    }
+
+    @pytest.mark.parametrize("lam", [2, 8])
+    @pytest.mark.parametrize("case", ["annulus", "pentagon"])
+    def test_scaled_problem_is_the_scaled_solution(self, case, lam):
+        make, h = self.CASES[case]
+        spacing = 1.0 / 16
+        field_1 = CurvatureField.from_constant(h)
+        field_2 = CurvatureField.from_constant(h / lam)
+        grid_1 = grid_from_domain(make(1), spacing)
+        grid_2 = grid_from_domain(make(lam), lam * spacing)
+        plan_1, plan_2 = grid_1.plan, grid_2.plan
+        assert grid_1.interior.tobytes() == grid_2.interior.tobytes()
+        assert plan_1.nbr_mask.tobytes() == plan_2.nbr_mask.tobytes()
+        assert plan_1.arms()[0].tobytes() == plan_2.arms()[0].tobytes()
+        assert plan_1.cut_dofs.tobytes() == plan_2.cut_dofs.tobytes()
+        assert np.array_equal(lam * plan_1.points, plan_2.points)
+
+        x = 0.3 * np.sin(plan_1.points @ [1.0, 2.0])
+        for t in (0.0, 0.7):
+            assert np.array_equal(
+                solver.mc_residual(x, grid_1, field_1, t) / lam,
+                solver.mc_residual(lam * x, grid_2, field_2, t))
+            J_1 = solver._assemble_jacobian(grid_1, x, field_1, t)
+            J_2 = solver._assemble_jacobian(grid_2, lam * x, field_2, t)
+            assert np.array_equal(J_1.data / lam**2, J_2.data)
+
+        f_1 = pipeline.solve_grid(grid_1, field_1).solution.dof_values
+        f_2 = pipeline.solve_grid(grid_2, field_2).solution.dof_values
+        assert np.max(np.abs(lam * f_1 - f_2)) <= (
+            1e-14 * lam * np.max(np.abs(f_1)))
+
+
 class TestBoundaryData:
     def test_crossings_lie_on_the_pentagon(self):
         # spacing 0.1 puts lattice points on the slanted edges, so cut arms
@@ -355,8 +436,9 @@ class TestBoundaryData:
         # one point per cut arm, in direction then dof order
         k, dof = np.nonzero(~plan.nbr_mask)
         unit = np.array([OFFSETS[d][::-1] for d in DIRECTIONS], dtype=float)
+        theta_h = plan.arms()[0] * grid.spacing
         assert np.allclose(points, plan.points[dof]
-                           + unit[k] * plan.theta_h[k, dof, None],
+                           + unit[k] * theta_h[k, dof, None],
                            rtol=0.0, atol=1e-12)
         assert np.array_equal(values, g(points[:, 0], points[:, 1]))
         # distance to the nearest edge
@@ -423,8 +505,9 @@ class TestArmBisection:
         grid = grid_from_domain(domain, spacing, boundary=boundary)
         interior, theta, gval = per_direction_arms(domain, spacing, boundary)
         assert grid.interior.tobytes() == interior.tobytes()
-        assert grid.plan.theta.tobytes() == theta.tobytes()
-        assert grid.plan.gval.tobytes() == gval.tobytes()
+        plan_theta, plan_gval = grid.plan.arms()
+        assert plan_theta.tobytes() == theta.tobytes()
+        assert plan_gval.tobytes() == gval.tobytes()
 
     @pytest.mark.parametrize("domain, spacing", [
         (geometry.Annulus(1.0, 2.0), 1.0 / 32),
