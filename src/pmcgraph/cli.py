@@ -225,10 +225,19 @@ def _settings(cfg, rows):
     return settings
 
 
-def _write_stall_report(exc, path):
-    """``solve``'s and ``verify``'s report of a ContinuationFailureError."""
+def _write_stall_report(exc, domain, field, path):
+    """``solve``'s and ``verify``'s report of a ContinuationFailureError.
+
+    Its diagnostics gain ``check``'s ``inscribed_disc`` row: for a
+    constant field, |H| against 1/rho, whose failure proves that no
+    solution exists.
+    """
+    disc = conditions.inscribed_disc_row(
+        pipeline.GRID_DIM, geometry.inscribed_disc_radius(domain),
+        field.constant)
     dump_json({"status": "continuation-stalled", "stall_t": exc.stall_t,
-               "diagnostics": exc.diagnostics,
+               "diagnostics": {**exc.diagnostics,
+                               "inscribed_disc": disc.as_dict()},
                "trace": exc.trace.as_dict()["steps"]}, path)
 
 
@@ -259,7 +268,7 @@ def cmd_solve(args):
             domain, field, st["spacing"], boundary=boundary, tol=st["tol"],
             max_iters=st["max_iters"])
     except ContinuationFailureError as exc:
-        _write_stall_report(exc, out / "solve_report.json")
+        _write_stall_report(exc, domain, field, out / "solve_report.json")
         print(f"continuation stalled at t* = {exc.stall_t} (numerical; "
               f"see solve_report.json)", file=sys.stderr)
         return EXIT_INDETERMINATE
@@ -285,7 +294,8 @@ def cmd_verify(args):
             domain, field, st["spacing"], annulus_r=st["annulus_r"],
             tol=st["tol"], max_iters=st["max_iters"])
     except ContinuationFailureError as exc:
-        _write_stall_report(exc, out / "estimate_report.json")
+        _write_stall_report(exc, domain, field,
+                            out / "estimate_report.json")
         print(f"continuation stalled at t* = {exc.stall_t}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except NoAdmissibleConstantError as exc:

@@ -364,6 +364,17 @@ def check_inscribed_disc(dim, rho, h):
     )
 
 
+def inscribed_disc_row(dim, rho, constant_h):
+    """The ``inscribed_disc`` row of a report: :func:`check_inscribed_disc`
+    of ``|constant_h|``, or not applicable when the curvature is not
+    constant (``constant_h`` None)."""
+    if constant_h is None:
+        return CheckResult(
+            "inscribed_disc", 1.0 / rho, math.nan, NOT_APPLICABLE,
+            "inscribed-disc comparison applies to constant curvature only")
+    return check_inscribed_disc(dim, rho, abs(constant_h))
+
+
 def check_mean_convexity(dim, boundary_samples, field, z_range):
     """Pointwise |H(x,z)| <= (n-1)/n * Hhat(x) on sampled boundary points,
     at 33 heights z spanning ``z_range``.
@@ -438,12 +449,7 @@ def evaluate_conditions(dim, h_sup0, *, annulus_r=None, annulus_d=None,
     report.checks.append(check_strip_smallness(dim, strip_width, h_sup0, convex=convex))
 
     if inscribed_rho is not None:
-        if constant_h is not None:
-            report.checks.append(check_inscribed_disc(dim, inscribed_rho, abs(constant_h)))
-        else:
-            report.checks.append(CheckResult(
-                "inscribed_disc", 1.0 / inscribed_rho, math.nan, NOT_APPLICABLE,
-                "inscribed-disc comparison applies to constant curvature only"))
+        report.checks.append(inscribed_disc_row(dim, inscribed_rho, constant_h))
 
     if boundary_samples and field is not None:
         report.checks.append(check_mean_convexity(dim, boundary_samples, field,

@@ -23,7 +23,8 @@ from .conditions import CurvatureField
 from .errors import (InfeasibleFitError, NoAdmissibleConstantError,
                      ParameterError, SolverError, UnsupportedDomainError,
                      config_key, finite_number)
-from .grid import grid_from_domain, nested_prolongation, prolongate
+from .grid import (COARSEST_DOF, chain_prolongations, grid_chain,
+                   grid_from_domain, prolongate)
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
 #: every radius; large values approach the strip-bound limit
@@ -34,15 +35,6 @@ GRID_DIM = solver.GRID_DIM
 #: ``verify`` runs its checks with this multiple of the Richardson error
 #: estimate as slack
 SLACK_FACTOR = 10.0
-
-#: a solve's chain of nested grids (:func:`grid_chain`) ends at the first
-#: grid with at most this many interior nodes, the only one whose matrices
-#: are factored.  The depth barely matters: on the pentagon at 1/64, with
-#: the table field, chains ending at 1/32, 1/16, 1/8, 1/4 and 1/2 all took
-#: 18 GMRES iterations on the fine grid and 0.129-0.144 s per solve
-#: (0.170 s factoring the fine grid).  This limit keeps both the coarsest
-#: factor and the chain short
-COARSEST_DOF = 1024
 
 
 def effective_sphere_radius(domain, annulus_r=None):
@@ -188,36 +180,6 @@ def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
                       field, tol=tol, max_iters=max_iters)
 
 
-def grid_chain(grid):
-    """``grid`` and the grids of its problem at twice, four times, ...
-    its spacing, finest first: the chain of nested grids a solve walks.
-
-    Halving stops at the first grid with at most ``COARSEST_DOF`` interior
-    nodes, or where the next coarser lattice would have no interior node.
-    The grids come from :func:`pmcgraph.grid.grid_from_domain` with the
-    grid's domain and Dirichlet data, so their lattices nest.  A bitmap's
-    grid is its own cells at every spacing, so its chain is that grid.
-    """
-    chain = [grid]
-    if isinstance(grid.domain, geometry.GridMask):
-        return chain
-    while chain[-1].n_dof > COARSEST_DOF:
-        try:
-            coarser = grid_from_domain(grid.domain, 2.0 * chain[-1].spacing,
-                                       boundary=grid.boundary)
-        except ParameterError:  # no lattice node inside the domain
-            break
-        chain.append(coarser)
-    return chain
-
-
-def _prolongations(chain):
-    """The :func:`pmcgraph.grid.nested_prolongation` matrices between the
-    neighbouring grids of a chain, finest first; they hold no grid."""
-    return [nested_prolongation(coarse, fine)
-            for fine, coarse in zip(chain, chain[1:])]
-
-
 def _climb(chain, prolongations, field, settings, solution=None):
     """Newton at t = 1 up a chain, coarsest grid first; returns the
     :class:`pmcgraph.solver.SolveOutcome` of its finest grid, with one
@@ -225,9 +187,9 @@ def _climb(chain, prolongations, field, settings, solution=None):
 
     ``chain`` lists grids finest first; it is emptied as the climb goes,
     so that each grid is freed once the grid above it has its start.
-    ``prolongations`` are the :func:`_prolongations` from ``chain[0]``
-    down, which may reach below the chain to a solved grid ``solution``
-    that the climb starts from.  Without one, the chain's last grid is
+    ``prolongations`` are the :func:`chain_prolongations` from
+    ``chain[0]`` down, which may reach below the chain to a solved grid
+    ``solution`` that the climb starts from.  Without one, the chain's last grid is
     solved from :func:`pmcgraph.solver.newton_solve`'s default start with
     its own factor.  Every other grid starts from the solution below,
     :func:`pmcgraph.grid.prolongate`d, and its GMRES is preconditioned by
@@ -281,13 +243,14 @@ def solve_grid(grid, field, *, tol=1e-10, max_iters=40):
     Galerkin operator.  For any other field, whose homotopy defines the
     solution branch, or when any Newton run of the climb fails: the
     homotopy (:func:`pmcgraph.solver.continuation_solve`) on ``grid``
-    itself, so that a stall is reported at the requested spacing.  A
-    climb's trace is the one step at t = 1 of its finest grid.
+    itself, with the same V-cycle, so that a stall is reported at the
+    requested spacing.  A climb's trace is its finest grid's one step.
     """
-    # a homotopy solves the grid alone
-    chain = grid_chain(grid) if field.monotone else [grid]
-    return _solve_chain(chain, _prolongations(chain), field,
-                        dict(tol=tol, max_iters=max_iters))
+    settings = dict(tol=tol, max_iters=max_iters)
+    if not field.monotone:
+        return solver.continuation_solve(grid, field, **settings)
+    chain = grid_chain(grid)
+    return _solve_chain(chain, chain_prolongations(chain), field, settings)
 
 
 @dataclass
@@ -338,7 +301,7 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
                                 annulus_r=annulus_r)
     chain = grid_chain(grid)
     fine_grid = grid_from_domain(domain, 0.5 * spacing)
-    prolongations = _prolongations([fine_grid] + chain)
+    prolongations = chain_prolongations([fine_grid] + chain)
     coarse = _solve_chain(chain, prolongations[1:], field, settings)
     fine = _solve_chain([fine_grid], prolongations, field, settings,
                         start=coarse.solution)

@@ -21,21 +21,17 @@ point, which is what keeps the scheme second order on curved domains; a
 lattice point whose cut arm would be shorter than
 :data:`pmcgraph.grid.THETA_SNAP` cells is a boundary node instead.
 
-Linear solves have one solver, :class:`FactorOnceSolver`: right-
-preconditioned GMRES with a stored preconditioner, and a direct SuperLU
-solve whose factor becomes that preconditioner when there is none yet or
-GMRES fails.  Every Newton step follows this rule: a factor made after a
-GMRES failure is kept, lagged, until GMRES fails again.  A grid solved by
-itself (a homotopy, or Newton from its default start) thus factors its
-Jacobian at the first Newton step, and that factor preconditions every
-later step at the same or a later t.
-The default start is zero for zero Dirichlet data; for nonzero data it
-is the discrete harmonic extension (:func:`_harmonic_start`), whose
-factor is the first preconditioner instead.  A grid refined
-from a solved coarser one starts with a V-cycle over a chain of nested
-coarser grids whose Galerkin operator is factored only at the coarsest
-grid, once.  Newton is inexact: each GMRES solve
-stops at a relative residual set by the size of the Newton residual
+Linear solves have one solver and one rule, :class:`FactorOnceSolver`:
+right-preconditioned GMRES with a stored preconditioner.  A grid with a
+chain of nested coarser grids (:func:`pmcgraph.grid.grid_chain`), as a
+homotopy's grid and every grid of a climb but its coarsest have, starts
+from the V-cycle over that chain, which factors only the coarsest grid.
+A Jacobian is factored, and its step solved directly, only at the first
+Newton step on a grid without a chain (or at its harmonic start,
+:func:`_harmonic_start`, for nonzero Dirichlet data) or after a GMRES
+failure; that factor then preconditions the later steps, lagged, until
+GMRES fails again.  Newton is inexact: each GMRES solve stops at a
+relative residual set by the size of the Newton residual
 (:func:`_forcing`), so early steps are solved loosely and the last ones
 tightly.
 
@@ -80,7 +76,8 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .grid import DIRECTIONS, STENCIL_OFFSETS, interpolate_values_cubic
+from .grid import (DIRECTIONS, STENCIL_OFFSETS, chain_prolongations,
+                   grid_chain, interpolate_values_cubic)
 from .ioutil import lattice_rows, write_csv
 
 #: graph dimension of the planar grid problem
@@ -106,8 +103,8 @@ _DT_MIN = 1e-3
 # 1,024 nodes fit it too: the three Newton steps above the coarsest grid
 # take 2, 4-5 and 11-13 iterations at every level up to 1/64 on that
 # annulus, a pentagon and an off-centre disc; at 1/128 the annulus's
-# fourth step takes 20, in two cycles.  LU-preconditioned solves along a
-# homotopy take about 4 to 11
+# fourth step takes 20, in two cycles; along the homotopy of
+# H = -0.3 - 0.05 z they take 5-16 at 1/32, 6-17 at 1/64 and 7-22 at 1/128
 _KRYLOV_RTOL = 1e-12
 _FORCING_CAP = 1e-2
 _KRYLOV_RESTART = 17
@@ -416,11 +413,11 @@ class FactorOnceSolver:
     the preconditioner, a lagged one for the later solves (Knoll & Keyes
     2004).  The solver keeps a map from a Jacobian to its preconditioner,
     a function ``v -> M v``.  With ``prolongations``, the
-    :func:`pmcgraph.grid.nested_prolongation` matrices of a chain of
-    nested coarser grids, finest first, the first solve builds their
-    Galerkin operators from ``J``, factors only the coarsest, and the map
-    gives the V-cycle (:func:`_v_cycle`; with one prolongation, the
-    two-grid cycle).
+    :func:`pmcgraph.grid.chain_prolongations` of the grid's chain, the
+    first solve builds their Galerkin operators from ``J``, factors only
+    the coarsest, and the map gives the V-cycle (:func:`_v_cycle`; with
+    one prolongation, the two-grid cycle); only a GMRES failure then
+    factors ``J`` itself.  Without them, the first solve factors ``J``.
     ``factorizations`` counts every sparse LU and ``krylov_iters`` every
     GMRES inner iteration.
     """
@@ -695,11 +692,13 @@ def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
     gradient at the last success.  A stall is a numerical statement, not
     a nonexistence proof.
 
-    All Newton runs share one :class:`FactorOnceSolver`: the Jacobian is
-    factored at the first Newton step of the homotopy and that LU
+    All Newton runs share one :class:`FactorOnceSolver` on the grid's
+    chain (:func:`pmcgraph.grid.grid_chain`): the first Newton step builds
+    its V-cycle (or, with no chain, factors the Jacobian), and that
     preconditions GMRES at every later step and t, so a smooth homotopy
-    costs a single factorization.  They also share the field's
-    z-independent part at the grid's nodes, evaluated once here.
+    costs one factorization, of the chain's coarsest grid.  They also
+    share the field's z-independent part at the grid's nodes, evaluated
+    once here.
     """
     if hfield.is_constant and hfield.constant == 0.0:
         pending = [1.0]
@@ -707,7 +706,7 @@ def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
         pending = np.linspace(0.0, 1.0, _HOMOTOPY_MEMBERS).tolist()
     hfield = hfield.on_nodes(grid.plan.points)
     trace = ContinuationTrace()
-    linsolve = FactorOnceSolver()
+    linsolve = FactorOnceSolver(chain_prolongations(grid_chain(grid)))
     counted = (0, 0)  # linear-solver counters at the last accepted step
     x = None  # until a member converges, Newton's default start
     t_prev = None

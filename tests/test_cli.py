@@ -346,6 +346,62 @@ class TestSolveAndVerifyCommands:
         assert ((out / "estimate_report.json").read_bytes()
                 == (out / "solve_report.json").read_bytes())
 
+    @staticmethod
+    def check_row(cfg, out, name):
+        run(["check", "--config", cfg, "--out", out])
+        report = json.loads((out / "condition_report.json").read_text())
+        (row,) = [c for c in report["checks"] if c["name"] == name]
+        return row
+
+    def test_stall_names_the_inscribed_disc_limit(self, tmp_path):
+        # H = 1.2 on the unit disc exceeds 1/rho = 1: the stall report
+        # carries check's inscribed-disc row, whose failure proves that no
+        # solution exists
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "disc", "radius": 1.0},
+            "curvature": {"constant": 1.2},
+            "spacing": 0.06, "max_iters": 20}))
+        out = tmp_path / "stall"
+        assert run(["solve", "--config", cfg, "--out", out]) == 3
+        report = json.loads((out / "solve_report.json").read_text())
+        row = report["diagnostics"]["inscribed_disc"]
+        assert (row["bound"], row["actual"], row["verdict"]) == (
+            1.0, 1.2, "fail")
+        assert row == self.check_row(cfg, out, "inscribed_disc")
+
+    def test_verify_stall_names_the_inscribed_disc_row(self, tmp_path):
+        # the annulus's constant H = -0.3 passes |H| <= 1/rho = 2, so the
+        # row says the stall proves nothing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**ANNULUS_EIGHTH, "max_iters": 1}))
+        out = tmp_path / "stall"
+        assert run(["verify", "--config", cfg, "--out", out]) == 3
+        report = json.loads((out / "estimate_report.json").read_text())
+        row = report["diagnostics"]["inscribed_disc"]
+        assert (row["bound"], row["actual"], row["verdict"]) == (
+            2.0, 0.3, "pass")
+        assert row == self.check_row(cfg, out, "inscribed_disc")
+
+    def test_stall_of_a_nonconstant_field_has_no_disc_limit(
+            self, tmp_path, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularSystemError("singular")
+
+        monkeypatch.setattr(solver, "newton_solve", singular)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            **ANNULUS_EIGHTH,
+            "curvature": {"table": {"x": [-2.0, 2.0], "y": [-2.0, 2.0],
+                                    "values": [[-0.3, -0.2], [-0.2, -0.3]]},
+                          "z_slope": -0.1}}))
+        out = tmp_path / "stall"
+        assert run(["solve", "--config", cfg, "--out", out]) == 3
+        report = json.loads((out / "solve_report.json").read_text())
+        row = report["diagnostics"]["inscribed_disc"]
+        assert row["verdict"] == "not-applicable"
+        assert row == self.check_row(cfg, out, "inscribed_disc")
+
     def test_verify_passes_on_annulus(self, tmp_path, annulus_config):
         out = tmp_path / "verify"
         assert run(["verify", "--config", annulus_config, "--out", out]) == 0

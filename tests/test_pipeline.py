@@ -381,6 +381,19 @@ class TestTwoGridVerify:
         return calls
 
     @staticmethod
+    def record_lu_sizes(monkeypatch):
+        """The size of every sparse LU, in order."""
+        sizes = []
+        real = solver.sparse_linalg.splu
+
+        def splu(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(solver.sparse_linalg, "splu", splu)
+        return sizes
+
+    @staticmethod
     def record_newton(monkeypatch):
         """(spacing, solution) of every converged Newton run, in order."""
         runs = []
@@ -443,21 +456,14 @@ class TestTwoGridVerify:
         assert not field.monotone
         homotopies = self.spy(monkeypatch, solver, "continuation_solve")
         newton = self.spy(monkeypatch, solver, "newton_solve")
-        sizes = []
-        real_splu = solver.sparse_linalg.splu
-
-        def splu(A, *args, **kwargs):
-            sizes.append(A.shape[0])
-            return real_splu(A, *args, **kwargs)
-
-        monkeypatch.setattr(solver.sparse_linalg, "splu", splu)
+        sizes = self.record_lu_sizes(monkeypatch)
         outcome = pipeline.verify_domain(self.DOMAIN, field, 1.0 / 16)
         # the homotopy at the spacing, then one Newton run from its
-        # solution at half it, preconditioned by the V-cycle down to 1/8
+        # solution at half it; each is preconditioned by a V-cycle down to
+        # 1/8, the only grid factored
         assert homotopies == [1.0 / 16]
         assert newton[-1] == 1.0 / 32 and set(newton[:-1]) == {1.0 / 16}
-        assert sizes == [grid_from_domain(self.DOMAIN, h).n_dof
-                         for h in (1.0 / 16, 1.0 / 8)]
+        assert sizes == [grid_from_domain(self.DOMAIN, 1.0 / 8).n_dof] * 2
         assert [(level["spacing"], level["path"])
                 for level in outcome.levels] == [(1.0 / 16, "homotopy"),
                                                  (1.0 / 32, "chain")]
@@ -577,6 +583,10 @@ class TestOneSolveRule:
     NONMONOTONE = {"table": {"x": [-2.0, 2.0], "y": [-2.0, 2.0],
                              "values": [[-0.3, -0.2], [-0.2, -0.3]]},
                    "z_slope": -0.1}
+    # H = -0.3 - 0.05 z: the reference annulus's field, decreasing in z
+    DECREASING = {"table": {"x": [-3.0, 3.0], "y": [-3.0, 3.0],
+                            "values": [[-0.3, -0.3], [-0.3, -0.3]]},
+                  "z_slope": -0.05}
 
     @staticmethod
     def record_solves(monkeypatch):
@@ -627,6 +637,45 @@ class TestOneSolveRule:
         assert [e[1] for e in events[1:]] == [s["t"] for s in trace]
         assert [s["t"] for s in trace] == pytest.approx(
             np.linspace(0.0, 1.0, 11), abs=1e-15)
+
+    def test_nonmonotone_solve_factors_only_the_coarsest_grid(
+            self, monkeypatch):
+        # the homotopy at 1/32 (9,640 dof) takes the V-cycle of its chain
+        # down to 1/8, whose 596 nodes are the only ones factored
+        annulus = geometry.Annulus(1.0, 2.0)
+        field = pipeline.curvature_from_json(self.DECREASING)
+        assert not field.monotone
+        sizes = TestTwoGridVerify.record_lu_sizes(monkeypatch)
+        outcome = pipeline.solve_domain(annulus, field, 1.0 / 32)
+        assert sizes == [grid_from_domain(annulus, 1.0 / 8).n_dof]
+        assert max(sizes) <= pipeline.COARSEST_DOF
+        assert [s.newton_iters for s in outcome.trace.steps] == [0] + [3] * 10
+
+    def test_verify_fine_homotopy_factors_only_the_coarsest_grid(
+            self, monkeypatch):
+        # verify at 1/16 solves 1/32 by Newton from the homotopy at 1/16;
+        # when that run fails, the homotopy at 1/32 takes its own chain's
+        # V-cycle and factors no grid above COARSEST_DOF nodes either
+        annulus = geometry.Annulus(1.0, 2.0)
+        field = pipeline.curvature_from_json(self.DECREASING)
+        real = solver.newton_solve
+        injected = []
+
+        def fail_fine_climb(grid, hfield, **kwargs):
+            if grid.spacing == 1.0 / 32 and not injected:
+                injected.append(kwargs["t_homotopy"])
+                raise NonconvergenceError("injected failure")
+            return real(grid, hfield, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", fail_fine_climb)
+        sizes = TestTwoGridVerify.record_lu_sizes(monkeypatch)
+        outcome = pipeline.verify_domain(annulus, field, 1.0 / 16)
+        assert injected == [1.0]
+        assert [(level["spacing"], level["path"])
+                for level in outcome.levels] == [(1.0 / 16, "homotopy"),
+                                                 (1.0 / 32, "homotopy")]
+        assert sizes and max(sizes) <= pipeline.COARSEST_DOF
+        assert outcome.solution.residual_inf <= 1e-10
 
     def test_failed_newton_falls_back_to_the_same_stall(self, monkeypatch):
         disc, field = geometry.Disc(1.0), CurvatureField.from_constant(1.2)
