@@ -289,26 +289,28 @@ def cmd_verify(args):
     st = _settings(cfg, _SOLVE_SETTINGS)
     if pipeline.boundary_from_json(cfg.get("boundary")) not in (None, 0.0):
         raise ParameterError("verify checks zero-boundary solves only; use solve")
+    path = out / "estimate_report.json"
     try:
         outcome = pipeline.verify_domain(
             domain, field, st["spacing"], annulus_r=st["annulus_r"],
             tol=st["tol"], max_iters=st["max_iters"])
     except ContinuationFailureError as exc:
-        _write_stall_report(exc, domain, field,
-                            out / "estimate_report.json")
+        _write_stall_report(exc, domain, field, path)
         print(f"continuation stalled at t* = {exc.stall_t}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except NoAdmissibleConstantError as exc:
-        dump_json({"status": "no-admissible-barrier", "message": str(exc)},
-                  out / "estimate_report.json")
+        dump_json({"status": "no-admissible-barrier", "message": str(exc)}, path)
         print(f"no admissible barrier: {exc}", file=sys.stderr)
         return EXIT_CONDITION_FAILED
+    except InfeasibleFitError as exc:
+        dump_json({"status": "no-annulus-fit", "message": str(exc)}, path)
+        raise  # main names it and exits 3
     rep = outcome.report.as_dict()
     rep["status"] = "checked"
     rep["error_estimate"] = outcome.error_estimate
     rep["gradient_hypotheses"] = outcome.gradient_inputs.as_dict()
     rep["levels"] = outcome.levels
-    dump_json(rep, out / "estimate_report.json")
+    dump_json(rep, path)
     outcome.solution.write_csv(out / "solution.csv")
     for c in outcome.report.checks:
         print(f"{c.name}: {c.verdict} (bound={c.bound!r}, actual={c.actual!r})")

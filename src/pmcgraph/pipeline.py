@@ -4,9 +4,11 @@ These functions wire the geometry metrics into the condition checks,
 build barrier profiles matched to a domain's annulus fit, run the grid
 solver with a two-grid error estimate and feed everything into the
 verification checks.  Every grid that ``solve`` or ``verify`` solves goes
-through one rule for choosing between Newton at t = 1 up a chain of
-nested grids (:func:`grid_chain`) and the homotopy.  The command line
-front end is a thin wrapper around this module.
+through one rule, the same for every field: Newton at t = 1 up a chain
+of nested grids (:func:`grid_chain`), whose coarsest grid a non-monotone
+field solves by the homotopy, with the homotopy on the requested grid
+when a run fails.  The command line front end is a thin wrapper around
+this module.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import numpy as np
 
 from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
-from .errors import (InfeasibleFitError, NoAdmissibleConstantError,
-                     ParameterError, SolverError, UnsupportedDomainError,
-                     config_key, finite_number)
-from .grid import (COARSEST_DOF, chain_prolongations, grid_chain,
-                   grid_from_domain, prolongate)
+from .errors import (ContinuationFailureError, InfeasibleFitError,
+                     NoAdmissibleConstantError, ParameterError, SolverError,
+                     UnsupportedDomainError, config_key, finite_number)
+from .grid import chain_prolongations, grid_chain, grid_from_domain, prolongate
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
 #: every radius; large values approach the strip-bound limit
@@ -183,15 +184,19 @@ def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
 def _climb(chain, prolongations, field, settings, solution=None):
     """Newton at t = 1 up a chain, coarsest grid first; returns the
     :class:`pmcgraph.solver.SolveOutcome` of its finest grid, with one
-    ``"chain"`` level per grid.
+    level per grid.
 
     ``chain`` lists grids finest first; it is emptied as the climb goes,
     so that each grid is freed once the grid above it has its start.
     ``prolongations`` are the :func:`chain_prolongations` from
     ``chain[0]`` down, which may reach below the chain to a solved grid
-    ``solution`` that the climb starts from.  Without one, the chain's last grid is
-    solved from :func:`pmcgraph.solver.newton_solve`'s default start with
-    its own factor.  Every other grid starts from the solution below,
+    ``solution`` that the climb starts from.  Without one, the chain's
+    last grid is the only one whose solve depends on the field: Newton
+    from :func:`pmcgraph.solver.newton_solve`'s default start with its
+    own factor (a ``"chain"`` level) when ``field.monotone`` holds, else
+    the homotopy :func:`pmcgraph.solver.continuation_solve` on that grid
+    alone (a ``"homotopy"`` level), which picks the solution branch.
+    Every other grid starts from the solution below,
     :func:`pmcgraph.grid.prolongate`d, and its GMRES is preconditioned by
     the V-cycle over every grid below it, which factors only the
     coarsest.  Raises the first :class:`SolverError`.
@@ -200,6 +205,10 @@ def _climb(chain, prolongations, field, settings, solution=None):
     while chain:
         grid = chain.pop()
         below = prolongations[len(chain):]
+        if solution is None and not field.monotone:  # ``levels`` is empty
+            solution, trace, levels = solver.continuation_solve(
+                grid, field, **settings)
+            continue
         initial = None
         if solution is not None:
             initial = prolongate(below[0], solution.dof_values, grid)
@@ -216,16 +225,18 @@ def _climb(chain, prolongations, field, settings, solution=None):
 
 
 def _solve_chain(chain, prolongations, field, settings, start=None):
-    """:func:`_climb` for a monotone field or from a solved ``start``;
-    else, or when the climb raises a :class:`SolverError`, the homotopy on
-    the chain's finest grid.  Returns that grid's
+    """:func:`_climb`; when it raises a :class:`SolverError`, the homotopy
+    on the chain's finest grid, so that a stall is reported at that
+    grid's spacing.  A homotopy that stalled on the finest grid itself,
+    the coarsest of a one-grid chain, is not run again: its stall is
+    final.  Returns the finest grid's
     :class:`pmcgraph.solver.SolveOutcome`."""
     finest = chain[0]
-    if start is not None or field.monotone:
-        try:
-            return _climb(chain, prolongations, field, settings, start)
-        except SolverError:
-            pass
+    try:
+        return _climb(chain, prolongations, field, settings, start)
+    except SolverError as exc:
+        if isinstance(exc, ContinuationFailureError) and not chain:
+            raise  # the homotopy ran on ``finest`` itself
     chain.clear()
     return solver.continuation_solve(finest, field, **settings)
 
@@ -234,23 +245,25 @@ def solve_grid(grid, field, *, tol=1e-10, max_iters=40):
     """Solve one grid by the one rule of ``solve`` and ``verify``; returns
     a :class:`pmcgraph.solver.SolveOutcome`.
 
-    When ``field.monotone`` holds (H nondecreasing in z, so the discrete
-    solution is unique by the comparison principle), a climb up the
-    grid's chain (:func:`grid_chain`): Newton at t = 1 from zero (or the
-    harmonic start, for nonzero data) on the coarsest grid with its own
-    factor, then on each finer grid from the solution below, with GMRES
-    preconditioned by a V-cycle that factors only the coarsest grid's
-    Galerkin operator.  For any other field, whose homotopy defines the
-    solution branch, or when any Newton run of the climb fails: the
-    homotopy (:func:`pmcgraph.solver.continuation_solve`) on ``grid``
-    itself, with the same V-cycle, so that a stall is reported at the
-    requested spacing.  A climb's trace is its finest grid's one step.
+    The rule is a climb up the grid's chain (:func:`grid_chain`), the
+    same for every field but at its coarsest grid: there, for a monotone
+    field (H nondecreasing in z, so the discrete solution is unique by
+    the comparison principle), Newton at t = 1 from zero (or the harmonic
+    start, for nonzero data) with its own factor; for any other field,
+    whose homotopy picks the solution branch, the homotopy
+    (:func:`pmcgraph.solver.continuation_solve`) on that grid alone.
+    Each finer grid then runs Newton at t = 1 from the solution below,
+    with GMRES preconditioned by a V-cycle that factors only the coarsest
+    grid's Galerkin operator.  When any run of the climb fails, the
+    homotopy runs on ``grid`` itself, with the same V-cycle, so that a
+    stall is reported at the requested spacing (:func:`_solve_chain`).
+    The trace is the finest grid's solve: one step at t = 1, or the
+    homotopy's members when ``grid`` is the chain's only grid or the
+    fallback ran.
     """
-    settings = dict(tol=tol, max_iters=max_iters)
-    if not field.monotone:
-        return solver.continuation_solve(grid, field, **settings)
     chain = grid_chain(grid)
-    return _solve_chain(chain, chain_prolongations(chain), field, settings)
+    return _solve_chain(chain, chain_prolongations(chain), field,
+                        dict(tol=tol, max_iters=max_iters))
 
 
 @dataclass
@@ -284,12 +297,12 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     The grid at ``spacing`` is built first, so that a lattice past the
     cap is named at that spacing.  One chain runs from ``spacing / 2``
     down (:func:`grid_chain`), and every grid and prolongation is built
-    before any solve.  The grid at ``spacing`` is solved by ``solve``'s
-    rule (:func:`solve_grid`) on the chain below it, and a stall is
-    therefore that of ``solve`` at ``spacing``.  The grid at
-    ``spacing / 2`` is then solved from it by Newton at t = 1, with the
-    V-cycle over the whole chain, or by the homotopy if that fails: the
-    one place where a grid is solved from a solved coarser one.
+    once, before any solve.  The grid at ``spacing`` is solved by
+    ``solve``'s rule (:func:`solve_grid`) on the chain below it, and a
+    stall is therefore that of ``solve`` at ``spacing``.  The grid at
+    ``spacing / 2`` is then the climb's top step, for every field: Newton
+    at t = 1 from the solution at ``spacing``, with the V-cycle over the
+    whole chain, or the homotopy at ``spacing / 2`` if that fails.
     """
     if isinstance(domain, geometry.GridMask):
         raise ParameterError(

@@ -6,7 +6,10 @@ Two routes:
   discretization of ``div(grad f / sqrt(1 + |grad f|^2)) = t n H(x, f)``
   on masked planar lattices, run at t = 1 or wrapped in a homotopy in
   ``t`` from the minimal surface problem (t = 0) to the full problem
-  (t = 1); :func:`pmcgraph.pipeline.solve_grid` chooses between them;
+  (t = 1).  :func:`pmcgraph.pipeline.solve_grid` runs Newton at t = 1 up
+  a chain of grids, and the homotopy only on the chain's coarsest grid,
+  for a field not nondecreasing in z, or on the requested grid when a
+  run fails;
 * a radial shooting solver for rotationally symmetric annuli in any
   dimension, which adjusts the profile integration constant until the
   outer zero boundary value is met and declares nonexistence when no

@@ -240,7 +240,7 @@ class TestSolveAndVerifyCommands:
         # the pentagon has no annulus fit in floats at annulus_r 1e160, so
         # no barrier: the gradient hypotheses take the slab max(sup|f|, 1),
         # as with no admissible barrier; verify, which needs the barrier's
-        # C1 and C2, stays indeterminate
+        # C1 and C2, stays indeterminate and says why in its report
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "domain": {"kind": "convex_polygon", "vertices": PENTAGON},
@@ -254,14 +254,19 @@ class TestSolveAndVerifyCommands:
             report["sup_norm"], 1.0)
         assert sorted(p.name for p in out.iterdir()) == [
             "solution.csv", "solve_report.json"]
-        assert run(["verify", "--config", cfg,
-                    "--out", tmp_path / "verify"]) == 3
+        out = tmp_path / "verify"
+        assert run(["verify", "--config", cfg, "--out", out]) == 3
+        assert [p.name for p in out.iterdir()] == ["estimate_report.json"]
+        report = json.loads((out / "estimate_report.json").read_text())
+        assert report["status"] == "no-annulus-fit"
+        assert sorted(report) == ["message", "status"]
+        assert isinstance(report["message"], str) and report["message"]
 
     def test_reports_list_the_levels(self, tmp_path):
         # the pentagon at 1/32 with the monotone table field: a chain down
         # to 1/16, the first grid with at most COARSEST_DOF nodes; verify
-        # at 1/16 walks the same chain, and a field decreasing in z runs
-        # the homotopy on the requested grid alone
+        # at 1/16 walks the same chain, and a field decreasing in z climbs
+        # it too, from the homotopy on its coarsest grid
         table = {"x": [0.0, 2.0], "y": [0.0, 2.5],
                  "values": [[-0.3, -0.2], [-0.2, -0.3]]}
         base = {"domain": {"kind": "convex_polygon",
@@ -295,12 +300,17 @@ class TestSolveAndVerifyCommands:
                 ("newton_iters", "krylov_iters", "factorizations")} == {
             key: step[key] for key in
             ("newton_iters", "krylov_iters", "factorizations")}
-        (level,) = reports["homotopy"]["levels"]
-        trace = reports["homotopy"]["trace"]
-        assert len(trace) == 11
-        assert level == {
-            "spacing": 1.0 / 32, "n_dof": 3985, "path": "homotopy",
-            **{key: sum(step[key] for step in trace) for key in
+        homotopy, top = reports["homotopy"]["levels"]
+        assert [(level["spacing"], level["n_dof"], level["path"])
+                for level in (homotopy, top)] == [
+            (1.0 / 16, 969, "homotopy"), (1.0 / 32, 3985, "chain")]
+        assert homotopy["factorizations"] == 1
+        assert homotopy["newton_iters"] > 0 and homotopy["krylov_iters"] > 0
+        (step,) = reports["homotopy"]["trace"]
+        assert step["t"] == 1.0
+        assert top == {
+            "spacing": 1.0 / 32, "n_dof": 3985, "path": "chain",
+            **{key: step[key] for key in
                ("newton_iters", "krylov_iters", "factorizations")}}
 
     def test_solve_stall_exits_3(self, tmp_path):

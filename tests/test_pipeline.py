@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmcgraph import barrier, conditions, geometry, pipeline, solver, verify
+from pmcgraph import (barrier, conditions, geometry, grid, pipeline, solver,
+                      verify)
 from pmcgraph.cli import main as cli_main
 from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import (ContinuationFailureError,
@@ -243,15 +244,22 @@ class TestSolveOutcome:
                    "z_slope": -0.1}
 
     def test_last_level_is_built_from_the_trace(self):
+        # a non-monotone field climbs from the homotopy on its chain's
+        # coarsest grid, 1/8; on that grid alone the homotopy is the solve
+        field = pipeline.curvature_from_json(self.NONMONOTONE)
         chain = pipeline.solve_domain(
             self.DOMAIN, CurvatureField.from_constant(-0.3), 1.0 / 32)
-        homotopy = pipeline.solve_domain(
-            self.DOMAIN, pipeline.curvature_from_json(self.NONMONOTONE),
-            1.0 / 16)
-        for outcome, path in ((chain, "chain"), (homotopy, "homotopy")):
+        climb = pipeline.solve_domain(self.DOMAIN, field, 1.0 / 16)
+        homotopy = pipeline.solve_domain(self.DOMAIN, field, 1.0 / 8)
+        for outcome, path in ((chain, "chain"), (climb, "chain"),
+                              (homotopy, "homotopy")):
             assert outcome.levels[-1] == outcome.trace.level(
                 outcome.solution.grid, path)
         assert len(chain.levels) > 1 and len(chain.trace.steps) == 1
+        assert [level["path"] for level in climb.levels] == [
+            "homotopy", "chain"]
+        assert len(climb.trace.steps) == 1
+        assert climb.levels[0] == homotopy.levels[0]
         assert len(homotopy.levels) == 1 and len(homotopy.trace.steps) == 11
 
 
@@ -416,7 +424,7 @@ class TestTwoGridVerify:
         # COARSEST_DOF nodes, solved coarsest first, one Newton run each
         assert [h for h, _ in levels] == [1.0 / 8, 1.0 / 16, 1.0 / 32]
         assert (grid_from_domain(self.DOMAIN, 1.0 / 8).n_dof
-                <= pipeline.COARSEST_DOF
+                <= grid.COARSEST_DOF
                 < grid_from_domain(self.DOMAIN, 1.0 / 16).n_dof)
         assert homotopies == []
         for h, level in levels:
@@ -458,14 +466,16 @@ class TestTwoGridVerify:
         newton = self.spy(monkeypatch, solver, "newton_solve")
         sizes = self.record_lu_sizes(monkeypatch)
         outcome = pipeline.verify_domain(self.DOMAIN, field, 1.0 / 16)
-        # the homotopy at the spacing, then one Newton run from its
-        # solution at half it; each is preconditioned by a V-cycle down to
-        # 1/8, the only grid factored
-        assert homotopies == [1.0 / 16]
-        assert newton[-1] == 1.0 / 32 and set(newton[:-1]) == {1.0 / 16}
-        assert sizes == [grid_from_domain(self.DOMAIN, 1.0 / 8).n_dof] * 2
+        # the homotopy on the chain's coarsest grid, 1/8, then one Newton
+        # run on each finer grid from the solution below it, each
+        # preconditioned by a V-cycle down to 1/8, the only grid factored
+        assert homotopies == [1.0 / 8]
+        assert newton[-2:] == [1.0 / 16, 1.0 / 32]
+        assert set(newton[:-2]) == {1.0 / 8}
+        assert sizes == [grid_from_domain(self.DOMAIN, 1.0 / 8).n_dof] * 3
         assert [(level["spacing"], level["path"])
-                for level in outcome.levels] == [(1.0 / 16, "homotopy"),
+                for level in outcome.levels] == [(1.0 / 8, "homotopy"),
+                                                 (1.0 / 16, "chain"),
                                                  (1.0 / 32, "chain")]
         direct = solver.continuation_solve(
             grid_from_domain(self.DOMAIN, 1.0 / 32), field)
@@ -577,8 +587,9 @@ class TestTwoGridVerify:
 
 class TestOneSolveRule:
     """``solve`` and ``verify`` reach every grid through ``solve_grid``:
-    Newton at t = 1 for a monotone field, the homotopy otherwise or when
-    that Newton run fails."""
+    a climb up the grid's chain, whose coarsest grid is solved by Newton
+    at t = 1 for a monotone field and by the homotopy otherwise, and the
+    homotopy on the requested grid when a run fails."""
 
     NONMONOTONE = {"table": {"x": [-2.0, 2.0], "y": [-2.0, 2.0],
                              "values": [[-0.3, -0.2], [-0.2, -0.3]]},
@@ -587,6 +598,10 @@ class TestOneSolveRule:
     DECREASING = {"table": {"x": [-3.0, 3.0], "y": [-3.0, 3.0],
                             "values": [[-0.3, -0.3], [-0.3, -0.3]]},
                   "z_slope": -0.05}
+    # H = 1.2 - 0.1 z on Disc(1): over the inscribed disc's limit 1/rho
+    OVERCURVED = {"table": {"x": [-2.0, 2.0], "y": [-2.0, 2.0],
+                            "values": [[1.2, 1.2], [1.2, 1.2]]},
+                  "z_slope": -0.1}
 
     @staticmethod
     def record_solves(monkeypatch):
@@ -640,22 +655,33 @@ class TestOneSolveRule:
 
     def test_nonmonotone_solve_factors_only_the_coarsest_grid(
             self, monkeypatch):
-        # the homotopy at 1/32 (9,640 dof) takes the V-cycle of its chain
-        # down to 1/8, whose 596 nodes are the only ones factored
+        # solve at 1/32 (9,640 dof) runs the homotopy on its chain's
+        # coarsest grid, 1/8, and climbs from there with the V-cycle of
+        # the chain below each grid: 1/8's 596 nodes are the only ones
+        # factored, once by each of the three grids' solves
         annulus = geometry.Annulus(1.0, 2.0)
         field = pipeline.curvature_from_json(self.DECREASING)
         assert not field.monotone
+        homotopies = TestTwoGridVerify.spy(monkeypatch, solver,
+                                           "continuation_solve")
+        runs = TestTwoGridVerify.record_newton(monkeypatch)
         sizes = TestTwoGridVerify.record_lu_sizes(monkeypatch)
         outcome = pipeline.solve_domain(annulus, field, 1.0 / 32)
-        assert sizes == [grid_from_domain(annulus, 1.0 / 8).n_dof]
-        assert max(sizes) <= pipeline.COARSEST_DOF
-        assert [s.newton_iters for s in outcome.trace.steps] == [0] + [3] * 10
+        assert sizes == [grid_from_domain(annulus, 1.0 / 8).n_dof] * 3
+        assert max(sizes) <= grid.COARSEST_DOF
+        assert homotopies == [1.0 / 8]
+        assert [run.newton_iters for h, run in runs if h == 1.0 / 8] == (
+            [0] + [3] * 10)
+        assert [level["path"] for level in outcome.levels] == [
+            "homotopy", "chain", "chain"]
+        assert outcome.solution.residual_inf <= 1e-10
 
     def test_verify_fine_homotopy_factors_only_the_coarsest_grid(
             self, monkeypatch):
-        # verify at 1/16 solves 1/32 by Newton from the homotopy at 1/16;
-        # when that run fails, the homotopy at 1/32 takes its own chain's
-        # V-cycle and factors no grid above COARSEST_DOF nodes either
+        # verify at 1/16 climbs from the homotopy at 1/8 to 1/16 and
+        # solves 1/32 by Newton from there; when that run fails, the
+        # homotopy at 1/32 takes its own chain's V-cycle and factors no
+        # grid above COARSEST_DOF nodes either
         annulus = geometry.Annulus(1.0, 2.0)
         field = pipeline.curvature_from_json(self.DECREASING)
         real = solver.newton_solve
@@ -672,10 +698,69 @@ class TestOneSolveRule:
         outcome = pipeline.verify_domain(annulus, field, 1.0 / 16)
         assert injected == [1.0]
         assert [(level["spacing"], level["path"])
-                for level in outcome.levels] == [(1.0 / 16, "homotopy"),
+                for level in outcome.levels] == [(1.0 / 8, "homotopy"),
+                                                 (1.0 / 16, "chain"),
                                                  (1.0 / 32, "homotopy")]
-        assert sizes and max(sizes) <= pipeline.COARSEST_DOF
+        assert sizes and max(sizes) <= grid.COARSEST_DOF
         assert outcome.solution.residual_inf <= 1e-10
+
+    @pytest.mark.parametrize("spacing", [1.0 / 32, 1.0 / 64])
+    def test_nonmonotone_solve_is_the_homotopy_on_the_requested_grid(
+            self, monkeypatch, spacing):
+        # the homotopy picks the branch once, on the coarsest grid; the
+        # climb from it reaches the solution that the homotopy on the
+        # requested grid reaches
+        annulus = geometry.Annulus(1.0, 2.0)
+        field = pipeline.curvature_from_json(self.DECREASING)
+        direct = solver.continuation_solve(grid_from_domain(annulus, spacing),
+                                           field)
+        homotopies = TestTwoGridVerify.spy(monkeypatch, solver,
+                                           "continuation_solve")
+        outcome = pipeline.solve_domain(annulus, field, spacing)
+        assert homotopies == [1.0 / 8]
+        diff = np.max(np.abs(outcome.solution.values - direct.solution.values))
+        assert diff <= 1e-12
+        assert outcome.solution.residual_inf <= 1e-10
+
+    def test_one_grid_chain_runs_its_homotopy_once(self, monkeypatch):
+        # Disc(1) at 1/16 is its own chain's coarsest grid, so its
+        # homotopy is the requested grid's: its stall is final
+        disc = geometry.Disc(1.0)
+        field = pipeline.curvature_from_json(self.OVERCURVED)
+        grid = grid_from_domain(disc, 1.0 / 16)
+        assert pipeline.grid_chain(grid) == [grid]
+        with pytest.raises(ContinuationFailureError) as direct:
+            solver.continuation_solve(grid, field)
+        homotopies = TestTwoGridVerify.spy(monkeypatch, solver,
+                                           "continuation_solve")
+        with pytest.raises(ContinuationFailureError) as solved:
+            pipeline.solve_domain(disc, field, 1.0 / 16)
+        assert homotopies == [1.0 / 16]
+        assert solved.value.stall_t == direct.value.stall_t
+        assert solved.value.diagnostics == direct.value.diagnostics
+        assert solved.value.trace == direct.value.trace
+
+    def test_nonmonotone_stall_is_the_homotopy_at_the_requested_spacing(
+            self, monkeypatch):
+        # the homotopy stalls on the chain's coarsest grid, 1/16, and
+        # again on the requested grid, 1/32, whose stall is reported as
+        # the homotopy there reports it alone
+        disc = geometry.Disc(1.0)
+        field = pipeline.curvature_from_json(self.OVERCURVED)
+        grid = grid_from_domain(disc, 1.0 / 32)
+        assert [g.spacing for g in pipeline.grid_chain(grid)] == [
+            1.0 / 32, 1.0 / 16]
+        with pytest.raises(ContinuationFailureError) as direct:
+            solver.continuation_solve(grid, field)
+        assert direct.value.stall_t == pytest.approx(0.79375, abs=1e-15)
+        homotopies = TestTwoGridVerify.spy(monkeypatch, solver,
+                                           "continuation_solve")
+        with pytest.raises(ContinuationFailureError) as solved:
+            pipeline.solve_domain(disc, field, 1.0 / 32)
+        assert homotopies == [1.0 / 16, 1.0 / 32]
+        assert solved.value.stall_t == direct.value.stall_t
+        assert solved.value.diagnostics == direct.value.diagnostics
+        assert solved.value.trace == direct.value.trace
 
     def test_failed_newton_falls_back_to_the_same_stall(self, monkeypatch):
         disc, field = geometry.Disc(1.0), CurvatureField.from_constant(1.2)
