@@ -40,8 +40,8 @@ from .geometry import (
 )
 from .grid import MaskedGrid, grid_from_domain
 from .solver import (
-    ContinuationTrace,
     GridSolution,
+    Level,
     RadialShootResult,
     SolveOutcome,
     angular_asymmetry,
@@ -63,8 +63,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Annulus", "AnnulusFit", "CheckResult", "ConditionReport",
-    "ContinuationTrace", "ConvexPolygon", "CurvatureField", "Disc",
-    "EstimateReport", "GridMask", "GridSolution", "MaskedGrid",
+    "ConvexPolygon", "CurvatureField", "Disc", "EstimateReport",
+    "GridMask", "GridSolution", "Level", "MaskedGrid",
     "NodoidProfile", "RadialShootResult", "SolveOutcome", "angular_asymmetry",
     "annulus_fit", "annulus_height_bound", "apex", "barrier_constants",
     "boundary_mean_curvature", "check_annulus_smallness",

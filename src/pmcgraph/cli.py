@@ -238,12 +238,13 @@ def _write_stall_report(exc, domain, field, path):
     dump_json({"status": "continuation-stalled", "stall_t": exc.stall_t,
                "diagnostics": {**exc.diagnostics,
                                "inscribed_disc": disc.as_dict()},
-               "trace": exc.trace.as_dict()["steps"]}, path)
+               "trace": [step.as_dict() for step in exc.trace]}, path)
 
 
 def _write_solve_report(outcome, ginputs, path):
-    """``solve``'s report of a converged solve, with its trace's steps, the
-    gradient hypotheses ``ginputs`` and the levels."""
+    """``solve``'s report of a converged solve, with the steps of its last
+    level as the trace, the gradient hypotheses ``ginputs`` and the
+    levels."""
     sol = outcome.solution
     rep = {"residual_inf": sol.residual_inf, "sup_norm": sol.sup_norm,
            "sup_gradient_interior": sol.sup_gradient_interior,
@@ -252,9 +253,10 @@ def _write_solve_report(outcome, ginputs, path):
            "n_dof": sol.grid.n_dof, "spacing": sol.grid.spacing}
     if sol.no_existence_guarantee:
         rep["no_existence_guarantee"] = sol.no_existence_guarantee
-    dump_json({**rep, "trace": outcome.trace.as_dict()["steps"],
+    trace = [step.as_dict() for step in outcome.levels[-1].steps]
+    dump_json({**rep, "trace": trace,
                "status": "converged", "gradient_hypotheses": ginputs.as_dict(),
-               "levels": outcome.levels}, path)
+               "levels": [level.as_dict() for level in outcome.levels]}, path)
 
 
 def cmd_solve(args):
@@ -309,7 +311,7 @@ def cmd_verify(args):
     rep["status"] = "checked"
     rep["error_estimate"] = outcome.error_estimate
     rep["gradient_hypotheses"] = outcome.gradient_inputs.as_dict()
-    rep["levels"] = outcome.levels
+    rep["levels"] = [level.as_dict() for level in outcome.levels]
     dump_json(rep, path)
     outcome.solution.write_csv(out / "solution.csv")
     for c in outcome.report.checks:

@@ -39,8 +39,8 @@ class SolverError(RuntimeError):
     """Base class for nonlinear solver failures.
 
     ``trace`` holds the steps accepted before the failure: a list of
-    per-iteration dicts for a Newton failure, the homotopy's
-    :class:`pmcgraph.solver.ContinuationTrace` for a
+    per-iteration dicts for a Newton failure, a tuple of the homotopy's
+    :class:`pmcgraph.solver.ContinuationStep` records for a
     :class:`ContinuationFailureError`.
     """
 

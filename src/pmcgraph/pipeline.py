@@ -4,11 +4,14 @@ These functions wire the geometry metrics into the condition checks,
 build barrier profiles matched to a domain's annulus fit, run the grid
 solver with a two-grid error estimate and feed everything into the
 verification checks.  Every grid that ``solve`` or ``verify`` solves goes
-through one rule, the same for every field: Newton at t = 1 up a chain
-of nested grids (:func:`grid_chain`), whose coarsest grid a non-monotone
-field solves by the homotopy, with the homotopy on the requested grid
-when a run fails.  The command line front end is a thin wrapper around
-this module.
+through one rule and one loop, :func:`_climb`, the same for every field:
+Newton at t = 1 up a chain of nested grids (:func:`grid_chain`), whose
+coarsest grid a non-monotone field solves by the homotopy, with the
+homotopy on the lowest kept grid not yet solved when a run fails.
+``solve`` keeps the requested grid; ``verify`` at h is the climb to h/2
+that keeps the grid at h as well, its Richardson pair.  Each grid's
+solve is recorded as one :class:`pmcgraph.solver.Level`.  The command
+line front end is a thin wrapper around this module.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 
 from . import barrier, conditions, geometry, solver, verify
 from .conditions import CurvatureField
-from .errors import (ContinuationFailureError, InfeasibleFitError,
-                     NoAdmissibleConstantError, ParameterError, SolverError,
-                     UnsupportedDomainError, config_key, finite_number)
+from .errors import (InfeasibleFitError, NoAdmissibleConstantError,
+                     ParameterError, SolverError, UnsupportedDomainError,
+                     config_key, finite_number)
 from .grid import chain_prolongations, grid_chain, grid_from_domain, prolongate
 
 #: exterior-sphere radius multiplier used for convex domains, which admit
@@ -181,64 +184,65 @@ def solve_domain(domain, field, spacing, *, boundary=None, tol=1e-10,
                       field, tol=tol, max_iters=max_iters)
 
 
-def _climb(chain, prolongations, field, settings, solution=None):
+def _climb(chain, field, settings, kept=1):
     """Newton at t = 1 up a chain, coarsest grid first; returns the
-    :class:`pmcgraph.solver.SolveOutcome` of its finest grid, with one
-    level per grid.
+    :class:`pmcgraph.solver.SolveOutcome` of each of the chain's ``kept``
+    finest grids, finest first, each with the
+    :class:`pmcgraph.solver.Level` of every grid solved up to it.
 
-    ``chain`` lists grids finest first; it is emptied as the climb goes,
-    so that each grid is freed once the grid above it has its start.
-    ``prolongations`` are the :func:`chain_prolongations` from
-    ``chain[0]`` down, which may reach below the chain to a solved grid
-    ``solution`` that the climb starts from.  Without one, the chain's
-    last grid is the only one whose solve depends on the field: Newton
-    from :func:`pmcgraph.solver.newton_solve`'s default start with its
-    own factor (a ``"chain"`` level) when ``field.monotone`` holds, else
-    the homotopy :func:`pmcgraph.solver.continuation_solve` on that grid
-    alone (a ``"homotopy"`` level), which picks the solution branch.
-    Every other grid starts from the solution below,
+    ``chain`` lists nested grids finest first; it is emptied as the climb
+    goes, so that each grid below the kept ones is freed once the grid
+    above it has its start.  The chain's last grid is the only one whose
+    solve depends on the field: Newton from
+    :func:`pmcgraph.solver.newton_solve`'s default start with its own
+    factor (a ``"chain"`` level) when ``field.monotone`` holds, else the
+    homotopy :func:`pmcgraph.solver.continuation_solve` on that grid (a
+    ``"homotopy"`` level), which picks the solution branch.  Every other
+    grid starts from the solution below,
     :func:`pmcgraph.grid.prolongate`d, and its GMRES is preconditioned by
     the V-cycle over every grid below it, which factors only the
-    coarsest.  Raises the first :class:`SolverError`.
+    coarsest.
+
+    When a run fails, the homotopy runs on the lowest kept grid not yet
+    solved, with the same V-cycle, and the climb resumes above it.  When
+    that is the lowest kept grid, the levels of every grid solved before
+    are dropped with their solutions.  A failed homotopy on a kept grid
+    raises its :class:`pmcgraph.errors.ContinuationFailureError`.
     """
-    levels = []
+    prolongations = chain_prolongations(chain)
+    outcomes, levels, solution = [], [], None
+    homotopy = not field.monotone
     while chain:
         grid = chain.pop()
-        below = prolongations[len(chain):]
-        if solution is None and not field.monotone:  # ``levels`` is empty
-            solution, trace, levels = solver.continuation_solve(
-                grid, field, **settings)
+        linsolve = solver.FactorOnceSolver(prolongations[len(chain):])
+        try:
+            if homotopy:
+                solution, (level,) = solver.continuation_solve(
+                    grid, field, linsolve=linsolve, **settings)
+            else:
+                initial = None if solution is None else prolongate(
+                    prolongations[len(chain)], solution.dof_values, grid)
+                solution = None  # frees the grid below
+                solution = solver.newton_solve(
+                    grid, field, t_homotopy=1.0, initial=initial,
+                    linsolve=linsolve, **settings)
+                level = solver.Level(grid.spacing, grid.n_dof, "chain", (
+                    solver.ContinuationStep.from_solution(
+                        solution, linsolve.factorizations,
+                        linsolve.krylov_iters),))
+        except SolverError:
+            if homotopy and len(chain) < kept:
+                raise  # the homotopy ran on a kept grid
+            levels = levels if outcomes else []
+            chain.append(grid)
+            del chain[kept:]  # the lowest kept grid not yet solved is last
+            homotopy = True
             continue
-        initial = None
-        if solution is not None:
-            initial = prolongate(below[0], solution.dof_values, grid)
-            solution = None  # frees the grid below
-        linsolve = solver.FactorOnceSolver(below)
-        solution = solver.newton_solve(grid, field, t_homotopy=1.0,
-                                       initial=initial, linsolve=linsolve,
-                                       **settings)
-        trace = solver.ContinuationTrace(steps=[
-            solver.ContinuationStep.from_solution(
-                solution, linsolve.factorizations, linsolve.krylov_iters)])
-        levels.append(trace.level(grid, "chain"))
-    return solver.SolveOutcome(solution, trace, levels)
-
-
-def _solve_chain(chain, prolongations, field, settings, start=None):
-    """:func:`_climb`; when it raises a :class:`SolverError`, the homotopy
-    on the chain's finest grid, so that a stall is reported at that
-    grid's spacing.  A homotopy that stalled on the finest grid itself,
-    the coarsest of a one-grid chain, is not run again: its stall is
-    final.  Returns the finest grid's
-    :class:`pmcgraph.solver.SolveOutcome`."""
-    finest = chain[0]
-    try:
-        return _climb(chain, prolongations, field, settings, start)
-    except SolverError as exc:
-        if isinstance(exc, ContinuationFailureError) and not chain:
-            raise  # the homotopy ran on ``finest`` itself
-    chain.clear()
-    return solver.continuation_solve(finest, field, **settings)
+        homotopy = False
+        levels.append(level)
+        if len(chain) < kept:
+            outcomes.insert(0, solver.SolveOutcome(solution, list(levels)))
+    return outcomes
 
 
 def solve_grid(grid, field, *, tol=1e-10, max_iters=40):
@@ -251,19 +255,18 @@ def solve_grid(grid, field, *, tol=1e-10, max_iters=40):
     the comparison principle), Newton at t = 1 from zero (or the harmonic
     start, for nonzero data) with its own factor; for any other field,
     whose homotopy picks the solution branch, the homotopy
-    (:func:`pmcgraph.solver.continuation_solve`) on that grid alone.
-    Each finer grid then runs Newton at t = 1 from the solution below,
-    with GMRES preconditioned by a V-cycle that factors only the coarsest
-    grid's Galerkin operator.  When any run of the climb fails, the
-    homotopy runs on ``grid`` itself, with the same V-cycle, so that a
-    stall is reported at the requested spacing (:func:`_solve_chain`).
-    The trace is the finest grid's solve: one step at t = 1, or the
-    homotopy's members when ``grid`` is the chain's only grid or the
-    fallback ran.
+    (:func:`pmcgraph.solver.continuation_solve`) on that grid.  Each finer
+    grid then runs Newton at t = 1 from the solution below, with GMRES
+    preconditioned by a V-cycle that factors only the coarsest grid's
+    Galerkin operator.  ``grid`` is the climb's one kept grid
+    (:func:`_climb`): when any run fails, the homotopy runs on ``grid``
+    itself, with the same V-cycle, so that a stall is reported at the
+    requested spacing, and a stall there is final.  The last level's steps
+    are one step at t = 1, or the homotopy's members when ``grid`` is the
+    chain's only grid or the fallback ran.
     """
-    chain = grid_chain(grid)
-    return _solve_chain(chain, chain_prolongations(chain), field,
-                        dict(tol=tol, max_iters=max_iters))
+    return _climb(grid_chain(grid), field,
+                  dict(tol=tol, max_iters=max_iters))[0]
 
 
 @dataclass
@@ -295,29 +298,26 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
     at no solve cost.
 
     The grid at ``spacing`` is built first, so that a lattice past the
-    cap is named at that spacing.  One chain runs from ``spacing / 2``
-    down (:func:`grid_chain`), and every grid and prolongation is built
-    once, before any solve.  The grid at ``spacing`` is solved by
-    ``solve``'s rule (:func:`solve_grid`) on the chain below it, and a
-    stall is therefore that of ``solve`` at ``spacing``.  The grid at
-    ``spacing / 2`` is then the climb's top step, for every field: Newton
-    at t = 1 from the solution at ``spacing``, with the V-cycle over the
-    whole chain, or the homotopy at ``spacing / 2`` if that fails.
+    cap is named at that spacing.  The pair is the top of one climb
+    (:func:`_climb`): ``solve``'s climb to ``spacing / 2`` on the grid at
+    ``spacing / 2`` above the chain of the grid at ``spacing``
+    (:func:`grid_chain`), which keeps the grid at ``spacing`` too.  A
+    failed run at ``spacing`` or below therefore runs the homotopy at
+    ``spacing``, so that a stall is that of ``solve`` at ``spacing``; a
+    failed run at ``spacing / 2`` runs the homotopy there and keeps the
+    solution at ``spacing``.
     """
     if isinstance(domain, geometry.GridMask):
         raise ParameterError(
             "verify needs a Richardson grid pair, but a bitmap domain has no "
             "refinement: its grid is the bitmap's own cells at every spacing")
-    settings = dict(tol=tol, max_iters=max_iters)
     grid = grid_from_domain(domain, spacing)
     fitted = barrier_for_domain(domain, sampled_h_sup0(field, domain),
                                 annulus_r=annulus_r)
     chain = grid_chain(grid)
-    fine_grid = grid_from_domain(domain, 0.5 * spacing)
-    prolongations = chain_prolongations([fine_grid] + chain)
-    coarse = _solve_chain(chain, prolongations[1:], field, settings)
-    fine = _solve_chain([fine_grid], prolongations, field, settings,
-                        start=coarse.solution)
+    chain.insert(0, grid_from_domain(domain, 0.5 * spacing))
+    fine, coarse = _climb(chain, field, dict(tol=tol, max_iters=max_iters),
+                          kept=2)
 
     est = verify.richardson_error_estimate(coarse.solution, fine.solution)
     report = verify.estimate_report(fine.solution, fitted, SLACK_FACTOR * est)
@@ -325,8 +325,7 @@ def verify_domain(domain, field, spacing, *, annulus_r=None, tol=1e-10,
 
     return VerifyOutcome(solution=fine.solution, barrier=fitted,
                          report=report, error_estimate=est,
-                         gradient_inputs=ginputs,
-                         levels=coarse.levels + fine.levels)
+                         gradient_inputs=ginputs, levels=fine.levels)
 
 
 def nonexistence_sweep(dim, h, outer, epsilons):

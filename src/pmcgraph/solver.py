@@ -6,10 +6,12 @@ Two routes:
   discretization of ``div(grad f / sqrt(1 + |grad f|^2)) = t n H(x, f)``
   on masked planar lattices, run at t = 1 or wrapped in a homotopy in
   ``t`` from the minimal surface problem (t = 0) to the full problem
-  (t = 1).  :func:`pmcgraph.pipeline.solve_grid` runs Newton at t = 1 up
-  a chain of grids, and the homotopy only on the chain's coarsest grid,
-  for a field not nondecreasing in z, or on the requested grid when a
-  run fails;
+  (t = 1).  The one climb, :func:`pmcgraph.pipeline._climb`, runs
+  Newton at t = 1 up a chain of grids, and the homotopy only on the
+  chain's coarsest grid, for a field not nondecreasing in z, or on the
+  lowest kept grid not yet solved when a run fails.  Each grid it solves
+  is recorded in its :class:`SolveOutcome` as one :class:`Level`, which
+  holds the grid's :class:`ContinuationStep` records;
 * a radial shooting solver for rotationally symmetric annuli in any
   dimension, which adjusts the profile integration constant until the
   outer zero boundary value is met and declares nonexistence when no
@@ -63,7 +65,7 @@ their grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -654,50 +656,54 @@ class ContinuationStep:
                    factorizations=factorizations, krylov_iters=krylov_iters)
 
 
-@dataclass
-class ContinuationTrace:
-    steps: list = field(default_factory=list)
+class Level(NamedTuple):
+    """One grid of a solve: its spacing and ``n_dof``, ``path``, which is
+    ``"chain"`` (Newton at t = 1) or ``"homotopy"``, and ``steps``, a
+    tuple of the :class:`ContinuationStep` records that solved it."""
+
+    spacing: float
+    n_dof: int
+    path: str
+    steps: tuple
 
     def as_dict(self):
-        return {"steps": [s.as_dict() for s in self.steps]}
-
-    def level(self, grid, path):
-        """The ``levels`` entry of ``grid`` solved by these steps: its
-        spacing, ``n_dof``, the steps' Newton steps, GMRES iterations and
-        factorizations, and ``path``, ``"chain"`` or ``"homotopy"``."""
-        return {"spacing": grid.spacing, "n_dof": grid.n_dof,
-                "newton_iters": sum(s.newton_iters for s in self.steps),
-                "krylov_iters": sum(s.krylov_iters for s in self.steps),
-                "factorizations": sum(s.factorizations for s in self.steps),
-                "path": path}
+        """The reports' ``levels`` entry: the spacing, ``n_dof``, the
+        steps' Newton steps, GMRES iterations and factorizations, and the
+        path."""
+        keys = ("newton_iters", "krylov_iters", "factorizations")
+        totals = {k: sum(getattr(s, k) for s in self.steps) for k in keys}
+        return {"spacing": self.spacing, "n_dof": self.n_dof, **totals,
+                "path": self.path}
 
 
 class SolveOutcome(NamedTuple):
-    """A converged grid solution, the trace of the solve that reached it,
-    and ``levels``: the :meth:`ContinuationTrace.level` of every grid that
-    solve solved, coarsest first, the last one the solution's."""
+    """A converged grid solution and ``levels``: the :class:`Level` of
+    every grid the solve solved, coarsest first, the last one the
+    solution's."""
 
     solution: GridSolution
-    trace: ContinuationTrace
     levels: list
 
 
-def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
+def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40,
+                       linsolve=None):
     """Solve the homotopy family t -> t n H successively, warm-starting.
 
-    Returns a :class:`SolveOutcome` whose one level is the grid's
-    ``"homotopy"``.  The members are the 11 uniform values of t on [0, 1],
-    or t = 1 alone for H = 0, whose every member is the minimal surface
-    problem; the first member starts where :func:`newton_solve` starts by
-    default.  A failed step is bisected
-    until the increment falls below 1e-3, at which point a
-    :class:`ContinuationFailureError` reports the stall parameter and the
-    gradient at the last success.  A stall is a numerical statement, not
-    a nonexistence proof.
+    Returns a :class:`SolveOutcome` whose one :class:`Level` is the
+    grid's ``"homotopy"``, with one step per member.  The members are the
+    11 uniform values of t on [0, 1], or t = 1 alone for H = 0, whose
+    every member is the minimal surface problem; the first member starts
+    where :func:`newton_solve` starts by default.  A failed step is
+    bisected until the increment falls below 1e-3, at which point a
+    :class:`ContinuationFailureError` reports the stall parameter, the
+    gradient at the last success and the accepted steps.  A stall is a
+    numerical statement, not a nonexistence proof.
 
-    All Newton runs share one :class:`FactorOnceSolver` on the grid's
-    chain (:func:`pmcgraph.grid.grid_chain`): the first Newton step builds
-    its V-cycle (or, with no chain, factors the Jacobian), and that
+    All Newton runs share one :class:`FactorOnceSolver`: ``linsolve``, the
+    climb's (:func:`pmcgraph.pipeline._climb`) on the chain below the
+    grid, or without it one built on the grid's own chain
+    (:func:`pmcgraph.grid.grid_chain`).  The first Newton step builds its
+    V-cycle (or, with no chain, factors the Jacobian), and that
     preconditions GMRES at every later step and t, so a smooth homotopy
     costs one factorization, of the chain's coarsest grid.  They also
     share the field's z-independent part at the grid's nodes, evaluated
@@ -708,12 +714,13 @@ def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
     else:
         pending = np.linspace(0.0, 1.0, _HOMOTOPY_MEMBERS).tolist()
     hfield = hfield.on_nodes(grid.plan.points)
-    trace = ContinuationTrace()
-    linsolve = FactorOnceSolver(chain_prolongations(grid_chain(grid)))
-    counted = (0, 0)  # linear-solver counters at the last accepted step
+    steps = []
+    if linsolve is None:
+        linsolve = FactorOnceSolver(chain_prolongations(grid_chain(grid)))
+    # linear-solver counters at the last accepted step
+    counted = (linsolve.factorizations, linsolve.krylov_iters)
     x = None  # until a member converges, Newton's default start
     t_prev = None
-    solution = None
     while pending:
         t_next = pending.pop(0)
         try:
@@ -724,11 +731,11 @@ def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
             base = t_prev if t_prev is not None else 0.0
             dt = t_next - base
             if 0.5 * dt < _DT_MIN:
-                stall_grad = trace.steps[-1].sup_gradient if trace.steps else 0.0
+                stall_grad = steps[-1].sup_gradient if steps else 0.0
                 raise ContinuationFailureError(
                     f"continuation stalled at t = {base} "
                     f"(next step {t_next} failed: {exc})",
-                    trace=trace, stall_t=base,
+                    trace=tuple(steps), stall_t=base,
                     diagnostics={"failed_t": t_next,
                                  "sup_gradient_at_stall": stall_grad,
                                  "reason": str(exc)})
@@ -737,11 +744,12 @@ def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40):
             continue
         x = solution.dof_values
         t_prev = t_next
-        trace.steps.append(ContinuationStep.from_solution(
+        steps.append(ContinuationStep.from_solution(
             solution, linsolve.factorizations - counted[0],
             linsolve.krylov_iters - counted[1]))
         counted = (linsolve.factorizations, linsolve.krylov_iters)
-    return SolveOutcome(solution, trace, [trace.level(grid, "homotopy")])
+    return SolveOutcome(solution, [Level(grid.spacing, grid.n_dof,
+                                         "homotopy", tuple(steps))])
 
 
 def angular_asymmetry(solution):

@@ -199,13 +199,25 @@ class TestCoarseToFineVerify:
             grid_from_domain(self.DOMAIN, 1.0 / 32), self.FIELD)
         diff = np.max(np.abs(outcome.solution.values - fine.solution.values))
         assert diff <= 1e-12
-        level = outcome.levels[-1]
+        level = outcome.levels[-1].as_dict()
         assert outcome.solution.homotopy_t == 1.0
         assert (level["spacing"], level["path"]) == (1.0 / 32, "chain")
         assert level["newton_iters"] <= 6 and level["factorizations"] <= 2
         assert outcome.report.passed()
 
-    def test_falls_back_to_fine_continuation(self, monkeypatch):
+    # (failing grid, the grid whose homotopy runs, the levels' spacings and
+    # paths): verify at 1/16 climbs 1/8, 1/16, 1/32 and keeps 1/16 and 1/32
+    @pytest.mark.parametrize("failing, homotopy_at, levels", [
+        (1.0 / 8, 1.0 / 16, [(1.0 / 16, "homotopy"), (1.0 / 32, "chain")]),
+        (1.0 / 16, 1.0 / 16, [(1.0 / 16, "homotopy"), (1.0 / 32, "chain")]),
+        (1.0 / 32, 1.0 / 32, [(1.0 / 8, "chain"), (1.0 / 16, "chain"),
+                              (1.0 / 32, "homotopy")]),
+    ], ids=["coarsest", "h", "half_h"])
+    def test_falls_back_to_fine_continuation(self, monkeypatch, failing,
+                                             homotopy_at, levels):
+        # a failed run at 1/16 or below runs the homotopy at 1/16, the
+        # lowest kept grid, and drops the levels below it; a failure at
+        # 1/32 runs it at 1/32 and keeps the solution at 1/16
         real = solver.newton_solve
         injected = []
         homotopies = []
@@ -215,52 +227,87 @@ class TestCoarseToFineVerify:
             homotopies.append(real_homotopy(grid, *args, **kwargs))
             return homotopies[-1]
 
-        def fail_first_fine_solve(grid, hfield, **kwargs):
-            if grid.spacing == 1.0 / 32 and not injected:
+        def fail_first_solve(grid, hfield, **kwargs):
+            if grid.spacing == failing and not injected:
                 injected.append(kwargs["t_homotopy"])
                 raise NonconvergenceError("injected failure")
             return real(grid, hfield, **kwargs)
 
-        monkeypatch.setattr(solver, "newton_solve", fail_first_fine_solve)
+        monkeypatch.setattr(solver, "newton_solve", fail_first_solve)
         monkeypatch.setattr(solver, "continuation_solve", record_homotopy)
         outcome = pipeline.verify_domain(self.DOMAIN, self.FIELD, 1.0 / 16)
         assert injected == [1.0]
         (homotopy,) = homotopies
-        assert homotopy.solution is outcome.solution
-        assert [s.t for s in homotopy.trace.steps] == pytest.approx(
+        assert homotopy.solution.grid.spacing == homotopy_at
+        assert (homotopy.solution is outcome.solution) == (
+            homotopy_at == 1.0 / 32)
+        assert [s.t for s in homotopy.levels[-1].steps] == pytest.approx(
             np.linspace(0.0, 1.0, 11), abs=1e-15)
-        assert outcome.levels[-1] == homotopy.trace.level(
-            outcome.solution.grid, "homotopy")
+        assert [(level.spacing, level.path)
+                for level in outcome.levels] == levels
+        assert outcome.levels[levels.index((homotopy_at, "homotopy"))] == \
+            homotopy.levels[0]
         assert outcome.solution.residual_inf <= 1e-10
         assert outcome.report.passed()
 
+    @pytest.mark.parametrize("field", [
+        CurvatureField.from_constant(-0.3),
+        pipeline.curvature_from_json({
+            "table": {"x": [-3.0, 3.0], "y": [-3.0, 3.0],
+                      "values": [[-0.3, -0.3], [-0.3, -0.3]]},
+            "z_slope": -0.05})], ids=["monotone", "decreasing"])
+    def test_verify_at_h_is_solve_at_half_h(self, field):
+        # verify's pair is the top of solve's climb to h/2, which keeps h
+        outcome = pipeline.verify_domain(self.DOMAIN, field, 1.0 / 32)
+        solved = pipeline.solve_domain(self.DOMAIN, field, 1.0 / 64)
+        assert np.array_equal(outcome.solution.dof_values,
+                              solved.solution.dof_values)
+        assert outcome.levels == solved.levels
+
 
 class TestSolveOutcome:
-    """One record per solve: the last level is the one its trace builds."""
+    """One record per solve: the report's trace is the last level's steps."""
 
     DOMAIN = geometry.Annulus(1.0, 2.0)
     NONMONOTONE = {"table": {"x": [-2.0, 2.0], "y": [-2.0, 2.0],
                              "values": [[-0.3, -0.2], [-0.2, -0.3]]},
                    "z_slope": -0.1}
 
-    def test_last_level_is_built_from_the_trace(self):
+    def test_last_level_is_built_from_the_trace(self, tmp_path):
         # a non-monotone field climbs from the homotopy on its chain's
         # coarsest grid, 1/8; on that grid alone the homotopy is the solve
-        field = pipeline.curvature_from_json(self.NONMONOTONE)
-        chain = pipeline.solve_domain(
-            self.DOMAIN, CurvatureField.from_constant(-0.3), 1.0 / 32)
-        climb = pipeline.solve_domain(self.DOMAIN, field, 1.0 / 16)
-        homotopy = pipeline.solve_domain(self.DOMAIN, field, 1.0 / 8)
+        base = {"domain": {"kind": "annulus", "r_in": 1.0, "r_out": 2.0}}
+        runs = {"chain": ({"constant": -0.3}, 1.0 / 32),
+                "climb": (self.NONMONOTONE, 1.0 / 16),
+                "homotopy": (self.NONMONOTONE, 1.0 / 8)}
+        outcomes = {}
+        for name, (curvature, spacing) in runs.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**base, "curvature": curvature,
+                                       "spacing": spacing}))
+            out = tmp_path / name
+            assert cli_main(["solve", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+            report = json.loads((out / "solve_report.json").read_text())
+            outcome = pipeline.solve_domain(
+                self.DOMAIN, pipeline.curvature_from_json(curvature), spacing)
+            assert report["trace"] == json.loads(json.dumps(
+                [step.as_dict() for step in outcome.levels[-1].steps]))
+            assert report["levels"] == json.loads(json.dumps(
+                [level.as_dict() for level in outcome.levels]))
+            outcomes[name] = outcome
+        chain, climb, homotopy = (outcomes[name] for name in runs)
         for outcome, path in ((chain, "chain"), (climb, "chain"),
                               (homotopy, "homotopy")):
-            assert outcome.levels[-1] == outcome.trace.level(
-                outcome.solution.grid, path)
-        assert len(chain.levels) > 1 and len(chain.trace.steps) == 1
-        assert [level["path"] for level in climb.levels] == [
+            grid = outcome.solution.grid
+            assert outcome.levels[-1][:3] == (grid.spacing, grid.n_dof, path)
+        assert len(chain.levels) > 1 and len(chain.levels[-1].steps) == 1
+        assert [level.path for level in climb.levels] == [
             "homotopy", "chain"]
-        assert len(climb.trace.steps) == 1
+        assert len(climb.levels[-1].steps) == 1
         assert climb.levels[0] == homotopy.levels[0]
-        assert len(homotopy.levels) == 1 and len(homotopy.trace.steps) == 11
+        assert len(homotopy.levels) == 1
+        assert len(homotopy.levels[-1].steps) == 11
 
 
 def coarse_start(coarse, grid):
@@ -364,7 +411,7 @@ class TestProlongation:
         # verify's fine grid, solved from its solution at 1/16
         coarse, fine = refine_levels(case)
         refined = pipeline.verify_domain(*REFINE_CASES[case], 1.0 / 16)
-        level = refined.levels[-1]
+        level = refined.levels[-1].as_dict()
         assert refined.solution.homotopy_t == 1.0
         assert (level["spacing"], level["path"]) == (1.0 / 32, "chain")
         assert level["newton_iters"] <= 3
@@ -434,7 +481,7 @@ class TestTwoGridVerify:
             assert diff <= 1e-12
         assert outcome.solution is levels[-1][1]
         assert outcome.solution.homotopy_t == 1.0
-        assert [(level["spacing"], level["newton_iters"], level["path"])
+        assert [(level.spacing, level.as_dict()["newton_iters"], level.path)
                 for level in outcome.levels] == [
             (h, level.newton_iters, "chain") for h, level in levels]
 
@@ -473,7 +520,7 @@ class TestTwoGridVerify:
         assert newton[-2:] == [1.0 / 16, 1.0 / 32]
         assert set(newton[:-2]) == {1.0 / 8}
         assert sizes == [grid_from_domain(self.DOMAIN, 1.0 / 8).n_dof] * 3
-        assert [(level["spacing"], level["path"])
+        assert [(level.spacing, level.path)
                 for level in outcome.levels] == [(1.0 / 8, "homotopy"),
                                                  (1.0 / 16, "chain"),
                                                  (1.0 / 32, "chain")]
@@ -672,7 +719,7 @@ class TestOneSolveRule:
         assert homotopies == [1.0 / 8]
         assert [run.newton_iters for h, run in runs if h == 1.0 / 8] == (
             [0] + [3] * 10)
-        assert [level["path"] for level in outcome.levels] == [
+        assert [level.path for level in outcome.levels] == [
             "homotopy", "chain", "chain"]
         assert outcome.solution.residual_inf <= 1e-10
 
@@ -697,7 +744,7 @@ class TestOneSolveRule:
         sizes = TestTwoGridVerify.record_lu_sizes(monkeypatch)
         outcome = pipeline.verify_domain(annulus, field, 1.0 / 16)
         assert injected == [1.0]
-        assert [(level["spacing"], level["path"])
+        assert [(level.spacing, level.path)
                 for level in outcome.levels] == [(1.0 / 8, "homotopy"),
                                                  (1.0 / 16, "chain"),
                                                  (1.0 / 32, "homotopy")]
@@ -774,6 +821,25 @@ class TestOneSolveRule:
         assert events[2:].count(("homotopy",)) == 0
         assert solved.value.stall_t == direct.value.stall_t
         assert solved.value.diagnostics == direct.value.diagnostics
+
+    def test_fallback_builds_no_grid_twice(self, monkeypatch):
+        # Disc(1), H = 1.2: Newton fails on the chain's coarsest grid,
+        # 1/16, and the homotopy at 1/32 takes the V-cycle over the climb's
+        # own grids
+        built = []
+        real = grid.grid_from_domain
+
+        def spy(domain, spacing, **kwargs):
+            built.append(spacing)
+            return real(domain, spacing, **kwargs)
+
+        monkeypatch.setattr(grid, "grid_from_domain", spy)
+        monkeypatch.setattr(pipeline, "grid_from_domain", spy)
+        with pytest.raises(ContinuationFailureError) as stalled:
+            pipeline.solve_domain(geometry.Disc(1.0),
+                                  CurvatureField.from_constant(1.2), 1.0 / 32)
+        assert built == [1.0 / 32, 1.0 / 16]
+        assert stalled.value.stall_t == pytest.approx(0.8515625, abs=1e-15)
 
     def test_stall_is_the_homotopy_at_the_requested_spacing(self,
                                                             monkeypatch):

@@ -635,7 +635,7 @@ class TestHarmonicStart:
             geometry.Annulus(1.0, 2.0), 1.0 / 16,
             boundary=pipeline.boundary_from_json({"linear": [0.3, -0.2, 0.1]}))
         field = CurvatureField.from_constant(-0.5)
-        sol, trace, _ = solver.continuation_solve(grid, field)
+        sol, (trace,) = solver.continuation_solve(grid, field)
         assert [s.t for s in trace.steps] == pytest.approx(
             np.linspace(0.0, 1.0, 11), abs=1e-15)
         assert sol.residual_inf <= 1e-10
@@ -846,9 +846,9 @@ class TestInexactNewton:
                                                              monkeypatch):
         grid = grid_from_domain(PENTAGON, 1.0 / 16)
         field = table_field()
-        inexact, trace, _ = solver.continuation_solve(grid, field)
+        inexact, (trace,) = solver.continuation_solve(grid, field)
         monkeypatch.setattr(solver, "FactorOnceSolver", FactorEveryStep)
-        direct, reference, _ = solver.continuation_solve(grid, field)
+        direct, (reference,) = solver.continuation_solve(grid, field)
         iters = [s.newton_iters for s in trace.steps]
         assert iters == [s.newton_iters for s in reference.steps]
         assert [s.factorizations for s in reference.steps] == iters
@@ -925,7 +925,7 @@ class TestTwoGridSolver:
         diff = np.max(np.abs(refined.solution.values - reference.values))
         assert diff <= 1e-12
         assert refined.solution.newton_iters == reference.newton_iters
-        level = refined.levels[-1]
+        level = refined.levels[-1].as_dict()
         assert level["newton_iters"] == reference.newton_iters
         assert level["factorizations"] == 1 and level["krylov_iters"] > 0
 
@@ -958,7 +958,7 @@ class TestTwoGridSolver:
         # size (test_verify_factors_no_fine_matrix); the fine grid's
         # Galerkin factor at 1/8 is the last of them, then one fine factor
         # preconditions every later Newton step
-        level = refined.levels[-1]
+        level = refined.levels[-1].as_dict()
         assert refined.solution.homotopy_t == 1.0
         assert level["path"] == "chain" and level["newton_iters"] > 1
         n_coarsest = grid_from_domain(self.ANNULUS, 1.0 / 8).n_dof
@@ -1102,7 +1102,7 @@ class TestVCycle:
         # the coarsest grid's own factor, and one Galerkin factor of its
         # size per grid above it
         assert sizes == [chain[-1].n_dof] * len(chain)
-        assert [(level["n_dof"], level["path"]) for level in outcome.levels] \
+        assert [(level.n_dof, level.path) for level in outcome.levels] \
             == [(grid.n_dof, "chain") for grid in chain[::-1]]
 
     @pytest.mark.parametrize("case", ["annulus", "pentagon", "disc"])
@@ -1115,7 +1115,7 @@ class TestVCycle:
         # GMRES above the coarsest grid runs on the V-cycle, once per
         # Newton step
         vcycle = [iters for n, iters in calls if n > n_coarsest]
-        assert len(vcycle) == sum(level["newton_iters"] for level
+        assert len(vcycle) == sum(level.as_dict()["newton_iters"] for level
                                   in outcome.levels[1:]) > 0
         assert all(0 < iters <= solver._KRYLOV_RESTART for iters in vcycle)
 
@@ -1259,7 +1259,7 @@ class TestAnnulusReferenceSolve:
         assert diff <= 10.0 * 1e-10
 
     def test_every_step_converged_quickly(self, annulus_case):
-        steps = annulus_case["coarse"].trace.steps
+        steps = annulus_case["coarse"].levels[-1].steps
         assert steps[-1].t == 1.0
         assert all(s.newton_iters <= 15 for s in steps)
         ts = [s.t for s in steps]
@@ -1267,7 +1267,7 @@ class TestAnnulusReferenceSolve:
 
     def test_trace_matches_committed_record(self, annulus_case):
         record = json.loads((FIXTURES / "annulus_trace.json").read_text())
-        steps = annulus_case["coarse"].trace.steps
+        steps = annulus_case["coarse"].levels[-1].steps
         assert len(steps) == len(record["trace"])
         for step, ref in zip(steps, record["trace"]):
             assert step.t == pytest.approx(ref["t"], abs=1e-15)
@@ -1279,7 +1279,7 @@ class TestAnnulusReferenceSolve:
 class TestContinuation:
     def test_minimal_surface_single_step(self):
         grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 0.1)
-        sol, trace, _ = solver.continuation_solve(grid, H_ZERO)
+        sol, (trace,) = solver.continuation_solve(grid, H_ZERO)
         assert len(trace.steps) == 1
         assert trace.steps[0].t == 1.0
 
@@ -1295,7 +1295,7 @@ class TestContinuation:
         assert 0.0 < exc.stall_t < 1.0
         assert exc.stall_t == 0.859375
         assert exc.diagnostics["failed_t"] > exc.stall_t
-        assert exc.trace.steps[-1].t == exc.stall_t
+        assert exc.trace[-1].t == exc.stall_t
         # the failed bisected runs factor only where GMRES fails on the
         # lagged factor (79 when each run factored every step after its
         # first GMRES failure)
@@ -1314,11 +1314,11 @@ class TestContinuation:
     def test_one_factorization_per_homotopy(self, monkeypatch):
         grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 16)
         field = CurvatureField.from_constant(-0.3)
-        _, trace, _ = solver.continuation_solve(grid, field)
+        _, (trace,) = solver.continuation_solve(grid, field)
         assert sum(s.factorizations for s in trace.steps) == 1
         assert all(s.krylov_iters > 0 for s in trace.steps[2:])
         monkeypatch.setattr(solver, "FactorOnceSolver", FactorEveryStep)
-        _, reference, _ = solver.continuation_solve(grid, field)
+        _, (reference,) = solver.continuation_solve(grid, field)
         iters = [s.newton_iters for s in trace.steps]
         assert iters == [s.newton_iters for s in reference.steps]
         assert [s.factorizations for s in reference.steps] == iters
