@@ -44,7 +44,6 @@ from .solver import (
     Level,
     RadialShootResult,
     SolveOutcome,
-    angular_asymmetry,
     continuation_solve,
     mc_residual,
     newton_solve,
@@ -56,7 +55,6 @@ from .verify import (
     check_height_estimate,
     estimate_report,
     gradient_blowup_example,
-    spherical_cap_oracle,
 )
 
 __version__ = "0.1.0"
@@ -65,7 +63,7 @@ __all__ = [
     "Annulus", "AnnulusFit", "CheckResult", "ConditionReport",
     "ConvexPolygon", "CurvatureField", "Disc", "EstimateReport",
     "GridMask", "GridSolution", "Level", "MaskedGrid",
-    "NodoidProfile", "RadialShootResult", "SolveOutcome", "angular_asymmetry",
+    "NodoidProfile", "RadialShootResult", "SolveOutcome",
     "annulus_fit", "annulus_height_bound", "apex", "barrier_constants",
     "boundary_mean_curvature", "check_annulus_smallness",
     "check_boundary_gradient", "check_height_estimate",
@@ -75,6 +73,6 @@ __all__ = [
     "grid_from_domain", "inscribed_disc_radius", "make_profile",
     "mc_residual", "newton_solve", "nonexistence_height_bound",
     "profile_for_annulus", "profile_zeros", "radial_shoot", "select_c",
-    "slope", "spherical_cap_oracle", "strip_width", "unit_ball_volume",
+    "slope", "strip_width", "unit_ball_volume",
     "usable_radius", "verify_gradient_bound_inputs",
 ]

@@ -322,13 +322,15 @@ def check_volume_smallness(dim, volume, h_sup0):
     )
 
 
-def check_strip_smallness(dim, strip_width_d, h_sup0, convex=True):
+def check_strip_smallness(dim, strip_width_d, h_sup0):
     """Strict smallness of h against 2/(n d) for convex domains in a strip.
 
     The large-exterior-sphere limit of the annulus bound; only meaningful
-    for convex domains.
+    for convex domains.  ``strip_width_d`` is the domain's
+    :func:`pmcgraph.geometry.strip_width`, which is None exactly when the
+    domain is not convex: the check is then not applicable.
     """
-    if strip_width_d is None or not convex:
+    if strip_width_d is None:
         return CheckResult(
             "strip_smallness", math.nan, h_sup0, NOT_APPLICABLE,
             "strip bound applies to convex domains only",
@@ -424,10 +426,9 @@ def nonexistence_height_bound(dim, epsilon, outer=1.0):
 
 
 def evaluate_conditions(dim, h_sup0, *, annulus_r=None, annulus_d=None,
-                        volume=None, strip_width=None, convex=False,
-                        inscribed_rho=None, constant_h=None,
-                        boundary_samples=None, field=None, monotone_ok=None,
-                        metrics_exact=True):
+                        volume=None, strip_width=None, inscribed_rho=None,
+                        constant_h=None, boundary_samples=None, field=None,
+                        monotone_ok=None, metrics_exact=True):
     """Aggregate all applicable checks into a :class:`ConditionReport`.
 
     The caller (normally the pipeline in :mod:`pmcgraph.pipeline`) supplies
@@ -446,7 +447,7 @@ def evaluate_conditions(dim, h_sup0, *, annulus_r=None, annulus_d=None,
     if volume is not None:
         report.checks.append(check_volume_smallness(dim, volume, h_sup0))
 
-    report.checks.append(check_strip_smallness(dim, strip_width, h_sup0, convex=convex))
+    report.checks.append(check_strip_smallness(dim, strip_width, h_sup0))
 
     if inscribed_rho is not None:
         report.checks.append(inscribed_disc_row(dim, inscribed_rho, constant_h))

@@ -38,16 +38,9 @@ class InfeasibleFitError(RuntimeError):
 class SolverError(RuntimeError):
     """Base class for nonlinear solver failures.
 
-    ``trace`` holds the steps accepted before the failure: a list of
-    per-iteration dicts for a Newton failure, a tuple of the homotopy's
-    :class:`pmcgraph.solver.ContinuationStep` records for a
-    :class:`ContinuationFailureError`.
+    Only a homotopy stall, :class:`ContinuationFailureError`, carries a
+    record of the work done; a Newton failure carries its message.
     """
-
-    def __init__(self, message, trace=None, diagnostics=None):
-        super().__init__(message)
-        self.trace = trace if trace is not None else []
-        self.diagnostics = diagnostics if diagnostics is not None else {}
 
 
 class NonconvergenceError(SolverError):
@@ -65,14 +58,17 @@ class SingularSystemError(SolverError):
 class ContinuationFailureError(SolverError):
     """The homotopy stalled before reaching the full problem.
 
-    ``stall_t`` is the last parameter value that was solved successfully.
-    Stalls are a numerical observation; they suggest, but do not prove,
-    nonexistence past ``stall_t``.
+    ``stall_t`` is the last parameter value that was solved successfully,
+    ``trace`` the tuple of the accepted steps'
+    :class:`pmcgraph.solver.ContinuationStep` records and ``diagnostics``
+    a dict naming the failed parameter value, the gradient at the stall
+    and the reason.  Stalls are a numerical observation; they suggest, but
+    do not prove, nonexistence past ``stall_t``.
     """
 
-    def __init__(self, message, trace=None, stall_t=0.0, diagnostics=None):
-        super().__init__(message, trace=trace, diagnostics=diagnostics)
-        self.stall_t = stall_t
+    def __init__(self, message, trace, stall_t, diagnostics):
+        super().__init__(message)
+        self.trace, self.stall_t, self.diagnostics = trace, stall_t, diagnostics
 
 
 @contextmanager

@@ -86,9 +86,6 @@ class Annulus:
         r = self.r_out
         return (-r, -r, r, r)
 
-    def radial_extent(self):
-        return self.r_in, self.r_out
-
 
 @dataclass(frozen=True)
 class Disc:
@@ -124,10 +121,6 @@ class Disc:
         cx, cy = self.center
         r = self.radius
         return (cx - r, cy - r, cx + r, cy + r)
-
-    def radial_extent(self):
-        rho = math.hypot(*self.center)
-        return max(rho - self.radius, 0.0), rho + self.radius
 
 
 class ConvexPolygon:

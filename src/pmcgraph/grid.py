@@ -413,47 +413,6 @@ def grid_from_domain(domain, spacing, boundary=None):
                       gval=gval, domain=domain, boundary=gfun)
 
 
-def _keys_weights(t):
-    # Keys cubic convolution kernel (a = -1/2), third-order accurate
-    w0 = ((-0.5 * t + 1.0) * t - 0.5) * t
-    w1 = (1.5 * t - 2.5) * t * t + 1.0
-    w2 = ((-1.5 * t + 2.0) * t + 0.5) * t
-    w3 = (0.5 * t - 0.5) * t * t
-    return w0, w1, w2, w3
-
-
-def interpolate_values_cubic(grid, values, points):
-    """Local cubic-convolution interpolation of lattice values.
-
-    Third-order accurate and free of global prefilters, so masked exterior
-    values cannot leak in; returns NaN where the 4x4 stencil touches a
-    non-interior node.
-    """
-    pts = np.asarray(points, dtype=float)
-    x0, y0 = grid.origin
-    h = grid.spacing
-    fx = (pts[..., 0] - x0) / h
-    fy = (pts[..., 1] - y0) / h
-    ix = np.floor(fx).astype(int)
-    iy = np.floor(fy).astype(int)
-    ny, nx = grid.shape
-    ok = (ix >= 1) & (ix < nx - 2) & (iy >= 1) & (iy < ny - 2)
-    ixc = np.clip(ix, 1, nx - 3)
-    iyc = np.clip(iy, 1, ny - 3)
-    wx = _keys_weights(fx - ixc)
-    wy = _keys_weights(fy - iyc)
-    val = np.zeros(pts.shape[:-1])
-    stencil_ok = np.ones(pts.shape[:-1], dtype=bool)
-    for b, wyb in enumerate(wy):
-        row = np.zeros(pts.shape[:-1])
-        for a, wxa in enumerate(wx):
-            jj = iyc + b - 1
-            ii = ixc + a - 1
-            row = row + wxa * values[jj, ii]
-            stencil_ok &= grid.interior[jj, ii]
-        val = val + wyb * row
-    return np.where(ok & stencil_ok, val, np.nan)
-
 
 def _nesting_offset(coarse, fine):
     """The fine origin's (row, column) offset from the coarse one, in fine

@@ -12,6 +12,10 @@ homotopy on the lowest kept grid not yet solved when a run fails.
 that keeps the grid at h as well, its Richardson pair.  Each grid's
 solve is recorded as one :class:`pmcgraph.solver.Level`.  The command
 line front end is a thin wrapper around this module.
+
+A monotone field skips the homotopy because its solution is unique,
+which is proved for the continuous problem and tested for the discrete
+one (:func:`solve_grid`).
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
     except UnsupportedDomainError:
         volume = None
 
-    width = geometry.strip_width(domain)  # None exactly when not convex
+    width = geometry.strip_width(domain)
     rho = geometry.inscribed_disc_radius(domain)
 
     try:
@@ -120,7 +124,7 @@ def conditions_for(domain, field, dim=GRID_DIM, *, annulus_r=None,
     report = conditions.evaluate_conditions(
         dim, h_sup0,
         annulus_r=fit and fit.r, annulus_d=fit and fit.d, volume=volume,
-        strip_width=width, convex=width is not None, inscribed_rho=rho,
+        strip_width=width, inscribed_rho=rho,
         constant_h=field.constant, boundary_samples=boundary_samples,
         field=field, monotone_ok=monotone_ok, metrics_exact=metrics_exact)
     report.notes.extend(notes)
@@ -195,8 +199,10 @@ def _climb(chain, field, settings, kept=1):
     above it has its start.  The chain's last grid is the only one whose
     solve depends on the field: Newton from
     :func:`pmcgraph.solver.newton_solve`'s default start with its own
-    factor (a ``"chain"`` level) when ``field.monotone`` holds, else the
-    homotopy :func:`pmcgraph.solver.continuation_solve` on that grid (a
+    factor (a ``"chain"`` level) when ``field.monotone`` holds, whose
+    solution is unique (proved for the continuous problem, tested for the
+    discrete one; see :func:`solve_grid`), else the homotopy
+    :func:`pmcgraph.solver.continuation_solve` on that grid (a
     ``"homotopy"`` level), which picks the solution branch.  Every other
     grid starts from the solution below,
     :func:`pmcgraph.grid.prolongate`d, and its GMRES is preconditioned by
@@ -251,10 +257,9 @@ def solve_grid(grid, field, *, tol=1e-10, max_iters=40):
 
     The rule is a climb up the grid's chain (:func:`grid_chain`), the
     same for every field but at its coarsest grid: there, for a monotone
-    field (H nondecreasing in z, so the discrete solution is unique by
-    the comparison principle), Newton at t = 1 from zero (or the harmonic
-    start, for nonzero data) with its own factor; for any other field,
-    whose homotopy picks the solution branch, the homotopy
+    field (H nondecreasing in z), Newton at t = 1 from zero (or the
+    harmonic start, for nonzero data) with its own factor; for any other
+    field, whose homotopy picks the solution branch, the homotopy
     (:func:`pmcgraph.solver.continuation_solve`) on that grid.  Each finer
     grid then runs Newton at t = 1 from the solution below, with GMRES
     preconditioned by a V-cycle that factors only the coarsest grid's
@@ -264,6 +269,13 @@ def solve_grid(grid, field, *, tol=1e-10, max_iters=40):
     requested spacing, and a stall there is final.  The last level's steps
     are one step at t = 1, or the homotopy's members when ``grid`` is the
     chain's only grid or the fallback ran.
+
+    A monotone field needs no homotopy to pick its branch because its
+    solution is unique: that is proved for the continuous problem, by the
+    comparison principle, but not for the discrete one, whose 9-point
+    Jacobian is not an M-matrix (its cross-derivative corners take the
+    wrong sign).  For the scheme it is tested: the climb and the homotopy
+    on the requested grid agree to within ten times the tolerance.
     """
     return _climb(grid_chain(grid), field,
                   dict(tol=tol, max_iters=max_iters))[0]

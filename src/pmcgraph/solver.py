@@ -81,8 +81,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .grid import (DIRECTIONS, STENCIL_OFFSETS, chain_prolongations,
-                   grid_chain, interpolate_values_cubic)
+from .grid import DIRECTIONS, STENCIL_OFFSETS, chain_prolongations, grid_chain
 from .ioutil import lattice_rows, write_csv
 
 #: graph dimension of the planar grid problem
@@ -317,7 +316,9 @@ def _gmres(J, rhs, precond, rtol=_KRYLOV_RTOL):
     ``J`` for the true residual.  The basis is orthogonalised by modified
     Gram-Schmidt and the Hessenberg least-squares problem is reduced by
     Givens rotations.  Converged means ``||rhs - J x||_2 <= rtol ||rhs||_2`` at
-    the end of a cycle, with ``x`` finite.
+    the end of a cycle, with ``x`` finite; a rotation of zero (or NaN)
+    length, which an overflowed Jacobian can give, ends the solve
+    unconverged.
     """
     m = _KRYLOV_RESTART
     x = np.zeros_like(rhs)
@@ -345,6 +346,8 @@ def _gmres(J, rhs, precond, rtol=_KRYLOV_RTOL):
                 H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
                                         cs[i] * H[i + 1, k] - sn[i] * H[i, k])
             rho = math.hypot(H[k, k], h)
+            if not rho > 0.0:  # a breakdown with no rotation: unconverged
+                return x, iters, False
             cs[k], sn[k] = H[k, k] / rho, h / rho
             H[k, k] = rho
             g[k + 1] = -sn[k] * g[k]
@@ -424,7 +427,8 @@ class FactorOnceSolver:
     one prolongation, the two-grid cycle); only a GMRES failure then
     factors ``J`` itself.  Without them, the first solve factors ``J``.
     ``factorizations`` counts every sparse LU and ``krylov_iters`` every
-    GMRES inner iteration.
+    GMRES inner iteration: they are the one count of linear work, and a
+    caller reads a solve's work as their change across it.
     """
 
     def __init__(self, prolongations=()):
@@ -437,25 +441,23 @@ class FactorOnceSolver:
 
     def solve(self, J, rhs, rtol=_KRYLOV_RTOL):
         """Solve ``J x = rhs``, by GMRES to the relative residual ``rtol``
-        or directly; returns ``(x, krylov_iters, factored)``, with
-        ``factored`` true when ``J`` was factored for this solve."""
+        or directly; returns ``x``."""
         if self._precond is None and self._prolongations:
             self._precond = _v_cycle(J, self._prolongations)
             self._prolongations = []
             self.factorizations += 1
-        iters = 0
         if self._precond is not None:
             x, iters, converged = _gmres(J, rhs, self._precond(J), rtol)
             self.krylov_iters += iters
             if converged:
-                return x, iters, False
+                return x
         # release the old preconditioner before the new factor is
         # allocated, so two factors never coexist
         self._precond = None
         lu = _splu(J)
         self._precond = lambda J: lu.solve
         self.factorizations += 1
-        return lu.solve(rhs), iters, True
+        return lu.solve(rhs)
 
 
 def _gradient_diagnostics(plan, x):
@@ -541,7 +543,7 @@ def _harmonic_start(grid, hfield, linsolve):
     res = mc_residual(zero, grid, hfield, 0.0, states=(slope, None, 1.0))
     flat = (np.zeros_like(slope), np.zeros_like(slope), np.ones_like(slope))
     lap = _assemble_jacobian(grid, zero, hfield, 0.0, [flat])
-    return linsolve.solve(lap, -res)[0]
+    return linsolve.solve(lap, -res)
 
 
 def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
@@ -562,11 +564,11 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
     that step's Jacobian, which then preconditions the later steps.
     Backtracking halves the step until the residual 2-norm decreases
     (floor 2^-20).  Each iterate's edge states are computed once, for its
-    residual, and reused by its assembly or the final report.  Raises on
-    nonconvergence, line-search stall and singular linear systems,
-    carrying the iterate trace: one dict per accepted step with the
-    residual sup norm, step length, GMRES iterations and whether the
-    Jacobian was factored.
+    residual, and reused by its assembly or the final report.  Raises
+    :class:`NonconvergenceError` on nonconvergence,
+    :class:`LineSearchStallError` on a line-search stall and
+    :class:`SingularSystemError` on a singular or non-finite linear
+    system.  The linear work is counted by ``linsolve``'s counters.
     """
     if not tol > 0.0:
         raise ParameterError("tolerance must be positive")
@@ -583,7 +585,6 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
             raise ParameterError(f"initial values must have shape "
                                  f"({grid.n_dof},), got {x.shape}")
 
-    trace = []
     # the current iterate's edge states, in a one-item list that its
     # assembly or the final report empties
     states = [_edge_states(plan, x)]
@@ -595,15 +596,13 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
         if iters >= max_iters:
             raise NonconvergenceError(
                 f"no convergence after {max_iters} Newton iterations "
-                f"(residual_inf={rinf:.3e}, t={t_homotopy})", trace=trace)
+                f"(residual_inf={rinf:.3e}, t={t_homotopy})")
         if not math.isfinite(rnorm):
-            raise NonconvergenceError("residual is not finite", trace=trace)
+            raise NonconvergenceError("residual is not finite")
         J = _assemble_jacobian(grid, x, hfield, t_homotopy, states)
-        delta, k_iters, factored = linsolve.solve(J, -r_vec,
-                                                  rtol=_forcing(rinf))
+        delta = linsolve.solve(J, -r_vec, rtol=_forcing(rinf))
         if not np.all(np.isfinite(delta)):
-            raise SingularSystemError("linear solve produced non-finite update",
-                                      trace=trace)
+            raise SingularSystemError("linear solve produced non-finite update")
         lam = 1.0
         while True:
             x_try = x + lam * delta
@@ -618,12 +617,10 @@ def newton_solve(grid, hfield, *, t_homotopy=1.0, initial=None, tol=1e-10,
             if lam < _LINE_SEARCH_FLOOR:
                 raise LineSearchStallError(
                     f"line search stalled at iteration {iters} "
-                    f"(residual_inf={rinf:.3e}, t={t_homotopy})", trace=trace)
+                    f"(residual_inf={rinf:.3e}, t={t_homotopy})")
         x, r_vec, rnorm = x_try, r_try, rnorm_try
         rinf = float(np.max(np.abs(r_vec)))
         iters += 1
-        trace.append({"iter": iters, "residual_inf": rinf, "step": lam,
-                      "krylov_iters": k_iters, "factored": factored})
     return _finish_solution(grid, x, hfield, t_homotopy, iters, states)
 
 
@@ -750,30 +747,6 @@ def continuation_solve(grid, hfield, *, tol=1e-10, max_iters=40,
         counted = (linsolve.factorizations, linsolve.krylov_iters)
     return SolveOutcome(solution, [Level(grid.spacing, grid.n_dof,
                                          "homotopy", tuple(steps))])
-
-
-def angular_asymmetry(solution):
-    """Max over 24 radii of the angular spread of the interpolated
-    solution at 64 equally spaced angles.
-
-    For rotationally symmetric problems this measures how much the lattice
-    breaks the symmetry; it should track the discretization error.  Cubic
-    interpolation keeps the measurement's own error below the effect being
-    measured.
-    """
-    grid, values = solution.grid, solution.values
-    r_lo, r_hi = grid.domain.radial_extent()
-    pad = 4.0 * grid.spacing
-    radii = np.linspace(r_lo + pad, r_hi - pad, 24)
-    thetas = 2.0 * math.pi * np.arange(64) / 64
-    worst = 0.0
-    for rho in radii:
-        pts = np.column_stack([rho * np.cos(thetas), rho * np.sin(thetas)])
-        vals = interpolate_values_cubic(grid, values, pts)
-        vals = vals[np.isfinite(vals)]
-        if vals.size >= 2:
-            worst = max(worst, float(vals.max() - vals.min()))
-    return worst
 
 
 # ----------------------------------------------------------------------

@@ -135,41 +135,6 @@ def richardson_error_estimate(coarse_solution, fine_solution):
     return float(np.max(np.abs(diff))) / 3.0
 
 
-def spherical_cap_oracle(dim, h, disc_radius):
-    """Closed-form cap f(x) = sqrt(1/h^2 - |x|^2) - sqrt(1/h^2 - R^2).
-
-    A graph of constant mean curvature -h over the disc |x| < R with zero
-    boundary values; it exists exactly while h R < 1 and degenerates to a
-    hemisphere with vertical boundary slope as h R -> 1.  For h = 0 the
-    flat graph f = 0 is returned.  The returned callable accepts point
-    arrays of shape (..., k) and uses only |x|.
-    """
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise ParameterError(f"dimension must be an integer >= 2, got {dim!r}")
-    if disc_radius <= 0.0:
-        raise ParameterError("disc radius must be positive")
-    if h < 0.0:
-        raise ParameterError("cap oracle takes the magnitude h >= 0; "
-                             "mirror with H -> -H for the other orientation")
-    if h == 0.0:
-        def flat(points):
-            points = np.asarray(points, dtype=float)
-            return np.zeros(points.shape[:-1])
-        return flat
-    if h * disc_radius >= 1.0:
-        raise ParameterError(
-            f"no cap over the disc: h * R = {h * disc_radius} >= 1")
-    rho = 1.0 / h
-    offset = math.sqrt(rho * rho - disc_radius * disc_radius)
-
-    def cap(points):
-        points = np.asarray(points, dtype=float)
-        r2 = np.sum(points**2, axis=-1)
-        return np.sqrt(rho * rho - r2) - offset
-
-    return cap
-
-
 def _blowup_curvature(z, eps):
     w = 3.0 * z * z + eps
     return -6.0 * z / (1.0 + w * w) ** 1.5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pmcgraph import conditions as cond
+from pmcgraph import geometry
 from pmcgraph.conditions import (
     FAIL,
     NOT_APPLICABLE,
@@ -78,8 +79,10 @@ class TestStripSmallness:
         assert check_strip_smallness(2, 1.0, 1.0).verdict == FAIL
 
     def test_nonconvex_not_applicable(self):
-        assert check_strip_smallness(2, 1.0, 0.5, convex=False).verdict \
-            == NOT_APPLICABLE
+        # a nonconvex domain has no strip width, and so no strip bound
+        annulus = geometry.Annulus(1.0, 2.0)
+        assert check_strip_smallness(2, geometry.strip_width(annulus),
+                                     0.5).verdict == NOT_APPLICABLE
         assert check_strip_smallness(2, None, 0.5).verdict == NOT_APPLICABLE
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -347,7 +350,7 @@ class TestReportAggregation:
     def test_existence_guaranteed(self):
         rep = cond.evaluate_conditions(
             2, 0.3, annulus_r=1.0, annulus_d=1.0, volume=3.0 * math.pi,
-            strip_width=None, convex=False, inscribed_rho=0.5,
+            strip_width=None, inscribed_rho=0.5,
             constant_h=-0.3, monotone_ok=True)
         assert rep.overall == cond.EXISTENCE_GUARANTEED
         assert rep.exit_code() == 0
@@ -355,7 +358,7 @@ class TestReportAggregation:
     def test_inscribed_violation_dominates(self):
         rep = cond.evaluate_conditions(
             2, 1.2, annulus_r=100.0, annulus_d=2.0, volume=math.pi,
-            strip_width=2.0, convex=True, inscribed_rho=1.0,
+            strip_width=2.0, inscribed_rho=1.0,
             constant_h=1.2, monotone_ok=True)
         assert rep.overall == cond.NECESSARY_VIOLATED
         assert rep.exit_code() == 2
@@ -363,7 +366,7 @@ class TestReportAggregation:
     def test_smallness_failure_is_indeterminate(self):
         rep = cond.evaluate_conditions(
             2, 1.0, annulus_r=0.05, annulus_d=0.95, volume=math.pi,
-            strip_width=None, convex=False, inscribed_rho=0.475,
+            strip_width=None, inscribed_rho=0.475,
             constant_h=1.0, monotone_ok=True)
         assert rep.overall == cond.INDETERMINATE
         assert rep.exit_code() == 3
@@ -371,14 +374,14 @@ class TestReportAggregation:
     def test_monotonicity_required_for_guarantee(self):
         rep = cond.evaluate_conditions(
             2, 0.3, annulus_r=1.0, annulus_d=1.0, volume=3.0 * math.pi,
-            strip_width=None, convex=False, inscribed_rho=0.5,
+            strip_width=None, inscribed_rho=0.5,
             constant_h=None, monotone_ok=False)
         assert rep.overall == cond.INDETERMINATE
 
     def test_approximate_metrics_block_guarantee(self):
         rep = cond.evaluate_conditions(
             2, 0.3, annulus_r=1.0, annulus_d=1.0, volume=3.0 * math.pi,
-            strip_width=None, convex=False, inscribed_rho=0.5,
+            strip_width=None, inscribed_rho=0.5,
             constant_h=-0.3, monotone_ok=True, metrics_exact=False)
         assert rep.overall == cond.INDETERMINATE
         assert rep.notes
@@ -386,7 +389,7 @@ class TestReportAggregation:
     def test_json_wire_format(self, tmp_path):
         rep = cond.evaluate_conditions(
             2, 0.3, annulus_r=1.0, annulus_d=1.0, volume=3.0 * math.pi,
-            strip_width=None, convex=False, inscribed_rho=0.5,
+            strip_width=None, inscribed_rho=0.5,
             constant_h=-0.3, monotone_ok=True)
         path = tmp_path / "report.json"
         rep.write_json(path)

@@ -769,6 +769,25 @@ class TestOneSolveRule:
         assert diff <= 1e-12
         assert outcome.solution.residual_inf <= 1e-10
 
+    @pytest.mark.parametrize("domain, h", [
+        (geometry.Disc(1.0), 0.9), (geometry.Disc(1.0), 0.95),
+        (REFINE_CASES["pentagon"][0], 0.8), (geometry.Annulus(1.0, 2.0), -0.3),
+    ], ids=["disc-0.9", "disc-0.95", "pentagon-0.8", "annulus"])
+    def test_monotone_climb_is_the_homotopy_on_the_requested_grid(
+            self, domain, h):
+        # the climb solves a monotone field by Newton from zero, with no
+        # homotopy to pick the branch.  Uniqueness is proved for the
+        # continuous problem only: the 9-point Jacobian is not an M-matrix,
+        # so for the discrete one it is tested here
+        field, tol = CurvatureField.from_constant(h), 1e-10
+        outcome = pipeline.solve_domain(domain, field, 1.0 / 32, tol=tol)
+        assert {level.path for level in outcome.levels} == {"chain"}
+        direct = solver.continuation_solve(grid_from_domain(domain, 1.0 / 32),
+                                           field, tol=tol)
+        diff = np.max(np.abs(outcome.solution.dof_values
+                             - direct.solution.dof_values))
+        assert diff <= 10.0 * tol
+
     def test_one_grid_chain_runs_its_homotopy_once(self, monkeypatch):
         # Disc(1) at 1/16 is its own chain's coarsest grid, so its
         # homotopy is the requested grid's: its stall is final

@@ -16,12 +16,15 @@ from pmcgraph.conditions import CurvatureField
 from pmcgraph.errors import (
     ContinuationFailureError,
     ParameterError,
+    SingularSystemError,
     SolverError,
 )
 from pmcgraph.grid import (DIRECTIONS, OFFSETS, PAD_CELLS, THETA_SNAP,
                            grid_from_domain, nested_prolongation, prolongate,
                            shift)
 from pmcgraph.ioutil import write_csv
+
+from oracles import angular_asymmetry
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -607,6 +610,21 @@ class TestNewton:
         with pytest.raises(SolverError, match="not finite"):
             solver.newton_solve(grid, field)
 
+    def test_overflowed_jacobian_is_a_singular_system(self):
+        # a far start on Disc(1), H = 0.95 at 1/32 overflows W**3 in the
+        # Jacobian; GMRES then meets a zero-length rotation, and the
+        # factor of that Jacobian is exactly singular
+        domain, field = geometry.Disc(1.0), CurvatureField.from_constant(0.95)
+        sol = pipeline.solve_domain(domain, field, 1.0 / 32).solution
+        rng = np.random.default_rng(0)
+        for k in range(2):
+            start = sol.dof_values + rng.normal(
+                scale=0.5, size=sol.grid.n_dof) * (k + 1) * 0.2
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(SingularSystemError):
+                solver.newton_solve(grid_from_domain(domain, 1.0 / 32), field,
+                                    initial=start, max_iters=80)
+
 
 class TestHarmonicStart:
     """Newton from its default start on nonzero Dirichlet data begins at
@@ -761,10 +779,13 @@ class TestFactorOnceSolver:
     def test_converged_gmres_never_refactors(self):
         identity, spread, rhs = self.matrices()
         linsolve = solver.FactorOnceSolver()
-        assert linsolve.solve(identity, rhs)[1:] == (0, True)
+        linsolve.solve(identity, rhs)
+        assert (linsolve.krylov_iters, linsolve.factorizations) == (0, 1)
         for _ in range(3):
-            x, iters, factored = linsolve.solve(spread, rhs)
-            assert iters > 20 and not factored
+            iters = linsolve.krylov_iters
+            x = linsolve.solve(spread, rhs)
+            assert linsolve.krylov_iters - iters > 20
+            assert linsolve.factorizations == 1
             assert np.max(np.abs(spread @ x - rhs)) <= 1e-10
         assert linsolve.factorizations == 1
 
@@ -782,13 +803,14 @@ class TestFactorOnceSolver:
                                                                converged)
 
         monkeypatch.setattr(solver, "_gmres", fail_first)
-        x, iters, factored = linsolve.solve(spread, rhs)
-        assert iters > 0 and factored
+        x = linsolve.solve(spread, rhs)
+        assert linsolve.krylov_iters > 0
         assert linsolve.factorizations == 2
         assert np.max(np.abs(spread @ x - rhs)) <= 1e-12
         # the next solve runs GMRES on the new, exact factor
-        x, iters, factored = linsolve.solve(spread, 2.0 * rhs)
-        assert (iters, factored) == (1, False)
+        iters = linsolve.krylov_iters
+        x = linsolve.solve(spread, 2.0 * rhs)
+        assert linsolve.krylov_iters - iters == 1
         assert linsolve.factorizations == 2 and len(calls) == 2
         assert np.max(np.abs(spread @ x - 2.0 * rhs)) <= 1e-12
 
@@ -1069,21 +1091,28 @@ class TestVCycle:
             updates = []
 
             class Recording(cls):
+                # each update with the GMRES iterations and factorizations
+                # its solve added to the counters
                 def solve(self, J, rhs, rtol=solver._KRYLOV_RTOL,
                           updates=updates):
-                    out = super().solve(J, rhs, rtol)
-                    updates.append(out)
-                    return out
+                    before = self.krylov_iters, self.factorizations
+                    x = super().solve(J, rhs, rtol)
+                    updates.append((x, self.krylov_iters - before[0],
+                                    self.factorizations - before[1]))
+                    return x
 
             linsolve = Recording([P] if cls is solver.FactorOnceSolver else P)
             runs.append((solver.newton_solve(fine, self.FIELD, initial=start,
                                              linsolve=linsolve), updates))
         (vcycle, updates), (two_grid, reference) = runs
         assert len(updates) == len(reference) == vcycle.newton_iters > 1
-        for (x, iters, factored), (y, ref_iters, ref_factored) in zip(
+        for (x, iters, factors), (y, ref_iters, ref_factors) in zip(
                 updates, reference):
             assert np.array_equal(x, y)
-            assert (iters, factored) == (ref_iters, ref_factored)
+            assert (iters, factors) == (ref_iters, ref_factors)
+        # the first solve factors the coarse grid, and only that one
+        assert [factors for _, _, factors in updates] == (
+            [1] + [0] * (len(updates) - 1))
         assert np.array_equal(vcycle.values, two_grid.values)
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -1246,7 +1275,7 @@ class TestAnnulusReferenceSolve:
         assert sol.sup_gradient_boundary <= c2 + annulus_case["slack"]
 
     def test_rotational_symmetry(self, annulus_case):
-        asym = solver.angular_asymmetry(annulus_case["fine"].solution)
+        asym = angular_asymmetry(annulus_case["fine"].solution)
         assert asym <= 5.0 * annulus_case["error_estimate"]
 
     def test_warm_start_consistency(self, annulus_case):
@@ -1304,12 +1333,23 @@ class TestContinuation:
     def test_overcurved_disc_direct_newton_fails(self):
         grid = grid_from_domain(geometry.Disc(1.0), 1.0 / 24)
         field = CurvatureField.from_constant(1.2)
+        counts = []  # (factorizations, GMRES iterations) after each solve
+
+        class Recording(solver.FactorOnceSolver):
+            def solve(self, J, rhs, rtol=solver._KRYLOV_RTOL):
+                x = super().solve(J, rhs, rtol)
+                counts.append((self.factorizations, self.krylov_iters))
+                return x
+
         with pytest.raises(SolverError) as info:
-            solver.newton_solve(grid, field, max_iters=25)
-        first = info.value.trace[0]
-        assert first["factored"] is True and first["krylov_iters"] == 0
-        assert all({"krylov_iters", "factored"} <= step.keys()
-                   for step in info.value.trace)
+            solver.newton_solve(grid, field, max_iters=25,
+                                linsolve=Recording())
+        # the first step factors its Jacobian and runs no GMRES; the later
+        # ones run GMRES on that factor
+        assert counts[0] == (1, 0)
+        assert len(counts) > 1 and counts[-1][1] > 0
+        # a Newton failure carries its message, not a record
+        assert not hasattr(info.value, "trace")
 
     def test_one_factorization_per_homotopy(self, monkeypatch):
         grid = grid_from_domain(geometry.Annulus(1.0, 2.0), 1.0 / 16)
